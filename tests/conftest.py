@@ -1,7 +1,8 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators and standard Groebner systems shared across the tests."""
 
 import random
 from fractions import Fraction
+from math import prod
 
 from folichar.foliations import PolyVectorField
 from folichar.polynomials import MultiPoly, VarSpace
@@ -46,3 +47,29 @@ def axis_invariant_field(rng, n, max_deg):
     if all(c.is_zero() for c in comps):
         comps[0] = xs[0]
     return PolyVectorField(space, comps)
+
+
+def cyclic(n):
+    """cyclic-n (Bjoerck-Froeberg 1991) in x1..xn."""
+    space = VarSpace(tuple(f"x{i + 1}" for i in range(n)))
+    xs = [MultiPoly.variable(space, i) for i in range(n)]
+    one, zero = MultiPoly.constant(space, 1), MultiPoly.zero(space)
+    gens = [sum((prod((xs[(i + j) % n] for j in range(k)), start=one) for i in range(n)), zero)
+            for k in range(1, n)]
+    return gens + [prod(xs, start=one) - 1]
+
+
+def katsura(n):
+    """katsura-n in the n + 1 variables u0..un."""
+    space = VarSpace(tuple(f"u{i}" for i in range(n + 1)))
+
+    def u(i):
+        i = abs(i)
+        return MultiPoly.variable(space, i) if i <= n else MultiPoly.zero(space)
+
+    gens = []
+    for k in range(n):
+        acc = sum((u(l) * u(k - l) for l in range(-n, n + 1)), MultiPoly.zero(space))
+        gens.append(acc - u(k))
+    gens.append(sum((u(l) for l in range(-n, n + 1)), MultiPoly.zero(space)) - 1)
+    return gens

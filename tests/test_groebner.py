@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from conftest import rand_poly, rng_for
+from conftest import cyclic, katsura, rand_poly, rng_for
 from oracles import membership_oracle
 
 from folichar.errors import BudgetExceeded
@@ -121,6 +121,29 @@ def test_rational_points_finite():
     assert got == [(F(-1), F(-1)), (F(1), F(1))]
     none, sure = rational_points([X * X + 1, Y], SXY)
     assert sure and none == []
+
+
+# Step counts are deterministic, so they gate the engine's work exactly:
+# a change in pair selection or reduction order shows up here.
+@pytest.mark.parametrize("gens, length, steps", [
+    (cyclic(5), 20, 1347),
+    (katsura(4), 13, 557),
+    (katsura(5), 22, 2766),
+], ids=["cyclic-5", "katsura-4", "katsura-5"])
+def test_anchor_systems_steps_and_size(gens, length, steps):
+    runs = []
+    for _ in range(2):
+        I, budget = Ideal(gens[0].space, gens), StepBudget(10 ** 6)
+        runs.append((I.basis(budget=budget), budget.used))
+    assert (len(runs[0][0]), runs[0][1]) == (length, steps)
+    assert runs[1] == runs[0]
+    assert all(normal_form(g, I).is_zero() for g in gens)
+
+
+def test_equal_ideals_hash_equal():
+    a, b = Ideal(SXY, [X, Y]), Ideal(SXY, [X + Y, Y])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
 def test_step_budget():

@@ -6,12 +6,14 @@ import pytest
 from conftest import rand_poly, rng_for
 
 from folichar.errors import SpaceMismatch
+from folichar.ideals import StepBudget, reduce_poly
 from folichar.polynomials import (
     GREVLEX,
     LEX,
     MultiPoly,
     VarSpace,
     block_order_xy,
+    elimination_order,
     multigrade_decompose,
 )
 
@@ -105,6 +107,48 @@ def test_monomial_orders():
     x1 = MultiPoly.variable(d, "x1")
     y2 = MultiPoly.variable(d, "y2")
     assert (x1 + y2 * y2 * y2).leading(blk)[0] == (1, 0, 0, 0)
+
+
+S4 = VarSpace(("x1", "x2", "x3", "x4"))
+ORDERS = [GREVLEX, LEX, elimination_order(S4, [0, 2])]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["grevlex", "lex", "block"])
+def test_rkey_is_exact_reverse_of_key(order):
+    rng = rng_for("rkey")
+    exps = {tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(300)}
+    assert sorted(exps, key=order.rkey) == sorted(exps, key=order.key)[::-1]
+
+
+def _reduce_by_max_scan(f, basis, order, budget):
+    """Reference normal form: rescan for the largest live term on every step."""
+    p, tail = dict(f.terms), {}
+    while p:
+        e = max(p, key=order.key)
+        c = p.pop(e)
+        hit = next(((le, lc, g) for le, lc, g in basis
+                    if all(a <= b for a, b in zip(le, e))), None)
+        if hit is None:
+            tail[e] = c
+            continue
+        budget.charge()
+        le, lc, g = hit
+        shift = tuple(a - b for a, b in zip(e, le))
+        p = (MultiPoly(f.space, p) - (c / lc) * MultiPoly.monomial(f.space, shift)
+             * (g - MultiPoly.monomial(f.space, le, lc))).terms
+    return MultiPoly(f.space, tail)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["grevlex", "lex", "block"])
+def test_reduce_poly_matches_max_scan(order):
+    rng = rng_for("reduce-ref")
+    for _ in range(40):
+        polys = [rand_poly(rng, S4, 3, 4, nonzero=True) for _ in range(3)]
+        basis = [(*g.leading(order), g) for g in polys[1:]]
+        fast, slow = StepBudget(10 ** 5), StepBudget(10 ** 5)
+        f = polys[0] * polys[0]
+        assert reduce_poly(f, basis, order, fast) == _reduce_by_max_scan(f, basis, order, slow)
+        assert fast.used == slow.used
 
 
 def test_multigrade_decompose():
