@@ -47,7 +47,7 @@ from .ideals import Ideal
 from .parser import parse_expression, parse_input, print_value
 from .polynomials import VarSpace, order_from_name
 from .reports import Report
-from .scalars import scalar_str, upoly_str
+from .scalars import upoly_str
 from .singularities import (
     bott_connection,
     coordinate_subspace_decomposition,
@@ -112,10 +112,6 @@ def _value(session, text, kind):
 
 def _field_of(session, args):
     return session.vector_field(getattr(args, "field_name", None))
-
-
-def _components(field):
-    return [str(c) for c in field.components]
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +223,7 @@ def _cmd_classify(session, args):
         result={
             "tag": cls.tag,
             "point": None if cls.point is None
-            else [scalar_str(v) for v in cls.point],
+            else [str(v) for v in cls.point],
             "residual": None if cls.residual is None
             else [str(g) for g in cls.residual.generators],
             "certificate": _jsonable(cls.certificate),
@@ -277,7 +273,7 @@ def _cmd_eigen(session, args):
     point = session.parse_point(args.point)
     inputs = {
         "xi": print_value(xi),
-        "point": "(" + ", ".join(scalar_str(v) for v in point) + ")",
+        "point": "(" + ", ".join(str(v) for v in point) + ")",
     }
     try:
         data = jacobian_eigendata(xi, point, field=session.field)
@@ -295,11 +291,11 @@ def _cmd_eigen(session, args):
         inputs=inputs,
         result={
             "char_poly": upoly_str(data.char_poly),
-            "eigenvalues": [scalar_str(v) for v in data.eigenvalues],
+            "eigenvalues": [str(v) for v in data.eigenvalues],
             "eigenvectors": [
                 {
-                    "value": scalar_str(v),
-                    "basis": [[scalar_str(c) for c in vec] for vec in basis],
+                    "value": str(v),
+                    "basis": [[str(c) for c in vec] for vec in basis],
                 }
                 for v, basis in data.eigenvectors
             ],
@@ -316,12 +312,12 @@ def _cmd_nonres(session, args):
         "nonres",
         inputs={
             "xi": print_value(xi),
-            "point": "(" + ", ".join(scalar_str(v) for v in point) + ")",
+            "point": "(" + ", ".join(str(v) for v in point) + ")",
         },
         result={
             "invertible": rep.invertible,
             "zrank": rep.rank,
-            "eigenvalues": [scalar_str(v) for v in rep.eigenvalues],
+            "eigenvalues": [str(v) for v in rep.eigenvalues],
         },
         verdict=rep.nonresonant,
     )
@@ -335,14 +331,14 @@ def _cmd_holonomy(session, args):
         "holonomy",
         inputs={
             "xi": print_value(xi),
-            "point": "(" + ", ".join(scalar_str(v) for v in point) + ")",
+            "point": "(" + ", ".join(str(v) for v in point) + ")",
             "axis": str(args.axis),
         },
         result={
-            "separatrix_eigenvalue": scalar_str(rep.separatrix_eigenvalue),
+            "separatrix_eigenvalue": str(rep.separatrix_eigenvalue),
             "spectrum": [
                 {
-                    "ratio": scalar_str(e.ratio),
+                    "ratio": str(e.ratio),
                     "eigenvalue": e.symbol,
                     "root_of_unity": e.root_of_unity,
                     "order": e.order,
@@ -438,7 +434,7 @@ def _cmd_form_lognf(session, args):
         result={
             "h": str(nf.h),
             "lambdas": {
-                "^".join(names[i] for i in idx): scalar_str(lam)
+                "^".join(names[i] for i in idx): str(lam)
                 for idx, lam in sorted(nf.lambdas.items())
             },
             "hyperplanes": list(rep.hyperplanes),
@@ -476,7 +472,7 @@ def _cmd_disc(session, args):
     return Report(
         "disc",
         inputs={"binform": str(p)},
-        result={"degree": k, "discriminant": scalar_str(disc)},
+        result={"degree": k, "discriminant": str(disc)},
     )
 
 

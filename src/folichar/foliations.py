@@ -25,6 +25,7 @@ from .errors import ConstantFunction, EmptyVariety, SpaceMismatch
 from .ideals import (
     Ideal,
     _as_budget,
+    _univariate_in,
     eliminate,
     exact_divide,
     krull_dim_zero_check,
@@ -34,7 +35,7 @@ from .ideals import (
     rational_points,
 )
 from .polynomials import LEX, MultiPoly, VarSpace
-from .scalars import NFElement, upoly_squarefree_part, upoly_trim
+from .scalars import NFElement, rref, upoly_squarefree_part
 
 _ONE = Fraction(1)
 
@@ -151,17 +152,8 @@ def _matrix_inverse(m):
     n = len(m)
     aug = [list(row) + [_ONE if i == j else Fraction(0) for j in range(n)]
            for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col] if isinstance(aug[col][col], Fraction) else aug[col][col].inverse()
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    if rref(aug) != list(range(n)):
+        raise ValueError("matrix is singular")
     return [row[n:] for row in aug]
 
 
@@ -269,7 +261,8 @@ def prolong(xi):
                 acc = acc - d * ys[i]
         yc.append(acc)
     out = CotangentField(dspace, lifted, yc)
-    assert out.is_prolongation_shaped()
+    if not out.is_prolongation_shaped():
+        raise RuntimeError("prolongation is not linear in the fiber variables")
     return out
 
 
@@ -313,27 +306,13 @@ def singular_scheme(xi, budget=None):
                 gens = [g for g in eli.generators if not g.is_zero()]
                 if not gens:
                     continue
-                uni = gens[0]
-                coeffs = _as_univariate(uni, 0)
-                sq = upoly_squarefree_part(coeffs)
+                sq = upoly_squarefree_part(_univariate_in(gens[0], 0))
                 augmented.append(_from_univariate(space, space.index(name), sq))
             _, distinct = krull_dim_zero_check(Ideal(space, augmented), budget=budget)
             reduced = distinct == vecdim
     gcd = poly_gcd_list(list(xi.components), budget=budget)
     divisorial = None if gcd is None or gcd.is_constant() else gcd
     return SingularScheme(ideal, isolated, vecdim, reduced, distinct, divisorial)
-
-
-def _as_univariate(p, idx):
-    out = {}
-    for e, c in p.terms.items():
-        if any(v and i != idx for i, v in enumerate(e)):
-            raise ValueError("polynomial is not univariate")
-        out[e[idx]] = c
-    coeffs = [Fraction(0)] * (max(out) + 1)
-    for k, c in out.items():
-        coeffs[k] = c
-    return upoly_trim(coeffs)
 
 
 def _from_univariate(space, idx, coeffs):

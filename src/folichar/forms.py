@@ -29,7 +29,7 @@ from .errors import (
 )
 from .ideals import exact_divide
 from .polynomials import GREVLEX, MultiPoly, VarSpace
-from .scalars import NFElement, scalar_inverse
+from .scalars import NFElement
 
 _ONE = Fraction(1)
 
@@ -581,14 +581,12 @@ def binary_discriminant(coeffs, space=None):
         norm = _shear_to_nonzero_lead(norm, k, space)
     a = norm
     fprime = [(k - j) * a[j] for j in range(k)]  # degree k-1 in u
-    size = (k - 1) + k
     zero = MultiPoly.zero(space)
     rows = []
     for shift in range(k - 1):
         rows.append([zero] * shift + a + [zero] * (k - 1 - shift - 1))
     for shift in range(k):
         rows.append([zero] * shift + fprime + [zero] * (k - shift - 1))
-    assert all(len(r) == size for r in rows)
     res = _poly_det(rows)
     disc = exact_divide(res, a[0]) if not res.is_zero() else res
     if (k * (k - 1) // 2) % 2:

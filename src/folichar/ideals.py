@@ -21,14 +21,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .errors import BudgetExceeded, SpaceMismatch
-from .polynomials import (
-    GREVLEX,
-    LEX,
-    MonomialOrder,
-    MultiPoly,
-    VarSpace,
-    elimination_order,
-)
+from .polynomials import GREVLEX, LEX, MultiPoly, elimination_order
 from .scalars import scalar_inverse, upoly_rational_roots, upoly_trim
 
 DEFAULT_BUDGET = 10 ** 6
@@ -335,6 +328,25 @@ def eliminate(ideal, keep, budget=None, project=True):
     return Ideal(sub, [g.restrict_to(sub) for g in kept])
 
 
+def _standard_monomials(ideal, order, budget):
+    """Unsorted standard monomials if dim V(I) = 0, else None."""
+    basis = ideal.basis(order=order, budget=budget)
+    nv = ideal.space.nvars
+    if not basis:
+        return [()] if nv == 0 else None
+    if basis[0].is_constant():
+        return []
+    leads = [g.leading(order)[0] for g in basis]
+    bounds = []
+    for i in range(nv):
+        pure = [e[i] for e in leads if sum(e) == e[i]]
+        if not pure:
+            return None
+        bounds.append(min(pure))
+    return [mono for mono in itertools.product(*(range(b) for b in bounds))
+            if not any(_divides(le, mono) for le in leads)]
+
+
 def krull_dim_zero_check(ideal, order=GREVLEX, budget=None):
     """(True, vector-space dimension) if dim V(I) = 0, else (False, None).
 
@@ -342,44 +354,16 @@ def krull_dim_zero_check(ideal, order=GREVLEX, budget=None):
     has a pure power among the leading monomials; the count of standard
     monomials is then the dimension of the quotient as a vector space.
     """
-    basis = ideal.basis(order=order, budget=budget)
-    nv = ideal.space.nvars
-    if not basis:
-        return (nv == 0, 1 if nv == 0 else None)
-    if basis[0].is_constant():
-        return True, 0
-    leads = [g.leading(order)[0] for g in basis]
-    bounds = []
-    for i in range(nv):
-        pure = [e[i] for e in leads if sum(e) == e[i]]
-        if not pure:
-            return False, None
-        bounds.append(min(pure))
-    count = 0
-    for mono in itertools.product(*(range(b) for b in bounds)):
-        if not any(_divides(le, mono) for le in leads):
-            count += 1
-    return True, count
+    mons = _standard_monomials(ideal, order, budget)
+    return (False, None) if mons is None else (True, len(mons))
 
 
 def standard_monomials(ideal, order=GREVLEX, budget=None):
     """Monomial basis of the quotient ring for a zero-dimensional ideal."""
-    ok, _ = krull_dim_zero_check(ideal, order=order, budget=budget)
-    if not ok:
+    mons = _standard_monomials(ideal, order, budget)
+    if mons is None:
         raise ValueError("ideal is not zero-dimensional")
-    basis = ideal.basis(order=order, budget=budget)
-    if basis and basis[0].is_constant():
-        return []
-    leads = [g.leading(order)[0] for g in basis]
-    nv = ideal.space.nvars
-    bounds = []
-    for i in range(nv):
-        bounds.append(min(e[i] for e in leads if sum(e) == e[i]))
-    out = []
-    for mono in itertools.product(*(range(b) for b in bounds)):
-        if not any(_divides(le, mono) for le in leads):
-            out.append(mono)
-    return sorted(out, key=order.key)
+    return sorted(mons, key=order.key)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +441,7 @@ def poly_gcd_list(polys, budget=None):
 # rational points of small systems
 # ---------------------------------------------------------------------------
 
-def _univariate_in(g, idx, nv):
+def _univariate_in(g, idx):
     """Coefficients of g as a univariate polynomial in variable idx, or None."""
     coeffs = {}
     for e, c in g.terms.items():
@@ -505,7 +489,7 @@ def rational_points(gens, space, budget=None, zero_free_vars=False):
         if not remaining:
             return  # nonzero constraints but nothing left to solve: inconsistent
         idx = remaining[-1]  # lex-least variable first
-        univs = [u for u in (_univariate_in(g, idx, nv) for g in live) if u is not None]
+        univs = [u for u in (_univariate_in(g, idx) for g in live) if u is not None]
         if not univs:
             if not zero_free_vars:
                 raise ValueError("system is not zero-dimensional")

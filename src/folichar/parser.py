@@ -29,7 +29,7 @@ from .foliations import PolyVectorField
 from .forms import PolyForm, wedge
 from .ideals import Ideal
 from .polynomials import MultiPoly, VarSpace
-from .scalars import NFElement, make_number_field, upoly_trim
+from .scalars import NFElement, make_number_field, scalar_inverse, upoly_trim
 from .weyl import WeylOperator, order_one_field
 
 _VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
@@ -75,12 +75,20 @@ def _tokenize(text, line, offset=0):
 #   unary := "-" unary | power
 #   power := atom ("^" atom)*          left associative; wedge or power
 #   atom  := number | name | name "(" expr ("," expr)* ")" | "(" expr ")"
+#
+# Every recursive cycle of the grammar passes through unary, so its nesting
+# depth bounds the recursion; _MAX_DEPTH keeps it well inside Python's
+# recursion limit.
+
+_MAX_DEPTH = 100
+
 
 class _ExprParser:
     def __init__(self, tokens, line):
         self.tokens = tokens
         self.line = line
         self.pos = 0
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -128,10 +136,17 @@ class _ExprParser:
 
     def unary(self):
         tok = self._peek()
+        if self.depth == _MAX_DEPTH:
+            raise ParseError(f"expression nested more than {_MAX_DEPTH} deep",
+                             self.line, tok.column if tok else None)
+        self.depth += 1
         if tok is not None and tok.kind == "op" and tok.text == "-":
             self._next()
-            return ("neg", self.unary(), (tok.line, tok.column))
-        return self.power()
+            node = ("neg", self.unary(), (tok.line, tok.column))
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         node = self.atom()
@@ -342,8 +357,7 @@ class Session:
             c = _constant_scalar(b, pos)
             if not c:
                 raise ParseError("division by zero", *pos)
-            inv = 1 / c if isinstance(c, Fraction) else c.inverse()
-            return a * inv
+            return a * scalar_inverse(c)
         e = _constant_scalar(b, pos)
         if not (isinstance(e, Fraction) and e.denominator == 1 and e >= 0):
             raise ParseError("exponent must be a nonnegative integer", *pos)
@@ -417,7 +431,7 @@ class Session:
             if not c:
                 raise ParseError("division by zero", *pos)
             if a_form:
-                return a * scalar_inv(c)
+                return a * scalar_inverse(c)
             return a / c
         # ^ : wedge whenever a form is involved, power otherwise
         if a_form or b_form:
@@ -572,10 +586,6 @@ class Session:
                 f"point needs {self.n} coordinates, got {len(parts)}", 1, 1
             )
         return tuple(self.parse_scalar(p) for p in parts)
-
-
-def scalar_inv(c):
-    return 1 / c if isinstance(c, (int, Fraction)) else c.inverse()
 
 
 def _split_commas(text):

@@ -84,7 +84,7 @@ def upoly_divmod(p, q):
         raise ZeroDivisionError("univariate division by zero polynomial")
     rem = list(p)
     dq = len(q) - 1
-    lead_inv = _ONE / q[-1] if isinstance(q[-1], Fraction) else q[-1].inverse()
+    lead_inv = scalar_inverse(q[-1])
     quot = [0] * max(len(p) - dq, 0)
     while len(rem) - 1 >= dq and any(rem):
         while rem and not rem[-1]:
@@ -103,8 +103,7 @@ def upoly_divmod(p, q):
 def upoly_monic(p):
     if not p:
         return ()
-    lead = p[-1]
-    inv = _ONE / lead if isinstance(lead, Fraction) else lead.inverse()
+    inv = scalar_inverse(p[-1])
     return tuple(c * inv for c in p)
 
 
@@ -128,8 +127,7 @@ def upoly_egcd(p, q):
         v0, v1 = v1, upoly_sub(v0, upoly_mul(quot, v1))
     if not r0:
         return (), u0, v0
-    lead = r0[-1]
-    inv = _ONE / lead if isinstance(lead, Fraction) else lead.inverse()
+    inv = scalar_inverse(r0[-1])
     return upoly_scale(r0, inv), upoly_scale(u0, inv), upoly_scale(v0, inv)
 
 
@@ -464,12 +462,16 @@ def _norm2_bound(ints):
 
 
 def _quadratic_factor(ints):
-    """Search for a monic integer quadratic divisor of a monic integer quartic."""
+    """Search for a monic integer quadratic divisor of a monic integer quartic.
+
+    The constant term of such a divisor divides ``ints[0]``, which is
+    nonzero once the rational-root screen has passed.
+    """
     bound = _norm2_bound(ints)
+    divs = [d for d in _int_divisors(ints[0]) if d <= bound]
+    qqs = [-d for d in reversed(divs)] + divs
     for pp in range(-2 * bound, 2 * bound + 1):
-        for qq in range(-bound, bound + 1):
-            if qq == 0:
-                continue  # would imply a rational root, screened earlier
+        for qq in qqs:
             # synthetic division of ints by u^2 + pp*u + qq
             rem = list(ints)
             for i in range(len(ints) - 1, 1, -1):
@@ -544,10 +546,45 @@ def make_number_field(name, min_poly, assume_irreducible=False):
 
 
 # ---------------------------------------------------------------------------
-# Z-module rank of a finite set of field elements
+# exact linear algebra over Q or Q(alpha)
 # ---------------------------------------------------------------------------
 
+def scalar_inverse(c):
+    """Multiplicative inverse of a Fraction or NFElement."""
+    if isinstance(c, NFElement):
+        return c.inverse()
+    return _ONE / Fraction(c)
+
+
+def rref(rows):
+    """Reduce ``rows`` in place to reduced row echelon form; return pivot columns.
+
+    Entries are Fractions or elements of one number field.  Each pivot is
+    the first nonzero entry at or below the current row, scaled to 1, and
+    its column is cleared in every other row.
+    """
+    pivots = []
+    width = len(rows[0]) if rows else 0
+    for col in range(width):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = scalar_inverse(rows[r][col])
+        rows[r] = pr = [v * inv for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                f = row[col]
+                rows[i] = [a - f * b for a, b in zip(row, pr)]
+        pivots.append(col)
+    return pivots
+
+
 def _coord_rows(values):
+    """Coordinate vectors of the values, all padded to the field degree."""
     field = None
     for v in values:
         if isinstance(v, NFElement):
@@ -572,43 +609,10 @@ def zrank(values):
     """Rank of the Z-module generated by algebraic numbers.
 
     Because 1, alpha, ..., alpha^(d-1) are Q-linearly independent, this is
-    the Q-linear rank of the coordinate vectors, computed by exact Gaussian
-    elimination.  ``zrank([]) == 0``.
+    the Q-linear rank of the coordinate vectors, computed by :func:`rref`.
+    ``zrank([]) == 0``.
     """
-    rows = _coord_rows(list(values))
-    if not rows:
-        return 0
-    width = max(len(r) for r in rows)
-    for r in rows:
-        r += [_ZERO] * (width - len(r))
-    rank, col = 0, 0
-    while rank < len(rows) and col < width:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        inv = _ONE / pr[col]
-        rows[rank] = pr = [c * inv for c in pr]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        rank += 1
-        col += 1
-    return rank
-
-
-def scalar_inverse(c):
-    """Multiplicative inverse of a Fraction or NFElement."""
-    if isinstance(c, NFElement):
-        return c.inverse()
-    return _ONE / Fraction(c)
-
-
-def scalar_str(c):
-    return str(c)
+    return len(rref(_coord_rows(list(values))))
 
 
 def is_rational_scalar(c):

@@ -41,8 +41,7 @@ from .scalars import (
     NFElement,
     as_fraction,
     is_rational_scalar,
-    scalar_inverse,
-    scalar_str,
+    rref,
     upoly_degree,
     upoly_divmod,
     upoly_rational_roots,
@@ -82,7 +81,7 @@ class EigenData:
         return sum(1 for v in self.eigenvalues if v == value)
 
     def __str__(self):
-        vals = ", ".join(scalar_str(v) for v in self.eigenvalues)
+        vals = ", ".join(str(v) for v in self.eigenvalues)
         return f"char {upoly_str(self.char_poly)}; eigenvalues {{{vals}}}"
 
 
@@ -199,21 +198,7 @@ def _kernel_basis(mat):
     """Exact right-kernel basis of a square matrix, pivots normalized to 1."""
     n = len(mat)
     rows = [list(r) for r in mat]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = scalar_inverse(rows[r][c])
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+    pivots = rref(rows)
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
         vec = [_ZERO] * n
@@ -298,7 +283,7 @@ class ResonanceReport:
         return self.nonresonant
 
     def __str__(self):
-        vals = ", ".join(scalar_str(v) for v in self.eigenvalues)
+        vals = ", ".join(str(v) for v in self.eigenvalues)
         verdict = "non-resonant" if self.nonresonant else "resonant"
         return f"{verdict}: eigenvalues {{{vals}}}, zrank {self.rank}"
 
@@ -343,7 +328,7 @@ class HolonomyReport:
 
 
 def _exp_symbol(ratio):
-    s = scalar_str(ratio)
+    s = str(ratio)
     if any(ch in s for ch in "+- /"):
         s = f"({s})"
     return f"exp(2*pi*i*{s})"
@@ -599,8 +584,6 @@ def coordinate_subspace_decomposition(ideal, budget=None):
             if all(s & sup for sup in supports):
                 covers.append(frozenset(s))
     covers.sort(key=lambda s: (len(s), sorted(s)))
-    for s in covers:
-        assert all(s & sup for sup in supports)
     components = tuple(
         tuple(space.all_vars[i] for i in sorted(s)) for s in covers
     )

@@ -311,10 +311,11 @@ def charvariety_of_principal_ideal(d, space=None):
     """Principal ideal of the principal symbol in the doubled space.
 
     For an order-one operator xi + f this is exactly the ideal of the
-    characteristic polynomial of xi; the identity is asserted.
+    characteristic polynomial of xi; the identity is checked.
     """
     m, sym = principal_symbol(d, space)
     if m == 1:
         xi = order_one_field(d, sym.space)
-        assert sym == characteristic_polynomial(xi).lift_to(sym.space)
+        if sym != characteristic_polynomial(xi).lift_to(sym.space):
+            raise RuntimeError("principal symbol differs from the characteristic polynomial")
     return Ideal(sym.space, [sym])

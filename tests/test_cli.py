@@ -169,6 +169,17 @@ def test_parse_error_exits_two(run):
     assert json.loads(out)["result"]["error"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "expr",
+    ["ideal(" + "(" * 3000 + "x1" + ")" * 3000 + ")", "-" * 3000 + "x1"],
+    ids=["nested-parentheses", "minus-chain"],
+)
+def test_deeply_nested_expression_exits_two(run, expr):
+    code, out = run(f"vars: x1 x2\ng: {expr}\n", "ch", "--json")
+    assert code == 2
+    assert json.loads(out)["result"]["error"] == "ParseError"
+
+
 def test_unknown_name_exits_two(run):
     code, out = run(DIAG_SESSION, "classify", "K", "--json")
     assert code == 2

@@ -1,6 +1,8 @@
 """Rational univariate helpers and simple number-field arithmetic."""
 
+import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,26 @@ def test_field_construction_screens():
     assert make_number_field(
         "v", [F(-2), F(0), F(0), F(0), F(0), F(1)], assume_irreducible=True
     ).degree == 5
+
+
+def test_quartic_screen_over_constant_term_divisors():
+    # the norm bound of a^4 - 1009 is about 1,000: a walk over every
+    # constant term up to the bound took seconds, its divisors take none
+    assert make_number_field("a", [F(-1009), F(0), F(0), F(0), F(1)]).degree == 4
+    rng = random.Random(5)
+    planted = 0
+    while planted < 40:
+        p, q, r, s = (rng.randint(-12, 12) for _ in range(4))
+        # two distinct monic quadratics without rational roots
+        if (p, q) == (r, s) or any(
+            isqrt(max(b * b - 4 * c, 0)) ** 2 == b * b - 4 * c
+            for b, c in ((p, q), (r, s))
+        ):
+            continue
+        planted += 1
+        quartic = upoly_mul((F(q), F(p), F(1)), (F(s), F(r), F(1)))
+        with pytest.raises(ReducibleDetected):
+            make_number_field("a", quartic)
 
 
 @pytest.fixture(scope="module")

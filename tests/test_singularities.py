@@ -2,7 +2,9 @@
 holonomy spectra, the partial connection along an invariant leaf, and the
 coordinate-subspace decomposition of torus-stable fiber ideals."""
 
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -11,11 +13,12 @@ from folichar.errors import (
     NotASingularPoint,
     UnresolvedFactor,
 )
-from folichar.foliations import PolyVectorField
+from folichar.foliations import PolyVectorField, _matrix_inverse
 from folichar.ideals import Ideal
 from folichar.polynomials import MultiPoly, VarSpace
 from folichar.scalars import make_number_field
 from folichar.singularities import (
+    _kernel_basis,
     bott_connection,
     coordinate_subspace_decomposition,
     holonomy_spectrum,
@@ -213,3 +216,92 @@ def test_decomposition_mixed_generators():
     # redundant generator dropped by minimality
     rep3 = coordinate_subspace_decomposition(Ideal(Y3, [y1, y1 * y2]))
     assert rep3.components == (("y1",),) and rep3.dimensions == (2,)
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra: kernels, inverses and linear coordinate changes
+
+
+SQRT2 = make_number_field("r", [F(-2), F(0), F(1)])
+
+
+def _random_matrices(seed, count=60):
+    """Seeded square matrices over Q and Q(sqrt2), about 40% rank-deficient."""
+    rng = random.Random(seed)
+
+    def entry(field):
+        q = F(rng.randint(-3, 3), rng.randint(1, 2))
+        return q if field is None else field.element([q, F(rng.randint(-2, 2))])
+
+    for k in range(count):
+        field = SQRT2 if k % 2 else None
+        n = rng.randint(1, 4)
+        m = [[entry(field) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.4:
+            i, j = rng.sample(range(n), 2)
+            c = entry(field)
+            m[i] = [c * v for v in m[j]]
+        yield m
+
+
+def _det(m):
+    """Laplace expansion along the first row; independent of the RREF kernel."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _rank(m):
+    n = len(m)
+    for k in range(n, 0, -1):
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(n), k):
+                if _det([[m[i][j] for j in cols] for i in rows]):
+                    return k
+    return 0
+
+
+def _matmul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), F(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def test_kernel_basis_annihilated_and_rank_nullity():
+    for m in _random_matrices(1):
+        n = len(m)
+        basis = _kernel_basis(m)
+        for v in basis:
+            assert len(v) == n and any(v)
+            assert all(not sum((m[i][j] * v[j] for j in range(n)), F(0))
+                       for i in range(n))
+        assert _rank(m) + len(basis) == n
+
+
+def test_matrix_inverse_exact_or_singular():
+    singular = 0
+    for m in _random_matrices(2):
+        n = len(m)
+        if not _det(m):
+            singular += 1
+            with pytest.raises(ValueError):
+                _matrix_inverse(m)
+            continue
+        prod = _matmul(_matrix_inverse(m), m)
+        assert all(prod[i][j] == (i == j) for i in range(n) for j in range(n))
+    assert singular
+
+
+def test_linear_change_round_trip():
+    rng = random.Random(3)
+    for m in _random_matrices(4, count=12):
+        n = len(m)
+        if not _det(m):
+            continue
+        space = VarSpace(tuple(f"x{i + 1}" for i in range(n)))
+        xs = [MultiPoly.variable(space, i) for i in range(n)]
+        comps = [sum((F(rng.randint(-2, 2)) * xs[rng.randrange(n)] * xs[j]
+                      for j in range(n)), MultiPoly.zero(space)) + xs[i]
+                 for i in range(n)]
+        xi = PolyVectorField(space, comps)
+        assert xi.linear_change(m).linear_change(_matrix_inverse(m)) == xi
