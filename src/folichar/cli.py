@@ -36,14 +36,13 @@ from .foliations import (
     singular_scheme,
 )
 from .forms import (
-    PolyForm,
     binary_discriminant,
     is_distribution,
     is_infinitesimal_automorphism,
     is_integrable,
     logarithmic_normal_form,
 )
-from .ideals import Ideal
+from .ideals import DEFAULT_BUDGET, Ideal, StepBudget
 from .parser import parse_expression, parse_input, print_value
 from .polynomials import VarSpace, order_from_name
 from .reports import Report
@@ -91,23 +90,7 @@ def _value(session, text, kind):
     text = text.strip()
     if _NAME_RE.match(text) and text in session.decls:
         return session.get(text, kind)
-    ast = parse_expression(text)
-    if kind == "ideal":
-        if ast[0] == "call" and ast[1] == "ideal":
-            return Ideal(session.dspace, [session.eval_poly(a) for a in ast[2]])
-        return Ideal(session.dspace, [session.eval_poly(ast)])
-    if kind == "poly":
-        return session.eval_poly(ast)
-    if kind == "op":
-        return session.eval_operator(ast)
-    if kind == "form":
-        got = session.eval_form(ast, session._form_space(ast))
-        return got if isinstance(got, PolyForm) else PolyForm.from_poly(got)
-    if kind == "binform":
-        return session._check_binform(
-            session.eval_poly(ast, session.space), (1, 1)
-        )
-    raise ValueError(f"cannot resolve inline value of kind {kind}")
+    return session.evaluate(parse_expression(text), kind)
 
 
 def _field_of(session, args):
@@ -118,7 +101,7 @@ def _field_of(session, args):
 # handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_ch(session, args):
+def _cmd_ch(session, args, budget):
     xi = _field_of(session, args)
     P = characteristic_polynomial(xi)
     return Report(
@@ -128,7 +111,7 @@ def _cmd_ch(session, args):
     )
 
 
-def _cmd_prolong(session, args):
+def _cmd_prolong(session, args, budget):
     xi = _field_of(session, args)
     hat = prolong(xi)
     return Report(
@@ -141,7 +124,7 @@ def _cmd_prolong(session, args):
     )
 
 
-def _cmd_hamiltonian(session, args):
+def _cmd_hamiltonian(session, args, budget):
     if args.poly is not None:
         F = _value(session, args.poly, "poly")
     else:
@@ -157,9 +140,9 @@ def _cmd_hamiltonian(session, args):
     )
 
 
-def _cmd_sing(session, args):
+def _cmd_sing(session, args, budget):
     xi = _field_of(session, args)
-    sch = singular_scheme(xi)
+    sch = singular_scheme(xi, budget=budget)
     return Report(
         "sing",
         inputs={"xi": print_value(xi)},
@@ -175,9 +158,9 @@ def _cmd_sing(session, args):
     )
 
 
-def _cmd_ch_sing(session, args):
+def _cmd_ch_sing(session, args, budget):
     xi = _field_of(session, args)
-    rep = ch_singular_locus(xi)
+    rep = ch_singular_locus(xi, budget=budget)
     return Report(
         "ch-sing",
         inputs={"xi": print_value(xi)},
@@ -192,10 +175,10 @@ def _cmd_ch_sing(session, args):
     )
 
 
-def _cmd_invariant(session, args):
+def _cmd_invariant(session, args, budget):
     xi = _field_of(session, args)
     ideal = _value(session, args.ideal, "ideal")
-    rep = is_invariant(prolong(xi), ideal)
+    rep = is_invariant(prolong(xi), ideal, budget=budget)
     return Report(
         "invariant",
         inputs={"xi": print_value(xi), "ideal": print_value(ideal)},
@@ -213,10 +196,10 @@ def _cmd_invariant(session, args):
     )
 
 
-def _cmd_classify(session, args):
+def _cmd_classify(session, args, budget):
     xi = _field_of(session, args)
     ideal = _value(session, args.ideal, "ideal")
-    cls = classify_ch_subvariety(xi, ideal)
+    cls = classify_ch_subvariety(xi, ideal, budget=budget)
     return Report(
         "classify",
         inputs={"xi": print_value(xi), "ideal": print_value(ideal)},
@@ -231,12 +214,12 @@ def _cmd_classify(session, args):
     )
 
 
-def _cmd_darboux(session, args):
+def _cmd_darboux(session, args, budget):
     xi = _field_of(session, args)
     max_cof = args.max_cofactor
     if max_cof is None:
         max_cof = max(xi.degree() - 1, 0)
-    res = darboux_search(xi, args.max_deg, max_cof)
+    res = darboux_search(xi, args.max_deg, max_cof, budget=budget)
     return Report(
         "darboux",
         inputs={"xi": print_value(xi)},
@@ -252,7 +235,7 @@ def _cmd_darboux(session, args):
     )
 
 
-def _cmd_degree(session, args):
+def _cmd_degree(session, args, budget):
     xi = _field_of(session, args)
     rep = hyperplane_at_infinity(xi)
     return Report(
@@ -268,7 +251,7 @@ def _cmd_degree(session, args):
     )
 
 
-def _cmd_eigen(session, args):
+def _cmd_eigen(session, args, budget):
     xi = _field_of(session, args)
     point = session.parse_point(args.point)
     inputs = {
@@ -276,7 +259,7 @@ def _cmd_eigen(session, args):
         "point": "(" + ", ".join(str(v) for v in point) + ")",
     }
     try:
-        data = jacobian_eigendata(xi, point, field=session.field)
+        data = jacobian_eigendata(xi, point, field=session.field, budget=budget)
     except UnresolvedFactor as exc:
         return Report(
             "eigen",
@@ -304,10 +287,10 @@ def _cmd_eigen(session, args):
     )
 
 
-def _cmd_nonres(session, args):
+def _cmd_nonres(session, args, budget):
     xi = _field_of(session, args)
     point = session.parse_point(args.point)
-    rep = is_nonresonant(xi, point, field=session.field)
+    rep = is_nonresonant(xi, point, field=session.field, budget=budget)
     return Report(
         "nonres",
         inputs={
@@ -323,10 +306,10 @@ def _cmd_nonres(session, args):
     )
 
 
-def _cmd_holonomy(session, args):
+def _cmd_holonomy(session, args, budget):
     xi = _field_of(session, args)
     point = session.parse_point(args.point)
-    rep = holonomy_spectrum(xi, point, args.axis, field=session.field)
+    rep = holonomy_spectrum(xi, point, args.axis, field=session.field, budget=budget)
     return Report(
         "holonomy",
         inputs={
@@ -356,7 +339,7 @@ def _leaf(args):
     return int(text) if text.lstrip("-").isdigit() else text
 
 
-def _cmd_bott(session, args):
+def _cmd_bott(session, args, budget):
     xi = _field_of(session, args)
     conn = bott_connection(xi, axis=_leaf(args))
     return Report(
@@ -369,7 +352,7 @@ def _cmd_bott(session, args):
     )
 
 
-def _cmd_duality(session, args):
+def _cmd_duality(session, args, budget):
     xi = _field_of(session, args)
     rep = verify_prolongation_duality(xi, axis=_leaf(args))
     return Report(
@@ -383,11 +366,11 @@ def _cmd_duality(session, args):
     )
 
 
-def _cmd_torus_fiber(session, args):
+def _cmd_torus_fiber(session, args, budget):
     ideal = _value(session, args.ideal, "ideal")
     yspace = VarSpace(session.dspace.y_vars)
     gens = [g.restrict_to(yspace) for g in ideal.generators if not g.is_zero()]
-    rep = coordinate_subspace_decomposition(Ideal(yspace, gens))
+    rep = coordinate_subspace_decomposition(Ideal(yspace, gens), budget=budget)
     return Report(
         "torus-fiber",
         inputs={"ideal": print_value(ideal)},
@@ -402,7 +385,7 @@ def _cmd_torus_fiber(session, args):
     )
 
 
-def _cmd_form_dist(session, args):
+def _cmd_form_dist(session, args, budget):
     w = _value(session, args.form, "form")
     ok = is_distribution(w)
     return Report(
@@ -413,7 +396,7 @@ def _cmd_form_dist(session, args):
     )
 
 
-def _cmd_form_int(session, args):
+def _cmd_form_int(session, args, budget):
     w = _value(session, args.form, "form")
     ok = is_integrable(w)
     return Report(
@@ -424,7 +407,7 @@ def _cmd_form_int(session, args):
     )
 
 
-def _cmd_form_lognf(session, args):
+def _cmd_form_lognf(session, args, budget):
     w = _value(session, args.form, "form")
     nf, rep = logarithmic_normal_form(w)
     names = w.space.x_vars + w.space.y_vars
@@ -448,7 +431,7 @@ def _cmd_form_lognf(session, args):
     )
 
 
-def _cmd_inf_auto(session, args):
+def _cmd_inf_auto(session, args, budget):
     xi = session.get(args.field, "field")
     w = _value(session, args.form, "form")
     ok = is_infinitesimal_automorphism(xi, w)
@@ -460,7 +443,7 @@ def _cmd_inf_auto(session, args):
     )
 
 
-def _cmd_disc(session, args):
+def _cmd_disc(session, args, budget):
     p = _value(session, args.binform, "binform")
     k = p.degree()
     if k < 2:
@@ -476,7 +459,7 @@ def _cmd_disc(session, args):
     )
 
 
-def _cmd_weyl_mul(session, args):
+def _cmd_weyl_mul(session, args, budget):
     a = _value(session, args.a, "op")
     b = _value(session, args.b, "op")
     return Report(
@@ -486,7 +469,7 @@ def _cmd_weyl_mul(session, args):
     )
 
 
-def _cmd_symbol(session, args):
+def _cmd_symbol(session, args, budget):
     d = _value(session, args.op, "op")
     if args.bernstein:
         k, sym = bernstein_symbol(d, session.dspace)
@@ -505,10 +488,10 @@ def _cmd_symbol(session, args):
     return Report("symbol", inputs={"operator": str(d)}, result=result)
 
 
-def _cmd_gb(session, args):
+def _cmd_gb(session, args, budget):
     ideal = _value(session, args.ideal, "ideal")
     order = order_from_name(args.order, session.dspace)
-    basis = ideal.basis(order=order)
+    basis = ideal.basis(order=order, budget=budget)
     return Report(
         "gb",
         inputs={"ideal": print_value(ideal)},
@@ -636,52 +619,49 @@ def _error_report(command, exc):
     )
 
 
+def _step_limit(flag):
+    """The step limit: ``--budget``, else ``FOLICHAR_BUDGET``, else the default."""
+    text = os.environ.get("FOLICHAR_BUDGET") if flag is None else str(flag)
+    if text:
+        try:
+            return max(1, int(text))
+        except ValueError:
+            pass
+    return DEFAULT_BUDGET
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    saved = os.environ.get("FOLICHAR_BUDGET")
-    if args.budget is not None:
-        os.environ["FOLICHAR_BUDGET"] = str(args.budget)
+    budget = StepBudget(_step_limit(args.budget))
     t0 = time.perf_counter()
     try:
-        try:
-            with open(args.session, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            _emit(_error_report(args.command, exc), args.json)
-            return 2
-        try:
-            session = parse_input(
-                text, assume_irreducible=args.assume_irreducible
-            )
-            report = _HANDLERS[args.command](session, args)
-        except BudgetExceeded as exc:
-            _emit(_error_report(args.command, exc), args.json)
-            return 3
-        except _VERDICT_ERRORS as exc:
-            report = Report(
-                args.command,
-                result={"reason": str(exc), "error": type(exc).__name__},
-                verdict=False,
-            )
-            report.timings = {
-                "total_ms": round((time.perf_counter() - t0) * 1000, 3)
-            }
-            _emit(report, args.json)
-            return 1
-        except (FolicharError, ValueError, KeyError) as exc:
-            _emit(_error_report(args.command, exc), args.json)
-            return 2
-        report.timings = {
-            "total_ms": round((time.perf_counter() - t0) * 1000, 3)
-        }
-        _emit(report, args.json)
-        return 0 if report.verdict in (True, None) else 1
-    finally:
-        if args.budget is not None:
-            if saved is None:
-                os.environ.pop("FOLICHAR_BUDGET", None)
-            else:
-                os.environ["FOLICHAR_BUDGET"] = saved
+        with open(args.session, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        _emit(_error_report(args.command, exc), args.json)
+        return 2
+    try:
+        session = parse_input(
+            text, assume_irreducible=args.assume_irreducible
+        )
+        report = _HANDLERS[args.command](session, args, budget)
+    except BudgetExceeded as exc:
+        _emit(_error_report(args.command, exc), args.json)
+        return 3
+    except _VERDICT_ERRORS as exc:
+        report = Report(
+            args.command,
+            result={"reason": str(exc), "error": type(exc).__name__},
+            verdict=False,
+        )
+    except (FolicharError, ValueError, KeyError) as exc:
+        _emit(_error_report(args.command, exc), args.json)
+        return 2
+    report.timings = {
+        "total_ms": round((time.perf_counter() - t0) * 1000, 3)
+    }
+    _emit(report, args.json)
+    return 0 if report.verdict in (True, None) else 1
 
 
 if __name__ == "__main__":

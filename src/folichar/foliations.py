@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import ConstantFunction, EmptyVariety, SpaceMismatch
+from .errors import ConstantFunction, EmptyVariety, FieldMismatch, SpaceMismatch
 from .ideals import (
     Ideal,
     _as_budget,
@@ -533,9 +533,15 @@ def darboux_search(xi, max_deg, max_cofactor_deg, budget=None):
     coordinates are reported by their representative with the free
     coordinates set to zero; ``complete`` is True when no branch had free
     coordinates, so an empty result is a certificate of nonexistence over
-    the algebraic closure.
+    the algebraic closure.  The solve is over Q only, so a field with a
+    coefficient outside Q raises :class:`FieldMismatch`.
     """
     budget = _as_budget(budget)
+    for comp in xi.components:
+        for c in comp.terms.values():
+            if not isinstance(c, Fraction):
+                raise FieldMismatch(f"darboux_search solves over Q only; the "
+                                    f"field's coefficient {c} is not rational")
     if max_deg < 1:
         return DarbouxResult([], True)
     space = xi.space

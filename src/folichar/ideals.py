@@ -16,7 +16,6 @@ it raises :class:`BudgetExceeded` rather than returning a wrong answer.
 from __future__ import annotations
 
 import itertools
-import os
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
@@ -27,23 +26,13 @@ from .scalars import scalar_inverse, upoly_rational_roots, upoly_trim
 DEFAULT_BUDGET = 10 ** 6
 
 
-def default_budget():
-    env = os.environ.get("FOLICHAR_BUDGET")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET
-
-
 class StepBudget:
     """Shared countdown of reduction steps for one top-level computation."""
 
     __slots__ = ("limit", "used")
 
     def __init__(self, limit=None):
-        self.limit = default_budget() if limit is None else limit
+        self.limit = DEFAULT_BUDGET if limit is None else limit
         self.used = 0
 
     def charge(self, k=1):

@@ -16,6 +16,10 @@ wedge when a form is involved and the power otherwise.  An operator of pure
 first order with no constant term doubles as a polynomial vector field.
 Every declared object is canonicalized, and printing then re-parsing any
 declaration reproduces it exactly.
+
+Evaluation is iterative (one post-order fold with an explicit stack for
+every context), so a flat sum or product may have any number of terms; only
+nesting through parentheses or unary minus is capped, at 100 levels.
 """
 
 from __future__ import annotations
@@ -23,13 +27,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import MixedContext, ParseError, UnknownVariable
 from .foliations import PolyVectorField
 from .forms import PolyForm, wedge
 from .ideals import Ideal
 from .polynomials import MultiPoly, VarSpace
-from .scalars import NFElement, make_number_field, scalar_inverse, upoly_trim
+from .scalars import make_number_field, scalar_inverse, upoly_trim
 from .weyl import WeylOperator, order_one_field
 
 _VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
@@ -192,18 +197,20 @@ def parse_expression(text, line=1, offset=0):
 
 
 def _ast_names(ast):
-    kind = ast[0]
-    if kind == "name":
-        yield ast[1], ast[2]
-    elif kind == "call":
-        yield ast[1], ast[3]
-        for a in ast[2]:
-            yield from _ast_names(a)
-    elif kind == "neg":
-        yield from _ast_names(ast[1])
-    elif kind == "bin":
-        yield from _ast_names(ast[2])
-        yield from _ast_names(ast[3])
+    """(name, position) of every name and call in ``ast``, left to right."""
+    stack = [ast]
+    while stack:
+        node = stack.pop()
+        kind = node[0]
+        if kind == "name":
+            yield node[1], node[2]
+        elif kind == "call":
+            yield node[1], node[3]
+            stack.extend(reversed(node[2]))
+        elif kind == "neg":
+            stack.append(node[1])
+        elif kind == "bin":
+            stack += (node[3], node[2])
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +228,6 @@ class Declaration:
 
 def _constant_scalar(value, pos):
     """Extract a plain scalar from a constant poly/0-form/order-0 operator."""
-    if isinstance(value, (int, Fraction, NFElement)):
-        return value
     if isinstance(value, MultiPoly):
         if value.is_constant():
             return value.constant_value()
@@ -239,6 +244,47 @@ def _constant_scalar(value, pos):
         if value.total_degree() == 0:
             return next(iter(value.terms.values()))
     raise ParseError("expected a constant here", *pos)
+
+
+def _arith(op, a, b, pos):
+    """``a op b`` for + - * / ^ on polynomials, operators or 0-forms."""
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    c = _constant_scalar(b, pos)
+    if op == "/":
+        if not c:
+            raise ParseError("division by zero", *pos)
+        return a * scalar_inverse(c)
+    if not (isinstance(c, Fraction) and c.denominator == 1 and c >= 0):
+        raise ParseError("exponent must be a nonnegative integer", *pos)
+    return a ** int(c)
+
+
+def _form_arith(op, a, b, pos):
+    """Form context: sums need equal degrees, ``^`` is the wedge on forms."""
+    a_form = isinstance(a, PolyForm)
+    b_form = isinstance(b, PolyForm)
+    if op in "+-":
+        if a_form != b_form:
+            other = b if a_form else a
+            if other.is_constant() and not other.constant_value():
+                return a if a_form else b
+            raise MixedContext("cannot add a polynomial and a form", *pos)
+        if a_form and a.degree != b.degree:
+            raise MixedContext(
+                f"cannot add forms of degree {a.degree} and {b.degree}", *pos
+            )
+    elif op == "*" and a_form and b_form:
+        raise MixedContext("use ^ to multiply forms", *pos)
+    elif op == "^" and (a_form or b_form):
+        wa = a if a_form else PolyForm.from_poly(a)
+        wb = b if b_form else PolyForm.from_poly(b)
+        return wedge(wa, wb)
+    return _arith(op, a, b, pos)
 
 
 class Session:
@@ -261,20 +307,57 @@ class Session:
     def n(self):
         return len(self.space.x_vars)
 
-    def _gen_scalar(self, name):
+    def _named(self, name, pos, const, kind):
+        """The field generator as ``const(gen)``, else the declared ``name``."""
         if self.field is not None and name == self.field.name:
-            return self.field.gen()
-        return None
+            return const(self.field.gen())
+        if name not in self.decls:
+            raise UnknownVariable(f"unknown name {name!r}", *pos)
+        return self.get(name, kind)
 
     # -- evaluation ------------------------------------------------------------
 
+    def _evaluate(self, ast, leaf, combine):
+        """Post-order fold of ``ast`` with an explicit stack.
+
+        ``leaf(kind, atom, pos)`` resolves ``num`` and ``name`` atoms and
+        ``combine(op, a, b, pos)`` applies a binary operator.  Operands are
+        evaluated left to right, so the first error is the one a recursive
+        walk would raise, and a flat chain of any length takes no Python
+        recursion.
+        """
+        values = []
+        stack = [(ast, False)]
+        while stack:
+            node, ready = stack.pop()
+            kind = node[0]
+            if kind == "bin":
+                if ready:
+                    b = values.pop()
+                    values.append(combine(node[1], values.pop(), b, node[4]))
+                else:
+                    stack += ((node, True), (node[3], False), (node[2], False))
+            elif kind == "neg":
+                if ready:
+                    values.append(-values.pop())
+                else:
+                    stack += ((node, True), (node[1], False))
+            elif kind == "call":
+                raise MixedContext(
+                    f"{node[1]}(...) is only allowed as a whole declaration",
+                    *node[3],
+                )
+            else:
+                values.append(leaf(*node))
+        return values[0]
+
     def eval_poly(self, ast, space=None):
         space = space or self.dspace
-        kind = ast[0]
-        if kind == "num":
-            return MultiPoly.constant(space, ast[1])
-        if kind == "name":
-            name, pos = ast[1], ast[2]
+        const = partial(MultiPoly.constant, space)
+
+        def leaf(kind, name, pos):
+            if kind == "num":
+                return const(name)
             if name in space.all_vars:
                 return MultiPoly.variable(space, name)
             if _D_RE.match(name) or _DX_RE.match(name) or _DY_RE.match(name):
@@ -282,47 +365,18 @@ class Session:
                     f"differential {name} cannot appear in a polynomial",
                     *pos,
                 )
-            gen = self._gen_scalar(name)
-            if gen is not None:
-                return MultiPoly.constant(space, gen)
-            if name in self.decls:
-                inner = self.get(name, "poly")
-                return inner.lift_to(space) if inner.space != space else inner
-            raise UnknownVariable(f"unknown name {name!r}", *pos)
-        if kind == "call":
-            raise MixedContext(
-                f"{ast[1]}(...) is only allowed as a whole declaration",
-                *ast[3],
-            )
-        if kind == "neg":
-            return -self.eval_poly(ast[1], space)
-        _, op, lhs, rhs, pos = ast
-        a = self.eval_poly(lhs, space)
-        b = self.eval_poly(rhs, space)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            c = _constant_scalar(b, pos)
-            if not c:
-                raise ParseError("division by zero", *pos)
-            return a / c
-        # power
-        e = _constant_scalar(b, pos)
-        if not (isinstance(e, Fraction) and e.denominator == 1 and e >= 0):
-            raise ParseError("exponent must be a nonnegative integer", *pos)
-        return a ** int(e)
+            inner = self._named(name, pos, const, "poly")
+            return inner.lift_to(space) if inner.space != space else inner
+
+        return self._evaluate(ast, leaf, _arith)
 
     def eval_operator(self, ast):
         n = self.n
-        kind = ast[0]
-        if kind == "num":
-            return WeylOperator.constant(n, ast[1])
-        if kind == "name":
-            name, pos = ast[1], ast[2]
+        const = partial(WeylOperator.constant, n)
+
+        def leaf(kind, name, pos):
+            if kind == "num":
+                return const(name)
             m = _VAR_RE.match(name)
             if m and int(m.group(1)) <= n:
                 return WeylOperator.x_var(n, int(m.group(1)) - 1)
@@ -331,51 +385,17 @@ class Session:
                 return WeylOperator.d_var(n, int(m.group(1)) - 1)
             if _DX_RE.match(name) or _DY_RE.match(name) or _YVAR_RE.match(name):
                 raise MixedContext(f"{name} cannot appear in an operator", *pos)
-            gen = self._gen_scalar(name)
-            if gen is not None:
-                return WeylOperator.constant(n, gen)
-            if name in self.decls:
-                return self.get(name, "op")
-            raise UnknownVariable(f"unknown name {name!r}", *pos)
-        if kind == "call":
-            raise MixedContext(
-                f"{ast[1]}(...) is only allowed as a whole declaration",
-                *ast[3],
-            )
-        if kind == "neg":
-            return -self.eval_operator(ast[1])
-        _, op, lhs, rhs, pos = ast
-        a = self.eval_operator(lhs)
-        b = self.eval_operator(rhs)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            c = _constant_scalar(b, pos)
-            if not c:
-                raise ParseError("division by zero", *pos)
-            return a * scalar_inverse(c)
-        e = _constant_scalar(b, pos)
-        if not (isinstance(e, Fraction) and e.denominator == 1 and e >= 0):
-            raise ParseError("exponent must be a nonnegative integer", *pos)
-        return a ** int(e)
+            return self._named(name, pos, const, "op")
 
-    def _form_space(self, ast):
-        uses_dy = any(
-            _DY_RE.match(nm) or _YVAR_RE.match(nm) for nm, _ in _ast_names(ast)
-        )
-        return self.dspace if uses_dy else self.space
+        return self._evaluate(ast, leaf, _arith)
 
     def eval_form(self, ast, space):
         """Form-context evaluation: values are PolyForm or MultiPoly."""
-        kind = ast[0]
-        if kind == "num":
-            return MultiPoly.constant(space, ast[1])
-        if kind == "name":
-            name, pos = ast[1], ast[2]
+        const = partial(MultiPoly.constant, space)
+
+        def leaf(kind, name, pos):
+            if kind == "num":
+                return const(name)
             for rx, block in ((_D_RE, "x"), (_DX_RE, "x"), (_DY_RE, "y")):
                 m = rx.match(name)
                 if not m:
@@ -387,61 +407,36 @@ class Session:
                 return PolyForm.basis_form(space, idx)
             if name in space.all_vars:
                 return MultiPoly.variable(space, name)
-            gen = self._gen_scalar(name)
-            if gen is not None:
-                return MultiPoly.constant(space, gen)
-            if name in self.decls:
-                got = self.get(name, "form")
-                if isinstance(got, PolyForm) and got.space != space:
-                    raise MixedContext(
-                        f"form {name} lives on {got.space}, not {space}"
-                    )
-                return got
-            raise UnknownVariable(f"unknown name {name!r}", *pos)
-        if kind == "call":
-            raise MixedContext(
-                f"{ast[1]}(...) is only allowed as a whole declaration",
-                *ast[3],
-            )
-        if kind == "neg":
-            return -self.eval_form(ast[1], space)
-        _, op, lhs, rhs, pos = ast
-        a = self.eval_form(lhs, space)
-        b = self.eval_form(rhs, space)
-        a_form = isinstance(a, PolyForm)
-        b_form = isinstance(b, PolyForm)
-        if op in "+-":
-            if a_form != b_form:
-                other = b if a_form else a
-                if other.is_constant() and not other.constant_value():
-                    return a if a_form else b
-                raise MixedContext("cannot add a polynomial and a form", *pos)
-            if a_form and a.degree != b.degree:
-                raise MixedContext(
-                    f"cannot add forms of degree {a.degree} and {b.degree}",
-                    *pos,
-                )
-            return a + b if op == "+" else a - b
-        if op == "*":
-            if a_form and b_form:
-                raise MixedContext("use ^ to multiply forms", *pos)
-            return a * b
-        if op == "/":
-            c = _constant_scalar(b, pos)
-            if not c:
-                raise ParseError("division by zero", *pos)
-            if a_form:
-                return a * scalar_inverse(c)
-            return a / c
-        # ^ : wedge whenever a form is involved, power otherwise
-        if a_form or b_form:
-            wa = a if a_form else PolyForm.from_poly(a)
-            wb = b if b_form else PolyForm.from_poly(b)
-            return wedge(wa, wb)
-        e = _constant_scalar(b, pos)
-        if not (isinstance(e, Fraction) and e.denominator == 1 and e >= 0):
-            raise ParseError("exponent must be a nonnegative integer", *pos)
-        return a ** int(e)
+            got = self._named(name, pos, const, "form")
+            if isinstance(got, PolyForm) and got.space != space:
+                raise MixedContext(f"form {name} lives on {got.space}, not {space}")
+            return got
+
+        return self._evaluate(ast, leaf, _form_arith)
+
+    def evaluate(self, ast, kind, pos=(1, 1)):
+        """Evaluate ``ast`` as a value of ``kind``: poly, op, form, ideal, binform.
+
+        An ``ideal(...)`` call gives its arguments as generators, any other
+        expression a principal ideal; ``pos`` is where a failed binform check
+        is reported.  Operators are not promoted to vector fields here.
+        """
+        if kind == "ideal":
+            gens = ast[2] if ast[0] == "call" and ast[1] == "ideal" else [ast]
+            return Ideal(self.dspace, [self.eval_poly(g) for g in gens])
+        if kind == "binform":
+            return self._check_binform(self.eval_poly(ast, self.space), pos)
+        if kind == "form":
+            # a dy<i> or y<i> atom puts the form on the doubled space
+            uses_dy = any(_DY_RE.match(nm) or _YVAR_RE.match(nm)
+                          for nm, _ in _ast_names(ast))
+            value = self.eval_form(ast, self.dspace if uses_dy else self.space)
+            return value if isinstance(value, PolyForm) else PolyForm.from_poly(value)
+        if kind == "op":
+            return self.eval_operator(ast)
+        if kind == "poly":
+            return self.eval_poly(ast)
+        raise ValueError(f"cannot resolve inline value of kind {kind}")
 
     # -- declaration handling ----------------------------------------------------
 
@@ -469,25 +464,15 @@ class Session:
             raise ParseError(f"name {name!r} is the field generator", line, 0)
         ast = parse_expression(source, line, offset)
         kind = self._infer_kind(ast)
-        if kind == "ideal":
-            gens = [self.eval_poly(a) for a in ast[2]]
-            value = Ideal(self.dspace, gens)
-        elif kind == "binform":
+        if kind == "binform":
             if len(ast[2]) != 1:
                 raise ParseError("binform takes one argument", *ast[3])
-            value = self._check_binform(self.eval_poly(ast[2][0], self.space),
-                                        ast[3])
-        elif kind == "form":
-            value = self.eval_form(ast, self._form_space(ast))
-            if not isinstance(value, PolyForm):
-                value = PolyForm.from_poly(value)
-        elif kind == "op":
-            value = self.eval_operator(ast)
-            if _is_field_shaped(value):
-                kind = "field"
-                value = order_one_field(value, self.dspace)
+            value = self.evaluate(ast[2][0], kind, ast[3])
         else:
-            value = self.eval_poly(ast)
+            value = self.evaluate(ast, kind)
+        if kind == "op" and _is_field_shaped(value):
+            kind = "field"
+            value = order_one_field(value, self.dspace)
         self.decls[name] = Declaration(name, ast, source, kind, value)
         return self.decls[name]
 
@@ -514,25 +499,18 @@ class Session:
             if decl.kind == "op" and _is_field_shaped(decl.value):
                 return order_one_field(decl.value, self.dspace)
             raise MixedContext(f"{name} is not a polynomial vector field")
+        if kind in ("op", "form") and decl.kind == "poly":
+            if decl.value.involves(self.dspace.y_indices):
+                raise MixedContext(f"{name} involves y-variables")
+            base = decl.value.restrict_to(self.space)
+            return (WeylOperator if kind == "op" else PolyForm).from_poly(base)
         if kind == "op":
             if decl.kind == "field":
                 return WeylOperator.from_vector_field(decl.value)
-            if decl.kind == "poly":
-                if decl.value.involves(self.dspace.y_indices):
-                    raise MixedContext(f"{name} involves y-variables")
-                return WeylOperator.from_poly(
-                    decl.value.restrict_to(self.space))
-            return self.eval_operator(decl.ast)
+            return self.evaluate(decl.ast, kind)
         if kind == "form":
-            if decl.kind == "poly":
-                if decl.value.involves(self.dspace.y_indices):
-                    raise MixedContext(f"{name} involves y-variables")
-                return PolyForm.from_poly(decl.value.restrict_to(self.space))
             if decl.kind in ("op", "field"):
-                value = self.eval_form(decl.ast, self._form_space(decl.ast))
-                if not isinstance(value, PolyForm):
-                    value = PolyForm.from_poly(value)
-                return value
+                return self.evaluate(decl.ast, kind)
             raise MixedContext(f"{name} is not a form")
         if kind == "poly":
             if decl.kind == "op" and decl.value.order() == 0:

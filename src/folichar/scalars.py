@@ -464,32 +464,37 @@ def _norm2_bound(ints):
 def _quadratic_factor(ints):
     """Search for a monic integer quadratic divisor of a monic integer quartic.
 
-    The constant term of such a divisor divides ``ints[0]``, which is
-    nonzero once the rational-root screen has passed.
+    For a divisor u^2 + pp*u + qq with cofactor u^2 + r*u + s, qq divides
+    ``ints[0]`` (nonzero once the rational-root screen has passed) and
+    s = ints[0] / qq.  The u coefficient gives pp*(s - qq) = a1 - qq*a3,
+    which fixes pp unless s == qq; then the u^2 coefficient makes pp a root
+    of t^2 - a3*t + (a2 - 2*qq).  So each qq has at most two candidates for
+    pp, and the hit with the least (pp, qq position) is the factor reported.
     """
+    a0, a1, a2, a3 = ints[:4]
     bound = _norm2_bound(ints)
-    divs = [d for d in _int_divisors(ints[0]) if d <= bound]
+    divs = [d for d in _int_divisors(a0) if d <= bound]
     qqs = [-d for d in reversed(divs)] + divs
-    for pp in range(-2 * bound, 2 * bound + 1):
-        for qq in qqs:
-            # synthetic division of ints by u^2 + pp*u + qq
-            rem = list(ints)
-            for i in range(len(ints) - 1, 1, -1):
-                f = rem[i]
-                if f:
-                    rem[i - 1] -= f * pp
-                    rem[i - 2] -= f * qq
-                rem[i] = 0
-            if not rem[0] and not rem[1]:
-                quot = list(ints)
-                out = []
-                for i in range(len(ints) - 1, 1, -1):
-                    f = quot[i]
-                    out.append(f)
-                    quot[i - 1] -= f * pp
-                    quot[i - 2] -= f * qq
-                out.reverse()
-                return (qq, pp, 1), tuple(out)
+    candidates = []
+    for k, qq in enumerate(qqs):
+        s = a0 // qq
+        if s != qq:
+            num, den = a1 - qq * a3, s - qq
+            pps = [num // den] if num % den == 0 else []
+        else:
+            disc = a3 * a3 - 4 * (a2 - 2 * qq)
+            root = isqrt(disc) if disc >= 0 else -1
+            pps = ({(a3 - root) // 2, (a3 + root) // 2}
+                   if root * root == disc and (a3 + root) % 2 == 0 else [])
+        candidates.extend((pp, k) for pp in pps if abs(pp) <= 2 * bound)
+    for pp, k in sorted(candidates):
+        # synthetic division of ints by u^2 + pp*u + qq
+        qq, rem = qqs[k], list(ints)
+        for i in range(len(ints) - 1, 1, -1):
+            rem[i - 1] -= rem[i] * pp
+            rem[i - 2] -= rem[i] * qq
+        if not rem[0] and not rem[1]:
+            return (qq, pp, 1), tuple(rem[2:])
     return None
 
 

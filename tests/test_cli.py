@@ -4,10 +4,12 @@ error handling, and the shipped schema."""
 import json
 import os
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import folichar
 from folichar.cli import main
 
 DIAG_SESSION = """\
@@ -86,6 +88,18 @@ def test_darboux_command(run):
     assert code == 0
     pairs = {(p["g"], p["cofactor"]) for p in payload["result"]["pairs"]}
     assert pairs == {("x1", "1"), ("x2", "2")}
+
+
+def test_darboux_over_number_field_coefficients_exits_two(run):
+    # the search solves over Q only: an r-coefficient is an input error
+    source = (
+        "vars: x1 x2\n"
+        "field: r where r^2 - 2 = 0\n"
+        "xi: r*x2*d1 + x1*d2\n"
+    )
+    code, out = run(source, "darboux", "--max-deg", "1", "--json")
+    assert code == 2
+    assert json.loads(out)["result"]["error"] == "FieldMismatch"
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +194,29 @@ def test_deeply_nested_expression_exits_two(run, expr):
     assert json.loads(out)["result"]["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("n", [1500, 20000])
+@pytest.mark.parametrize(
+    "term, op, decl, command, section, key, expected",
+    [
+        ("x1", " + ", "f: {c}", ["hamiltonian", "f"], "inputs", "F", "{n}*x1"),
+        ("x1", "*", "f: {c}", ["hamiltonian", "f"], "inputs", "F", "x1^{n}"),
+        ("x2*d1", " + ", "xi: {c}", ["ch"], "result",
+         "characteristic_polynomial", "{n}*x2*y1"),
+        ("dx1", " + ", "w: {c}", ["form-dist", "w"], "inputs", "form", "{n}*dx1"),
+        ("x1", "+", "", ["gb", "{c}"], "inputs", "ideal", "ideal({n}*x1)"),
+    ],
+    ids=["poly-sum", "poly-product", "field", "form", "inline-ideal"],
+)
+def test_flat_chain_evaluates(run, n, term, op, decl, command, section, key,
+                              expected):
+    # a flat chain parses to an AST as deep as it has terms
+    chain = op.join([term] * n)
+    argv = [a.format(c=chain) for a in command]
+    code, out = run(f"vars: x1 x2\n{decl.format(c=chain)}\n", *argv, "--json")
+    assert code == 0
+    assert json.loads(out)[section][key] == expected.format(n=n)
+
+
 def test_unknown_name_exits_two(run):
     code, out = run(DIAG_SESSION, "classify", "K", "--json")
     assert code == 2
@@ -193,6 +230,27 @@ def test_budget_exhaustion_exits_three(run):
     code, out = run(source, "gb", "J", "--json", "--budget", "5")
     assert code == 3
     assert json.loads(out)["result"]["error"] == "BudgetExceeded"
+
+
+def test_budget_from_environment_and_flag(run, monkeypatch):
+    source = (
+        "vars: x1 x2 x3\n"
+        "J: ideal(x1^2 + x2*x3, x2^2 + x1*x3, x3^2 + x1*x2)\n"
+    )
+    monkeypatch.setenv("FOLICHAR_BUDGET", "5")
+    code, out = run(source, "gb", "J", "--json")
+    assert code == 3
+    assert json.loads(out)["result"]["error"] == "BudgetExceeded"
+    # the flag wins over the environment
+    code, _ = run(source, "gb", "J", "--json", "--budget", "100000")
+    assert code == 0
+
+
+def test_only_the_cli_reads_the_environment():
+    package = Path(folichar.__file__).parent
+    readers = sorted(f.name for f in package.glob("*.py")
+                     if "os.environ" in f.read_text(encoding="utf-8"))
+    assert readers == ["cli.py"]
 
 
 def test_budget_flag_restores_environment(run):

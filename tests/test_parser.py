@@ -4,6 +4,8 @@ and position-carrying parse errors."""
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folichar.errors import RationalRootFound
 from folichar.parser import (
@@ -12,6 +14,7 @@ from folichar.parser import (
     Session,
     UnknownVariable,
     parse_input,
+    print_value,
 )
 
 
@@ -161,3 +164,55 @@ def test_operator_coerces_to_field_and_back():
     assert op.order() == 1
     back = s.get("xi", "field")
     assert [str(c) for c in back.components] == ["x2", "-x1"]
+
+
+
+def test_leftmost_error_of_a_long_chain_is_reported():
+    # operands are evaluated left to right, however long the chain
+    prefix = "x1 + " * 2000
+    with pytest.raises(UnknownVariable) as exc:
+        parse_input(f"vars: x1 x2\nbad: {prefix}x3 * dx1 + x4\n")
+    assert (exc.value.line, exc.value.column) == (2, 5 + len(prefix))
+
+_HEADERS = ("vars: x1 x2\n", "vars: x1 x2\nfield: r where r^2 - 2 = 0\n")
+_ATOMS = ("0", "1", "2", "3", "x1", "x2", "y1", "y2", "d1", "d2", "dx1", "dx2",
+          "dy1", "dy2", "r", "x3", "d3", "dx3", "z")
+
+
+@st.composite
+def _expression_text(draw, depth=3):
+    """Text from the expression grammar, exponents kept small."""
+    shape = draw(st.sampled_from(("atom", "atom", "bin", "bin", "neg", "paren",
+                                  "pow", "call")))
+    if depth == 0 or shape == "atom":
+        return draw(st.sampled_from(_ATOMS))
+    sub = _expression_text(depth - 1)
+    if shape == "bin":
+        op = draw(st.sampled_from(" + | - |*|/| * ".split("|")))
+        return draw(sub) + op + draw(sub)
+    if shape == "neg":
+        return "-" + draw(sub)
+    if shape == "paren":
+        return "(" + draw(sub) + ")"
+    if shape == "pow":
+        exponent = draw(st.sampled_from(("0", "1", "2", "x1", "dx1", "(1/2)")))
+        return "(" + draw(sub) + ")^" + exponent
+    name = draw(st.sampled_from(("ideal", "binform", "f")))
+    args = draw(st.lists(sub, min_size=1, max_size=2))
+    return name + "(" + ", ".join(args) + ")"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_expression_text(), header=st.sampled_from(_HEADERS),
+       tail=st.sampled_from(("", "", "", " +", ")", ",", "(", " x1")))
+def test_expression_text_evaluates_or_raises_parse_error(text, header, tail):
+    try:
+        session = parse_input(f"{header}e: {text}{tail}\n")
+    except ParseError:
+        return
+    decl = session.decls["e"]
+    printed = print_value(decl.value)
+    if decl.kind == "binform":
+        printed = f"binform({printed})"
+    again = parse_input(f"{header}e: {printed}\n")
+    assert print_value(again.decls["e"].value) == print_value(decl.value)

@@ -16,6 +16,7 @@ from folichar.errors import (
     ReducibleDetected,
 )
 from folichar.scalars import (
+    _quadratic_factor,
     make_number_field,
     upoly_divmod,
     upoly_eval,
@@ -104,6 +105,38 @@ def test_quartic_screen_over_constant_term_divisors():
         quartic = upoly_mul((F(q), F(p), F(1)), (F(s), F(r), F(1)))
         with pytest.raises(ReducibleDetected):
             make_number_field("a", quartic)
+
+
+def _quadratic_factor_by_walk(ints):
+    """Reference screen: every pp in [-2B, 2B] against every divisor qq <= B."""
+    bound = isqrt(sum(c * c for c in ints)) + 1
+    qqs = [q for q in range(-bound, bound + 1) if q and ints[0] % q == 0]
+    for pp in range(-2 * bound, 2 * bound + 1):
+        for qq in qqs:
+            quot = [0, 0, ints[4]]
+            quot[1] = ints[3] - pp * quot[2]
+            quot[0] = ints[2] - pp * quot[1] - qq * quot[2]
+            if (ints[1] == pp * quot[0] + qq * quot[1]
+                    and ints[0] == qq * quot[0]):
+                return (qq, pp, 1), tuple(quot)
+    return None
+
+
+def test_quartic_screen_solves_for_the_linear_coefficient():
+    # the norm bound of a^4 - 100003 is about 100,000: walking pp over
+    # [-2B, 2B] took seconds, solving for pp from each divisor takes none
+    assert make_number_field("a", [F(-100003), F(0), F(0), F(0), F(1)]).degree == 4
+    rng = random.Random(17)
+    for k in range(300):
+        if k % 3 == 2:
+            ints = tuple(rng.randint(-9, 9) for _ in range(4)) + (1,)
+        else:
+            p, q, r = (rng.randint(-6, 6) for _ in range(3))
+            # half the planted products share their constant term (s == qq)
+            s = q if k % 3 == 1 else rng.randint(-6, 6)
+            ints = (q * s, p * s + q * r, q + s + p * r, p + r, 1)
+        if ints[0]:
+            assert _quadratic_factor(ints) == _quadratic_factor_by_walk(ints), ints
 
 
 @pytest.fixture(scope="module")
