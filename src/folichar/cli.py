@@ -97,6 +97,10 @@ def _field_of(session, args):
     return session.vector_field(getattr(args, "field_name", None))
 
 
+def _point_str(point):
+    return "(" + ", ".join(str(v) for v in point) + ")"
+
+
 # ---------------------------------------------------------------------------
 # handlers
 # ---------------------------------------------------------------------------
@@ -256,7 +260,7 @@ def _cmd_eigen(session, args, budget):
     point = session.parse_point(args.point)
     inputs = {
         "xi": print_value(xi),
-        "point": "(" + ", ".join(str(v) for v in point) + ")",
+        "point": _point_str(point),
     }
     try:
         data = jacobian_eigendata(xi, point, field=session.field, budget=budget)
@@ -295,7 +299,7 @@ def _cmd_nonres(session, args, budget):
         "nonres",
         inputs={
             "xi": print_value(xi),
-            "point": "(" + ", ".join(str(v) for v in point) + ")",
+            "point": _point_str(point),
         },
         result={
             "invertible": rep.invertible,
@@ -314,7 +318,7 @@ def _cmd_holonomy(session, args, budget):
         "holonomy",
         inputs={
             "xi": print_value(xi),
-            "point": "(" + ", ".join(str(v) for v in point) + ")",
+            "point": _point_str(point),
             "axis": str(args.axis),
         },
         result={

@@ -71,10 +71,7 @@ class PolyVectorField:
 
     def apply(self, f):
         """Derivation xi(f) = sum a_i df/dx_i; f may live in a larger space."""
-        if f.space == self.space:
-            comps = self.components
-        else:
-            comps = tuple(c.lift_to(f.space) for c in self.components)
+        comps = [c.lift_to(f.space) for c in self.components]
         out = MultiPoly.zero(f.space)
         for name, a in zip(self.space.x_vars, comps):
             out = out + a * f.partial(f.space.index(name))
@@ -98,13 +95,7 @@ class PolyVectorField:
         return self.space == other.space and self.components == other.components
 
     def __str__(self):
-        names = self.space.x_vars
-        parts = []
-        for name, c in zip(names, self.components):
-            if c.is_zero():
-                continue
-            parts.append(f"({c})*d/d{name}")
-        return " + ".join(parts) if parts else "0"
+        return _field_str(self.space.x_vars, self.components)
 
     __repr__ = __str__
 
@@ -148,6 +139,11 @@ class PolyVectorField:
         return PolyVectorField(self.space, new_comps)
 
 
+def _field_str(names, components):
+    parts = [f"({c})*d/d{nm}" for nm, c in zip(names, components) if c]
+    return " + ".join(parts) if parts else "0"
+
+
 def _matrix_inverse(m):
     n = len(m)
     aug = [list(row) + [_ONE if i == j else Fraction(0) for j in range(n)]
@@ -172,8 +168,7 @@ class CotangentField:
         self.y_components = tuple(y_components)
 
     def apply(self, f):
-        if f.space != self.space:
-            f = f.lift_to(self.space)
+        f = f.lift_to(self.space)
         out = MultiPoly.zero(self.space)
         for idx, a in zip(self.space.x_indices, self.x_components):
             out = out + a * f.partial(idx)
@@ -204,10 +199,8 @@ class CotangentField:
         )
 
     def __str__(self):
-        names = self.space.x_vars + self.space.y_vars
-        comps = list(self.x_components) + list(self.y_components)
-        parts = [f"({c})*d/d{nm}" for nm, c in zip(names, comps) if not c.is_zero()]
-        return " + ".join(parts) if parts else "0"
+        return _field_str(self.space.x_vars + self.space.y_vars,
+                          self.form_components())
 
     __repr__ = __str__
 

@@ -10,6 +10,10 @@ Decomposability and integrability of a q-form are tested with the
 finite-dimensional criteria: for every basis multivector J of degree q-1,
 (i_J w) ^ w = 0 declares the kernel a distribution, and (i_J w) ^ dw = 0
 on top of that declares it integrable.
+
+A form is a :class:`folichar.polynomials.SparseSum` keyed by index tuples,
+so its sums, differences, negation and scalar scaling, and the
+coefficient-times-monomial rule it prints with, are the polynomials' own.
 """
 
 from __future__ import annotations
@@ -28,10 +32,8 @@ from .errors import (
     ZeroForm,
 )
 from .ideals import exact_divide
-from .polynomials import GREVLEX, MultiPoly, VarSpace
+from .polynomials import GREVLEX, MultiPoly, SparseSum, VarSpace, sum_str, term_str
 from .scalars import NFElement
-
-_ONE = Fraction(1)
 
 
 def _merge_signed(idx_a, idx_b):
@@ -57,28 +59,31 @@ def _merge_signed(idx_a, idx_b):
     return sign, tuple(merged)
 
 
-class PolyForm:
+class PolyForm(SparseSum):
     """Differential q-form with :class:`MultiPoly` coefficients."""
 
-    __slots__ = ("space", "degree", "coeffs")
+    __slots__ = ("space", "degree", "terms")
 
-    def __init__(self, space, degree, coeffs=None):
+    def __init__(self, space, degree, terms=None):
         ndir = len(space.x_vars) + len(space.y_vars)
         if degree < 0:
             raise ValueError("form degree must be nonnegative")
         self.space = space
         self.degree = degree
         clean = {}
-        if coeffs:
-            for idx, poly in coeffs.items():
+        if terms:
+            for idx, poly in terms.items():
                 idx = tuple(idx)
                 if len(idx) != degree or any(
                     i < 0 or i >= ndir for i in idx
                 ) or tuple(sorted(set(idx))) != idx:
                     raise ValueError(f"bad index tuple {idx} for degree {degree}")
-                if not poly.is_zero():
+                if poly:
                     clean[idx] = poly
-        self.coeffs = clean
+        self.terms = clean
+
+    def _like(self, terms):
+        return PolyForm(self.space, self.degree, terms)
 
     # -- constructors ---------------------------------------------------------
 
@@ -97,24 +102,18 @@ class PolyForm:
 
     # -- predicates -----------------------------------------------------------
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, PolyForm):
             return NotImplemented
         return (
             self.space == other.space
             and self.degree == other.degree
-            and self.coeffs == other.coeffs
+            and self.terms == other.terms
         )
 
     def __hash__(self):
         return hash((self.space, self.degree, frozenset(
-            (i, hash(p)) for i, p in self.coeffs.items())))
+            (i, hash(p)) for i, p in self.terms.items())))
 
     @property
     def ndirections(self):
@@ -130,37 +129,13 @@ class PolyForm:
                 f"cannot add forms of degree {self.degree} and {other.degree}"
             )
 
-    def __add__(self, other):
-        if not isinstance(other, PolyForm):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.coeffs)
-        for idx, p in other.coeffs.items():
-            s = out.get(idx)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        return PolyForm(self.space, self.degree, out)
-
-    def __neg__(self):
-        return PolyForm(self.space, self.degree, {i: -p for i, p in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, PolyForm):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         """Scaling by a scalar or polynomial (use :func:`wedge` for forms)."""
         if isinstance(other, PolyForm):
             return wedge(self, other)
         if isinstance(other, (int, Fraction, NFElement)):
-            other = MultiPoly.constant(self.space, other)
-        return PolyForm(
-            self.space, self.degree, {i: p * other for i, p in self.coeffs.items()}
-        )
+            return self._scale(other)
+        return self._like({i: p * other for i, p in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -171,31 +146,19 @@ class PolyForm:
         return "d" + names[i]
 
     def to_str(self):
-        if not self.coeffs:
-            return "0"
         chunks = []
-        for idx in sorted(self.coeffs):
-            p = self.coeffs[idx]
+        for idx in sorted(self.terms):
+            p = self.terms[idx]
             mono = "^".join(self._dname(i) for i in idx)
             if not mono:
                 chunks.append(p.to_str())
-                continue
-            if p.is_constant():
-                c = p.constant_value()
-                if c == 1:
-                    chunks.append(mono)
-                    continue
-                if c == -1:
-                    chunks.append(f"-{mono}")
-                    continue
-                lead = MultiPoly._coeff_str(c)
-                chunks.append(f"{lead}*{mono}")
-                continue
-            if len(p.terms) == 1:
+            elif p.is_constant():
+                chunks.append(term_str(p.constant_value(), mono))
+            elif len(p.terms) == 1:
                 chunks.append(f"{p.to_str()}*{mono}")
             else:
                 chunks.append(f"({p.to_str()})*{mono}")
-        return " + ".join(chunks).replace("+ -", "- ")
+        return sum_str(chunks)
 
     __str__ = to_str
 
@@ -216,20 +179,13 @@ def wedge(a, b):
     if deg > ndir:
         return PolyForm(a.space, deg)
     out = {}
-    for ia, pa in a.coeffs.items():
-        for ib, pb in b.coeffs.items():
+    for ia, pa in a.terms.items():
+        for ib, pb in b.terms.items():
             sign, merged = _merge_signed(ia, ib)
             if not sign:
                 continue
-            term = pa * pb
-            if sign < 0:
-                term = -term
-            s = out.get(merged)
-            s = term if s is None else s + term
-            if s.is_zero():
-                out.pop(merged, None)
-            else:
-                out[merged] = s
+            term = pa * pb if sign > 0 else -(pa * pb)
+            out[merged] = out[merged] + term if merged in out else term
     return PolyForm(a.space, deg, out)
 
 
@@ -240,7 +196,7 @@ def exterior_derivative(w):
     deg = w.degree + 1
     if deg > ndir:
         return PolyForm(w.space, deg)
-    for idx, p in w.coeffs.items():
+    for idx, p in w.terms.items():
         for j in range(ndir):
             dp = p.partial(j)
             if dp.is_zero():
@@ -249,12 +205,7 @@ def exterior_derivative(w):
             if not sign:
                 continue
             term = dp if sign > 0 else -dp
-            s = out.get(merged)
-            s = term if s is None else s + term
-            if s.is_zero():
-                out.pop(merged, None)
-            else:
-                out[merged] = s
+            out[merged] = out[merged] + term if merged in out else term
     return PolyForm(w.space, deg, out)
 
 
@@ -263,18 +214,13 @@ def contract_index(w, j):
     if w.degree == 0:
         return PolyForm(w.space, 0)
     out = {}
-    for idx, p in w.coeffs.items():
+    for idx, p in w.terms.items():
         if j not in idx:
             continue
         pos = idx.index(j)
         rest = idx[:pos] + idx[pos + 1:]
         term = p if pos % 2 == 0 else -p
-        s = out.get(rest)
-        s = term if s is None else s + term
-        if s.is_zero():
-            out.pop(rest, None)
-        else:
-            out[rest] = s
+        out[rest] = out[rest] + term if rest in out else term
     return PolyForm(w.space, w.degree - 1, out)
 
 
@@ -321,6 +267,20 @@ def lie_derivative(xi, w):
 # distributions and integrability
 # ---------------------------------------------------------------------------
 
+def _wedge_residues(w, other, certificate):
+    """(i_J w) ^ other = 0 for every strictly increasing (q-1)-tuple J?"""
+    failures = []
+    for J in itertools.combinations(range(w.ndirections), w.degree - 1):
+        residue = wedge(contract_basis(w, J), other)
+        if not residue.is_zero():
+            if not certificate:
+                return False
+            failures.append((J, residue))
+    if certificate:
+        return (not failures), failures
+    return True
+
+
 def is_distribution(w, certificate=False):
     """Does ker(w) define a codimension-q distribution (w decomposable)?
 
@@ -331,16 +291,7 @@ def is_distribution(w, certificate=False):
         raise ZeroForm("the zero form does not define a distribution")
     if w.degree < 1:
         raise ValueError("distributions come from forms of degree >= 1")
-    failures = []
-    for J in itertools.combinations(range(w.ndirections), w.degree - 1):
-        residue = wedge(contract_basis(w, J), w)
-        if not residue.is_zero():
-            if not certificate:
-                return False
-            failures.append((J, residue))
-    if certificate:
-        return (not failures), failures
-    return True
+    return _wedge_residues(w, w, certificate)
 
 
 def is_integrable(w, certificate=False):
@@ -351,17 +302,7 @@ def is_integrable(w, certificate=False):
     ok = is_distribution(w)
     if not ok:
         raise NotADistribution("form fails the decomposability minors")
-    dw = exterior_derivative(w)
-    failures = []
-    for J in itertools.combinations(range(w.ndirections), w.degree - 1):
-        residue = wedge(contract_basis(w, J), dw)
-        if not residue.is_zero():
-            if not certificate:
-                return False
-            failures.append((J, residue))
-    if certificate:
-        return (not failures), failures
-    return True
+    return _wedge_residues(w, exterior_derivative(w), certificate)
 
 
 def proportional_forms(a, b):
@@ -373,11 +314,11 @@ def proportional_forms(a, b):
         raise ZeroForm("proportionality against the zero form is ill-posed")
     if a.space != b.space or a.degree != b.degree:
         raise SpaceMismatch("proportionality needs forms of one degree and space")
-    support = sorted(set(a.coeffs) | set(b.coeffs))
+    support = sorted(set(a.terms) | set(b.terms))
     zero = MultiPoly.zero(a.space)
     for i1, i2 in itertools.combinations(support, 2):
-        a1, a2 = a.coeffs.get(i1, zero), a.coeffs.get(i2, zero)
-        b1, b2 = b.coeffs.get(i1, zero), b.coeffs.get(i2, zero)
+        a1, a2 = a.terms.get(i1, zero), a.terms.get(i2, zero)
+        b1, b2 = b.terms.get(i1, zero), b.terms.get(i2, zero)
         if not (a1 * b2 - a2 * b1).is_zero():
             return False
     return True
@@ -402,7 +343,7 @@ def _torus_pullback(w, ext, tnames):
     tpolys = [MultiPoly.variable(ext, t) for t in tnames]
     scaled = {}
     ndir = w.ndirections
-    for idx, p in w.coeffs.items():
+    for idx, p in w.terms.items():
         q = p.lift_to(ext).substitute(
             {i: tpolys[i] * MultiPoly.variable(ext, ext.all_vars[i]) for i in range(ndir)}
         )
@@ -425,7 +366,7 @@ def is_torus_invariant_form(w, certificate=False):
     tnames = tuple(w.space.fresh_aux(f"_t{i + 1}") for i in range(ndir))
     ext = w.space.with_aux(tnames)
     pulled = _torus_pullback(w, ext, tnames)
-    lifted = PolyForm(ext, w.degree, {i: p.lift_to(ext) for i, p in w.coeffs.items()})
+    lifted = PolyForm(ext, w.degree, {i: p.lift_to(ext) for i, p in w.terms.items()})
     ok = proportional_forms(pulled, lifted)
     if certificate:
         return ok, pulled
@@ -480,7 +421,7 @@ def logarithmic_normal_form(w):
         raise NotTorusInvariant("form is not invariant under coordinate scaling")
     space = w.space
     products = {}
-    for idx, c in sorted(w.coeffs.items()):
+    for idx, c in sorted(w.terms.items()):
         exp = [0] * space.nvars
         for i in idx:
             exp[i] = 1

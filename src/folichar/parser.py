@@ -35,7 +35,7 @@ from .forms import PolyForm, wedge
 from .ideals import Ideal
 from .polynomials import MultiPoly, VarSpace
 from .scalars import make_number_field, scalar_inverse, upoly_trim
-from .weyl import WeylOperator, order_one_field
+from .weyl import WeylOperator, order_one_field, principal_symbol
 
 _VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
 _YVAR_RE = re.compile(r"^y([1-9][0-9]*)$")
@@ -228,16 +228,11 @@ class Declaration:
 
 def _constant_scalar(value, pos):
     """Extract a plain scalar from a constant poly/0-form/order-0 operator."""
+    if isinstance(value, PolyForm) and value.degree == 0:
+        value = value.terms.get((), MultiPoly.zero(value.space))
     if isinstance(value, MultiPoly):
         if value.is_constant():
             return value.constant_value()
-    elif isinstance(value, PolyForm):
-        if value.degree == 0:
-            p = value.coeffs.get((), None)
-            if p is None:
-                return Fraction(0)
-            if p.is_constant():
-                return p.constant_value()
     elif isinstance(value, WeylOperator):
         if value.is_zero():
             return Fraction(0)
@@ -300,6 +295,7 @@ class Session:
         self.dspace = space.doubled()
         self.field = field
         self.decls = {}
+        self._reevaluated = {}  # (name, kind) -> (value, error)
 
     # -- variable atoms --------------------------------------------------------
 
@@ -365,8 +361,8 @@ class Session:
                     f"differential {name} cannot appear in a polynomial",
                     *pos,
                 )
-            inner = self._named(name, pos, const, "poly")
-            return inner.lift_to(space) if inner.space != space else inner
+            # declared polynomials live on dspace: SpaceMismatch if y is used
+            return self._named(name, pos, const, "poly").restrict_to(space)
 
         return self._evaluate(ast, leaf, _arith)
 
@@ -504,20 +500,16 @@ class Session:
                 raise MixedContext(f"{name} involves y-variables")
             base = decl.value.restrict_to(self.space)
             return (WeylOperator if kind == "op" else PolyForm).from_poly(base)
+        if _reevaluates(kind, decl.kind):
+            return self._reevaluate(name, kind)
         if kind == "op":
-            if decl.kind == "field":
-                return WeylOperator.from_vector_field(decl.value)
-            return self.evaluate(decl.ast, kind)
+            return WeylOperator.from_vector_field(decl.value)
         if kind == "form":
-            if decl.kind in ("op", "field"):
-                return self.evaluate(decl.ast, kind)
             raise MixedContext(f"{name} is not a form")
         if kind == "poly":
             if decl.kind == "op" and decl.value.order() == 0:
-                base = MultiPoly.zero(self.space)
-                for (xe, _), c in decl.value.terms.items():
-                    base = base + MultiPoly.monomial(self.space, xe, c)
-                return base.lift_to(self.dspace)
+                # an order-0 operator is its own principal symbol
+                return principal_symbol(decl.value, self.dspace)[1]
             raise MixedContext(f"{name} is not a polynomial")
         if kind == "ideal":
             if decl.kind == "poly":
@@ -529,6 +521,35 @@ class Session:
                     decl.value.restrict_to(self.space), (0, 0))
             raise MixedContext(f"{name} is not a binary form")
         raise MixedContext(f"{name} has kind {decl.kind}, wanted {kind}")
+
+    def _reevaluate(self, name, kind):
+        """``name``'s AST evaluated as ``kind``, memoized with its outcome.
+
+        The declarations it names, transitively, that also need evaluating as
+        ``kind`` go first, oldest first (a declaration names only older
+        ones), so every nested ``get`` hits the memo and a chain of any
+        length takes no recursion per declaration.  A stored error is raised
+        again unchanged.
+        """
+        memo = self._reevaluated
+        if (name, kind) not in memo:
+            needed, todo = {name}, [name]
+            while todo:
+                for dep, _ in _ast_names(self.decls[todo.pop()].ast):
+                    if (dep not in needed and dep in self.decls
+                            and (dep, kind) not in memo
+                            and _reevaluates(kind, self.decls[dep].kind)):
+                        needed.add(dep)
+                        todo.append(dep)
+            for dep in [d for d in self.decls if d in needed]:
+                try:
+                    memo[dep, kind] = (self.evaluate(self.decls[dep].ast, kind), None)
+                except Exception as exc:
+                    memo[dep, kind] = (None, exc)
+        value, error = memo[name, kind]
+        if error is not None:
+            raise error
+        return value
 
     def vector_field(self, name=None):
         """The session's vector field: named, or unique, or the one called xi."""
@@ -592,6 +613,13 @@ def _split_commas(text):
             cur.append(ch)
     parts.append("".join(cur))
     return [p for p in (s.strip() for s in parts) if p]
+
+
+def _reevaluates(kind, decl_kind):
+    """Does ``Session.get`` read a ``decl_kind`` declaration as ``kind`` by
+    evaluating its AST again (the other coercions convert its value)?"""
+    return (kind == "op" and decl_kind not in ("op", "field", "poly")
+            or kind == "form" and decl_kind in ("op", "field"))
 
 
 def _is_field_shaped(op):

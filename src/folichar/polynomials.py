@@ -5,6 +5,12 @@ y-block of equal length (the conormal directions), and auxiliary variables
 used internally by elimination tricks.  Polynomials are dicts mapping
 exponent tuples (one slot per variable, x-block first, then y, then aux)
 to nonzero scalars.
+
+:class:`SparseSum` is the one home of sparse-sum arithmetic: ``+``, ``-``,
+negation, scalar scaling, ``**`` and zero tests for polynomials here, Weyl
+operators (:mod:`folichar.weyl`) and differential forms
+(:mod:`folichar.forms`).  :func:`term_str` and :func:`sum_str` are the one
+printing rule for a coefficient times a monomial and for a sum of terms.
 """
 
 from __future__ import annotations
@@ -192,10 +198,87 @@ def order_from_name(name, space):
 # polynomials
 # ---------------------------------------------------------------------------
 
-class MultiPoly:
+_SCALARS = (int, Fraction, NFElement)
+
+
+class SparseSum:
+    """Finite sum of coefficients times basis elements, stored sparsely.
+
+    ``terms`` maps a basis key to a nonzero coefficient.  Constructors drop
+    zero coefficients, so the arithmetic here only builds term dicts.  Each
+    subclass supplies ``_like(terms)`` (a value of its own shape), ``_check``
+    (raising its mismatch error) and, for the algebras, ``_embed(scalar)``
+    and the noun used in the ``**`` error message.
+    """
+
+    __slots__ = ()
+
+    def _embed(self, c):
+        return NotImplemented
+
+    def _operand(self, other):
+        """``other`` as a like value, after the mismatch check."""
+        if isinstance(other, _SCALARS):
+            return self._embed(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return other
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        if self._operand(other) is NotImplemented:
+            return NotImplemented
+        return (-self) + other
+
+    def _scale(self, c):
+        return self._like({k: v * c for k, v in self.terms.items()} if c else {})
+
+    def __pow__(self, k):
+        out = self._embed(1)
+        if out is NotImplemented:
+            return NotImplemented
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"{self._noun} powers take nonnegative integer exponents")
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+
+class MultiPoly(SparseSum):
     """Immutable sparse polynomial over a :class:`VarSpace`."""
 
     __slots__ = ("space", "terms")
+    _noun = "polynomial"
 
     def __init__(self, space, terms=None):
         self.space = space
@@ -203,6 +286,12 @@ class MultiPoly:
             self.terms = {}
         else:
             self.terms = {e: c for e, c in terms.items() if c}
+
+    def _like(self, terms):
+        return MultiPoly(self.space, terms)
+
+    def _embed(self, c):
+        return MultiPoly.constant(self.space, c)
 
     # -- constructors --------------------------------------------------------
 
@@ -212,8 +301,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, space, c):
-        c = Fraction(c) if isinstance(c, int) else c
-        return cls(space, {(0,) * space.nvars: c} if c else {})
+        return cls.monomial(space, (0,) * space.nvars, c)
 
     @classmethod
     def variable(cls, space, name_or_index):
@@ -225,12 +313,9 @@ class MultiPoly:
     @classmethod
     def monomial(cls, space, exp, coeff=_ONE):
         coeff = Fraction(coeff) if isinstance(coeff, int) else coeff
-        return cls(space, {tuple(exp): coeff} if coeff else {})
+        return cls(space, {tuple(exp): coeff})
 
     # -- predicates ----------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def is_constant(self):
         return all(not any(e) for e in self.terms)
@@ -244,11 +329,8 @@ class MultiPoly:
                 return c
         raise ValueError(f"{self} is not constant")
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, NFElement)):
+        if isinstance(other, _SCALARS):
             other = MultiPoly.constant(self.space, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -263,41 +345,9 @@ class MultiPoly:
         if self.space != other.space:
             raise SpaceMismatch(f"{self.space} vs {other.space}")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, NFElement)):
-            other = MultiPoly.constant(self.space, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, _ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MultiPoly(self.space, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.space, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, NFElement)):
-            other = MultiPoly.constant(self.space, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, NFElement)):
-            if not other:
-                return MultiPoly.zero(self.space)
-            return MultiPoly(self.space, {e: c * other for e, c in self.terms.items()})
+        if isinstance(other, _SCALARS):
+            return self._scale(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
@@ -305,29 +355,13 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, _ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+                out[e] = out.get(e, _ZERO) + c1 * c2
         return MultiPoly(self.space, out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         return self * scalar_inverse(scalar)
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial powers take nonnegative integer exponents")
-        out = MultiPoly.constant(self.space, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     # -- calculus ------------------------------------------------------------
 
@@ -347,8 +381,6 @@ class MultiPoly:
         subs = {}
         for k, v in mapping.items():
             idx = k if isinstance(k, int) else self.space.index(k)
-            if isinstance(v, (int, Fraction, NFElement)):
-                v = MultiPoly.constant(self.space, v)
             subs[idx] = v
         out = MultiPoly.zero(self.space)
         for e, c in self.terms.items():
@@ -383,13 +415,7 @@ class MultiPoly:
         return max(sum(v for i, v in enumerate(e) if i in idx) for e in self.terms)
 
     def homogeneous_part(self, d, indices=None):
-        idx = None if indices is None else set(indices)
-        out = {}
-        for e, c in self.terms.items():
-            deg = sum(e) if idx is None else sum(v for i, v in enumerate(e) if i in idx)
-            if deg == d:
-                out[e] = c
-        return MultiPoly(self.space, out)
+        return self.homogeneous_parts(indices).get(d, MultiPoly.zero(self.space))
 
     def homogeneous_parts(self, indices=None):
         """Decomposition into homogeneous parts, as a degree -> poly dict."""
@@ -465,15 +491,7 @@ class MultiPoly:
 
     # -- display -------------------------------------------------------------
 
-    @staticmethod
-    def _coeff_str(c):
-        if isinstance(c, NFElement) and not c.is_rational():
-            return f"({c})"
-        return str(c)
-
     def to_str(self, order=GREVLEX):
-        if not self.terms:
-            return "0"
         names = self.space.all_vars
         chunks = []
         for e, c in self.sorted_terms(order):
@@ -483,24 +501,32 @@ class MultiPoly:
                     factors.append(names[i])
                 elif k > 1:
                     factors.append(f"{names[i]}^{k}")
-            mono = "*".join(factors)
-            if not mono:
-                chunks.append(self._coeff_str(c))
-            elif isinstance(c, NFElement) and not c.is_rational():
-                chunks.append(f"({c})*{mono}")
-            elif c == 1:
-                chunks.append(mono)
-            elif c == -1:
-                chunks.append(f"-{mono}")
-            else:
-                chunks.append(f"{c}*{mono}")
-        out = " + ".join(chunks)
-        return out.replace("+ -", "- ")
+            chunks.append(term_str(c, "*".join(factors)))
+        return sum_str(chunks)
 
     __str__ = to_str
 
     def __repr__(self):
         return f"<{self.to_str()}>"
+
+
+def term_str(c, mono):
+    """``c`` times the monomial text ``mono``: a coefficient 1 or -1 is left
+    implicit and a non-rational Q(alpha) coefficient is parenthesized."""
+    if isinstance(c, NFElement) and not c.is_rational():
+        return f"({c})*{mono}" if mono else f"({c})"
+    if not mono:
+        return str(c)
+    if c == 1:
+        return mono
+    if c == -1:
+        return f"-{mono}"
+    return f"{c}*{mono}"
+
+
+def sum_str(chunks):
+    """Join printed terms with signs; the empty sum prints as 0."""
+    return " + ".join(chunks).replace("+ -", "- ") or "0"
 
 
 def multigrade_decompose(f, order=GREVLEX):

@@ -22,8 +22,6 @@ from .errors import (
     ReducibleDetected,
 )
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

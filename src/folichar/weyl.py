@@ -11,6 +11,10 @@ only d's.  Their top-part symbol maps substitute y_i for d_i; the symbol of
 a first-order operator xi + f recovers the characteristic polynomial of the
 vector field xi, which is the bridge between principal ideals of operators
 and characteristic varieties of foliations.
+
+Sums, differences, negation, scalar scaling and powers come from
+:class:`folichar.polynomials.SparseSum`; an operator prints as the
+polynomial in x1..xn, d1..dn with the same terms.
 """
 
 from __future__ import annotations
@@ -21,21 +25,24 @@ from math import comb, factorial
 from .errors import SizeMismatch, ZeroOperator
 from .foliations import PolyVectorField, characteristic_polynomial
 from .ideals import Ideal
-from .polynomials import MultiPoly, VarSpace
+from .polynomials import MultiPoly, SparseSum, VarSpace
 from .scalars import NFElement
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _default_space(n):
-    return VarSpace(tuple(f"x{i + 1}" for i in range(n))).doubled()
+def _doubled_space(n, stem="y"):
+    """x1..xn with a second block stem1..stemn (the symbol's y's, or d's)."""
+    return VarSpace(tuple(f"x{i + 1}" for i in range(n)),
+                    tuple(f"{stem}{i + 1}" for i in range(n)))
 
 
-class WeylOperator:
+class WeylOperator(SparseSum):
     """Element of A_n: finite sum of c * x^r * d^s in normal order."""
 
     __slots__ = ("n", "terms")
+    _noun = "operator"
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -46,6 +53,12 @@ class WeylOperator:
             if c:
                 clean[(tuple(xe), tuple(de))] = c
         self.terms = clean
+
+    def _like(self, terms):
+        return WeylOperator(self.n, terms)
+
+    def _embed(self, c):
+        return WeylOperator.constant(self.n, c)
 
     # -- constructors ----------------------------------------------------------
 
@@ -72,9 +85,7 @@ class WeylOperator:
     def from_poly(cls, f):
         """Multiplication operator by a polynomial in the x-variables."""
         space = f.space
-        if f.involves(space.y_indices) or f.involves(
-            range(len(space.x_vars) + len(space.y_vars), space.nvars)
-        ):
+        if f.involves(range(len(space.x_vars), space.nvars)):
             raise ValueError("multiplication operators come from x-only polynomials")
         n = len(space.x_vars)
         zero = (0,) * n
@@ -89,20 +100,10 @@ class WeylOperator:
             de = tuple(1 if j == i else 0 for j in range(n))
             for e, c in a.terms.items():
                 key = (e[:n], de)
-                s = terms.get(key, _ZERO) + c
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
+                terms[key] = terms.get(key, _ZERO) + c
         return cls(n, terms)
 
     # -- structure -------------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, WeylOperator):
@@ -129,97 +130,20 @@ class WeylOperator:
         if self.n != other.n:
             raise SizeMismatch(f"operators on {self.n} and {other.n} variables")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, NFElement)):
-            other = WeylOperator.constant(self.n, other)
-        if not isinstance(other, WeylOperator):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, _ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return WeylOperator(self.n, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WeylOperator(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, NFElement)):
-            other = WeylOperator.constant(self.n, other)
-        if not isinstance(other, WeylOperator):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, NFElement)):
-            if not other:
-                return WeylOperator.zero(self.n)
-            return WeylOperator(self.n, {k: c * other for k, c in self.terms.items()})
+            return self._scale(other)
         if not isinstance(other, WeylOperator):
             return NotImplemented
         return weyl_mul(self, other)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, NFElement)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("operator powers take nonnegative integer exponents")
-        out = WeylOperator.constant(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+    __rmul__ = __mul__
 
     # -- display ---------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        def key(item):
-            (xe, de), _ = item
-            merged = xe + de
-            return (sum(merged), tuple(-e for e in reversed(merged)))
-        chunks = []
-        for (xe, de), c in sorted(self.terms.items(), key=key, reverse=True):
-            factors = []
-            for i, k in enumerate(xe):
-                if k == 1:
-                    factors.append(f"x{i + 1}")
-                elif k > 1:
-                    factors.append(f"x{i + 1}^{k}")
-            for i, k in enumerate(de):
-                if k == 1:
-                    factors.append(f"d{i + 1}")
-                elif k > 1:
-                    factors.append(f"d{i + 1}^{k}")
-            mono = "*".join(factors)
-            if not mono:
-                chunks.append(f"({c})" if isinstance(c, NFElement)
-                              and not c.is_rational() else str(c))
-            elif isinstance(c, NFElement) and not c.is_rational():
-                chunks.append(f"({c})*{mono}")
-            elif c == 1:
-                chunks.append(mono)
-            elif c == -1:
-                chunks.append(f"-{mono}")
-            else:
-                chunks.append(f"{c}*{mono}")
-        return " + ".join(chunks).replace("+ -", "- ")
+        """Printed as a polynomial in x1..xn, d1..dn."""
+        return str(_symbol_poly(self.terms.items(), self.n, _doubled_space(self.n, "d")))
 
     def __repr__(self):
         return f"<{self}>"
@@ -235,11 +159,7 @@ def _term_product(xe1, de1, xe2, de2, coeff, n, out):
         if i == n:
             xe = tuple(xe1[j] + xe2[j] - ks[j] for j in range(n))
             de = tuple(de1[j] + de2[j] - ks[j] for j in range(n))
-            s = out.get((xe, de), _ZERO) + c
-            if s:
-                out[(xe, de)] = s
-            else:
-                del out[(xe, de)]
+            out[xe, de] = out.get((xe, de), _ZERO) + c
             continue
         for k in ranges[i]:
             w = comb(de1[i], k) * comb(xe2[i], k) * factorial(k)
@@ -250,8 +170,7 @@ def weyl_mul(a, b):
     """Normally ordered product in A_n."""
     if not isinstance(a, WeylOperator) or not isinstance(b, WeylOperator):
         raise TypeError("weyl_mul expects two WeylOperators")
-    if a.n != b.n:
-        raise SizeMismatch(f"operators on {a.n} and {b.n} variables")
+    a._check(b)
     out = {}
     for (xe1, de1), c1 in a.terms.items():
         for (xe2, de2), c2 in b.terms.items():
@@ -265,7 +184,7 @@ def weyl_mul(a, b):
 
 def _symbol_poly(terms, n, space):
     if space is None:
-        space = _default_space(n)
+        space = _doubled_space(n)
     pad = space.nvars - 2 * n
     out = {}
     for (xe, de), c in terms:
@@ -296,7 +215,7 @@ def order_one_field(d, space=None):
     if d.order() != 1:
         raise ValueError("not an order-one operator")
     if space is None:
-        space = _default_space(d.n)
+        space = _doubled_space(d.n)
     base = space.x_only()
     comps = [MultiPoly.zero(base) for _ in range(d.n)]
     for (xe, de), c in d.terms.items():

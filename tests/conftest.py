@@ -6,6 +6,9 @@ from math import prod
 
 from folichar.foliations import PolyVectorField
 from folichar.polynomials import MultiPoly, VarSpace
+from folichar.scalars import make_number_field
+
+SQRT2 = make_number_field("r", [-2, 0, 1])
 
 
 def rng_for(name, seed=20250814):
@@ -24,6 +27,18 @@ def rand_poly(rng, space, max_deg, max_terms=4, nonzero=False):
     if nonzero and p.is_zero():
         p = p + MultiPoly.constant(space, 1)
     return p
+
+
+def rand_coeff(rng, field=None):
+    """1, -1 or a small rational; over ``field`` often an element of it,
+    rational (r = 0) or not."""
+    c = rng.choice([Fraction(1), Fraction(-1),
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 3))])
+    if field is None or rng.random() < 0.3:
+        return c
+    if rng.random() < 0.4:
+        return field.element([c])
+    return field.element([c, Fraction(rng.randint(-3, 3), rng.randint(1, 2))])
 
 
 def rand_field(rng, n, max_deg, max_terms=3):

@@ -337,3 +337,66 @@ def test_torus_fiber_command(run):
         ("y1", "y3"),
         ("y2", "y3"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# declared names in every context
+
+CONST_SESSION = """\
+vars: x1 x2
+c: 3
+xi: x2*d1 + (x1 - 3)*d2
+"""
+
+
+def test_declared_constant_in_binform_and_point(run):
+    code, out = run(CONST_SESSION, "disc", "c*x1^2 + x2^2", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["discriminant"] == "-12"
+
+    code, out = run(CONST_SESSION, "eigen", "c, 0", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["inputs"]["point"] == "(3, 0)"
+    assert payload["result"]["eigenvalues"] == ["-1", "1"]
+
+    code, out = run(CONST_SESSION + "q: binform(c*x1^2)\n", "disc", "q", "--json")
+    assert code == 0
+    assert json.loads(out)["inputs"]["binform"] == "3*x1^2"
+
+
+def test_declared_y_polynomial_in_binform_exits_two(run):
+    source = CONST_SESSION + "p: y1\nq: binform(p*x1)\n"
+    code, out = run(source, "ch", "--json")
+    assert code == 2
+    assert json.loads(out)["result"] == {
+        "error": "SpaceMismatch",
+        "message": "variable y1 is used but absent from (x1,x2)",
+    }
+
+
+def _operator_chain(first, n):
+    lines = ["vars: x1 x2", f"o0: {first}"]
+    lines += [f"o{i}: o{i - 1} + x2*d1" for i in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [50, 400])
+def test_operator_chain_used_as_form(run, n):
+    # each declaration re-evaluated in form context names the one before it
+    source = _operator_chain("x2*d1", n) + f"w: o{n - 1} ^ dx2\n"
+    code, out = run(source, "form-dist", "w", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["inputs"]["form"] == f"{n}*x2*dx1^dx2"
+    assert payload["verdict"] is True
+
+
+def test_operator_chain_keeps_the_first_error(run):
+    # d1*d2 is an operator but not a form; the error keeps its position
+    code, out = run(_operator_chain("d1*d2", 400), "form-dist", "o399", "--json")
+    assert code == 2
+    assert json.loads(out)["result"] == {
+        "error": "MixedContext",
+        "message": "use ^ to multiply forms at line 2, column 6",
+    }

@@ -1,14 +1,16 @@
 """Exterior algebra, de Medeiros criteria, torus forms, discriminants."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
-from conftest import rand_poly, rng_for
+from conftest import SQRT2, rand_coeff, rand_poly, rng_for
 
 from folichar.errors import (
     DegeneratePencil,
     NotADistribution,
     NotTorusInvariant,
+    SpaceMismatch,
     ZeroForm,
 )
 from folichar.foliations import PolyVectorField
@@ -28,6 +30,7 @@ from folichar.forms import (
     wedge,
 )
 from folichar.polynomials import MultiPoly, VarSpace
+from folichar.scalars import NFElement
 
 S3 = VarSpace(("x1", "x2", "x3"))
 S4 = VarSpace(("x1", "x2", "x3", "x4"))
@@ -211,3 +214,90 @@ def test_binary_discriminant():
 
     with pytest.raises(DegeneratePencil):
         binary_discriminant([zero, zero, zero])
+
+
+# ---------------------------------------------------------------------------
+# printing and the shared sparse-sum arithmetic
+
+
+def reference_str(w):
+    """The form printer as it was before forms printed coefficients through
+    the polynomials' rule, kept as the reference the shared rule must match."""
+    if not w.terms:
+        return "0"
+    names = w.space.x_vars + w.space.y_vars
+    chunks = []
+    for idx in sorted(w.terms):
+        p = w.terms[idx]
+        mono = "^".join("d" + names[i] for i in idx)
+        if not mono:
+            chunks.append(p.to_str())
+            continue
+        if p.is_constant():
+            c = p.constant_value()
+            if c == 1:
+                chunks.append(mono)
+                continue
+            if c == -1:
+                chunks.append(f"-{mono}")
+                continue
+            lead = f"({c})" if isinstance(c, NFElement) and not c.is_rational() else str(c)
+            chunks.append(f"{lead}*{mono}")
+            continue
+        if len(p.terms) == 1:
+            chunks.append(f"{p.to_str()}*{mono}")
+        else:
+            chunks.append(f"({p.to_str()})*{mono}")
+    return " + ".join(chunks).replace("+ -", "- ")
+
+
+def rand_coeff_poly(rng, space, field, max_terms=3):
+    """Often a constant (so the form prints its coefficient rule), else sparse."""
+    terms = {}
+    for _ in range(rng.choice([1, 1, 1, rng.randint(0, max_terms)])):
+        e = [0] * space.nvars
+        for _ in range(rng.choice([0, 0, rng.randint(0, 2)])):
+            e[rng.randrange(space.nvars)] += 1
+        terms[tuple(e)] = rand_coeff(rng, field)
+    return MultiPoly(space, terms)
+
+
+def rand_form(rng, space, degree, field=None):
+    ndir = len(space.x_vars) + len(space.y_vars)
+    slots = list(itertools.combinations(range(ndir), degree))
+    return PolyForm(space, degree, {rng.choice(slots): rand_coeff_poly(rng, space, field)
+                                    for _ in range(rng.randint(0, 3))})
+
+
+@pytest.mark.parametrize("field", [None, SQRT2], ids=["Q", "Q(sqrt2)"])
+def test_str_matches_reference_printer(field):
+    rng = rng_for(f"form-print-{field is not None}")
+    for _ in range(300):
+        space = rng.choice([S3, S4, VarSpace(("x1", "x2")).doubled()])
+        w = rand_form(rng, space, rng.randint(0, 3), field)
+        assert str(w) == reference_str(w)
+        assert repr(w) == f"<{reference_str(w)}>"
+
+
+@pytest.mark.parametrize("field", [None, SQRT2], ids=["Q", "Q(sqrt2)"])
+def test_sparse_sum_properties(field):
+    rng = rng_for(f"form-sparse-sum-{field is not None}")
+    for _ in range(60):
+        q = rng.randint(0, 3)
+        a, b = rand_form(rng, S3, q, field), rand_form(rng, S3, q, field)
+        c = rand_coeff(rng, field)
+        assert (a + b) - b == a
+        assert not (a - a) and str(a - a) == "0"
+        assert c * a == a * c
+    w = dx(S3, 0)
+    with pytest.raises(SpaceMismatch):
+        w + dx(S4, 0)
+    with pytest.raises(SpaceMismatch):
+        w - dx(S4, 0)
+    for op in (lambda: w + wedge(w, dx(S3, 1)), lambda: w - PolyForm.from_poly(U1)):
+        with pytest.raises(ValueError, match="^cannot add forms of degree"):
+            op()
+    # forms take no powers and no sums with scalars
+    for op in (lambda: w ** 2, lambda: w + 1, lambda: 1 - w):
+        with pytest.raises(TypeError):
+            op()

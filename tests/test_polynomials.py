@@ -1,10 +1,13 @@
 """Sparse multivariate arithmetic, variable spaces, monomial orders."""
 
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from conftest import rand_poly, rng_for
+from conftest import SQRT2, rand_coeff, rand_poly, rng_for
 
+import folichar
 from folichar.errors import SpaceMismatch
 from folichar.ideals import StepBudget, reduce_poly
 from folichar.polynomials import (
@@ -180,3 +183,48 @@ def test_str_round_trip_shape():
     f = X1 * X1 - F(1, 2) * X2 + 1
     assert str(f) == "x1^2 - 1/2*x2 + 1"
     assert str(MultiPoly.zero(S2)) == "0"
+
+
+@pytest.mark.parametrize("field", [None, SQRT2], ids=["Q", "Q(sqrt2)"])
+def test_sparse_sum_properties(field):
+    rng = rng_for(f"poly-sparse-sum-{field is not None}")
+    for _ in range(40):
+        a, b = (MultiPoly(S3, {e: rand_coeff(rng, field) for e in rand_poly(rng, S3, 2).terms})
+                for _ in range(2))
+        c = rand_coeff(rng, field)
+        assert (a + b) - b == a
+        assert not (a - a) and str(a - a) == "0"
+        assert c * a == a * c
+        assert a ** 3 == a * a * a
+        assert (c - a) + a == c and (a + c) - c == a
+    other = MultiPoly.variable(S3, "x1")
+    for op in (lambda: X1 + other, lambda: X1 - other, lambda: X1 * other):
+        with pytest.raises(SpaceMismatch, match=r"^\(x1,x2\) vs \(x1,x2,x3\)$"):
+            op()
+    with pytest.raises(ValueError, match="^polynomial powers take nonnegative"):
+        X1 ** F(1, 2)
+
+
+def test_only_the_shared_base_defines_sparse_arithmetic():
+    """Sums, negation, powers and zero tests of sparse objects live in one
+    class; a new sparse type reuses SparseSum instead of copying them."""
+    names = {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+             "__pow__", "__bool__", "is_zero"}
+    owners = {"SparseSum", "NFElement"}
+    # the same names with other meanings: an ideal's zero test, verdicts
+    other_meanings = {("Ideal", "is_zero"), ("ResonanceReport", "__bool__"),
+                      ("DualityReport", "__bool__"), ("TorusFiberReport", "__bool__")}
+    found = set()
+    for path in Path(folichar.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef) or node.name in owners:
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    defined = [item.name]
+                elif isinstance(item, ast.Assign):
+                    defined = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                else:
+                    defined = []
+                found.update((node.name, d) for d in defined if d in names)
+    assert sorted(found - other_meanings) == []

@@ -8,6 +8,7 @@ import pytest
 
 from folichar.foliations import PolyVectorField, characteristic_polynomial
 from folichar.polynomials import MultiPoly, VarSpace
+from folichar.scalars import NFElement
 from folichar.weyl import (
     SizeMismatch,
     WeylOperator,
@@ -19,7 +20,7 @@ from folichar.weyl import (
     weyl_mul,
 )
 
-from conftest import rand_poly, rng_for
+from conftest import SQRT2, rand_coeff, rand_poly, rng_for
 
 D1 = WeylOperator.d_var(1, 0)
 X1 = WeylOperator.x_var(1, 0)
@@ -171,3 +172,83 @@ def test_charvariety_of_principal_ideal():
     dsq = weyl_mul(WeylOperator.d_var(1, 0), WeylOperator.d_var(1, 0))
     ideal = charvariety_of_principal_ideal(dsq)
     assert [str(g) for g in ideal.generators] == ["y1^2"]
+
+
+# ---------------------------------------------------------------------------
+# printing and the shared sparse-sum arithmetic
+
+
+def reference_str(op):
+    """The operator printer as it was before operators printed through
+    MultiPoly, kept as the reference the shared printer must match."""
+    if not op.terms:
+        return "0"
+
+    def key(item):
+        (xe, de), _ = item
+        merged = xe + de
+        return (sum(merged), tuple(-e for e in reversed(merged)))
+    chunks = []
+    for (xe, de), c in sorted(op.terms.items(), key=key, reverse=True):
+        factors = []
+        for i, k in enumerate(xe):
+            if k == 1:
+                factors.append(f"x{i + 1}")
+            elif k > 1:
+                factors.append(f"x{i + 1}^{k}")
+        for i, k in enumerate(de):
+            if k == 1:
+                factors.append(f"d{i + 1}")
+            elif k > 1:
+                factors.append(f"d{i + 1}^{k}")
+        mono = "*".join(factors)
+        if not mono:
+            chunks.append(f"({c})" if isinstance(c, NFElement)
+                          and not c.is_rational() else str(c))
+        elif isinstance(c, NFElement) and not c.is_rational():
+            chunks.append(f"({c})*{mono}")
+        elif c == 1:
+            chunks.append(mono)
+        elif c == -1:
+            chunks.append(f"-{mono}")
+        else:
+            chunks.append(f"{c}*{mono}")
+    return " + ".join(chunks).replace("+ -", "- ")
+
+
+def rand_op(rng, n, field=None, max_terms=4):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        xe = tuple(rng.randint(0, 2) for _ in range(n))
+        de = tuple(rng.randint(0, 2) for _ in range(n))
+        terms[(xe, de)] = rand_coeff(rng, field)
+    return WeylOperator(n, terms)
+
+
+@pytest.mark.parametrize("field", [None, SQRT2], ids=["Q", "Q(sqrt2)"])
+def test_str_matches_reference_printer(field):
+    rng = rng_for(f"weyl-print-{field is not None}")
+    for _ in range(300):
+        op = rand_op(rng, rng.choice([1, 2, 3]), field)
+        assert str(op) == reference_str(op)
+        assert repr(op) == f"<{reference_str(op)}>"
+
+
+@pytest.mark.parametrize("field", [None, SQRT2], ids=["Q", "Q(sqrt2)"])
+def test_sparse_sum_properties(field):
+    rng = rng_for(f"weyl-sparse-sum-{field is not None}")
+    for _ in range(40):
+        n = rng.choice([1, 2])
+        a, b = rand_op(rng, n, field, 3), rand_op(rng, n, field, 3)
+        c = rand_coeff(rng, field)
+        assert (a + b) - b == a
+        assert not (a - a) and str(a - a) == "0"
+        assert c * a == a * c
+        assert a ** 3 == a * a * a
+        assert a ** 0 == WeylOperator.constant(n, 1)
+    other = WeylOperator.x_var(3, 0)
+    for op in (lambda: X1 + other, lambda: X1 - other, lambda: X1 * other):
+        with pytest.raises(SizeMismatch, match="operators on 1 and 3 variables"):
+            op()
+    with pytest.raises(ValueError, match="^operator powers take nonnegative"):
+        X1 ** -1
