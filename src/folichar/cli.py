@@ -3,7 +3,12 @@
 Exit codes: 0 the computation succeeded (including classifications whose
 answer is a tag), 1 a yes/no question was answered "no" (non-invariance,
 resonance, integrability failure, ...), 2 the input was unusable, 3 the
-step budget ran out.
+step budget ran out, 4 an internal error (a defect, never an answer).
+
+Each subcommand is one handler declared with :func:`_command`: its name,
+help text, typed positionals and options.  ``_build_parser`` and ``main``
+both read that table; ``main`` resolves the arguments, and the handler
+returns ``(inputs, result, verdict)`` as library values for one serializer.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     BudgetExceeded,
@@ -68,11 +74,63 @@ _VERDICT_ERRORS = (
 )
 
 
+class _Command(NamedTuple):
+    handler: object
+    help: str
+    specs: tuple
+    xi: bool
+    exclusive: bool
+
+
+_COMMANDS = {}
+
+
+def _command(name, help, *specs, xi=False, exclusive=False):
+    """Declare the subcommand ``name`` run by the decorated handler.
+
+    A spec is a positional, ``"NAME"`` or ``"NAME:KIND"`` (the kind defaults
+    to the name; a trailing ``?`` makes it optional), or an option, ``(FLAG,
+    argparse keywords)``; ``exclusive`` puts the options in one mutually
+    exclusive group.  The handler is called as ``handler(session, args,
+    budget, *values)``, the values being the session's vector field when
+    ``xi`` is set and then each positional resolved by its kind.
+    """
+    def register(fn):
+        _COMMANDS[name] = _Command(fn, help, specs, xi, exclusive)
+        return fn
+    return register
+
+
+def _positionals(specs):
+    """(name, kind, optional) for each positional spec."""
+    for spec in specs:
+        if isinstance(spec, str):
+            name, _, kind = spec.rstrip("?").partition(":")
+            yield name, kind or name, spec.endswith("?")
+
+
+def _resolve(session, kind, text):
+    """A positional as a library value: a declared name or an inline expression."""
+    if text is None or kind == "int":
+        return text
+    if kind == "point":
+        return session.parse_point(text)
+    if kind == "field":
+        return session.get(text, "field")
+    text = text.strip()
+    if kind == "leaf":
+        # an axis may be named ("x1") or given as a 0-based index
+        return int(text) if text.lstrip("-").isdigit() else text
+    if _NAME_RE.match(text) and text in session.decls:
+        return session.get(text, kind)
+    return session.evaluate(parse_expression(text), kind)
+
+
 def _jsonable(value):
+    """Report data: tuples and sets as lists, dataclasses as dicts, and every
+    other value that is not a JSON scalar as its canonical printed form."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
@@ -82,19 +140,7 @@ def _jsonable(value):
             k: _jsonable(getattr(value, k))
             for k in value.__dataclass_fields__
         }
-    return str(value)
-
-
-def _value(session, text, kind):
-    """Resolve a command argument: a declared name or an inline expression."""
-    text = text.strip()
-    if _NAME_RE.match(text) and text in session.decls:
-        return session.get(text, kind)
-    return session.evaluate(parse_expression(text), kind)
-
-
-def _field_of(session, args):
-    return session.vector_field(getattr(args, "field_name", None))
+    return print_value(value)
 
 
 def _point_str(point):
@@ -105,350 +151,217 @@ def _point_str(point):
 # handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_ch(session, args, budget):
-    xi = _field_of(session, args)
+@_command("ch", "characteristic polynomial of the session field", xi=True)
+def _cmd_ch(session, args, budget, xi):
     P = characteristic_polynomial(xi)
-    return Report(
-        "ch",
-        inputs={"xi": print_value(xi)},
-        result={"characteristic_polynomial": str(P)},
-    )
+    return {"xi": xi}, {"characteristic_polynomial": P}, None
 
 
-def _cmd_prolong(session, args, budget):
-    xi = _field_of(session, args)
+@_command("prolong", "first prolongation", xi=True)
+def _cmd_prolong(session, args, budget, xi):
     hat = prolong(xi)
-    return Report(
-        "prolong",
-        inputs={"xi": print_value(xi)},
-        result={
-            "x_components": [str(c) for c in hat.x_components],
-            "y_components": [str(c) for c in hat.y_components],
-        },
-    )
+    return {"xi": xi}, {
+        "x_components": hat.x_components,
+        "y_components": hat.y_components,
+    }, None
 
 
-def _cmd_hamiltonian(session, args, budget):
-    if args.poly is not None:
-        F = _value(session, args.poly, "poly")
-    else:
-        F = characteristic_polynomial(_field_of(session, args))
+@_command("hamiltonian", "Hamiltonian field of a polynomial", "poly?")
+def _cmd_hamiltonian(session, args, budget, F):
+    if F is None:
+        F = characteristic_polynomial(session.vector_field(args.field_name))
     ham = hamiltonian(F)
-    return Report(
-        "hamiltonian",
-        inputs={"F": str(F)},
-        result={
-            "x_components": [str(c) for c in ham.x_components],
-            "y_components": [str(c) for c in ham.y_components],
-        },
-    )
+    return {"F": F}, {
+        "x_components": ham.x_components,
+        "y_components": ham.y_components,
+    }, None
 
 
-def _cmd_sing(session, args, budget):
-    xi = _field_of(session, args)
+@_command("sing", "singular scheme of the field", xi=True)
+def _cmd_sing(session, args, budget, xi):
     sch = singular_scheme(xi, budget=budget)
-    return Report(
-        "sing",
-        inputs={"xi": print_value(xi)},
-        result={
-            "generators": [str(g) for g in sch.ideal.generators],
-            "isolated": sch.isolated,
-            "vector_space_dimension": sch.vecdim,
-            "reduced": sch.reduced,
-            "distinct_points": sch.distinct_points,
-            "divisorial_part": None if sch.divisorial_part is None
-            else str(sch.divisorial_part),
-        },
-    )
+    return {"xi": xi}, {
+        "generators": sch.ideal.generators,
+        "isolated": sch.isolated,
+        "vector_space_dimension": sch.vecdim,
+        "reduced": sch.reduced,
+        "distinct_points": sch.distinct_points,
+        "divisorial_part": sch.divisorial_part,
+    }, None
 
 
-def _cmd_ch_sing(session, args, budget):
-    xi = _field_of(session, args)
+@_command("ch-sing", "singular locus of the characteristic hypersurface", xi=True)
+def _cmd_ch_sing(session, args, budget, xi):
     rep = ch_singular_locus(xi, budget=budget)
-    return Report(
-        "ch-sing",
-        inputs={"xi": print_value(xi)},
-        result={
-            "jacobian_generators": [str(g) for g in rep.jacobian_ideal.generators],
-            "smooth_away_from_zero_section": rep.smooth_away_from_zero_section,
-            "scheme_isolated": rep.scheme.isolated,
-            "scheme_reduced": rep.scheme.reduced,
-            "consistent": rep.consistent,
-        },
-        verdict=rep.smooth_away_from_zero_section,
-    )
+    return {"xi": xi}, {
+        "jacobian_generators": rep.jacobian_ideal.generators,
+        "smooth_away_from_zero_section": rep.smooth_away_from_zero_section,
+        "scheme_isolated": rep.scheme.isolated,
+        "scheme_reduced": rep.scheme.reduced,
+        "consistent": rep.consistent,
+    }, rep.smooth_away_from_zero_section
 
 
-def _cmd_invariant(session, args, budget):
-    xi = _field_of(session, args)
-    ideal = _value(session, args.ideal, "ideal")
+@_command("invariant", "is V(J) invariant under the prolongation", "ideal", xi=True)
+def _cmd_invariant(session, args, budget, xi, ideal):
     rep = is_invariant(prolong(xi), ideal, budget=budget)
-    return Report(
-        "invariant",
-        inputs={"xi": print_value(xi), "ideal": print_value(ideal)},
-        result={
-            "certificates": [
-                {
-                    "generator": str(c.generator),
-                    "image": str(c.image),
-                    "remainder": str(c.remainder),
-                }
-                for c in rep.certificates
-            ],
-        },
-        verdict=rep.invariant,
-    )
+    return {"xi": xi, "ideal": ideal}, {"certificates": rep.certificates}, rep.invariant
 
 
-def _cmd_classify(session, args, budget):
-    xi = _field_of(session, args)
-    ideal = _value(session, args.ideal, "ideal")
+@_command("classify", "trichotomy classification of V(J)", "ideal", xi=True)
+def _cmd_classify(session, args, budget, xi, ideal):
     cls = classify_ch_subvariety(xi, ideal, budget=budget)
-    return Report(
-        "classify",
-        inputs={"xi": print_value(xi), "ideal": print_value(ideal)},
-        result={
-            "tag": cls.tag,
-            "point": None if cls.point is None
-            else [str(v) for v in cls.point],
-            "residual": None if cls.residual is None
-            else [str(g) for g in cls.residual.generators],
-            "certificate": _jsonable(cls.certificate),
-        },
-    )
+    return {"xi": xi, "ideal": ideal}, {
+        "tag": cls.tag,
+        "point": cls.point,
+        "residual": None if cls.residual is None else cls.residual.generators,
+        "certificate": cls.certificate,
+    }, None
 
 
-def _cmd_darboux(session, args, budget):
-    xi = _field_of(session, args)
+@_command("darboux", "search for Darboux polynomials",
+         ("--max-deg", {"type": int, "required": True}),
+         ("--max-cofactor", {"type": int, "default": None}), xi=True)
+def _cmd_darboux(session, args, budget, xi):
     max_cof = args.max_cofactor
     if max_cof is None:
         max_cof = max(xi.degree() - 1, 0)
     res = darboux_search(xi, args.max_deg, max_cof, budget=budget)
-    return Report(
-        "darboux",
-        inputs={"xi": print_value(xi)},
-        result={
-            "max_deg": args.max_deg,
-            "max_cofactor": max_cof,
-            "pairs": [
-                {"g": str(p.polynomial), "cofactor": str(p.cofactor)}
-                for p in res.pairs
-            ],
-            "complete": res.complete,
-        },
-    )
+    return {"xi": xi}, {
+        "max_deg": args.max_deg,
+        "max_cofactor": max_cof,
+        "pairs": [{"g": p.polynomial, "cofactor": p.cofactor} for p in res.pairs],
+        "complete": res.complete,
+    }, None
 
 
-def _cmd_degree(session, args, budget):
-    xi = _field_of(session, args)
+@_command("degree", "hyperplane at infinity and projective degree", xi=True)
+def _cmd_degree(session, args, budget, xi):
     rep = hyperplane_at_infinity(xi)
-    return Report(
-        "degree",
-        inputs={"xi": print_value(xi)},
-        result={
-            "affine_degree": rep.affine_degree,
-            "infinity_invariant": rep.invariant,
-            "projective_degree": rep.projective_degree,
-            "radial_factor": None if rep.radial_factor is None
-            else str(rep.radial_factor),
-        },
-    )
+    return {"xi": xi}, {
+        "affine_degree": rep.affine_degree,
+        "infinity_invariant": rep.invariant,
+        "projective_degree": rep.projective_degree,
+        "radial_factor": rep.radial_factor,
+    }, None
 
 
-def _cmd_eigen(session, args, budget):
-    xi = _field_of(session, args)
-    point = session.parse_point(args.point)
-    inputs = {
-        "xi": print_value(xi),
-        "point": _point_str(point),
-    }
+@_command("eigen", "eigendata of the linear part at a point", "point", xi=True)
+def _cmd_eigen(session, args, budget, xi, point):
+    inputs = {"xi": xi, "point": _point_str(point)}
     try:
         data = jacobian_eigendata(xi, point, field=session.field, budget=budget)
     except UnresolvedFactor as exc:
-        return Report(
-            "eigen",
-            inputs=inputs,
-            result={
-                "unresolved_factor": upoly_str(exc.residual),
-                "message": str(exc),
-            },
-        )
-    return Report(
-        "eigen",
-        inputs=inputs,
-        result={
-            "char_poly": upoly_str(data.char_poly),
-            "eigenvalues": [str(v) for v in data.eigenvalues],
-            "eigenvectors": [
-                {
-                    "value": str(v),
-                    "basis": [[str(c) for c in vec] for vec in basis],
-                }
-                for v, basis in data.eigenvectors
-            ],
-            "invertible": data.invertible,
-        },
-    )
+        return inputs, {
+            "unresolved_factor": upoly_str(exc.residual),
+            "message": str(exc),
+        }, None
+    return inputs, {
+        "char_poly": upoly_str(data.char_poly),
+        "eigenvalues": data.eigenvalues,
+        "eigenvectors": [{"value": v, "basis": basis}
+                         for v, basis in data.eigenvectors],
+        "invertible": data.invertible,
+    }, None
 
 
-def _cmd_nonres(session, args, budget):
-    xi = _field_of(session, args)
-    point = session.parse_point(args.point)
+@_command("nonres", "non-resonance test at a point", "point", xi=True)
+def _cmd_nonres(session, args, budget, xi, point):
     rep = is_nonresonant(xi, point, field=session.field, budget=budget)
-    return Report(
-        "nonres",
-        inputs={
-            "xi": print_value(xi),
-            "point": _point_str(point),
-        },
-        result={
-            "invertible": rep.invertible,
-            "zrank": rep.rank,
-            "eigenvalues": [str(v) for v in rep.eigenvalues],
-        },
-        verdict=rep.nonresonant,
-    )
+    return {"xi": xi, "point": _point_str(point)}, {
+        "invertible": rep.invertible,
+        "zrank": rep.rank,
+        "eigenvalues": rep.eigenvalues,
+    }, rep.nonresonant
 
 
-def _cmd_holonomy(session, args, budget):
-    xi = _field_of(session, args)
-    point = session.parse_point(args.point)
-    rep = holonomy_spectrum(xi, point, args.axis, field=session.field, budget=budget)
-    return Report(
-        "holonomy",
-        inputs={
-            "xi": print_value(xi),
-            "point": _point_str(point),
-            "axis": str(args.axis),
-        },
-        result={
-            "separatrix_eigenvalue": str(rep.separatrix_eigenvalue),
-            "spectrum": [
-                {
-                    "ratio": str(e.ratio),
-                    "eigenvalue": e.symbol,
-                    "root_of_unity": e.root_of_unity,
-                    "order": e.order,
-                }
-                for e in rep.entries
-            ],
-            "maximal_torus": rep.maximal_torus,
-        },
-    )
+@_command("holonomy", "linear holonomy spectrum around a separatrix",
+         "point", "axis:int", xi=True)
+def _cmd_holonomy(session, args, budget, xi, point, axis):
+    rep = holonomy_spectrum(xi, point, axis, field=session.field, budget=budget)
+    return {"xi": xi, "point": _point_str(point), "axis": axis}, {
+        "separatrix_eigenvalue": rep.separatrix_eigenvalue,
+        "spectrum": [
+            {
+                "ratio": e.ratio,
+                "eigenvalue": e.symbol,
+                "root_of_unity": e.root_of_unity,
+                "order": e.order,
+            }
+            for e in rep.entries
+        ],
+        "maximal_torus": rep.maximal_torus,
+    }, None
 
 
-def _leaf(args):
-    # axis may be named ("x1") or given as a 0-based index
-    text = args.leaf.strip()
-    return int(text) if text.lstrip("-").isdigit() else text
+@_command("bott", "connection matrix along an invariant axis", "leaf", xi=True)
+def _cmd_bott(session, args, budget, xi, leaf):
+    conn = bott_connection(xi, axis=leaf)
+    return {"xi": xi, "leaf": conn.variable}, {
+        "axis": conn.variable,
+        "matrix": conn.entries,
+    }, None
 
 
-def _cmd_bott(session, args, budget):
-    xi = _field_of(session, args)
-    conn = bott_connection(xi, axis=_leaf(args))
-    return Report(
-        "bott",
-        inputs={"xi": print_value(xi), "leaf": conn.variable},
-        result={
-            "axis": conn.variable,
-            "matrix": [[str(e) for e in row] for row in conn.entries],
-        },
-    )
+@_command("duality", "check the prolongation restricts to -A^T", "leaf", xi=True)
+def _cmd_duality(session, args, budget, xi, leaf):
+    rep = verify_prolongation_duality(xi, axis=leaf)
+    return {"xi": xi, "leaf": rep.connection.variable}, {
+        "connection": rep.connection.entries,
+        "restricted": rep.restricted.entries,
+    }, rep.holds
 
 
-def _cmd_duality(session, args, budget):
-    xi = _field_of(session, args)
-    rep = verify_prolongation_duality(xi, axis=_leaf(args))
-    return Report(
-        "duality",
-        inputs={"xi": print_value(xi), "leaf": rep.connection.variable},
-        result={
-            "connection": [[str(e) for e in row] for row in rep.connection.entries],
-            "restricted": [[str(e) for e in row] for row in rep.restricted.entries],
-        },
-        verdict=rep.holds,
-    )
-
-
-def _cmd_torus_fiber(session, args, budget):
-    ideal = _value(session, args.ideal, "ideal")
+@_command("torus-fiber", "coordinate-subspace decomposition in a fiber", "ideal")
+def _cmd_torus_fiber(session, args, budget, ideal):
     yspace = VarSpace(session.dspace.y_vars)
     gens = [g.restrict_to(yspace) for g in ideal.generators if not g.is_zero()]
     rep = coordinate_subspace_decomposition(Ideal(yspace, gens), budget=budget)
-    return Report(
-        "torus-fiber",
-        inputs={"ideal": print_value(ideal)},
-        result={
-            "offending": None if rep.offending is None else str(rep.offending),
-            "monomials": [str(m) for m in rep.monomials],
-            "components": [list(c) for c in rep.components],
-            "dimensions": list(rep.dimensions),
-            "same_dimension": rep.same_dimension,
-        },
-        verdict=rep.torus_invariant,
-    )
+    return {"ideal": ideal}, {
+        "offending": rep.offending,
+        "monomials": rep.monomials,
+        "components": rep.components,
+        "dimensions": rep.dimensions,
+        "same_dimension": rep.same_dimension,
+    }, rep.torus_invariant
 
 
-def _cmd_form_dist(session, args, budget):
-    w = _value(session, args.form, "form")
-    ok = is_distribution(w)
-    return Report(
-        "form-dist",
-        inputs={"form": str(w)},
-        result={"degree": w.degree},
-        verdict=ok,
-    )
+@_command("form-dist", "does the form define a distribution", "form")
+def _cmd_form_dist(session, args, budget, w):
+    return {"form": w}, {"degree": w.degree}, is_distribution(w)
 
 
-def _cmd_form_int(session, args, budget):
-    w = _value(session, args.form, "form")
-    ok = is_integrable(w)
-    return Report(
-        "form-int",
-        inputs={"form": str(w)},
-        result={"degree": w.degree},
-        verdict=ok,
-    )
+@_command("form-int", "integrability of the distribution", "form")
+def _cmd_form_int(session, args, budget, w):
+    return {"form": w}, {"degree": w.degree}, is_integrable(w)
 
 
-def _cmd_form_lognf(session, args, budget):
-    w = _value(session, args.form, "form")
+@_command("form-lognf", "logarithmic normal form of a torus-invariant form", "form")
+def _cmd_form_lognf(session, args, budget, w):
     nf, rep = logarithmic_normal_form(w)
     names = w.space.x_vars + w.space.y_vars
-    return Report(
-        "form-lognf",
-        inputs={"form": str(w)},
-        result={
-            "h": str(nf.h),
-            "lambdas": {
-                "^".join(names[i] for i in idx): str(lam)
-                for idx, lam in sorted(nf.lambdas.items())
-            },
-            "hyperplanes": list(rep.hyperplanes),
-            "invariant_hyperplanes": rep.k,
-            "form_degree": rep.q,
-            "witness_subspace": None if rep.witness_subspace is None
-            else [names[i] for i in rep.witness_subspace],
-            "witness_dimension": rep.witness_dimension,
+    return {"form": w}, {
+        "h": nf.h,
+        "lambdas": {
+            "^".join(names[i] for i in idx): lam
+            for idx, lam in sorted(nf.lambdas.items())
         },
-        verdict=True,
-    )
+        "hyperplanes": rep.hyperplanes,
+        "invariant_hyperplanes": rep.k,
+        "form_degree": rep.q,
+        "witness_subspace": None if rep.witness_subspace is None
+        else [names[i] for i in rep.witness_subspace],
+        "witness_dimension": rep.witness_dimension,
+    }, True
 
 
-def _cmd_inf_auto(session, args, budget):
-    xi = session.get(args.field, "field")
-    w = _value(session, args.form, "form")
-    ok = is_infinitesimal_automorphism(xi, w)
-    return Report(
-        "inf-auto",
-        inputs={"xi": print_value(xi), "form": str(w)},
-        result={},
-        verdict=ok,
-    )
+@_command("inf-auto", "is the field an infinitesimal automorphism", "field", "form")
+def _cmd_inf_auto(session, args, budget, xi, w):
+    return {"xi": xi, "form": w}, {}, is_infinitesimal_automorphism(xi, w)
 
 
-def _cmd_disc(session, args, budget):
-    p = _value(session, args.binform, "binform")
+@_command("disc", "discriminant of a binary form", "binform")
+def _cmd_disc(session, args, budget, p):
     k = p.degree()
     if k < 2:
         raise ValueError("discriminants need degree >= 2")
@@ -456,81 +369,42 @@ def _cmd_disc(session, args, budget):
     for e, c in p.terms.items():
         coeffs[e[1]] = c
     disc = binary_discriminant(coeffs)
-    return Report(
-        "disc",
-        inputs={"binform": str(p)},
-        result={"degree": k, "discriminant": str(disc)},
-    )
+    return {"binform": p}, {"degree": k, "discriminant": disc}, None
 
 
-def _cmd_weyl_mul(session, args, budget):
-    a = _value(session, args.a, "op")
-    b = _value(session, args.b, "op")
-    return Report(
-        "weyl-mul",
-        inputs={"a": str(a), "b": str(b)},
-        result={"product": str(a * b)},
-    )
+@_command("weyl-mul", "normally ordered product of two operators", "a:op", "b:op")
+def _cmd_weyl_mul(session, args, budget, a, b):
+    return {"a": a, "b": b}, {"product": a * b}, None
 
 
-def _cmd_symbol(session, args, budget):
-    d = _value(session, args.op, "op")
+@_command("symbol", "symbol of an operator", "op",
+         ("--bernstein", {"action": "store_true"}),
+         ("--order", {"action": "store_true"}), exclusive=True)
+def _cmd_symbol(session, args, budget, d):
     if args.bernstein:
         k, sym = bernstein_symbol(d, session.dspace)
-        return Report(
-            "symbol",
-            inputs={"operator": str(d)},
-            result={"filtration": "bernstein", "degree": k, "symbol": str(sym)},
-        )
+        return {"operator": d}, {
+            "filtration": "bernstein", "degree": k, "symbol": sym,
+        }, None
     m, sym = principal_symbol(d, session.dspace)
-    result = {"filtration": "order", "order": m, "symbol": str(sym)}
+    result = {"filtration": "order", "order": m, "symbol": sym}
     if m == 1:
         xi = order_one_field(d, session.dspace)
-        match = sym == characteristic_polynomial(xi).lift_to(sym.space)
-        result["matches_characteristic_polynomial"] = match
+        result["matches_characteristic_polynomial"] = (
+            sym == characteristic_polynomial(xi).lift_to(sym.space))
         result["hypersurface"] = f"ch = {{{sym} = 0}}"
-    return Report("symbol", inputs={"operator": str(d)}, result=result)
+    return {"operator": d}, result, None
 
 
-def _cmd_gb(session, args, budget):
-    ideal = _value(session, args.ideal, "ideal")
+@_command("gb", "reduced Groebner basis of an ideal", "ideal",
+         ("--order", {"default": "grevlex", "choices": ["grevlex", "lex", "block"]}))
+def _cmd_gb(session, args, budget, ideal):
     order = order_from_name(args.order, session.dspace)
     basis = ideal.basis(order=order, budget=budget)
-    return Report(
-        "gb",
-        inputs={"ideal": print_value(ideal)},
-        result={
-            "order": args.order,
-            "basis": [g.to_str(order) for g in basis],
-        },
-    )
-
-
-_HANDLERS = {
-    "ch": _cmd_ch,
-    "prolong": _cmd_prolong,
-    "hamiltonian": _cmd_hamiltonian,
-    "sing": _cmd_sing,
-    "ch-sing": _cmd_ch_sing,
-    "invariant": _cmd_invariant,
-    "classify": _cmd_classify,
-    "darboux": _cmd_darboux,
-    "degree": _cmd_degree,
-    "eigen": _cmd_eigen,
-    "nonres": _cmd_nonres,
-    "holonomy": _cmd_holonomy,
-    "bott": _cmd_bott,
-    "duality": _cmd_duality,
-    "torus-fiber": _cmd_torus_fiber,
-    "form-dist": _cmd_form_dist,
-    "form-int": _cmd_form_int,
-    "form-lognf": _cmd_form_lognf,
-    "inf-auto": _cmd_inf_auto,
-    "disc": _cmd_disc,
-    "weyl-mul": _cmd_weyl_mul,
-    "symbol": _cmd_symbol,
-    "gb": _cmd_gb,
-}
+    return {"ideal": ideal}, {
+        "order": args.order,
+        "basis": [g.to_str(order) for g in basis],
+    }, None
 
 
 # ---------------------------------------------------------------------------
@@ -554,66 +428,20 @@ def _build_parser():
                     "vector fields",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    add("ch", help="characteristic polynomial of the session field")
-    add("prolong", help="first prolongation")
-    p = add("hamiltonian", help="Hamiltonian field of a polynomial")
-    p.add_argument("poly", nargs="?", default=None)
-    add("sing", help="singular scheme of the field")
-    add("ch-sing", help="singular locus of the characteristic hypersurface")
-    p = add("invariant", help="is V(J) invariant under the prolongation")
-    p.add_argument("ideal")
-    p = add("classify", help="trichotomy classification of V(J)")
-    p.add_argument("ideal")
-    p = add("darboux", help="search for Darboux polynomials")
-    p.add_argument("--max-deg", type=int, required=True)
-    p.add_argument("--max-cofactor", type=int, default=None)
-    add("degree", help="hyperplane at infinity and projective degree")
-    p = add("eigen", help="eigendata of the linear part at a point")
-    p.add_argument("point")
-    p = add("nonres", help="non-resonance test at a point")
-    p.add_argument("point")
-    p = add("holonomy", help="linear holonomy spectrum around a separatrix")
-    p.add_argument("point")
-    p.add_argument("axis", type=int)
-    p = add("bott", help="connection matrix along an invariant axis")
-    p.add_argument("leaf")
-    p = add("duality", help="check the prolongation restricts to -A^T")
-    p.add_argument("leaf")
-    p = add("torus-fiber", help="coordinate-subspace decomposition in a fiber")
-    p.add_argument("ideal")
-    p = add("form-dist", help="does the form define a distribution")
-    p.add_argument("form")
-    p = add("form-int", help="integrability of the distribution")
-    p.add_argument("form")
-    p = add("form-lognf", help="logarithmic normal form of a torus-invariant form")
-    p.add_argument("form")
-    p = add("inf-auto", help="is the field an infinitesimal automorphism")
-    p.add_argument("field")
-    p.add_argument("form")
-    p = add("disc", help="discriminant of a binary form")
-    p.add_argument("binform")
-    p = add("weyl-mul", help="normally ordered product of two operators")
-    p.add_argument("a")
-    p.add_argument("b")
-    p = add("symbol", help="symbol of an operator")
-    p.add_argument("op")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--bernstein", action="store_true")
-    g.add_argument("--order", action="store_true")
-    p = add("gb", help="reduced Groebner basis of an ideal")
-    p.add_argument("ideal")
-    p.add_argument("--order", dest="order", default="grevlex",
-                   choices=["grevlex", "lex", "block"])
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=cmd.help)
+        for arg, kind, optional in _positionals(cmd.specs):
+            p.add_argument(arg, type=int if kind == "int" else None,
+                           nargs="?" if optional else None)
+        options = p.add_mutually_exclusive_group() if cmd.exclusive else p
+        for spec in cmd.specs:
+            if not isinstance(spec, str):
+                options.add_argument(spec[0], **spec[1])
     return top
 
 
-def _emit(report, as_json, stream=None):
-    stream = stream or sys.stdout
-    print(report.json_text() if as_json else report.human(), file=stream)
+def _emit(report, as_json):
+    print(report.json_text() if as_json else report.human())
 
 
 def _error_report(command, exc):
@@ -637,6 +465,7 @@ def _step_limit(flag):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     budget = StepBudget(_step_limit(args.budget))
+    cmd = _COMMANDS[args.command]
     t0 = time.perf_counter()
     try:
         with open(args.session, encoding="utf-8") as fh:
@@ -648,7 +477,13 @@ def main(argv=None):
         session = parse_input(
             text, assume_irreducible=args.assume_irreducible
         )
-        report = _HANDLERS[args.command](session, args, budget)
+        # the session's field first, then the positionals in order: the
+        # first error reported is the first input that fails
+        values = [session.vector_field(args.field_name)] if cmd.xi else []
+        values += [_resolve(session, kind, getattr(args, arg))
+                   for arg, kind, _ in _positionals(cmd.specs)]
+        inputs, result, verdict = cmd.handler(session, args, budget, *values)
+        report = Report(args.command, _jsonable(inputs), _jsonable(result), verdict)
     except BudgetExceeded as exc:
         _emit(_error_report(args.command, exc), args.json)
         return 3
@@ -661,6 +496,10 @@ def main(argv=None):
     except (FolicharError, ValueError, KeyError) as exc:
         _emit(_error_report(args.command, exc), args.json)
         return 2
+    except Exception as exc:
+        # a defect, not an answer: never exit 1, which means "no"
+        _emit(_error_report(args.command, exc), args.json)
+        return 4
     report.timings = {
         "total_ms": round((time.perf_counter() - t0) * 1000, 3)
     }

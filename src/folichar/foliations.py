@@ -496,7 +496,7 @@ class DarbouxPair:
 @dataclass
 class DarbouxResult:
     pairs: list
-    complete: bool   # True when every branch of the solve was exhaustive
+    complete: bool   # no rational Darboux polynomial within the bounds missed
 
 
 def _monomials_up_to(space, max_deg):
@@ -525,9 +525,12 @@ def darboux_search(xi, max_deg, max_cofactor_deg, budget=None):
     at deg(xi) - 1.  Rational solution families with genuinely free
     coordinates are reported by their representative with the free
     coordinates set to zero; ``complete`` is True when no branch had free
-    coordinates, so an empty result is a certificate of nonexistence over
-    the algebraic closure.  The solve is over Q only, so a field with a
-    coefficient outside Q raises :class:`FieldMismatch`.
+    coordinates.  The solve is over Q only: ``complete`` certifies that no
+    Darboux polynomial with rational coefficients within the degree bounds
+    was missed, while irrational ones (x2 +- i*x1 for the rotation
+    x2*d1 - x1*d2) are never searched; a certificate over the algebraic
+    closure is ROADMAP item 1.  A field with a coefficient outside Q raises
+    :class:`FieldMismatch`.
     """
     budget = _as_budget(budget)
     for comp in xi.components:

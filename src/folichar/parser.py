@@ -260,7 +260,8 @@ def _arith(op, a, b, pos):
 
 
 def _form_arith(op, a, b, pos):
-    """Form context: sums need equal degrees, ``^`` is the wedge on forms."""
+    """Form context: sums need equal degrees, ``^`` is the wedge on forms;
+    ``*`` scales by a function, so it rejects two forms of degree >= 1."""
     a_form = isinstance(a, PolyForm)
     b_form = isinstance(b, PolyForm)
     if op in "+-":
@@ -273,7 +274,7 @@ def _form_arith(op, a, b, pos):
             raise MixedContext(
                 f"cannot add forms of degree {a.degree} and {b.degree}", *pos
             )
-    elif op == "*" and a_form and b_form:
+    elif op == "*" and a_form and b_form and a.degree and b.degree:
         raise MixedContext("use ^ to multiply forms", *pos)
     elif op == "^" and (a_form or b_form):
         wa = a if a_form else PolyForm.from_poly(a)

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior: JSON envelopes, verdict exit codes,
 error handling, and the shipped schema."""
 
+import argparse
 import json
 import os
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import jsonschema
 import pytest
 
 import folichar
-from folichar.cli import main
+from folichar.cli import _build_parser, main
 
 DIAG_SESSION = """\
 vars: x1 x2
@@ -400,3 +402,47 @@ def test_operator_chain_keeps_the_first_error(run):
         "error": "MixedContext",
         "message": "use ^ to multiply forms at line 2, column 6",
     }
+
+
+def test_zero_form_times_form_is_a_product(run):
+    # a declared constant read as a form is a 0-form: * scales by it
+    code, out = run(CONST_SESSION, "form-dist", "c*dx1", "--json")
+    assert code == 0
+    assert json.loads(out)["inputs"]["form"] == "3*dx1"
+
+    code, out = run(CONST_SESSION + "w: c*dx1\n", "form-dist", "w", "--json")
+    assert code == 0
+    assert json.loads(out)["inputs"]["form"] == "3*dx1"
+
+    code, out = run(CONST_SESSION, "form-dist", "dx1*dx2", "--json")
+    assert code == 2
+    assert json.loads(out)["result"] == {
+        "error": "MixedContext",
+        "message": "use ^ to multiply forms at line 1, column 3",
+    }
+
+
+def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
+    def broken(xi):
+        raise RuntimeError("simulated defect")
+
+    monkeypatch.setattr("folichar.cli.characteristic_polynomial", broken)
+    fol = tmp_path / "session.fol"
+    fol.write_text(DIAG_SESSION)
+    code = main(["ch", str(fol), "--json"])
+    captured = capsys.readouterr()
+    assert code == 4
+    payload = json.loads(captured.out)
+    jsonschema.validate(payload, _schema())
+    assert payload["result"] == {"error": "RuntimeError", "message": "simulated defect"}
+    assert "Traceback" not in captured.err
+
+
+def test_readme_matches_the_command_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"Subcommands:(.*?)\.\n", readme, re.S).group(1)
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert re.findall(r"`([^`]+)`", listed) == list(sub.choices)
+    assert re.findall(r"^\| (\d+) \|", readme, re.M) == ["0", "1", "2", "3", "4"]
