@@ -220,8 +220,8 @@ def _cmd_classify(session, args, budget, xi, ideal):
 
 
 @_command("darboux", "search for Darboux polynomials",
-         ("--max-deg", {"type": int, "required": True}),
-         ("--max-cofactor", {"type": int, "default": None}), xi=True)
+          ("--max-deg", {"type": int, "required": True}),
+          ("--max-cofactor", {"type": int, "default": None}), xi=True)
 def _cmd_darboux(session, args, budget, xi):
     max_cof = args.max_cofactor
     if max_cof is None:
@@ -276,7 +276,7 @@ def _cmd_nonres(session, args, budget, xi, point):
 
 
 @_command("holonomy", "linear holonomy spectrum around a separatrix",
-         "point", "axis:int", xi=True)
+          "point", "axis:int", xi=True)
 def _cmd_holonomy(session, args, budget, xi, point, axis):
     rep = holonomy_spectrum(xi, point, axis, field=session.field, budget=budget)
     return {"xi": xi, "point": _point_str(point), "axis": axis}, {
@@ -378,8 +378,8 @@ def _cmd_weyl_mul(session, args, budget, a, b):
 
 
 @_command("symbol", "symbol of an operator", "op",
-         ("--bernstein", {"action": "store_true"}),
-         ("--order", {"action": "store_true"}), exclusive=True)
+          ("--bernstein", {"action": "store_true"}),
+          ("--order", {"action": "store_true"}), exclusive=True)
 def _cmd_symbol(session, args, budget, d):
     if args.bernstein:
         k, sym = bernstein_symbol(d, session.dspace)
@@ -397,7 +397,7 @@ def _cmd_symbol(session, args, budget, d):
 
 
 @_command("gb", "reduced Groebner basis of an ideal", "ideal",
-         ("--order", {"default": "grevlex", "choices": ["grevlex", "lex", "block"]}))
+          ("--order", {"default": "grevlex", "choices": ["grevlex", "lex", "block"]}))
 def _cmd_gb(session, args, budget, ideal):
     order = order_from_name(args.order, session.dspace)
     basis = ideal.basis(order=order, budget=budget)
