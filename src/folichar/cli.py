@@ -59,6 +59,7 @@ from .singularities import (
     holonomy_spectrum,
     is_nonresonant,
     jacobian_eigendata,
+    point_str,
     verify_prolongation_duality,
 )
 from .weyl import bernstein_symbol, order_one_field, principal_symbol
@@ -141,10 +142,6 @@ def _jsonable(value):
             for k in value.__dataclass_fields__
         }
     return print_value(value)
-
-
-def _point_str(point):
-    return "(" + ", ".join(str(v) for v in point) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +245,7 @@ def _cmd_degree(session, args, budget, xi):
 
 @_command("eigen", "eigendata of the linear part at a point", "point", xi=True)
 def _cmd_eigen(session, args, budget, xi, point):
-    inputs = {"xi": xi, "point": _point_str(point)}
+    inputs = {"xi": xi, "point": point_str(point)}
     try:
         data = jacobian_eigendata(xi, point, field=session.field, budget=budget)
     except UnresolvedFactor as exc:
@@ -268,7 +265,7 @@ def _cmd_eigen(session, args, budget, xi, point):
 @_command("nonres", "non-resonance test at a point", "point", xi=True)
 def _cmd_nonres(session, args, budget, xi, point):
     rep = is_nonresonant(xi, point, field=session.field, budget=budget)
-    return {"xi": xi, "point": _point_str(point)}, {
+    return {"xi": xi, "point": point_str(point)}, {
         "invertible": rep.invertible,
         "zrank": rep.rank,
         "eigenvalues": rep.eigenvalues,
@@ -279,7 +276,7 @@ def _cmd_nonres(session, args, budget, xi, point):
           "point", "axis:int", xi=True)
 def _cmd_holonomy(session, args, budget, xi, point, axis):
     rep = holonomy_spectrum(xi, point, axis, field=session.field, budget=budget)
-    return {"xi": xi, "point": _point_str(point), "axis": axis}, {
+    return {"xi": xi, "point": point_str(point), "axis": axis}, {
         "separatrix_eigenvalue": rep.separatrix_eigenvalue,
         "spectrum": [
             {

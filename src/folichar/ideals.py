@@ -11,6 +11,16 @@ Bases are fully interreduced and monic, so for a fixed monomial order the
 reduced basis of an ideal is canonical regardless of generator order.
 Every reduction step charges one unit against the step budget; exhausting
 it raises :class:`BudgetExceeded` rather than returning a wrong answer.
+
+Over Q the engine works on primitive integer polynomials, cleared of
+denominators and content once and made monic ``Fraction`` polynomials only
+when the basis is returned.  A step reducing c*x^e by g with lead
+coefficient lc is p <- a*p - b*x^s*g: over the integers a = lc/d and
+b = c/d with d = gcd(c, lc) (Becker-Weispfenning 1993, ch. 5), and the
+content of p and the tail is divided out every ``_CONTENT_EVERY`` steps;
+over a field (Q(alpha), or the monic bases of :func:`normal_form`) a = 1
+and b = c/lc.  Both rules pick the same divisors, so step counts do not
+depend on the coefficient ring.
 """
 
 from __future__ import annotations
@@ -18,12 +28,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, le as _le, sub
 
 from .errors import BudgetExceeded, SpaceMismatch
 from .polynomials import GREVLEX, LEX, MultiPoly, elimination_order
 from .scalars import scalar_inverse, upoly_rational_roots, upoly_trim
 
 DEFAULT_BUDGET = 10 ** 6
+_CONTENT_EVERY = 8  # budget steps between divisions by the content over the integers
 
 
 class StepBudget:
@@ -54,15 +67,15 @@ def _as_budget(budget):
 # ---------------------------------------------------------------------------
 
 def _divides(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(_le, e1, e2))
 
 
 def _exp_sub(e1, e2):
-    return tuple(a - b for a, b in zip(e1, e2))
+    return tuple(map(sub, e1, e2))
 
 
 def _exp_lcm(e1, e2):
-    return tuple(max(a, b) for a, b in zip(e1, e2))
+    return tuple(map(max, e1, e2))
 
 
 def _sub_multiple(p, heap, rkey, g, le, shift, factor):
@@ -71,7 +84,7 @@ def _sub_multiple(p, heap, rkey, g, le, shift, factor):
     for ge, gc in g.terms.items():
         if ge == le:
             continue
-        ne = tuple(a + b for a, b in zip(ge, shift))
+        ne = tuple(map(add, ge, shift))
         c = p.get(ne)
         if c is None:
             p[ne] = neg * gc
@@ -84,8 +97,23 @@ def _sub_multiple(p, heap, rkey, g, le, shift, factor):
                 del p[ne]
 
 
+def _rescale(p, tail, a, d=1):
+    """Multiply every coefficient of p and tail by a/d (exact over the integers)."""
+    for terms in (p, tail):
+        for e, c in terms.items():
+            terms[e] = c * a // d
+
+
+def _step(c, lc):
+    """(a, b) with a*c == b*lc: fraction-free over the integers, a = 1 over a field."""
+    if type(lc) is int:
+        d = gcd(c, lc)
+        return lc // d, c // d
+    return 1, c * scalar_inverse(lc)
+
+
 def reduce_poly(f, basis, order, budget):
-    """Full normal form of f against a list of (lead_exp, lead_coeff, poly)."""
+    """Normal form (for int leads, a multiple of it) of f by (lead_exp, lead_coeff, poly)."""
     tail = {}
     p = f.terms.copy()
     rkey = order.rkey
@@ -99,8 +127,14 @@ def reduce_poly(f, basis, order, budget):
         for le, lc, g in basis:
             if _divides(le, e):
                 budget.charge()
-                _sub_multiple(p, heap, rkey, g, le, _exp_sub(e, le),
-                              c * scalar_inverse(lc))
+                if type(lc) is int and budget.used % _CONTENT_EVERY == 0:
+                    d = gcd(c, *p.values(), *tail.values())
+                    c //= d
+                    _rescale(p, tail, 1, d)
+                a, c = _step(c, lc)
+                if a != 1:
+                    _rescale(p, tail, a)
+                _sub_multiple(p, heap, rkey, g, le, _exp_sub(e, le), c)
                 break
         else:
             tail[e] = c
@@ -111,9 +145,21 @@ def _basis_data(polys, order):
     return [(*g.leading(order), g) for g in polys]
 
 
+def _primitive(g, order):
+    """The integer multiple of a rational g with content 1 and a positive lead."""
+    den = lcm(*(c.denominator for c in g.terms.values()))
+    terms = {e: int(c * den) for e, c in g.terms.items()}
+    d = gcd(*terms.values()) * (1 if terms[g.leading(order)[0]] > 0 else -1)
+    return MultiPoly(g.space, {e: c // d for e, c in terms.items()})
+
+
+def _normalized(g, order):
+    """g made primitive over the integers, monic over a field."""
+    return _primitive(g, order) if type(g.leading(order)[1]) is int else g.monic(order)
+
+
 def _interreduce(polys, order, budget):
-    """Make a generating set fully autoreduced and monic."""
-    polys = [p for p in polys if not p.is_zero()]
+    """Make a generating set of nonzero polynomials fully autoreduced and normalized."""
     changed = True
     while changed:
         changed = False
@@ -130,7 +176,7 @@ def _interreduce(polys, order, budget):
                 else:
                     polys[i] = r
                 break
-    return [p.monic(order) for p in polys]
+    return [_normalized(p, order) for p in polys]
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +186,13 @@ def _interreduce(polys, order, budget):
 def buchberger(gens, order, budget):
     """Reduced Groebner basis of the given generators, budgeted."""
     budget = _as_budget(budget)
-    G = _interreduce(list(gens), order, budget)
+    gens = [g for g in gens if not g.is_zero()]
+    if all(isinstance(c, (int, Fraction)) for g in gens for c in g.terms.values()):
+        gens = [_primitive(g, order) for g in gens]
+    else:  # an int lead coefficient would select the integer rule
+        gens = [MultiPoly(g.space, {e: Fraction(c) if type(c) is int else c
+                                    for e, c in g.terms.items()}) for g in gens]
+    G = _interreduce(gens, order, budget)
     if not G:
         return []
     if any(g.is_constant() for g in G):
@@ -169,16 +221,18 @@ def buchberger(gens, order, budget):
         if any((i, k) in done and (j, k) in done and _divides(data[k][0], lcm)
                for k in range(len(data))):
             continue
-        mi = MultiPoly.monomial(gi.space, _exp_sub(lcm, ei), scalar_inverse(ci))
-        mj = MultiPoly.monomial(gj.space, _exp_sub(lcm, ej), scalar_inverse(cj))
-        s = mi * gi - mj * gj
+        # S-polynomial a*x^(lcm-ei)*gi - b*x^(lcm-ej)*gj; its lead terms cancel
+        a, b = _step(ci, cj)
+        s = {}
+        _sub_multiple(s, [], order.rkey, gi, ei, _exp_sub(lcm, ei), -a)
+        _sub_multiple(s, [], order.rkey, gj, ej, _exp_sub(lcm, ej), b)
         budget.charge()
-        r = reduce_poly(s, data, order, budget)
+        r = reduce_poly(MultiPoly(gi.space, s), data, order, budget)
         if r.is_zero():
             continue
         if r.is_constant():
             return [MultiPoly.constant(r.space, 1)]
-        r = r.monic(order)
+        r = _normalized(r, order)
         data.append((*r.leading(order), r))
         push_pairs(len(data) - 1)
     # One final pass, leads ascending: a lead divisible by an earlier lead is
@@ -186,10 +240,12 @@ def buchberger(gens, order, budget):
     # survivor is tail-reduced against the survivors before it.
     data.sort(key=lambda d: key(d[0]))
     reduced = []
-    for le, lc, g in data:
+    for le, _, g in data:
         if not any(_divides(ke, le) for ke, _, _ in reduced):
-            reduced.append((le, lc, reduce_poly(g, reduced, order, budget)))
-    return [g for _, _, g in reduced]
+            r = reduce_poly(g, reduced, order, budget)
+            reduced.append((le, r.terms[le], r))
+    return [MultiPoly(g.space, {e: Fraction(c, lc) for e, c in g.terms.items()})
+            if type(lc) is int else g for _, lc, g in reduced]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .errors import (
     FieldMismatch,
     LeafNotInvariant,
     NotASingularPoint,
+    UnknownVariable,
     UnresolvedFactor,
     ZeroEigenvalue,
 )
@@ -49,6 +50,7 @@ from .scalars import (
     upoly_trim,
     zrank,
 )
+from .weyl import WeylOperator
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -209,6 +211,10 @@ def _kernel_basis(mat):
     return basis
 
 
+def point_str(point):
+    return "(" + ", ".join(str(v) for v in point) + ")"
+
+
 def jacobian_eigendata(xi, point, field=None, budget=None):
     """Spectral data of D(xi) at a singular point, exact over the field.
 
@@ -224,7 +230,8 @@ def jacobian_eigendata(xi, point, field=None, budget=None):
     at = {i: point[i] for i in range(n)}
     for a in xi.components:
         if a.evaluate(at):
-            raise NotASingularPoint(f"{xi} does not vanish at {point}")
+            raise NotASingularPoint(f"{WeylOperator.from_vector_field(xi)} "
+                                    f"does not vanish at {point_str(point)}")
     field = _detect_field(xi, point, field)
     mat = _jacobian_matrix(xi, point, field)
     char = _char_upoly(mat, field)
@@ -401,9 +408,9 @@ class ConnectionMatrix:
 
 
 def _axis_index(space, axis):
-    idx = space.index(axis) if isinstance(axis, str) else axis
-    if not 0 <= idx < len(space.x_vars):
-        raise ValueError(f"axis {axis!r} is not an x-coordinate of {space}")
+    idx = space.x_vars.index(axis) if axis in space.x_vars else axis
+    if not isinstance(idx, int) or not 0 <= idx < len(space.x_vars):
+        raise UnknownVariable(f"axis {axis!r} is not an x-coordinate of {space}")
     return idx
 
 

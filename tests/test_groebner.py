@@ -1,15 +1,17 @@
 """Groebner bases, membership, elimination, and the linear-algebra oracle."""
 
 from fractions import Fraction as F
+from itertools import cycle
 
 import pytest
-from conftest import cyclic, katsura, rand_poly, rng_for
+from conftest import SQRT2, cyclic, katsura, rand_poly, rng_for
 from oracles import membership_oracle
 
 from folichar.errors import BudgetExceeded
 from folichar.ideals import (
     Ideal,
     StepBudget,
+    buchberger,
     eliminate,
     krull_dim_zero_check,
     normal_form,
@@ -17,7 +19,7 @@ from folichar.ideals import (
     rational_points,
     standard_monomials,
 )
-from folichar.polynomials import LEX, MultiPoly, VarSpace
+from folichar.polynomials import GREVLEX, LEX, MultiPoly, VarSpace
 
 SXY = VarSpace(("x", "y"))
 X, Y = (MultiPoly.variable(SXY, v) for v in SXY.all_vars)
@@ -125,19 +127,53 @@ def test_rational_points_finite():
 
 # Step counts are deterministic, so they gate the engine's work exactly:
 # a change in pair selection or reduction order shows up here.
-@pytest.mark.parametrize("gens, length, steps", [
-    (cyclic(5), 20, 1347),
-    (katsura(4), 13, 557),
-    (katsura(5), 22, 2766),
-], ids=["cyclic-5", "katsura-4", "katsura-5"])
-def test_anchor_systems_steps_and_size(gens, length, steps):
+@pytest.mark.parametrize("gens, order, length, steps", [
+    (cyclic(5), GREVLEX, 20, 1347),
+    (katsura(4), GREVLEX, 13, 557),
+    (katsura(5), GREVLEX, 22, 2766),
+    (katsura(3), LEX, 4, 422),
+], ids=["cyclic-5", "katsura-4", "katsura-5", "katsura-3-lex"])
+def test_anchor_systems_steps_and_size(gens, order, length, steps):
     runs = []
     for _ in range(2):
         I, budget = Ideal(gens[0].space, gens), StepBudget(10 ** 6)
-        runs.append((I.basis(budget=budget), budget.used))
+        runs.append((I.basis(order, budget=budget), budget.used))
     assert (len(runs[0][0]), runs[0][1]) == (length, steps)
     assert runs[1] == runs[0]
-    assert all(normal_form(g, I).is_zero() for g in gens)
+    assert all(normal_form(g, I, order=order).is_zero() for g in gens)
+
+
+def test_budget_boundary_on_the_integer_path():
+    gens = katsura(4)
+    with pytest.raises(BudgetExceeded):
+        Ideal(gens[0].space, gens).basis(budget=StepBudget(556))
+    assert len(Ideal(gens[0].space, gens).basis(budget=StepBudget(557))) == 13
+
+
+# Over Q the engine reduces fraction-free on integer polynomials; over Q(sqrt 2)
+# it divides by lead coefficients.  Both pick the same divisor for every
+# term, so the same system gives the same basis in the same number of steps
+# whether it is given as is, with rescaled generators or lifted into Q(sqrt 2).
+@pytest.mark.parametrize("gens, order, steps", [
+    (cyclic(4), GREVLEX, 38),
+    (cyclic(4), LEX, 93),
+    (katsura(3), GREVLEX, 89),
+    (katsura(3), LEX, 422),
+], ids=["cyclic-4", "cyclic-4-lex", "katsura-3", "katsura-3-lex"])
+def test_integer_and_field_rules_agree(gens, order, steps):
+    forms = [
+        gens,
+        [g * c for g, c in zip(gens, cycle([F(-5, 2), F(3, 7)]))],
+        [MultiPoly(g.space, {e: SQRT2.element([c]) for e, c in g.terms.items()})
+         for g in gens],
+    ]
+    runs = []
+    for form in forms:
+        budget = StepBudget(10 ** 6)
+        runs.append(([str(g) for g in buchberger(form, order, budget)], budget.used))
+    assert runs[0][1] == steps
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 def test_equal_ideals_hash_equal():

@@ -11,6 +11,7 @@ import pytest
 from folichar.errors import (
     LeafNotInvariant,
     NotASingularPoint,
+    UnknownVariable,
     UnresolvedFactor,
 )
 from folichar.foliations import PolyVectorField, _matrix_inverse
@@ -47,8 +48,10 @@ def test_eigendata_rational_diagonal():
 
 
 def test_eigendata_requires_singular_point():
-    with pytest.raises(NotASingularPoint):
-        jacobian_eigendata(DIAG, (1, 0))
+    # the field and the point print as everywhere else, not as Python reprs
+    with pytest.raises(NotASingularPoint,
+                       match=r"^x1\*d1 \+ 2\*x2\*d2 does not vanish at \(1, 0\)$"):
+        jacobian_eigendata(DIAG, (F(1), F(0)))
 
 
 def test_eigendata_over_sqrt2():
@@ -150,6 +153,13 @@ def test_bott_connection_worked_example():
 def test_bott_connection_needs_invariant_axis():
     with pytest.raises(LeafNotInvariant):
         bott_connection(ROT)
+
+
+@pytest.mark.parametrize("axis", ["y1", "x3", -1, 2])
+def test_bad_axis_is_an_unknown_variable(axis):
+    with pytest.raises(UnknownVariable,
+                       match=rf"^axis {axis!r} is not an x-coordinate of \(x1,x2\)$"):
+        bott_connection(DIAG, axis)
 
 
 def test_prolongation_duality():
