@@ -26,9 +26,10 @@ depend on the coefficient ring.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from operator import add, le as _le, sub
 
 from .errors import BudgetExceeded, SpaceMismatch
@@ -145,17 +146,13 @@ def _basis_data(polys, order):
     return [(*g.leading(order), g) for g in polys]
 
 
-def _primitive(g, order):
-    """The integer multiple of a rational g with content 1 and a positive lead."""
-    den = lcm(*(c.denominator for c in g.terms.values()))
-    terms = {e: int(c * den) for e, c in g.terms.items()}
-    d = gcd(*terms.values()) * (1 if terms[g.leading(order)[0]] > 0 else -1)
-    return MultiPoly(g.space, {e: c // d for e, c in terms.items()})
-
-
 def _normalized(g, order):
-    """g made primitive over the integers, monic over a field."""
-    return _primitive(g, order) if type(g.leading(order)[1]) is int else g.monic(order)
+    """g made monic over a field, primitive with a positive lead over the integers."""
+    lc = g.leading(order)[1]
+    if type(lc) is not int:
+        return g.monic(order)
+    d = gcd(*g.terms.values()) * (1 if lc > 0 else -1)
+    return MultiPoly(g.space, {e: c // d for e, c in g.terms.items()})
 
 
 def _interreduce(polys, order, budget):
@@ -188,7 +185,9 @@ def buchberger(gens, order, budget):
     budget = _as_budget(budget)
     gens = [g for g in gens if not g.is_zero()]
     if all(isinstance(c, (int, Fraction)) for g in gens for c in g.terms.values()):
-        gens = [_primitive(g, order) for g in gens]
+        dens = [math.lcm(*(c.denominator for c in g.terms.values())) for g in gens]
+        gens = [_normalized(MultiPoly(g.space, {e: int(c * den) for e, c in g.terms.items()}),
+                            order) for g, den in zip(gens, dens)]
     else:  # an int lead coefficient would select the integer rule
         gens = [MultiPoly(g.space, {e: Fraction(c) if type(c) is int else c
                                     for e, c in g.terms.items()}) for g in gens]

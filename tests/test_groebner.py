@@ -176,6 +176,13 @@ def test_integer_and_field_rules_agree(gens, order, steps):
     assert runs[2] == runs[0]
 
 
+def test_int_coefficients_beside_field_elements():
+    # an int coefficient next to Q(sqrt 2) ones must not select the integer rule
+    g = MultiPoly(SXY, {(1, 0): 1, (0, 1): SQRT2.gen()})
+    h = MultiPoly(SXY, {(0, 2): 3, (0, 0): -1})
+    assert [str(b) for b in buchberger([g, h], GREVLEX, None)] == ["x + (r)*y", "y^2 - 1/3"]
+
+
 def test_equal_ideals_hash_equal():
     a, b = Ideal(SXY, [X, Y]), Ideal(SXY, [X + Y, Y])
     assert a == b and hash(a) == hash(b)
