@@ -58,7 +58,6 @@ from .forms import (
     wedge,
 )
 from .foliations import (
-    CotangentField,
     DarbouxPair,
     DarbouxResult,
     PolyVectorField,
@@ -111,7 +110,7 @@ __all__ = [
     "is_infinitesimal_automorphism", "is_integrable",
     "is_torus_invariant_form", "lie_derivative", "logarithmic_normal_form",
     "wedge",
-    "CotangentField", "DarbouxPair", "DarbouxResult", "PolyVectorField",
+    "DarbouxPair", "DarbouxResult", "PolyVectorField",
     "characteristic_polynomial", "ch_singular_locus",
     "classify_ch_subvariety", "darboux_search", "hamiltonian",
     "hyperplane_at_infinity", "is_invariant", "prolong", "singular_scheme",

@@ -336,7 +336,7 @@ def _cmd_form_int(session, args, budget, w):
 @_command("form-lognf", "logarithmic normal form of a torus-invariant form", "form")
 def _cmd_form_lognf(session, args, budget, w):
     nf, rep = logarithmic_normal_form(w)
-    names = w.space.x_vars + w.space.y_vars
+    names = w.space.directions
     return {"form": w}, {
         "h": nf.h,
         "lambdas": {

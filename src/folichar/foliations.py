@@ -11,6 +11,12 @@ Omega = sum dx_i ^ dy_i with the convention dF = Omega(xi_F, .), i.e.
 
     xi_F = sum (dF/dy_i) d/dx_i - sum (dF/dx_i) d/dy_i.
 
+xi_hat and the Hamiltonian fields are :class:`PolyVectorField` instances on
+the doubled space, whose directions are the x-block then the y-block.  A field
+prints as the operator sum a_i*d_i with its directions numbered d1..dm:
+x2*d1 - x1*d2 for the rotation, x2*d1 - x1*d2 + y2*d3 - y1*d4 for its
+prolongation.
+
 Invariant subvarieties of the characteristic variety that are homogeneous
 in y are classified against the trichotomy: the zero section, a subvariety
 of a fiber over a singular point, or the whole characteristic variety.
@@ -34,7 +40,7 @@ from .ideals import (
     radical_membership,
     rational_points,
 )
-from .polynomials import LEX, MultiPoly, VarSpace
+from .polynomials import LEX, SCALARS, MultiPoly, VarSpace
 from .scalars import NFElement, rref, upoly_squarefree_part
 
 _ONE = Fraction(1)
@@ -45,21 +51,21 @@ _ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 
 class PolyVectorField:
-    """xi = sum a_i d/dx_i with polynomial coefficients in the x-block only."""
+    """xi = sum a_i d/dv_i with one polynomial component per direction v_i.
+
+    The directions are :attr:`VarSpace.directions`: the x-block on a base
+    space, the x-block then the y-block on a doubled space.
+    """
 
     __slots__ = ("space", "components")
 
     def __init__(self, space, components):
-        if space.y_vars or space.aux_vars:
-            space = space.x_only()
-            components = [c.restrict_to(space) for c in components]
-        if len(components) != len(space.x_vars):
-            raise ValueError(
-                f"need {len(space.x_vars)} components, got {len(components)}"
-            )
+        ndir = len(space.directions)
+        if len(components) != ndir:
+            raise ValueError(f"need {ndir} components, got {len(components)}")
         comps = []
         for c in components:
-            if isinstance(c, (int, Fraction, NFElement)):
+            if isinstance(c, SCALARS):
                 c = MultiPoly.constant(space, c)
             if c.space != space:
                 raise SpaceMismatch("component over a different space")
@@ -69,23 +75,38 @@ class PolyVectorField:
         self.space = space
         self.components = tuple(comps)
 
+    @property
+    def x_components(self):
+        return self.components[:len(self.space.x_vars)]
+
+    @property
+    def y_components(self):
+        return self.components[len(self.space.x_vars):]
+
     def apply(self, f):
-        """Derivation xi(f) = sum a_i df/dx_i; f may live in a larger space."""
+        """Derivation xi(f) = sum a_i df/dv_i; f may live in a larger space."""
         comps = [c.lift_to(f.space) for c in self.components]
         out = MultiPoly.zero(f.space)
-        for name, a in zip(self.space.x_vars, comps):
+        for name, a in zip(self.space.directions, comps):
             out = out + a * f.partial(f.space.index(name))
         return out
 
-    def form_components(self):
-        return list(self.components)
+    def is_prolongation_shaped(self):
+        """x-components free of y, y-components linear in y."""
+        yidx = set(self.space.y_indices)
+        if any(c.involves(yidx) for c in self.x_components):
+            return False
+        for b in self.y_components:
+            if not b.is_zero() and set(b.homogeneous_parts(yidx)) != {1}:
+                return False
+        return True
 
     def degree(self):
         return max(c.degree() for c in self.components)
 
     def scale(self, u):
         """u * xi for a polynomial or scalar u."""
-        if isinstance(u, (int, Fraction, NFElement)):
+        if isinstance(u, SCALARS):
             u = MultiPoly.constant(self.space, u)
         return PolyVectorField(self.space, [u * c for c in self.components])
 
@@ -95,7 +116,13 @@ class PolyVectorField:
         return self.space == other.space and self.components == other.components
 
     def __str__(self):
-        return _field_str(self.space.x_vars, self.components)
+        """The operator sum a_i*d_i, directions numbered d1..dm."""
+        dnames = [f"d{i + 1}" for i in range(len(self.components))]
+        ops = self.space.with_aux(dnames)
+        out = MultiPoly.zero(ops)
+        for a, d in zip(self.components, dnames):
+            out = out + a.lift_to(ops) * MultiPoly.variable(ops, d)
+        return str(out)
 
     __repr__ = __str__
 
@@ -139,11 +166,6 @@ class PolyVectorField:
         return PolyVectorField(self.space, new_comps)
 
 
-def _field_str(names, components):
-    parts = [f"({c})*d/d{nm}" for nm, c in zip(names, components) if c]
-    return " + ".join(parts) if parts else "0"
-
-
 def _matrix_inverse(m):
     n = len(m)
     aug = [list(row) + [_ONE if i == j else Fraction(0) for j in range(n)]
@@ -151,58 +173,6 @@ def _matrix_inverse(m):
     if rref(aug) != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in aug]
-
-
-class CotangentField:
-    """Vector field on the doubled space, split into x- and y-components."""
-
-    __slots__ = ("space", "x_components", "y_components")
-
-    def __init__(self, space, x_components, y_components):
-        if not space.y_vars:
-            raise ValueError("cotangent fields live on a doubled space")
-        if len(x_components) != len(space.x_vars) or len(y_components) != len(space.y_vars):
-            raise ValueError("component count mismatch")
-        self.space = space
-        self.x_components = tuple(x_components)
-        self.y_components = tuple(y_components)
-
-    def apply(self, f):
-        f = f.lift_to(self.space)
-        out = MultiPoly.zero(self.space)
-        for idx, a in zip(self.space.x_indices, self.x_components):
-            out = out + a * f.partial(idx)
-        for idx, b in zip(self.space.y_indices, self.y_components):
-            out = out + b * f.partial(idx)
-        return out
-
-    def form_components(self):
-        return list(self.x_components) + list(self.y_components)
-
-    def is_prolongation_shaped(self):
-        """x-components free of y, y-components linear in y."""
-        yidx = set(self.space.y_indices)
-        if any(c.involves(yidx) for c in self.x_components):
-            return False
-        for b in self.y_components:
-            if not b.is_zero() and set(b.homogeneous_parts(yidx)) != {1}:
-                return False
-        return True
-
-    def __eq__(self, other):
-        if not isinstance(other, CotangentField):
-            return NotImplemented
-        return (
-            self.space == other.space
-            and self.x_components == other.x_components
-            and self.y_components == other.y_components
-        )
-
-    def __str__(self):
-        return _field_str(self.space.x_vars + self.space.y_vars,
-                          self.form_components())
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +202,7 @@ def hamiltonian(F):
         raise ConstantFunction("hamiltonian of a constant vanishes")
     xc = [F.partial(i) for i in space.y_indices]
     yc = [-F.partial(i) for i in space.x_indices]
-    return CotangentField(space, xc, yc)
+    return PolyVectorField(space, xc + yc)
 
 
 def prolong(xi):
@@ -253,7 +223,7 @@ def prolong(xi):
             if not d.is_zero():
                 acc = acc - d * ys[i]
         yc.append(acc)
-    out = CotangentField(dspace, lifted, yc)
+    out = PolyVectorField(dspace, lifted + yc)
     if not out.is_prolongation_shaped():
         raise RuntimeError("prolongation is not linear in the fiber variables")
     return out
@@ -374,7 +344,7 @@ class InvarianceReport:
 def is_invariant(field, ideal, budget=None):
     """Does the derivation map the ideal into itself (variety invariant)?
 
-    ``field`` is a :class:`PolyVectorField` or :class:`CotangentField` whose
+    ``field`` is a :class:`PolyVectorField`, such as a prolongation, whose
     space matches the ideal's.  Certificates list (g, field(g), remainder of
     field(g) against the cached basis); all-zero remainders mean invariant.
     Raises :class:`EmptyVariety` on the unit ideal.

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .errors import (
@@ -32,8 +31,7 @@ from .errors import (
     ZeroForm,
 )
 from .ideals import exact_divide
-from .polynomials import GREVLEX, MultiPoly, SparseSum, VarSpace, sum_str, term_str
-from .scalars import NFElement
+from .polynomials import GREVLEX, SCALARS, MultiPoly, SparseSum, VarSpace, sum_str, term_str
 
 
 def _merge_signed(idx_a, idx_b):
@@ -65,7 +63,7 @@ class PolyForm(SparseSum):
     __slots__ = ("space", "degree", "terms")
 
     def __init__(self, space, degree, terms=None):
-        ndir = len(space.x_vars) + len(space.y_vars)
+        ndir = len(space.directions)
         if degree < 0:
             raise ValueError("form degree must be nonnegative")
         self.space = space
@@ -117,7 +115,7 @@ class PolyForm(SparseSum):
 
     @property
     def ndirections(self):
-        return len(self.space.x_vars) + len(self.space.y_vars)
+        return len(self.space.directions)
 
     # -- linear structure -------------------------------------------------------
 
@@ -133,7 +131,7 @@ class PolyForm(SparseSum):
         """Scaling by a scalar or polynomial (use :func:`wedge` for forms)."""
         if isinstance(other, PolyForm):
             return wedge(self, other)
-        if isinstance(other, (int, Fraction, NFElement)):
+        if isinstance(other, SCALARS):
             return self._scale(other)
         return self._like({i: p * other for i, p in self.terms.items()})
 
@@ -142,8 +140,7 @@ class PolyForm(SparseSum):
     # -- display ---------------------------------------------------------------
 
     def _dname(self, i):
-        names = self.space.x_vars + self.space.y_vars
-        return "d" + names[i]
+        return "d" + self.space.directions[i]
 
     def to_str(self):
         chunks = []
@@ -232,27 +229,16 @@ def contract_basis(w, indices):
     return out
 
 
-def _field_components(xi, space):
-    """Direction components of a vector-field-like object over ``space``."""
-    if hasattr(xi, "form_components"):
-        comps = xi.form_components()
-    else:
-        comps = list(xi)
-    comps = [c.lift_to(space) if c.space != space else c for c in comps]
-    ndir = len(space.x_vars) + len(space.y_vars)
-    if len(comps) != ndir:
-        raise ValueError(f"expected {ndir} components, got {len(comps)}")
-    return comps
-
-
 def contract_field(w, xi):
     """Interior product i_xi(w) for a polynomial vector field."""
-    comps = _field_components(xi, w.space)
+    ndir = w.ndirections
+    if len(xi.components) != ndir:
+        raise ValueError(f"expected {ndir} components, got {len(xi.components)}")
     out = PolyForm(w.space, max(w.degree - 1, 0))
-    for j, c in enumerate(comps):
+    for j, c in enumerate(xi.components):
         if c.is_zero():
             continue
-        out = out + contract_index(w, j) * c
+        out = out + contract_index(w, j) * c.lift_to(w.space)
     return out
 
 
@@ -443,7 +429,7 @@ def logarithmic_normal_form(w):
     k = len(support)
     q = w.degree
     n = w.ndirections
-    names = (space.x_vars + space.y_vars)
+    names = space.directions
     witness = None
     wdim = None
     if k > q and q <= n - 2:
@@ -510,7 +496,7 @@ def binary_discriminant(coeffs, space=None):
         ) or VarSpace(("x1",))
     norm = []
     for c in coeffs:
-        if isinstance(c, (int, Fraction, NFElement)):
+        if isinstance(c, SCALARS):
             c = MultiPoly.constant(space, c)
         elif c.space != space:
             c = c.lift_to(space)

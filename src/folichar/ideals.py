@@ -33,7 +33,7 @@ from math import gcd
 from operator import add, le as _le, sub
 
 from .errors import BudgetExceeded, SpaceMismatch
-from .polynomials import GREVLEX, LEX, MultiPoly, elimination_order
+from .polynomials import GREVLEX, LEX, SCALARS, MultiPoly, elimination_order
 from .scalars import scalar_inverse, upoly_rational_roots, upoly_trim
 
 DEFAULT_BUDGET = 10 ** 6
@@ -259,7 +259,7 @@ class Ideal:
     def __init__(self, space, generators):
         gens = []
         for g in generators:
-            if isinstance(g, (int, Fraction)):
+            if isinstance(g, SCALARS):
                 g = MultiPoly.constant(space, g)
             if g.space != space:
                 raise SpaceMismatch(f"generator over {g.space}, ideal over {space}")
@@ -444,18 +444,15 @@ def poly_lcm(f, g, budget=None):
     """lcm via (f) cap (g), computed with the standard t-trick."""
     if f.is_zero() or g.is_zero():
         return MultiPoly.zero(f.space)
-    budget = _as_budget(budget)
     space = f.space
     tname = space.fresh_aux("_t")
     ext = space.with_aux((tname,))
     t = MultiPoly.variable(ext, tname)
     gens = [t * f.lift_to(ext), (MultiPoly.constant(ext, 1) - t) * g.lift_to(ext)]
-    basis = buchberger(gens, elimination_order(ext, [ext.index(tname)]), budget)
-    tidx = {ext.index(tname)}
-    members = [b for b in basis if not b.involves(tidx)]
+    members = eliminate(Ideal(ext, gens), space.all_vars, budget=budget).generators
     if len(members) != 1:
         raise RuntimeError("principal intersection did not yield a single generator")
-    return members[0].restrict_to(space).monic(GREVLEX)
+    return members[0].monic(GREVLEX)
 
 
 def poly_gcd(f, g, budget=None):

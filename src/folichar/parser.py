@@ -30,7 +30,6 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import MixedContext, ParseError, UnknownVariable
-from .foliations import PolyVectorField
 from .forms import PolyForm, wedge
 from .ideals import Ideal
 from .polynomials import MultiPoly, VarSpace
@@ -630,8 +629,6 @@ def _is_field_shaped(op):
 
 def print_value(value):
     """Canonical, re-parseable text for any declarable value."""
-    if isinstance(value, PolyVectorField):
-        return str(WeylOperator.from_vector_field(value))
     if isinstance(value, Ideal):
         return "ideal(" + ", ".join(str(g) for g in value.generators) + ")"
     return str(value)

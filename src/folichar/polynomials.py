@@ -52,6 +52,11 @@ class VarSpace:
         return self.x_vars + self.y_vars + self.aux_vars
 
     @property
+    def directions(self):
+        """Variables carrying a derivative or differential: x then y, no aux."""
+        return self.x_vars + self.y_vars
+
+    @property
     def nvars(self):
         return len(self.x_vars) + len(self.y_vars) + len(self.aux_vars)
 
@@ -198,7 +203,8 @@ def order_from_name(name, space):
 # polynomials
 # ---------------------------------------------------------------------------
 
-_SCALARS = (int, Fraction, NFElement)
+# the scalar types that every polynomial-valued object embeds as a constant
+SCALARS = (int, Fraction, NFElement)
 
 
 class SparseSum:
@@ -218,7 +224,7 @@ class SparseSum:
 
     def _operand(self, other):
         """``other`` as a like value, after the mismatch check."""
-        if isinstance(other, _SCALARS):
+        if isinstance(other, SCALARS):
             return self._embed(other)
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -330,7 +336,7 @@ class MultiPoly(SparseSum):
         raise ValueError(f"{self} is not constant")
 
     def __eq__(self, other):
-        if isinstance(other, _SCALARS):
+        if isinstance(other, SCALARS):
             other = MultiPoly.constant(self.space, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -346,7 +352,7 @@ class MultiPoly(SparseSum):
             raise SpaceMismatch(f"{self.space} vs {other.space}")
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
+        if isinstance(other, SCALARS):
             return self._scale(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented

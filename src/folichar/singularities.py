@@ -50,7 +50,6 @@ from .scalars import (
     upoly_trim,
     zrank,
 )
-from .weyl import WeylOperator
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -230,8 +229,7 @@ def jacobian_eigendata(xi, point, field=None, budget=None):
     at = {i: point[i] for i in range(n)}
     for a in xi.components:
         if a.evaluate(at):
-            raise NotASingularPoint(f"{WeylOperator.from_vector_field(xi)} "
-                                    f"does not vanish at {point_str(point)}")
+            raise NotASingularPoint(f"{xi} does not vanish at {point_str(point)}")
     field = _detect_field(xi, point, field)
     mat = _jacobian_matrix(xi, point, field)
     char = _char_upoly(mat, field)

@@ -25,8 +25,7 @@ from math import comb, factorial
 from .errors import SizeMismatch, ZeroOperator
 from .foliations import PolyVectorField, characteristic_polynomial
 from .ideals import Ideal
-from .polynomials import MultiPoly, SparseSum, VarSpace
-from .scalars import NFElement
+from .polynomials import SCALARS, MultiPoly, SparseSum, VarSpace
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -131,7 +130,7 @@ class WeylOperator(SparseSum):
             raise SizeMismatch(f"operators on {self.n} and {other.n} variables")
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, NFElement)):
+        if isinstance(other, SCALARS):
             return self._scale(other)
         if not isinstance(other, WeylOperator):
             return NotImplemented

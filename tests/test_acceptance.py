@@ -22,6 +22,7 @@ from folichar.foliations import (
 )
 from folichar.forms import (
     PolyForm,
+    contract_field,
     exterior_derivative,
     is_distribution,
     is_integrable,
@@ -98,6 +99,9 @@ def test_criterion_02_symplectic():
                 )
                 omega = term if omega is None else omega + term
             assert lie_derivative(pr, omega).is_zero()
+            # i_pr(omega) = dP: the prolongation is the Hamiltonian field of P
+            P = PolyForm.from_poly(characteristic_polynomial(xi))
+            assert contract_field(omega, pr) == exterior_derivative(P)
 
             # Leibniz rule for Hamiltonian fields
             u = rand_poly(rng, dspace, 2, max_terms=3, nonzero=True)

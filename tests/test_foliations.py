@@ -84,6 +84,9 @@ def test_hamiltonian_examples():
     h = hamiltonian(DX1 * DY1)
     assert [str(c) for c in h.x_components] == ["x1", "0"]
     assert [str(c) for c in h.y_components] == ["-y1", "0"]
+    assert isinstance(h, PolyVectorField)
+    assert h.components == h.x_components + h.y_components
+    assert str(h) == "x1*d1 - y1*d3"
 
 
 def test_hamiltonian_rejects_constants():
@@ -130,6 +133,10 @@ def test_prolong_examples():
     pr = prolong(ROT)
     assert [str(c) for c in pr.x_components] == ["x2", "-x1"]
     assert [str(c) for c in pr.y_components] == ["y2", "-y1"]
+    assert isinstance(pr, PolyVectorField)
+    assert pr.components == pr.x_components + pr.y_components
+    assert str(ROT) == "x2*d1 - x1*d2"
+    assert str(pr) == "x2*d1 - x1*d2 + y2*d3 - y1*d4"
 
     pr = prolong(D1)
     assert [str(c) for c in pr.x_components] == ["1", "0"]

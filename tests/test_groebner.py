@@ -15,6 +15,8 @@ from folichar.ideals import (
     eliminate,
     krull_dim_zero_check,
     normal_form,
+    poly_gcd,
+    poly_lcm,
     radical_membership,
     rational_points,
     standard_monomials,
@@ -62,6 +64,11 @@ def test_unit_and_zero_ideals():
     assert Ideal(SXY, []).is_zero()
     assert Ideal(SXY, []).contains(MultiPoly.zero(SXY))
     assert not Ideal(SXY, []).contains(X)
+    # scalar generators may come from a number field
+    r = SQRT2.gen()
+    assert Ideal(SXY, [r]).is_unit()
+    I = Ideal(SXY, [r * X, 3])
+    assert I.generators[1] == MultiPoly.constant(SXY, 3) and I.is_unit()
 
 
 def test_basis_is_canonical():
@@ -181,6 +188,20 @@ def test_int_coefficients_beside_field_elements():
     g = MultiPoly(SXY, {(1, 0): 1, (0, 1): SQRT2.gen()})
     h = MultiPoly(SXY, {(0, 2): 3, (0, 0): -1})
     assert [str(b) for b in buchberger([g, h], GREVLEX, None)] == ["x + (r)*y", "y^2 - 1/3"]
+
+
+@pytest.mark.parametrize("f, g, lcm, gcd, steps", [
+    (X * X - Y * Y, X + Y, "x^2 - y^2", "x + y", 5),
+    (X * X + 1, Y - X, "x^3 - x^2*y + x - y", "1", 8),
+    (X * X * Y + X * Y * Y, 3 * X * Y - X,
+     "x^2*y^2 + x*y^3 - 1/3*x^2*y - 1/3*x*y^2", "x", 9),
+    (X * X - 2 * Y * Y, X * X + SQRT2.gen() * X * Y, "x^3 - 2*x*y^2", "x + (r)*y", 5),
+])
+def test_lcm_and_gcd(f, g, lcm, gcd, steps):
+    for fn, expected in ((poly_lcm, lcm), (poly_gcd, gcd)):
+        budget = StepBudget(10 ** 6)
+        assert str(fn(f, g, budget=budget)) == expected
+        assert budget.used == steps
 
 
 def test_equal_ideals_hash_equal():

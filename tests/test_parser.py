@@ -86,6 +86,18 @@ def test_field_clause_declares_number_field():
     assert reparsed.decls["h"].value == s.decls["h"].value
 
 
+@pytest.mark.parametrize("header, text", [
+    ("vars: x1 x2\n", "-1/2*x1^2*d2 + x2*d1"),
+    ("vars: x1 x2\nfield: r where r^2 - 2 = 0\n", "(r)*x1*d1 + x2*d2"),
+])
+def test_field_prints_as_its_operator(header, text):
+    s = parse_input(f"{header}xi: {text}\n")
+    xi = s.get("xi", "field")
+    assert str(xi) == print_value(xi) == text
+    again = parse_input(f"{header}xi: {print_value(xi)}\n")
+    assert again.get("xi", "field") == xi
+
+
 def test_field_clause_screens_minimal_polynomial():
     with pytest.raises(RationalRootFound):
         parse_input("vars: x1\nfield: r where r^2 - 1 = 0\n")

@@ -205,6 +205,11 @@ def test_sparse_sum_properties(field):
         X1 ** F(1, 2)
 
 
+def _package_modules():
+    for path in sorted(Path(folichar.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_only_the_shared_base_defines_sparse_arithmetic():
     """Sums, negation, powers and zero tests of sparse objects live in one
     class; a new sparse type reuses SparseSum instead of copying them."""
@@ -215,8 +220,8 @@ def test_only_the_shared_base_defines_sparse_arithmetic():
     other_meanings = {("Ideal", "is_zero"), ("ResonanceReport", "__bool__"),
                       ("DualityReport", "__bool__"), ("TorusFiberReport", "__bool__")}
     found = set()
-    for path in Path(folichar.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for _, tree in _package_modules():
+        for node in ast.walk(tree):
             if not isinstance(node, ast.ClassDef) or node.name in owners:
                 continue
             for item in node.body:
@@ -228,3 +233,29 @@ def test_only_the_shared_base_defines_sparse_arithmetic():
                     defined = []
                 found.update((node.name, d) for d in defined if d in names)
     assert sorted(found - other_meanings) == []
+
+
+def _block(node):
+    """The attribute that ``s.attr`` or ``len(s.attr)`` reads, else None."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len" \
+            and len(node.args) == 1:
+        node = node.args[0]
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_one_vector_field_type_and_one_direction_layout():
+    """Only PolyVectorField is a derivation, and the direction layout (the
+    x-block then the y-block) is spelled out in VarSpace alone."""
+    derivations = set()
+    layouts = set()
+    for name, tree in _package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef) and item.name == "apply"
+                    for item in node.body):
+                derivations.add(node.name)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) \
+                    and {_block(node.left), _block(node.right)} == {"x_vars", "y_vars"}:
+                layouts.add(name)
+    assert derivations == {"PolyVectorField"}
+    assert layouts == {"polynomials.py"}
