@@ -12,21 +12,23 @@ reduced basis of an ideal is canonical regardless of generator order.
 Every reduction step charges one unit against the step budget; exhausting
 it raises :class:`BudgetExceeded` rather than returning a wrong answer.
 
-Over Q the engine works on primitive integer polynomials, cleared of
-denominators and content once and made monic ``Fraction`` polynomials only
-when the basis is returned.  A step reducing c*x^e by g with lead
-coefficient lc is p <- a*p - b*x^s*g: over the integers a = lc/d and
-b = c/d with d = gcd(c, lc) (Becker-Weispfenning 1993, ch. 5), and the
-content of p and the tail is divided out every ``_CONTENT_EVERY`` steps;
-over a field (Q(alpha), or the monic bases of :func:`normal_form`) a = 1
-and b = c/lc.  Both rules pick the same divisors, so step counts do not
-depend on the coefficient ring.
+Over Q, and over Q(alpha) with an integral minimal polynomial, the engine
+clears denominators once and works fraction-free in Z or Z[alpha]: every
+basis element is primitive with a positive rational integer D as its lead
+(over Z[alpha], via the norm cofactor D*lc^-1 in Z[alpha]) and is made
+monic, with Fraction coordinates, only when the basis is returned.  A step
+reducing c*x^e by g with lead coefficient lc is p <- a*p - b*x^s*g: with
+an int lead a = lc/d and b = c/d for d = gcd(content(c), lc)
+(Becker-Weispfenning 1993, ch. 5), and the content of p and the tail is
+divided out every ``_CONTENT_EVERY`` steps; over a field (a minimal
+polynomial that is not integral, such as t^2 - 1/2, or the monic bases of
+:func:`normal_form`) a = 1 and b = c/lc.  Both rules pick the same
+divisors, so step counts do not depend on the coefficient ring.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -34,10 +36,11 @@ from operator import add, le as _le, sub
 
 from .errors import BudgetExceeded, SpaceMismatch
 from .polynomials import GREVLEX, LEX, SCALARS, MultiPoly, elimination_order
-from .scalars import scalar_inverse, upoly_rational_roots, upoly_trim
+from .scalars import (common_field, content, integral_multiple, norm_cofactor,
+                      rational_integer, scalar_inverse, upoly_rational_roots, upoly_trim)
 
 DEFAULT_BUDGET = 10 ** 6
-_CONTENT_EVERY = 8  # budget steps between divisions by the content over the integers
+_CONTENT_EVERY = 8  # budget steps between divisions by the content over Z and Z[alpha]
 
 
 class StepBudget:
@@ -99,18 +102,18 @@ def _sub_multiple(p, heap, rkey, g, le, shift, factor):
 
 
 def _rescale(p, tail, a, d=1):
-    """Multiply every coefficient of p and tail by a/d (exact over the integers)."""
+    """Multiply every coefficient of p and tail by a, or if a == 1 divide it exactly by d."""
     for terms in (p, tail):
         for e, c in terms.items():
-            terms[e] = c * a // d
+            terms[e] = c // d if a == 1 else c * a
 
 
 def _step(c, lc):
-    """(a, b) with a*c == b*lc: fraction-free over the integers, a = 1 over a field."""
+    """(a, b) with a*c == b*lc: fraction-free for int leads, a = 1 over a field."""
     if type(lc) is int:
-        d = gcd(c, lc)
+        d = gcd(c if type(c) is int else content(c), lc)
         return lc // d, c // d
-    return 1, c * scalar_inverse(lc)
+    return 1, c if lc == 1 else c * scalar_inverse(lc)
 
 
 def reduce_poly(f, basis, order, budget):
@@ -129,9 +132,11 @@ def reduce_poly(f, basis, order, budget):
             if _divides(le, e):
                 budget.charge()
                 if type(lc) is int and budget.used % _CONTENT_EVERY == 0:
-                    d = gcd(c, *p.values(), *tail.values())
-                    c //= d
-                    _rescale(p, tail, 1, d)
+                    d = (gcd(c, *p.values(), *tail.values()) if type(c) is int
+                         else content(c, *p.values(), *tail.values()))
+                    if d != 1:
+                        c //= d
+                        _rescale(p, tail, 1, d)
                 a, c = _step(c, lc)
                 if a != 1:
                     _rescale(p, tail, a)
@@ -143,16 +148,21 @@ def reduce_poly(f, basis, order, budget):
 
 
 def _basis_data(polys, order):
-    return [(*g.leading(order), g) for g in polys]
+    return [(e, rational_integer(c), g) for g in polys for e, c in [g.leading(order)]]
 
 
 def _normalized(g, order):
-    """g made monic over a field, primitive with a positive lead over the integers."""
+    """g monic over a field; over Z or Z[alpha] primitive with a positive integer lead."""
     lc = g.leading(order)[1]
-    if type(lc) is not int:
+    if type(lc) is int:
+        d = gcd(*g.terms.values()) * (1 if lc > 0 else -1)
+        return MultiPoly(g.space, {e: c // d for e, c in g.terms.items()})
+    m = norm_cofactor(lc)
+    if m is None:
         return g.monic(order)
-    d = gcd(*g.terms.values()) * (1 if lc > 0 else -1)
-    return MultiPoly(g.space, {e: c // d for e, c in g.terms.items()})
+    terms = {e: c * m for e, c in g.terms.items()}
+    d = content(*terms.values())
+    return MultiPoly(g.space, {e: c // d for e, c in terms.items()})
 
 
 def _interreduce(polys, order, budget):
@@ -171,7 +181,7 @@ def _interreduce(polys, order, budget):
                 if r.is_zero():
                     polys.pop(i)
                 else:
-                    polys[i] = r
+                    polys[i] = _normalized(r, order)
                 break
     return [_normalized(p, order) for p in polys]
 
@@ -184,10 +194,10 @@ def buchberger(gens, order, budget):
     """Reduced Groebner basis of the given generators, budgeted."""
     budget = _as_budget(budget)
     gens = [g for g in gens if not g.is_zero()]
-    if all(isinstance(c, (int, Fraction)) for g in gens for c in g.terms.values()):
-        dens = [math.lcm(*(c.denominator for c in g.terms.values())) for g in gens]
-        gens = [_normalized(MultiPoly(g.space, {e: int(c * den) for e, c in g.terms.items()}),
-                            order) for g, den in zip(gens, dens)]
+    field = common_field(c for g in gens for c in g.terms.values())
+    if field is None or field.integral:
+        gens = [_normalized(MultiPoly(g.space, dict(zip(
+            g.terms, integral_multiple(g.terms.values(), field)))), order) for g in gens]
     else:  # an int lead coefficient would select the integer rule
         gens = [MultiPoly(g.space, {e: Fraction(c) if type(c) is int else c
                                     for e, c in g.terms.items()}) for g in gens]
@@ -231,8 +241,7 @@ def buchberger(gens, order, budget):
             continue
         if r.is_constant():
             return [MultiPoly.constant(r.space, 1)]
-        r = _normalized(r, order)
-        data.append((*r.leading(order), r))
+        data += _basis_data([_normalized(r, order)], order)
         push_pairs(len(data) - 1)
     # One final pass, leads ascending: a lead divisible by an earlier lead is
     # redundant; a tail term can only be divided by a smaller lead, so each
@@ -242,8 +251,9 @@ def buchberger(gens, order, budget):
     for le, _, g in data:
         if not any(_divides(ke, le) for ke, _, _ in reduced):
             r = reduce_poly(g, reduced, order, budget)
-            reduced.append((le, r.terms[le], r))
-    return [MultiPoly(g.space, {e: Fraction(c, lc) for e, c in g.terms.items()})
+            reduced.append((le, rational_integer(r.terms[le]), r))
+    return [MultiPoly(g.space, {e: Fraction(c, lc) if type(c) is int else c / lc
+                                for e, c in g.terms.items()})
             if type(lc) is int else g for _, lc, g in reduced]
 
 

@@ -12,7 +12,7 @@ coefficients in ascending degree order (``()`` is the zero polynomial).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import (
     FieldMismatch,
@@ -220,7 +220,7 @@ def upoly_str(p, var="t"):
 class NumberField:
     """Q(alpha) for a single generator with monic minimal polynomial over Q."""
 
-    __slots__ = ("name", "min_poly", "degree", "_red")
+    __slots__ = ("name", "min_poly", "degree", "integral", "_red")
 
     def __init__(self, name, min_poly):
         min_poly = upoly_trim(tuple(Fraction(c) for c in min_poly))
@@ -244,7 +244,8 @@ class NumberField:
                     nxt[i] -= top * min_poly[i]
             cur = nxt
             red.append(tuple(cur))
-        self._red = tuple(red)
+        self.integral = all(c.denominator == 1 for c in min_poly)  # Z[alpha]: _red holds ints
+        self._red = tuple(tuple(map(int, v)) if self.integral else v for v in red)
 
     def __eq__(self, other):
         return (
@@ -293,7 +294,8 @@ class NumberField:
 
 
 class NFElement:
-    """Element of a :class:`NumberField`, a vector in the power basis."""
+    """Element of a :class:`NumberField`, a vector in the power basis: Fraction
+    coordinates from the constructors, int ones for Z[alpha] (kept by + - * //)."""
 
     __slots__ = ("field", "coords")
 
@@ -360,11 +362,14 @@ class NFElement:
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return NFElement(self.field, tuple(a * other for a in self.coords))
         o = self._binop(other)
         if o is None:
             return NotImplemented
         d = self.field.degree
-        prod = [_ZERO] * (2 * d - 1)
+        ints = type(self.coords[0]) is type(o.coords[0]) is int and self.field.integral
+        prod = [0 if ints else _ZERO] * (2 * d - 1)
         for i, a in enumerate(self.coords):
             if not a:
                 continue
@@ -394,7 +399,13 @@ class NFElement:
             )
         return self.field.element(u)
 
+    def __floordiv__(self, k):
+        """Exact division of int coordinates by the int k."""
+        return NFElement(self.field, tuple(a // k for a in self.coords))
+
     def __truediv__(self, other):
+        if type(other) is int and other:
+            return NFElement(self.field, tuple(Fraction(a, other) for a in self.coords))
         o = self._binop(other)
         if o is None:
             return NotImplemented
@@ -438,6 +449,51 @@ class NFElement:
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+def common_field(values):
+    """The one number field of the NFElements among the values, else None."""
+    field = None
+    for v in values:
+        if isinstance(v, NFElement) and v.field != field:
+            if field is not None:
+                raise FieldMismatch(f"cannot mix Q({field.name}) and Q({v.field.name})")
+            field = v.field
+    return field
+
+
+def integral_multiple(coeffs, field=None):
+    """The coefficients times their least common denominator: ints over Q,
+    elements of Z[alpha] with int coordinates over an integral field."""
+    if field is None:
+        den = lcm(*(c.denominator for c in coeffs))
+        return [int(c * den) for c in coeffs]
+    vecs = [field.coerce(c).coords for c in coeffs]
+    den = lcm(*(x.denominator for v in vecs for x in v))
+    return [NFElement(field, tuple(int(x * den) for x in v)) for v in vecs]
+
+
+def content(*elements):
+    """gcd of all int coordinates of elements of Z[alpha]."""
+    return gcd(*(x for c in elements for x in c.coords))
+
+
+def norm_cofactor(c):
+    """For c with int coordinates, m in Z[alpha] with m*c a positive integer; else None."""
+    if type(c) is not NFElement or type(c.coords[0]) is not int:
+        return None
+    if c.is_rational():
+        return 1 if c.coords[0] > 0 else -1
+    inv = c.inverse().coords
+    den = lcm(*(x.denominator for x in inv))
+    return NFElement(c.field, tuple(int(x * den) for x in inv))
+
+
+def rational_integer(c):
+    """c as an int if it has int coordinates and no alpha part, else c."""
+    if type(c) is NFElement and type(c.coords[0]) is int and c.is_rational():
+        return c.coords[0]
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -588,13 +644,7 @@ def rref(rows):
 
 def _coord_rows(values):
     """Coordinate vectors of the values, all padded to the field degree."""
-    field = None
-    for v in values:
-        if isinstance(v, NFElement):
-            if field is None:
-                field = v.field
-            elif v.field != field:
-                raise FieldMismatch("zrank needs all elements in one field")
+    field = common_field(values)
     rows = []
     for v in values:
         if isinstance(v, NFElement):

@@ -9,6 +9,8 @@ from folichar.polynomials import MultiPoly, VarSpace
 from folichar.scalars import make_number_field
 
 SQRT2 = make_number_field("r", [-2, 0, 1])
+QI = make_number_field("i", [1, 0, 1])
+QA = make_number_field("a", [1, -3, 0, 1])  # a^3 - 3a + 1 = 0, a cubic field
 
 
 def rng_for(name, seed=20250814):

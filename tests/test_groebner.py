@@ -1,13 +1,15 @@
 """Groebner bases, membership, elimination, and the linear-algebra oracle."""
 
 from fractions import Fraction as F
-from itertools import cycle
+from hashlib import sha256
+from itertools import cycle, product
 
 import pytest
-from conftest import SQRT2, cyclic, katsura, rand_poly, rng_for
+from conftest import QA, QI, SQRT2, cyclic, katsura, rand_poly, rng_for
 from oracles import membership_oracle
 
-from folichar.errors import BudgetExceeded
+from folichar import ideals
+from folichar.errors import BudgetExceeded, FieldMismatch
 from folichar.ideals import (
     Ideal,
     StepBudget,
@@ -22,10 +24,36 @@ from folichar.ideals import (
     standard_monomials,
 )
 from folichar.polynomials import GREVLEX, LEX, MultiPoly, VarSpace
+from folichar.scalars import NFElement, make_number_field
 
 SXY = VarSpace(("x", "y"))
 X, Y = (MultiPoly.variable(SXY, v) for v in SXY.all_vars)
 SXYZ = VarSpace(("x", "y", "z"))
+# b = r/2: its minimal polynomial t^2 - 1/2 is not integral
+BETA = make_number_field("b", [F(-1, 2), 0, 1])
+
+
+def _dense_quadrics(field):
+    """Three quadrics in x, y, z whose every coefficient is c0 + c1*alpha + ...
+    with all ci nonzero."""
+    rng = rng_for(f"dense-{field.name}")
+    monos = [e for e in product(range(3), repeat=3) if sum(e) <= 2]
+    return [MultiPoly(SXYZ, {e: field.element([rng.choice([-2, -1, 1, 2, 3])
+                                               for _ in range(field.degree)])
+                             for e in monos}) for _ in range(3)]
+
+
+def _fraction_coords(c):
+    return all(type(x) is F for x in (c.coords if isinstance(c, NFElement) else (c,)))
+
+
+@pytest.fixture
+def content_calls(monkeypatch):
+    """Calls of the Z[alpha] content helper, which only that path makes."""
+    calls = []
+    real = ideals.content
+    monkeypatch.setattr(ideals, "content", lambda *cs: calls.append(cs) or real(*cs))
+    return calls
 
 
 def test_reduced_basis_examples():
@@ -157,10 +185,11 @@ def test_budget_boundary_on_the_integer_path():
     assert len(Ideal(gens[0].space, gens).basis(budget=StepBudget(557))) == 13
 
 
-# Over Q the engine reduces fraction-free on integer polynomials; over Q(sqrt 2)
-# it divides by lead coefficients.  Both pick the same divisor for every
-# term, so the same system gives the same basis in the same number of steps
-# whether it is given as is, with rescaled generators or lifted into Q(sqrt 2).
+# Over Q and over Q(alpha) with an integral minimal polynomial (sqrt 2, i and
+# the cubic a) the engine reduces fraction-free, in Z and in Z[alpha]; over
+# Q(b), b^2 = 1/2, it divides by lead coefficients.  All three rules pick the
+# same divisor for every term, so the same system gives the same basis in the
+# same number of steps whether it is given as is, rescaled or lifted.
 @pytest.mark.parametrize("gens, order, steps", [
     (cyclic(4), GREVLEX, 38),
     (cyclic(4), LEX, 93),
@@ -171,16 +200,58 @@ def test_integer_and_field_rules_agree(gens, order, steps):
     forms = [
         gens,
         [g * c for g, c in zip(gens, cycle([F(-5, 2), F(3, 7)]))],
-        [MultiPoly(g.space, {e: SQRT2.element([c]) for e, c in g.terms.items()})
-         for g in gens],
+        *([MultiPoly(g.space, {e: K.element([c]) for e, c in g.terms.items()})
+           for g in gens] for K in (SQRT2, QI, QA, BETA)),
     ]
     runs = []
     for form in forms:
         budget = StepBudget(10 ** 6)
         runs.append(([str(g) for g in buchberger(form, order, budget)], budget.used))
     assert runs[0][1] == steps
-    assert runs[1] == runs[0]
-    assert runs[2] == runs[0]
+    assert runs[1:] == [runs[0]] * (len(forms) - 1)
+
+
+# Pinned before Z[alpha] got the fraction-free rule: the digest is of the
+# printed basis; every coordinate comes back a Fraction.
+@pytest.mark.parametrize("field, length, steps, digest", [
+    (SQRT2, 6, 85, "266240e2628369c0"),
+    (QI, 6, 85, "cc0e5d72b3f3d4b7"),
+    (QA, 6, 85, "b60b6d9546b8de91"),
+], ids=["sqrt2", "i", "cubic"])
+def test_dense_irrational_systems(field, length, steps, digest, content_calls):
+    budget = StepBudget(10 ** 6)
+    basis = buchberger(_dense_quadrics(field), GREVLEX, budget)
+    text = "\n".join(str(g) for g in basis)
+    assert (len(basis), budget.used) == (length, steps)
+    assert sha256(text.encode()).hexdigest()[:16] == digest
+    assert all(_fraction_coords(c) for g in basis for c in g.terms.values())
+    assert content_calls
+
+
+def test_budget_boundary_on_the_integral_field_path():
+    gens = _dense_quadrics(SQRT2)
+    with pytest.raises(BudgetExceeded):
+        buchberger(gens, GREVLEX, StepBudget(84))
+    assert len(buchberger(gens, GREVLEX, StepBudget(85))) == 6
+
+
+def test_non_integral_minimal_polynomial_keeps_the_field_rule(content_calls):
+    gens = _dense_quadrics(SQRT2)
+    lifted = [MultiPoly(SXYZ, {e: BETA.element([c.coords[0], 2 * c.coords[1]])
+                               for e, c in g.terms.items()}) for g in gens]
+    budget = StepBudget(10 ** 6)
+    basis = buchberger(lifted, GREVLEX, budget)
+    assert not content_calls
+    back = [MultiPoly(SXYZ, {e: SQRT2.element([c.coords[0], c.coords[1] / 2])
+                             for e, c in g.terms.items()}) for g in basis]
+    expected = StepBudget(10 ** 6)
+    assert back == buchberger(gens, GREVLEX, expected)
+    assert budget.used == expected.used == 85
+
+
+def test_generators_from_two_fields_raise():
+    with pytest.raises(FieldMismatch):
+        buchberger([X - SQRT2.gen(), X - QI.gen()], GREVLEX, None)
 
 
 def test_int_coefficients_beside_field_elements():
@@ -188,6 +259,19 @@ def test_int_coefficients_beside_field_elements():
     g = MultiPoly(SXY, {(1, 0): 1, (0, 1): SQRT2.gen()})
     h = MultiPoly(SXY, {(0, 2): 3, (0, 0): -1})
     assert [str(b) for b in buchberger([g, h], GREVLEX, None)] == ["x + (r)*y", "y^2 - 1/3"]
+
+
+def test_radical_membership_over_an_integral_field(content_calls):
+    # 1 - w*f puts rationals beside Q(sqrt 2) elements; answers and steps
+    # are those of the field rule
+    r = SQRT2.gen()
+    J = Ideal(SXY, [(X - r * Y) ** 2, Y * Y - 3])
+    got = []
+    for f in (X - r * Y, X + r * Y, X * X - 6, X * Y - 3 * r, Y - 1):
+        budget = StepBudget(10 ** 6)
+        got.append((radical_membership(f, J, budget=budget), budget.used))
+    assert got == [(True, 5), (False, 27), (True, 9), (True, 8), (False, 12)]
+    assert content_calls
 
 
 @pytest.mark.parametrize("f, g, lcm, gcd, steps", [

@@ -259,3 +259,13 @@ def test_one_vector_field_type_and_one_direction_layout():
                 layouts.add(name)
     assert derivations == {"PolyVectorField"}
     assert layouts == {"polynomials.py"}
+
+
+def test_groebner_engine_leaves_coordinates_to_scalars():
+    """The Z[alpha] Groebner path reaches coordinates only through the
+    helpers of scalars.py: ideals.py reads no .coords and builds no NFElement."""
+    tree = dict(_package_modules())["ideals.py"]
+    reads = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "coords"]
+    builds = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+              and "NFElement" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+    assert reads == [] and builds == []

@@ -16,8 +16,13 @@ from folichar.errors import (
     ReducibleDetected,
 )
 from folichar.scalars import (
+    NFElement,
     _quadratic_factor,
+    content,
+    integral_multiple,
     make_number_field,
+    norm_cofactor,
+    rational_integer,
     upoly_divmod,
     upoly_eval,
     upoly_gcd,
@@ -168,6 +173,48 @@ def test_nf_field_axioms_random(sqrt2):
         assert a * (b + c) == a * b + a * c
         if a != sqrt2.zero():
             assert a * a.inverse() == sqrt2.one()
+
+
+def test_int_coordinates_beside_fraction_coordinates(sqrt2):
+    for coords in [(3, 0), (1, -2), (0, 5)]:
+        a, b = NFElement(sqrt2, coords), sqrt2.element(coords)
+        assert a == b and hash(a) == hash(b) and str(a) == str(b)
+    # the public constructors give Fraction coordinates
+    for x in (sqrt2.element([1, 2]), sqrt2.from_rational(3), sqrt2.coerce(3),
+              sqrt2.coerce(F(1, 2)), sqrt2.gen(), sqrt2.one()):
+        assert all(type(c) is F for c in x.coords)
+    # Z[r] arithmetic keeps int coordinates, with the values of field arithmetic
+    u, v = NFElement(sqrt2, (1, 2)), NFElement(sqrt2, (3, -1))
+    fu, fv = sqrt2.element(u.coords), sqrt2.element(v.coords)
+    for w, expected in ((u + v, fu + fv), (u - v, fu - fv), (u * v, fu * fv),
+                        (-u, -fu), (u * 3, fu * 3), (3 * u, 3 * fu), ((u * 6) // 3, fu * 2)):
+        assert w == expected and all(type(c) is int for c in w.coords)
+    assert u / 3 == fu / 3 == sqrt2.element([F(1, 3), F(2, 3)])
+    assert all(type(c) is F for c in (u / 3).coords + (fu * fv).coords + (fu * 3).coords)
+    # a minimal polynomial that is not integral: products leave Z[b]
+    beta = make_number_field("b", [F(-1, 2), 0, 1])
+    assert not beta.integral and sqrt2.integral
+    p = NFElement(beta, (0, 1)) * NFElement(beta, (0, 1))
+    assert p == F(1, 2) and all(type(c) is F for c in p.coords)
+
+
+@pytest.mark.parametrize("min_poly", [[-2, 0, 1], [1, 0, 1], [1, -3, 0, 1]],
+                         ids=["sqrt2", "i", "cubic"])
+def test_norm_cofactor_makes_a_positive_rational_integer(min_poly):
+    K = make_number_field("a", min_poly)
+    rng = random.Random(str(min_poly))
+    for _ in range(30):
+        c, = integral_multiple([K.element([F(rng.randint(-6, 6), rng.randint(1, 4))
+                                           for _ in range(K.degree)])], K)
+        if not c:
+            continue
+        m = norm_cofactor(c)
+        lead = m * c
+        assert type(rational_integer(lead)) is int and rational_integer(lead) > 0
+        assert all(type(x) is int for x in c.coords + lead.coords)
+        assert content(c // content(c)) == 1 and content(c * 6) == 6 * content(c)
+    assert norm_cofactor(K.element([F(1, 2)])) is None  # Fraction coordinates
+    assert norm_cofactor(F(3)) is None and rational_integer(F(3)) == 3
 
 
 def test_nf_mismatch(sqrt2):
