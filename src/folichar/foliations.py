@@ -41,7 +41,7 @@ from .ideals import (
     rational_points,
 )
 from .polynomials import LEX, SCALARS, MultiPoly, VarSpace
-from .scalars import NFElement, rref, upoly_squarefree_part
+from .scalars import rref, upoly_squarefree_part
 
 _ONE = Fraction(1)
 
@@ -131,10 +131,8 @@ class PolyVectorField:
 
         Sends p to the origin: components become a_i(x + p).
         """
-        mapping = {}
-        for i in range(len(self.components)):
-            c = point[i] if isinstance(point[i], NFElement) else Fraction(point[i])
-            mapping[i] = MultiPoly.variable(self.space, i) + c
+        mapping = {i: MultiPoly.variable(self.space, i) + point[i]
+                   for i in range(len(self.components))}
         return PolyVectorField(
             self.space, [c.substitute(mapping) for c in self.components]
         )
@@ -145,15 +143,13 @@ class PolyVectorField:
         Returns the field in the u-coordinates: M^{-1} a(M u).
         """
         n = len(self.components)
-        m = [[Fraction(matrix[i][j]) if not isinstance(matrix[i][j], NFElement)
-              else matrix[i][j] for j in range(n)] for i in range(n)]
-        inv = _matrix_inverse(m)
+        inv = _matrix_inverse(matrix)
         xs = [MultiPoly.variable(self.space, i) for i in range(n)]
         images = []
         for i in range(n):
             acc = MultiPoly.zero(self.space)
             for j in range(n):
-                acc = acc + xs[j] * m[i][j]
+                acc = acc + xs[j] * matrix[i][j]
             images.append(acc)
         subs = {i: images[i] for i in range(n)}
         moved = [c.substitute(subs) for c in self.components]

@@ -12,18 +12,19 @@ reduced basis of an ideal is canonical regardless of generator order.
 Every reduction step charges one unit against the step budget; exhausting
 it raises :class:`BudgetExceeded` rather than returning a wrong answer.
 
-Over Q, and over Q(alpha) with an integral minimal polynomial, the engine
-clears denominators once and works fraction-free in Z or Z[alpha]: every
-basis element is primitive with a positive rational integer D as its lead
-(over Z[alpha], via the norm cofactor D*lc^-1 in Z[alpha]) and is made
-monic, with Fraction coordinates, only when the basis is returned.  A step
-reducing c*x^e by g with lead coefficient lc is p <- a*p - b*x^s*g: with
-an int lead a = lc/d and b = c/d for d = gcd(content(c), lc)
-(Becker-Weispfenning 1993, ch. 5), and the content of p and the tail is
-divided out every ``_CONTENT_EVERY`` steps; over a field (a minimal
-polynomial that is not integral, such as t^2 - 1/2, or the monic bases of
-:func:`normal_form`) a = 1 and b = c/lc.  Both rules pick the same
-divisors, so step counts do not depend on the coefficient ring.
+Over Q and over every Q(alpha) the engine clears denominators once and
+works fraction-free, in Z or in Z[beta] for the integral generator
+beta = scale*alpha of the field's model (:func:`scalars.integral_multiple`):
+every basis element is primitive with a positive rational integer D as its
+lead (over Z[beta], via the norm cofactor D*lc^-1 in Z[beta]) and is made
+monic, with Fraction coordinates over alpha, only when the basis is
+returned (:func:`scalars.from_integral`).  A step reducing c*x^e by g with
+lead coefficient lc is p <- a*p - b*x^s*g: with an int lead a = lc/d and
+b = c/d for d = gcd(content(c), lc) (Becker-Weispfenning 1993, ch. 5), and
+the content of p and the tail is divided out every ``_CONTENT_EVERY``
+steps; the monic bases of :func:`normal_form` take the field rule a = 1 and
+b = c/lc.  Both rules pick the same divisors, so step counts do not depend
+on the coefficient ring.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from operator import add, le as _le, sub
 
 from .errors import BudgetExceeded, SpaceMismatch
 from .polynomials import GREVLEX, LEX, SCALARS, MultiPoly, elimination_order
-from .scalars import (common_field, content, integral_multiple, norm_cofactor,
+from .scalars import (common_field, content, from_integral, integral_multiple, norm_cofactor,
                       rational_integer, scalar_inverse, upoly_rational_roots, upoly_trim)
 
 DEFAULT_BUDGET = 10 ** 6
@@ -152,14 +153,12 @@ def _basis_data(polys, order):
 
 
 def _normalized(g, order):
-    """g monic over a field; over Z or Z[alpha] primitive with a positive integer lead."""
+    """g over Z or Z[beta] made primitive with a positive integer lead."""
     lc = g.leading(order)[1]
     if type(lc) is int:
         d = gcd(*g.terms.values()) * (1 if lc > 0 else -1)
         return MultiPoly(g.space, {e: c // d for e, c in g.terms.items()})
     m = norm_cofactor(lc)
-    if m is None:
-        return g.monic(order)
     terms = {e: c * m for e, c in g.terms.items()}
     d = content(*terms.values())
     return MultiPoly(g.space, {e: c // d for e, c in terms.items()})
@@ -195,12 +194,8 @@ def buchberger(gens, order, budget):
     budget = _as_budget(budget)
     gens = [g for g in gens if not g.is_zero()]
     field = common_field(c for g in gens for c in g.terms.values())
-    if field is None or field.integral:
-        gens = [_normalized(MultiPoly(g.space, dict(zip(
-            g.terms, integral_multiple(g.terms.values(), field)))), order) for g in gens]
-    else:  # an int lead coefficient would select the integer rule
-        gens = [MultiPoly(g.space, {e: Fraction(c) if type(c) is int else c
-                                    for e, c in g.terms.items()}) for g in gens]
+    gens = [_normalized(MultiPoly(g.space, dict(zip(
+        g.terms, integral_multiple(g.terms.values(), field)))), order) for g in gens]
     G = _interreduce(gens, order, budget)
     if not G:
         return []
@@ -252,9 +247,8 @@ def buchberger(gens, order, budget):
         if not any(_divides(ke, le) for ke, _, _ in reduced):
             r = reduce_poly(g, reduced, order, budget)
             reduced.append((le, rational_integer(r.terms[le]), r))
-    return [MultiPoly(g.space, {e: Fraction(c, lc) if type(c) is int else c / lc
-                                for e, c in g.terms.items()})
-            if type(lc) is int else g for _, lc, g in reduced]
+    return [MultiPoly(g.space, {e: from_integral(c, lc, field) for e, c in g.terms.items()})
+            for _, lc, g in reduced]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ or Q(alpha) for one algebraic generator alpha with a monic minimal polynomial
 over Q.  Field elements are coordinate vectors in the power basis
 1, alpha, ..., alpha^(d-1); all arithmetic is exact.
 
+Q(alpha) has the integral model Q(beta), beta = scale*alpha (Cohen 1993,
+ch. 4): every Groebner input is made fraction-free in Z or Z[beta] by
+:func:`integral_multiple` and mapped back by :func:`from_integral`, so the
+field rule (division by a lead coefficient) serves only monic bases.
+
 Univariate polynomials over a field are represented as tuples of
 coefficients in ascending degree order (``()`` is the zero polynomial).
 """
@@ -218,9 +223,10 @@ def upoly_str(p, var="t"):
 # ---------------------------------------------------------------------------
 
 class NumberField:
-    """Q(alpha) for a single generator with monic minimal polynomial over Q."""
+    """Q(alpha) for a single generator with monic minimal polynomial over Q;
+    ``model`` is Q(beta) for the least ``scale`` with beta = scale*alpha integral."""
 
-    __slots__ = ("name", "min_poly", "degree", "integral", "_red")
+    __slots__ = ("name", "min_poly", "degree", "integral", "_red", "scale", "model")
 
     def __init__(self, name, min_poly):
         min_poly = upoly_trim(tuple(Fraction(c) for c in min_poly))
@@ -244,8 +250,10 @@ class NumberField:
                     nxt[i] -= top * min_poly[i]
             cur = nxt
             red.append(tuple(cur))
-        self.integral = all(c.denominator == 1 for c in min_poly)  # Z[alpha]: _red holds ints
+        self.scale, ints = _to_integer_monic(min_poly)
+        self.integral = self.scale == 1  # Z[alpha]: _red holds ints
         self._red = tuple(tuple(map(int, v)) if self.integral else v for v in red)
+        self.model = self if self.integral else NumberField(name, ints)
 
     def __eq__(self, other):
         return (
@@ -332,7 +340,7 @@ class NFElement:
 
     def _binop(self, other):
         if isinstance(other, NFElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(
                     f"cannot mix Q({self.field.name}) and Q({other.field.name})"
                 )
@@ -455,7 +463,7 @@ def common_field(values):
     """The one number field of the NFElements among the values, else None."""
     field = None
     for v in values:
-        if isinstance(v, NFElement) and v.field != field:
+        if isinstance(v, NFElement) and v.field is not field and v.field != field:
             if field is not None:
                 raise FieldMismatch(f"cannot mix Q({field.name}) and Q({v.field.name})")
             field = v.field
@@ -464,13 +472,23 @@ def common_field(values):
 
 def integral_multiple(coeffs, field=None):
     """The coefficients times their least common denominator: ints over Q,
-    elements of Z[alpha] with int coordinates over an integral field."""
+    elements of Z[beta] (``field.model``) with int coordinates over a field."""
     if field is None:
         den = lcm(*(c.denominator for c in coeffs))
         return [int(c * den) for c in coeffs]
-    vecs = [field.coerce(c).coords for c in coeffs]
+    s = field.scale
+    vecs = [[x / s ** i for i, x in enumerate(field.coerce(c).coords)] for c in coeffs]
     den = lcm(*(x.denominator for v in vecs for x in v))
-    return [NFElement(field, tuple(int(x * den) for x in v)) for v in vecs]
+    return [NFElement(field.model, tuple(int(x * den) for x in v)) for v in vecs]
+
+
+def from_integral(c, lc, field=None):
+    """c/lc for the int lc and c from :func:`integral_multiple`'s ring: a
+    Fraction over Q, else an element of ``field`` with Fraction coordinates."""
+    if field is None:
+        return Fraction(c, lc)
+    s = field.scale
+    return NFElement(field, tuple(Fraction(x * s ** i, lc) for i, x in enumerate(c.coords)))
 
 
 def content(*elements):
@@ -563,21 +581,17 @@ def make_number_field(name, min_poly, assume_irreducible=False):
     Raises :class:`NotSquarefree`, :class:`RationalRootFound`,
     :class:`ReducibleDetected`, or :class:`IrreducibilityUnattested`.
     """
-    p = upoly_trim(tuple(Fraction(c) for c in min_poly))
-    d = upoly_degree(p)
-    if d < 1:
-        raise ValueError("minimal polynomial must have degree >= 1")
-    if p[-1] != 1:
-        raise ValueError("minimal polynomial must be monic")
+    field = NumberField(name, min_poly)
+    p, d, scale = field.min_poly, field.degree, field.scale
     if d == 1:
         # Q(alpha) with alpha rational: the field collapses to Q
-        return NumberField(name, p)
+        return field
     g = upoly_gcd(p, upoly_deriv(p))
     if upoly_degree(g) > 0:
         raise NotSquarefree(
             f"min_poly shares the factor {upoly_str(g, name)} with its derivative"
         )
-    scale, ints = _to_integer_monic(p)
+    ints = tuple(map(int, field.model.min_poly))
     # rational root screen on the integral model (roots are r*scale)
     for num in _int_divisors(ints[0]) if ints[0] else [0]:
         candidates = [num, -num] if num else [0]
@@ -601,7 +615,7 @@ def make_number_field(name, min_poly, assume_irreducible=False):
             f"degree {d} needs assume_irreducible=True (or --assume-irreducible); "
             "the built-in screen only certifies degrees <= 4"
         )
-    return NumberField(name, p)
+    return field
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import (
-    FieldMismatch,
     LeafNotInvariant,
     NotASingularPoint,
     UnknownVariable,
@@ -39,8 +38,8 @@ from .foliations import prolong
 from .ideals import rational_points
 from .polynomials import MultiPoly, VarSpace, multigrade_decompose
 from .scalars import (
-    NFElement,
     as_fraction,
+    common_field,
     is_rational_scalar,
     rref,
     upoly_degree,
@@ -86,25 +85,6 @@ class EigenData:
         return f"char {upoly_str(self.char_poly)}; eigenvalues {{{vals}}}"
 
 
-def _detect_field(xi, point, field):
-    if field is not None:
-        return field
-    found = None
-    for c in xi.components:
-        for coeff in c.terms.values():
-            if isinstance(coeff, NFElement):
-                found = coeff.field
-                break
-        if found:
-            break
-    for v in point:
-        if isinstance(v, NFElement):
-            if found is not None and v.field != found:
-                raise FieldMismatch("point and field coefficients disagree")
-            found = v.field
-    return found
-
-
 def _jacobian_matrix(xi, point, field):
     """D(xi) at the point: row j, column k holds da_j/dx_k evaluated."""
     n = len(xi.components)
@@ -143,42 +123,21 @@ def _char_upoly(mat, field):
 def _field_roots(char, field, budget=None):
     """All roots of ``char`` that lie in Q(alpha), by coordinate ansatz.
 
-    A candidate root z = sum c_k alpha^k is expanded through the field's
-    reduction table; each power-basis coordinate of char(z) gives one
-    polynomial equation over Q in the c_k.  The solution variety is finite,
-    so ``rational_points`` enumerates it exhaustively.
+    A candidate root z = sum c_k alpha^k is a polynomial in the c_k over
+    Q(alpha); each power-basis coordinate of char(z), by Horner's rule, is
+    one polynomial equation over Q in the c_k.  The solution variety is
+    finite, so ``rational_points`` enumerates it exhaustively.
     """
     d = field.degree
     space = VarSpace(tuple(f"c{k}" for k in range(d)))
-    zero = MultiPoly.zero(space)
-
-    def vec_mul(u, v):
-        conv = [zero] * (2 * d - 1)
-        for i, ui in enumerate(u):
-            if ui.is_zero():
-                continue
-            for j, vj in enumerate(v):
-                if not vj.is_zero():
-                    conv[i + j] = conv[i + j] + ui * vj
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            ck = conv[k]
-            if ck.is_zero():
-                continue
-            for i, red in enumerate(field._red[k - d]):
-                if red:
-                    out[i] = out[i] + ck * red
-        return out
-
-    z = [MultiPoly.variable(space, k) for k in range(d)]
-    top = field.coerce(char[-1])
-    acc = [MultiPoly.constant(space, c) for c in top.coords]
+    z = MultiPoly(space, {tuple(int(i == k) for i in range(d)): field.element([0] * k + [1])
+                          for k in range(d)})
+    acc = MultiPoly.constant(space, field.coerce(char[-1]))
     for coeff in reversed(char[:-1]):
-        acc = vec_mul(acc, z)
-        for i, c in enumerate(field.coerce(coeff).coords):
-            if c:
-                acc[i] = acc[i] + c
-    eqs = [g for g in acc if not g.is_zero()]
+        acc = acc * z + field.coerce(coeff)
+    eqs = [MultiPoly(space, {e: c.coords[i] for e, c in acc.terms.items()})
+           for i in range(d)]
+    eqs = [g for g in eqs if not g.is_zero()]
     if not eqs:
         raise ValueError("zero polynomial has every root")
     points, exhaustive = rational_points(eqs, space, budget=budget)
@@ -230,7 +189,8 @@ def jacobian_eigendata(xi, point, field=None, budget=None):
     for a in xi.components:
         if a.evaluate(at):
             raise NotASingularPoint(f"{xi} does not vanish at {point_str(point)}")
-    field = _detect_field(xi, point, field)
+    if field is None:
+        field = common_field([c for a in xi.components for c in a.terms.values()] + list(point))
     mat = _jacobian_matrix(xi, point, field)
     char = _char_upoly(mat, field)
     if field is None:

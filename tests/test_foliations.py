@@ -22,7 +22,7 @@ from folichar.foliations import (
 from folichar.ideals import Ideal, eliminate
 from folichar.polynomials import LEX, MultiPoly, VarSpace
 
-from conftest import rand_field, rand_poly, rng_for
+from conftest import SQRT2, rand_field, rand_poly, rng_for
 
 S2 = VarSpace(("x1", "x2"))
 X1, X2 = (MultiPoly.variable(S2, v) for v in S2.all_vars)
@@ -42,6 +42,26 @@ def random_field(rng, n=2, max_deg=2):
 
 # ---------------------------------------------------------------------------
 # characteristic polynomial
+
+
+@pytest.mark.parametrize("point, expected", [
+    ((1, -2), "x1^2*d1 + x1*x2*d2 + 2*x1*d1 - x2*d1 - 2*x1*d2 + x2*d2 + 3*d1 - 2*d2"),
+    ((F(1, 2), F(-3, 4)),
+     "x1^2*d1 + x1*x2*d2 + x1*d1 - x2*d1 - 3/4*x1*d2 + 1/2*x2*d2 + d1 - 3/8*d2"),
+    ((SQRT2.gen(), 1 - SQRT2.gen()), "x1^2*d1 + x1*x2*d2 + (2*r)*x1*d1 - x2*d1"
+     " + (1 - r)*x1*d2 + (r)*x2*d2 + (1 + r)*d1 + (-2 + r)*d2"),
+], ids=["int", "fraction", "sqrt2"])
+def test_affine_shift(point, expected):
+    xi = PolyVectorField(S2, [X1 * X1 - X2, X1 * X2])
+    moved = xi.affine_shift(point)
+    assert str(moved) == expected
+    assert all(type(c) is not int for comp in moved.components for c in comp.terms.values())
+    assert moved.affine_shift([-c for c in point]) == xi
+
+
+def test_affine_shift_rejects_a_float():
+    with pytest.raises(TypeError):
+        DIAG.affine_shift((0.5, 0))
 
 
 def test_characteristic_polynomial_examples():

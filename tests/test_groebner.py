@@ -31,6 +31,8 @@ X, Y = (MultiPoly.variable(SXY, v) for v in SXY.all_vars)
 SXYZ = VarSpace(("x", "y", "z"))
 # b = r/2: its minimal polynomial t^2 - 1/2 is not integral
 BETA = make_number_field("b", [F(-1, 2), 0, 1])
+# nor is c^3 - c/3 + 1/2: its integral model is Q(6c)
+CUBIC = make_number_field("c", [F(1, 2), F(-1, 3), 0, 1])
 
 
 def _dense_quadrics(field):
@@ -185,11 +187,12 @@ def test_budget_boundary_on_the_integer_path():
     assert len(Ideal(gens[0].space, gens).basis(budget=StepBudget(557))) == 13
 
 
-# Over Q and over Q(alpha) with an integral minimal polynomial (sqrt 2, i and
-# the cubic a) the engine reduces fraction-free, in Z and in Z[alpha]; over
-# Q(b), b^2 = 1/2, it divides by lead coefficients.  All three rules pick the
-# same divisor for every term, so the same system gives the same basis in the
-# same number of steps whether it is given as is, rescaled or lifted.
+# Over Q the engine reduces fraction-free in Z and over every Q(alpha) in
+# Z[beta], beta = scale*alpha: Q(sqrt 2), Q(i) and the cubic a are their own
+# integral models, while b^2 = 1/2 and the cubic c, whose minimal polynomials
+# are not integral, are scaled by 2 and 6.  The divisors do not depend on the
+# coefficient ring, so the same system gives the same basis in the same
+# number of steps whether it is given as is, rescaled or lifted.
 @pytest.mark.parametrize("gens, order, steps", [
     (cyclic(4), GREVLEX, 38),
     (cyclic(4), LEX, 93),
@@ -201,7 +204,7 @@ def test_integer_and_field_rules_agree(gens, order, steps):
         gens,
         [g * c for g, c in zip(gens, cycle([F(-5, 2), F(3, 7)]))],
         *([MultiPoly(g.space, {e: K.element([c]) for e, c in g.terms.items()})
-           for g in gens] for K in (SQRT2, QI, QA, BETA)),
+           for g in gens] for K in (SQRT2, QI, QA, BETA, CUBIC)),
     ]
     runs = []
     for form in forms:
@@ -235,13 +238,13 @@ def test_budget_boundary_on_the_integral_field_path():
     assert len(buchberger(gens, GREVLEX, StepBudget(85))) == 6
 
 
-def test_non_integral_minimal_polynomial_keeps_the_field_rule(content_calls):
+def test_non_integral_minimal_polynomial_takes_the_integral_model(content_calls):
     gens = _dense_quadrics(SQRT2)
     lifted = [MultiPoly(SXYZ, {e: BETA.element([c.coords[0], 2 * c.coords[1]])
                                for e, c in g.terms.items()}) for g in gens]
     budget = StepBudget(10 ** 6)
     basis = buchberger(lifted, GREVLEX, budget)
-    assert not content_calls
+    assert content_calls
     back = [MultiPoly(SXYZ, {e: SQRT2.element([c.coords[0], c.coords[1] / 2])
                              for e, c in g.terms.items()}) for g in basis]
     expected = StepBudget(10 ** 6)

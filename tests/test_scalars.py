@@ -19,6 +19,7 @@ from folichar.scalars import (
     NFElement,
     _quadratic_factor,
     content,
+    from_integral,
     integral_multiple,
     make_number_field,
     norm_cofactor,
@@ -215,6 +216,32 @@ def test_norm_cofactor_makes_a_positive_rational_integer(min_poly):
         assert content(c // content(c)) == 1 and content(c * 6) == 6 * content(c)
     assert norm_cofactor(K.element([F(1, 2)])) is None  # Fraction coordinates
     assert norm_cofactor(F(3)) is None and rational_integer(F(3)) == 3
+
+
+@pytest.mark.parametrize("min_poly, scale, model", [
+    ([-2, 0, 1], 1, None),
+    ([1, -3, 0, 1], 1, None),
+    ([F(-1, 2), 0, 1], 2, (-2, 0, 1)),
+    ([F(1, 2), F(-1, 3), 0, 1], 6, (108, -12, 0, 1)),
+], ids=["sqrt2", "cubic", "half", "cubic-c"])
+def test_integral_model(min_poly, scale, model):
+    K = make_number_field("a", min_poly)
+    assert K.scale == scale and (K.model is K) == (model is None)
+    assert all(c.denominator == 1 for c in K.model.min_poly)
+    if model is not None:
+        assert K.model.min_poly == model
+    # beta = scale*alpha is a root of the model's minimal polynomial
+    assert not upoly_eval(K.model.min_poly, K.gen() * scale)
+    rng = random.Random(str(min_poly))
+    values = [K.element([F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(K.degree)])
+              for _ in range(5)] + [F(1, 3), 2]
+    out = integral_multiple(values, K)
+    assert all(c.field is K.model and all(type(x) is int for x in c.coords) for c in out)
+    back = [from_integral(c, 1, K) for c in out]
+    assert all(b.field is K and all(type(x) is F for x in b.coords) for b in back)
+    ratio = back[0] / values[0]
+    assert ratio.is_rational() and ratio != 0
+    assert back == [v * ratio for v in values]
 
 
 def test_nf_mismatch(sqrt2):

@@ -9,13 +9,14 @@ from itertools import combinations
 import pytest
 
 from folichar.errors import (
+    FieldMismatch,
     LeafNotInvariant,
     NotASingularPoint,
     UnknownVariable,
     UnresolvedFactor,
 )
 from folichar.foliations import PolyVectorField, _matrix_inverse
-from folichar.ideals import Ideal
+from folichar.ideals import Ideal, StepBudget
 from folichar.polynomials import MultiPoly, VarSpace
 from folichar.scalars import make_number_field
 from folichar.singularities import (
@@ -73,6 +74,39 @@ def test_eigendata_rotation_over_gaussian_field():
     Ki = make_number_field("i", [1, 0, 1])
     d = jacobian_eigendata(ROT, (0, 0), field=Ki)
     assert [str(v) for v in d.eigenvalues] == ["-i", "i"]
+
+
+S3 = VarSpace(("x1", "x2", "x3"))
+Y1, Y2, Y3 = (MultiPoly.variable(S3, v) for v in S3.all_vars)
+
+
+@pytest.mark.parametrize("xi, origin, min_poly, eigenvalues, steps", [
+    # the companion matrix of a^3 - 3a + 1: all three roots lie in Q(a)
+    (PolyVectorField(S3, [Y2, Y3, -Y1 + 3 * Y2]), (0, 0, 0), [1, -3, 0, 1],
+     ["-2 + a^2", "a", "2 - a - a^2"], 4676),
+    # [[0, 1/2], [1, 0]] over Q(a), a^2 = 1/2, a minimal polynomial that is not integral
+    (PolyVectorField(S, [F(1, 2) * X2, X1]), (0, 0), [F(-1, 2), 0, 1], ["-a", "a"], 5),
+], ids=["cubic", "half"])
+def test_eigendata_in_a_declared_field(xi, origin, min_poly, eigenvalues, steps):
+    K = make_number_field("a", min_poly)
+    budget = StepBudget(10 ** 6)
+    d = jacobian_eigendata(xi, origin, field=K, budget=budget)
+    assert d.char_poly == tuple(K.from_rational(c) for c in min_poly)
+    assert [str(v) for v in d.eigenvalues] == eigenvalues
+    assert budget.used == steps
+    assert all(type(x) is F for v in d.eigenvalues for x in v.coords)
+
+
+def test_field_is_detected_from_components_and_point():
+    r = make_number_field("r", [-2, 0, 1]).gen()
+    s = make_number_field("s", [-3, 0, 1]).gen()
+    cases = [
+        (PolyVectorField(S, [r * X1, X2 * X2 - 3]), (0, s)),  # point over another field
+        (PolyVectorField(S, [r * X1, s * X2]), (0, 0)),       # components over two fields
+    ]
+    for xi, point in cases:
+        with pytest.raises(FieldMismatch, match=r"^cannot mix Q\(r\) and Q\(s\)$"):
+            jacobian_eigendata(xi, point)
 
 
 # ---------------------------------------------------------------------------
