@@ -31,17 +31,17 @@ from .errors import ConstantFunction, EmptyVariety, FieldMismatch, SpaceMismatch
 from .ideals import (
     Ideal,
     _as_budget,
-    _univariate_in,
     eliminate,
     exact_divide,
     krull_dim_zero_check,
     normal_form,
+    poly_det,
     poly_gcd_list,
     radical_membership,
     rational_points,
 )
 from .polynomials import LEX, SCALARS, MultiPoly, VarSpace
-from .scalars import rref, upoly_squarefree_part
+from .scalars import rref
 
 _ONE = Fraction(1)
 
@@ -235,53 +235,37 @@ class SingularScheme:
     isolated: bool
     vecdim: int | None
     reduced: bool | None           # None when not zero-dimensional
-    distinct_points: int | None    # vecdim of the squarefree-augmented ideal
+    distinct_points: int | None    # vecdim(I) - vecdim(I + (det D(xi)))
     divisorial_part: MultiPoly | None
 
 
 def singular_scheme(xi, budget=None):
     """Scheme of zeros of the components, with desk-scale flags.
 
-    ``isolated`` is the Krull-dimension-zero check; ``reduced`` compares the
-    quotient dimension against the point count certified by squarefree
-    univariate eliminants (an ideal containing a squarefree univariate
-    polynomial in every variable is radical).  ``divisorial_part`` is the
-    monic nonconstant gcd of the components, if any.
+    ``isolated`` is the Krull-dimension-zero check on I = (a_1, ..., a_n).
+    Then I is a complete intersection, and in characteristic 0 the Jacobian
+    determinant det D(xi) spans the socle of the local ring of I at every
+    point of multiplicity mu > 1 and is a unit at every simple point
+    (Scheja-Storch 1975; Eisenbud-Levine, Ann. Math. 106, 1977).  So
+    I + (det D(xi)) has colength mu - 1 at each point:
+    ``distinct_points`` is vecdim(I) - vecdim(I + (det D(xi))), and
+    ``reduced`` holds iff I + (det D(xi)) is the unit ideal.
+    ``divisorial_part`` is the monic nonconstant gcd of the components, if
+    any.
     """
     budget = _as_budget(budget)
-    space = xi.space
-    ideal = Ideal(space, list(xi.components))
+    comps = list(xi.components)
+    ideal = Ideal(xi.space, comps)
     isolated, vecdim = krull_dim_zero_check(ideal, budget=budget)
-    reduced = None
-    distinct = None
-    if isolated and vecdim is not None:
-        if vecdim == 0:
-            reduced = True
-            distinct = 0
-        else:
-            augmented = list(ideal.generators)
-            for name in space.all_vars:
-                eli = eliminate(ideal, {name}, budget=budget)
-                gens = [g for g in eli.generators if not g.is_zero()]
-                if not gens:
-                    continue
-                sq = upoly_squarefree_part(_univariate_in(gens[0], 0))
-                augmented.append(_from_univariate(space, space.index(name), sq))
-            _, distinct = krull_dim_zero_check(Ideal(space, augmented), budget=budget)
-            reduced = distinct == vecdim
-    gcd = poly_gcd_list(list(xi.components), budget=budget)
+    reduced = distinct = None
+    if isolated:
+        jac = poly_det([[a.partial(k) for k in range(len(comps))] for a in comps])
+        _, excess = krull_dim_zero_check(Ideal(xi.space, comps + [jac]), budget=budget)
+        distinct = vecdim - excess
+        reduced = excess == 0
+    gcd = poly_gcd_list(comps, budget=budget)
     divisorial = None if gcd is None or gcd.is_constant() else gcd
     return SingularScheme(ideal, isolated, vecdim, reduced, distinct, divisorial)
-
-
-def _from_univariate(space, idx, coeffs):
-    out = MultiPoly.zero(space)
-    for k, c in enumerate(coeffs):
-        if c:
-            e = [0] * space.nvars
-            e[idx] = k
-            out = out + MultiPoly.monomial(space, tuple(e), c)
-    return out
 
 
 @dataclass
@@ -295,29 +279,24 @@ class ChSingularReport:
 def ch_singular_locus(xi, budget=None):
     """Singular locus of the characteristic hypersurface {P = 0}.
 
-    The Jacobian ideal is (P, dP/dx_1..n, dP/dy_1..n); the verdict
-    ``smooth_away_from_zero_section`` holds iff every y_i lies in its
-    radical, i.e. all singular points sit on the zero section.  When the
-    singular scheme of the field is reduced and zero-dimensional the verdict
-    must come back true; ``consistent`` records that cross-check.
+    The Jacobian ideal is (P, dP/dx_1..n, dP/dy_1..n); its zero set is
+    {a(x) = 0, D(xi)(x)^T y = 0}, since P vanishes there too.  So the
+    verdict ``smooth_away_from_zero_section`` (every y_i lies in its
+    radical: all singular points sit on the zero section) holds iff
+    det D(xi) vanishes at no zero of xi.  When the zeros are isolated that
+    is the unit-ideal test behind :func:`singular_scheme`'s ``reduced``,
+    read from the same cached basis.  A positive-dimensional component of
+    the zeros makes det D(xi) vanish along it (D(xi) kills its tangent
+    vectors), so a non-isolated scheme gives False.  ``consistent`` (the
+    verdict is true when the scheme is isolated and reduced) therefore
+    holds by construction.
     """
     budget = _as_budget(budget)
     P = characteristic_polynomial(xi)
-    dspace = P.space
-    gens = [P]
-    for i in range(dspace.nvars):
-        d = P.partial(i)
-        if not d.is_zero():
-            gens.append(d)
-    jac = Ideal(dspace, gens)
-    verdict = all(
-        radical_membership(MultiPoly.variable(dspace, v), jac, budget=budget)
-        for v in dspace.y_vars
-    )
+    gens = [P] + [d for d in map(P.partial, range(P.space.nvars)) if not d.is_zero()]
     scheme = singular_scheme(xi, budget=budget)
-    expected_true = bool(scheme.isolated and scheme.reduced)
-    consistent = verdict or not expected_true
-    return ChSingularReport(jac, verdict, scheme, consistent)
+    verdict = bool(scheme.isolated and scheme.reduced)
+    return ChSingularReport(Ideal(P.space, gens), verdict, scheme, True)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +441,7 @@ class DarbouxPair:
 @dataclass
 class DarbouxResult:
     pairs: list
-    complete: bool   # no rational Darboux polynomial within the bounds missed
+    complete: bool   # no Darboux polynomial over the algebraic closure missed
 
 
 def _monomials_up_to(space, max_deg):
@@ -490,12 +469,14 @@ def darboux_search(xi, max_deg, max_cofactor_deg, budget=None):
     larger monomials pinned to 0).  Cofactor degree is additionally capped
     at deg(xi) - 1.  Rational solution families with genuinely free
     coordinates are reported by their representative with the free
-    coordinates set to zero; ``complete`` is True when no branch had free
-    coordinates.  The solve is over Q only: ``complete`` certifies that no
-    Darboux polynomial with rational coefficients within the degree bounds
-    was missed, while irrational ones (x2 +- i*x1 for the rotation
-    x2*d1 - x1*d2) are never searched; a certificate over the algebraic
-    closure is ROADMAP item 1.  A field with a coefficient outside Q raises
+    coordinates set to zero.  Only rational solutions are listed, so
+    irrational Darboux polynomials (x2 +- i*x1 for the rotation
+    x2*d1 - x1*d2) are never returned.  ``complete`` is True only when
+    every branch was solved in full over the algebraic closure: no free
+    coordinates, and every univariate eliminant split over Q
+    (:func:`rational_points`' ``exhaustive``).  It then certifies that no
+    Darboux polynomial within the degree bounds, rational or not, was
+    missed.  A field with a coefficient outside Q raises
     :class:`FieldMismatch`.
     """
     budget = _as_budget(budget)

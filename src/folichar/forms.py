@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 from .errors import (
     DegeneratePencil,
@@ -30,7 +29,7 @@ from .errors import (
     SpaceMismatch,
     ZeroForm,
 )
-from .ideals import exact_divide
+from .ideals import poly_det
 from .polynomials import GREVLEX, SCALARS, MultiPoly, SparseSum, VarSpace, sum_str, term_str
 
 
@@ -253,21 +252,13 @@ def lie_derivative(xi, w):
 # distributions and integrability
 # ---------------------------------------------------------------------------
 
-def _wedge_residues(w, other, certificate):
+def _wedge_residues(w, other):
     """(i_J w) ^ other = 0 for every strictly increasing (q-1)-tuple J?"""
-    failures = []
-    for J in itertools.combinations(range(w.ndirections), w.degree - 1):
-        residue = wedge(contract_basis(w, J), other)
-        if not residue.is_zero():
-            if not certificate:
-                return False
-            failures.append((J, residue))
-    if certificate:
-        return (not failures), failures
-    return True
+    return all(wedge(contract_basis(w, J), other).is_zero()
+               for J in itertools.combinations(range(w.ndirections), w.degree - 1))
 
 
-def is_distribution(w, certificate=False):
+def is_distribution(w):
     """Does ker(w) define a codimension-q distribution (w decomposable)?
 
     Checks (i_J w) ^ w = 0 for every strictly increasing (q-1)-tuple J of
@@ -277,18 +268,17 @@ def is_distribution(w, certificate=False):
         raise ZeroForm("the zero form does not define a distribution")
     if w.degree < 1:
         raise ValueError("distributions come from forms of degree >= 1")
-    return _wedge_residues(w, w, certificate)
+    return _wedge_residues(w, w)
 
 
-def is_integrable(w, certificate=False):
+def is_integrable(w):
     """Frobenius-type criterion: distribution plus (i_J w) ^ dw = 0 for all J.
 
     Raises :class:`NotADistribution` when the decomposability half fails.
     """
-    ok = is_distribution(w)
-    if not ok:
+    if not is_distribution(w):
         raise NotADistribution("form fails the decomposability minors")
-    return _wedge_residues(w, exterior_derivative(w), certificate)
+    return _wedge_residues(w, exterior_derivative(w))
 
 
 def proportional_forms(a, b):
@@ -339,7 +329,7 @@ def _torus_pullback(w, ext, tnames):
     return PolyForm(ext, w.degree, scaled)
 
 
-def is_torus_invariant_form(w, certificate=False):
+def is_torus_invariant_form(w):
     """Invariance of the kernel distribution under coordinate scalings.
 
     The pullback along x_i -> t_i x_i (fresh scalar slots t_i) must be
@@ -353,10 +343,7 @@ def is_torus_invariant_form(w, certificate=False):
     ext = w.space.with_aux(tnames)
     pulled = _torus_pullback(w, ext, tnames)
     lifted = PolyForm(ext, w.degree, {i: p.lift_to(ext) for i, p in w.terms.items()})
-    ok = proportional_forms(pulled, lifted)
-    if certificate:
-        return ok, pulled
-    return ok
+    return proportional_forms(pulled, lifted)
 
 
 @dataclass
@@ -451,39 +438,15 @@ def logarithmic_normal_form(w):
 # binary discriminant
 # ---------------------------------------------------------------------------
 
-def _poly_det(rows):
-    """Fraction-free Bareiss determinant of a square MultiPoly matrix."""
-    m = [row[:] for row in rows]
-    size = len(m)
-    if size == 0:
-        raise ValueError("empty matrix")
-    space = m[0][0].space
-    one = MultiPoly.constant(space, 1)
-    sign = 1
-    prev = one
-    for k in range(size - 1):
-        if m[k][k].is_zero():
-            swap = next((r for r in range(k + 1, size) if not m[r][k].is_zero()), None)
-            if swap is None:
-                return MultiPoly.zero(space)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = exact_divide(num, prev) if not num.is_zero() else num
-            m[i][k] = MultiPoly.zero(space)
-        prev = m[k][k]
-    det = m[size - 1][size - 1]
-    return -det if sign < 0 else det
-
-
 def binary_discriminant(coeffs, space=None):
     """Discriminant of a binary form phi = sum a_j u^(k-j) v^j, k >= 2.
 
-    Computed as (-1)^(k(k-1)/2) Res_u(phi, d phi/du) / a_0 after an exact
-    unimodular shear v -> v + c*u (discriminant-invariant) whenever the
-    leading slot a_0 degenerates.  Coefficients may be scalars or polynomials.
+    Computed as (-1)^(k(k-1)/2) Res(d phi/du, d phi/dv) / k^(k-2), the
+    resultant of the two partials taken as binary forms of degree k - 1
+    (the Sylvester determinant, by :func:`poly_det`).  Euler's identity
+    k*phi = u*phi_u + v*phi_v makes this hold whatever the leading slot a_0,
+    so a form with a_0 = 0 needs no change of coordinates.  Coefficients
+    may be scalars or polynomials.
 
     Raises :class:`DegeneratePencil` on the zero form.
     """
@@ -494,44 +457,20 @@ def binary_discriminant(coeffs, space=None):
         space = next(
             (c.space for c in coeffs if isinstance(c, MultiPoly)), None
         ) or VarSpace(("x1",))
-    norm = []
+    a = []
     for c in coeffs:
         if isinstance(c, SCALARS):
             c = MultiPoly.constant(space, c)
         elif c.space != space:
             c = c.lift_to(space)
-        norm.append(c)
-    if all(c.is_zero() for c in norm):
+        a.append(c)
+    if all(c.is_zero() for c in a):
         raise DegeneratePencil("binary form is identically zero")
-    k = len(norm) - 1
-    if norm[0].is_zero():
-        norm = _shear_to_nonzero_lead(norm, k, space)
-    a = norm
-    fprime = [(k - j) * a[j] for j in range(k)]  # degree k-1 in u
+    k = len(a) - 1
+    du = [(k - j) * a[j] for j in range(k)]         # u^(k-1-j) v^j slots
+    dv = [(j + 1) * a[j + 1] for j in range(k)]
     zero = MultiPoly.zero(space)
-    rows = []
-    for shift in range(k - 1):
-        rows.append([zero] * shift + a + [zero] * (k - 1 - shift - 1))
-    for shift in range(k):
-        rows.append([zero] * shift + fprime + [zero] * (k - shift - 1))
-    res = _poly_det(rows)
-    disc = exact_divide(res, a[0]) if not res.is_zero() else res
-    if (k * (k - 1) // 2) % 2:
-        disc = -disc
-    return disc
-
-
-def _shear_to_nonzero_lead(coeffs, k, space):
-    """Apply v -> v + c*u for the smallest integer c giving a_0 != 0."""
-    for c in range(1, k + 2):
-        new = [MultiPoly.zero(space) for _ in range(k + 1)]
-        # u^(k-j) (v + c u)^j expands over u^(k-m) v^m
-        for j, aj in enumerate(coeffs):
-            if aj.is_zero():
-                continue
-            for m in range(j + 1):
-                new[m] = new[m] + aj * (comb(j, m) * (c ** (j - m)))
-        # slot order: new[m] multiplies u^(k-m) v^m; a_0 slot is new[0]
-        if not new[0].is_zero():
-            return new
-    raise DegeneratePencil("no integer shear exposes a leading coefficient")
+    rows = [[zero] * shift + p + [zero] * (k - 2 - shift)
+            for p in (du, dv) for shift in range(k - 1)]
+    disc = poly_det(rows) / k ** (k - 2)
+    return -disc if (k * (k - 1) // 2) % 2 else disc

@@ -38,7 +38,8 @@ from operator import add, le as _le, sub
 from .errors import BudgetExceeded, SpaceMismatch
 from .polynomials import GREVLEX, LEX, SCALARS, MultiPoly, elimination_order
 from .scalars import (common_field, content, from_integral, integral_multiple, norm_cofactor,
-                      rational_integer, scalar_inverse, upoly_rational_roots, upoly_trim)
+                      rational_integer, scalar_inverse, upoly_rational_roots,
+                      upoly_squarefree_part, upoly_trim)
 
 DEFAULT_BUDGET = 10 ** 6
 _CONTENT_EVERY = 8  # budget steps between divisions by the content over Z and Z[alpha]
@@ -350,14 +351,13 @@ def radical_membership(f, ideal, budget=None):
     return buchberger(gens, GREVLEX, budget) == [MultiPoly.constant(ext, 1)]
 
 
-def eliminate(ideal, keep, budget=None, project=True):
+def eliminate(ideal, keep, budget=None):
     """Intersection of the ideal with the subring in the kept variables.
 
     ``keep`` is a collection of variable names.  A block order with the
     discarded variables in the leading block makes the kept variables a
     trailing block, so basis elements whose monomials avoid the discarded
-    block generate the elimination ideal.  With ``project=True`` (default)
-    the result lives in the restricted space.
+    block generate the elimination ideal, which lives in the restricted space.
     """
     budget = _as_budget(budget)
     space = ideal.space
@@ -370,8 +370,6 @@ def eliminate(ideal, keep, budget=None, project=True):
     basis = buchberger(list(ideal.generators), order, budget)
     dropset = set(drop)
     kept = [g for g in basis if not g.involves(dropset)]
-    if not project:
-        return Ideal(space, kept)
     sub = space.restrict(keep)
     return Ideal(sub, [g.restrict_to(sub) for g in kept])
 
@@ -415,7 +413,7 @@ def standard_monomials(ideal, order=GREVLEX, budget=None):
 
 
 # ---------------------------------------------------------------------------
-# exact division, gcd/lcm via elimination
+# exact division, determinants, gcd/lcm via elimination
 # ---------------------------------------------------------------------------
 
 def exact_divide(f, g, order=GREVLEX):
@@ -442,6 +440,32 @@ def exact_divide(f, g, order=GREVLEX):
         quot[qe] = c * scalar_inverse(lc)
         _sub_multiple(p, heap, rkey, g, le, qe, quot[qe])
     return MultiPoly(space, quot)
+
+
+def poly_det(rows):
+    """Determinant of a square MultiPoly matrix by fraction-free Bareiss elimination."""
+    m = [row[:] for row in rows]
+    size = len(m)
+    if size == 0:
+        raise ValueError("empty matrix")
+    space = m[0][0].space
+    sign = 1
+    prev = MultiPoly.constant(space, 1)
+    for k in range(size - 1):
+        if m[k][k].is_zero():
+            swap = next((r for r in range(k + 1, size) if not m[r][k].is_zero()), None)
+            if swap is None:
+                return MultiPoly.zero(space)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = exact_divide(num, prev) if not num.is_zero() else num
+            m[i][k] = MultiPoly.zero(space)
+        prev = m[k][k]
+    det = m[size - 1][size - 1]
+    return -det if sign < 0 else det
 
 
 def poly_lcm(f, g, budget=None):
@@ -505,10 +529,14 @@ def rational_points(gens, space, budget=None, zero_free_vars=False):
     """Rational solutions of a polynomial system by lex triangularization.
 
     Returns ``(points, exhaustive)`` where each point maps variable index to
-    a Fraction.  For zero-dimensional systems the enumeration of rational
-    points is exhaustive.  If a variable is unconstrained and
-    ``zero_free_vars`` is set, it is pinned to 0 and ``exhaustive`` comes
-    back False; without the flag such systems raise ValueError.
+    a Fraction.  Every rational point of a zero-dimensional system is listed.
+    ``exhaustive`` says more: the points listed are all the solutions over
+    the algebraic closure.  It comes back False when the univariate
+    eliminant of some branch has more distinct roots (the degree of its
+    squarefree part) than rational ones, since each of its roots extends to
+    a solution.  If a variable is unconstrained and ``zero_free_vars`` is
+    set, it is pinned to 0 and ``exhaustive`` comes back False too; without
+    the flag such systems raise ValueError.
     """
     budget = _as_budget(budget)
     nv = space.nvars
@@ -546,6 +574,8 @@ def rational_points(gens, space, budget=None, zero_free_vars=False):
         roots = None
         for u in univs:
             rs = set(upoly_rational_roots(u)) if len(u) > 1 else set()
+            if len(upoly_squarefree_part(u)) > len(rs) + 1:
+                exhaustive = False
             roots = rs if roots is None else roots & rs
         for r in sorted(roots or ()):
             sub = [g.substitute({idx: r}) for g in live]

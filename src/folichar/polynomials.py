@@ -361,7 +361,11 @@ class MultiPoly(SparseSum):
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, _ZERO) + c1 * c2
+                c = c1 * c2
+                if e in out:
+                    out[e] += c
+                else:
+                    out[e] = Fraction(c) if type(c) is int else c
         return MultiPoly(self.space, out)
 
     __rmul__ = __mul__

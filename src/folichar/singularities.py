@@ -1,7 +1,8 @@
 """Local analysis of a vector field at a singular point.
 
 Eigendata of the linear part is computed exactly: the characteristic
-polynomial via the Faddeev-LeVerrier recursion, eigenvalues as roots in the
+polynomial as the determinant det(tI - D) (:func:`folichar.ideals.poly_det`,
+the package's one determinant), eigenvalues as roots in the
 working field (rational roots over Q, a coordinate ansatz solved with
 ``rational_points`` over Q(alpha)), eigenvectors as exact kernel bases.
 Irreducible factors of degree >= 2 with no declared extension are reported
@@ -35,7 +36,7 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .foliations import prolong
-from .ideals import rational_points
+from .ideals import poly_det, rational_points
 from .polynomials import MultiPoly, VarSpace, multigrade_decompose
 from .scalars import (
     as_fraction,
@@ -99,25 +100,15 @@ def _jacobian_matrix(xi, point, field):
 
 
 def _char_upoly(mat, field):
-    """det(tI - mat) by the Faddeev-LeVerrier trace recursion."""
+    """det(tI - mat), low-degree first, by :func:`poly_det` over Q[t]."""
     n = len(mat)
-    one = _ONE if field is None else field.one()
-    zero = _ZERO if field is None else field.zero()
-    coeffs = [zero] * n + [one]
-    aux = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        prod = [
-            [sum((mat[i][m] * aux[m][j] for m in range(n)), zero) for j in range(n)]
-            for i in range(n)
-        ]
-        trace = sum((prod[i][i] for i in range(n)), zero)
-        c = -trace / k
-        coeffs[n - k] = c
-        aux = [
-            [prod[i][j] + (c if i == j else zero) for j in range(n)]
-            for i in range(n)
-        ]
-    return tuple(coeffs)
+    space = VarSpace(("t",))
+    rows = [[MultiPoly.constant(space, -v) for v in row] for row in mat]
+    for i in range(n):
+        rows[i][i] = rows[i][i] + MultiPoly.variable(space, 0)
+    det = poly_det(rows)
+    coerce = Fraction if field is None else field.coerce
+    return tuple(coerce(det.terms.get((k,), 0)) for k in range(n + 1))
 
 
 def _field_roots(char, field, budget=None):
@@ -126,7 +117,9 @@ def _field_roots(char, field, budget=None):
     A candidate root z = sum c_k alpha^k is a polynomial in the c_k over
     Q(alpha); each power-basis coordinate of char(z), by Horner's rule, is
     one polynomial equation over Q in the c_k.  The solution variety is
-    finite, so ``rational_points`` enumerates it exhaustively.
+    finite and ``rational_points`` lists every rational point of it, which
+    is every root in Q(alpha); roots outside Q(alpha) are irrational points
+    and stay in the quotient that the caller reports as unresolved.
     """
     d = field.degree
     space = VarSpace(tuple(f"c{k}" for k in range(d)))
@@ -140,11 +133,7 @@ def _field_roots(char, field, budget=None):
     eqs = [g for g in eqs if not g.is_zero()]
     if not eqs:
         raise ValueError("zero polynomial has every root")
-    points, exhaustive = rational_points(eqs, space, budget=budget)
-    if not exhaustive:
-        raise UnresolvedFactor(
-            "root search did not certify exhaustiveness", upoly_trim(char)
-        )
+    points, _ = rational_points(eqs, space, budget=budget)
     return [field.element([p.get(k, _ZERO) for k in range(d)]) for p in points]
 
 

@@ -5,10 +5,19 @@ linear algebra: f is a member with cofactor degrees <= B exactly when f lies
 in the rational vector space spanned by the monomial multiples m*g_i with
 deg m <= B.  That span is built by incremental row reduction over the
 monomial basis -- no S-polynomials, no division chains.
+
+The point count of a zero-dimensional ideal (:func:`seidenberg_count`) is
+the one reference here that does use the library's Groebner engine: it
+takes the radical through univariate eliminants, a route independent of
+the Jacobian determinant that ``singular_scheme`` reads the count from.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from folichar.ideals import Ideal, eliminate, krull_dim_zero_check
+from folichar.polynomials import MultiPoly
+from folichar.scalars import upoly_squarefree_part
 
 _ZERO = Fraction(0)
 
@@ -102,3 +111,29 @@ def solve_linear(rows, ncols):
     for r, col in enumerate(pivots):
         sol[col] = aug[r][-1]
     return sol
+
+
+def seidenberg_count(ideal):
+    """Distinct points over the algebraic closure of a zero-dimensional ideal.
+
+    An ideal holding a squarefree univariate polynomial in every variable is
+    radical (Seidenberg's lemma; Kreuzer-Robbiano, Computational Commutative
+    Algebra 1, Prop. 3.7.15).  So adjoining the squarefree part of each
+    univariate eliminant gives the radical, and its quotient dimension is
+    the number of points.
+    """
+    space = ideal.space
+    augmented = list(ideal.generators)
+    for idx, name in enumerate(space.all_vars):
+        eliminant = next(g for g in eliminate(ideal, {name}).generators if g.terms)
+        coeffs = [Fraction(0)] * (eliminant.degree() + 1)
+        for (k,), c in eliminant.terms.items():
+            coeffs[k] = c
+        squarefree = MultiPoly.zero(space)
+        for k, c in enumerate(upoly_squarefree_part(coeffs)):
+            exp = tuple(k if i == idx else 0 for i in range(space.nvars))
+            squarefree = squarefree + MultiPoly.monomial(space, exp, c)
+        augmented.append(squarefree)
+    isolated, count = krull_dim_zero_check(Ideal(space, augmented))
+    assert isolated
+    return count

