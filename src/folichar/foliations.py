@@ -251,7 +251,9 @@ def singular_scheme(xi, budget=None):
     ``distinct_points`` is vecdim(I) - vecdim(I + (det D(xi))), and
     ``reduced`` holds iff I + (det D(xi)) is the unit ideal.
     ``divisorial_part`` is the monic nonconstant gcd of the components, if
-    any.
+    any.  For n >= 2 an isolated scheme has none, since a common factor
+    would cut a hypersurface out of V(I), so the gcd is computed only when
+    n = 1 or the scheme is not isolated.
     """
     budget = _as_budget(budget)
     comps = list(xi.components)
@@ -263,8 +265,10 @@ def singular_scheme(xi, budget=None):
         _, excess = krull_dim_zero_check(Ideal(xi.space, comps + [jac]), budget=budget)
         distinct = vecdim - excess
         reduced = excess == 0
-    gcd = poly_gcd_list(comps, budget=budget)
-    divisorial = None if gcd is None or gcd.is_constant() else gcd
+    divisorial = None
+    if len(comps) == 1 or not isolated:
+        gcd = poly_gcd_list(comps, budget=budget)
+        divisorial = None if gcd is None or gcd.is_constant() else gcd
     return SingularScheme(ideal, isolated, vecdim, reduced, distinct, divisorial)
 
 

@@ -6,7 +6,14 @@ pairs wait on a heap keyed ``(key(lcm), i, j)``, computed once per pair, so
 the smallest lcm goes next and ties go to the smaller indices.  The sugar
 strategy was rejected: it sped up cyclic-5 but took the lex systems of the
 Darboux search to about three times as many steps.  Reduction pops terms
-largest first from a heap keyed once per monomial by ``order.rkey``.
+largest first from a heap keyed once per monomial by ``order.rkey`` and
+divides each by the first basis lead that divides it (:func:`_first_divisor`).
+One run's S-pair reductions share a divisor memo, exponent -> (that index,
+how far the scan got), which stays valid because the basis only grows by
+appending.  The start-of-run interreduction keeps each element's lead and
+marks an element that came back unchanged as settled; it is not reduced
+again until another element's new lead divides one of its terms.  A
+cached basis keeps its lead data beside it for :func:`normal_form`.
 Bases are fully interreduced and monic, so for a fixed monomial order the
 reduced basis of an ideal is canonical regardless of generator order.
 Every reduction step charges one unit against the step budget; exhausting
@@ -33,7 +40,7 @@ import itertools
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, le as _le, sub
+from operator import add, itemgetter, le as _le, sub
 
 from .errors import BudgetExceeded, SpaceMismatch
 from .polynomials import GREVLEX, LEX, SCALARS, MultiPoly, elimination_order
@@ -118,8 +125,30 @@ def _step(c, lc):
     return 1, c if lc == 1 else c * scalar_inverse(lc)
 
 
-def reduce_poly(f, basis, order, budget):
-    """Normal form (for int leads, a multiple of it) of f by (lead_exp, lead_coeff, poly)."""
+def _first_divisor(e, leads, memo):
+    """Index of the first lead dividing e, or None.
+
+    ``memo`` maps e to (that index or None, how many leads were scanned), so
+    a list that only grows by appending is never rescanned from the start.
+    """
+    found, start = memo.get(e, (None, 0))
+    if found is None and start < len(leads):
+        for k in range(start, len(leads)):
+            if _divides(leads[k], e):
+                found = k
+                break
+        memo[e] = (found, len(leads))
+    return found
+
+
+def reduce_poly(f, basis, order, budget, memo=None):
+    """Normal form (for int leads, a multiple of it) of f by (lead_exp, lead_coeff, poly).
+
+    ``memo`` is the divisor memo of :func:`_first_divisor`; share one only
+    across calls whose basis lists extend each other.
+    """
+    memo = {} if memo is None else memo
+    leads = [b[0] for b in basis]
     tail = {}
     p = f.terms.copy()
     rkey = order.rkey
@@ -130,22 +159,22 @@ def reduce_poly(f, basis, order, budget):
         c = p.pop(e, None)
         if c is None:  # cancelled after it was pushed
             continue
-        for le, lc, g in basis:
-            if _divides(le, e):
-                budget.charge()
-                if type(lc) is int and budget.used % _CONTENT_EVERY == 0:
-                    d = (gcd(c, *p.values(), *tail.values()) if type(c) is int
-                         else content(c, *p.values(), *tail.values()))
-                    if d != 1:
-                        c //= d
-                        _rescale(p, tail, 1, d)
-                a, c = _step(c, lc)
-                if a != 1:
-                    _rescale(p, tail, a)
-                _sub_multiple(p, heap, rkey, g, le, _exp_sub(e, le), c)
-                break
-        else:
+        k = _first_divisor(e, leads, memo)
+        if k is None:
             tail[e] = c
+            continue
+        le, lc, g = basis[k]
+        budget.charge()
+        if type(lc) is int and budget.used % _CONTENT_EVERY == 0:
+            d = (gcd(c, *p.values(), *tail.values()) if type(c) is int
+                 else content(c, *p.values(), *tail.values()))
+            if d != 1:
+                c //= d
+                _rescale(p, tail, 1, d)
+        a, c = _step(c, lc)
+        if a != 1:
+            _rescale(p, tail, a)
+        _sub_multiple(p, heap, rkey, g, le, _exp_sub(e, le), c)
     return MultiPoly(f.space, tail)
 
 
@@ -166,24 +195,43 @@ def _normalized(g, order):
 
 
 def _interreduce(polys, order, budget):
-    """Make a generating set of nonzero polynomials fully autoreduced and normalized."""
+    """Make a generating set of nonzero polynomials fully autoreduced and normalized.
+
+    The restart loop: sort by lead, reduce each element by all the others
+    and start over after the first one that changes.  Each entry keeps its
+    key, lead data and whether it is settled (came back unchanged, so none
+    of its terms is divisible by another lead); a settled element is skipped
+    until another element's new lead divides one of its terms.
+    """
+    key = order.key
+    # [key(lead), (lead, int lead coefficient, poly), settled]
+    entries = [[key(data[0]), data, False] for data in _basis_data(polys, order)]
     changed = True
     while changed:
         changed = False
-        polys.sort(key=lambda g: order.key(g.leading(order)[0]))
-        for i in range(len(polys)):
-            others = polys[:i] + polys[i + 1:]
-            if not others:
+        entries.sort(key=itemgetter(0))
+        for i, entry in enumerate(entries):
+            if entry[2] or len(entries) == 1:
                 continue
-            r = reduce_poly(polys[i], _basis_data(others, order), order, budget)
-            if r.terms != polys[i].terms:
-                changed = True
-                if r.is_zero():
-                    polys.pop(i)
-                else:
-                    polys[i] = _normalized(r, order)
+            g = entry[1][2]
+            r = reduce_poly(g, [o[1] for o in entries if o is not entry], order, budget)
+            if r.terms == g.terms:
+                entry[2] = True
+                continue
+            changed = True
+            if r.is_zero():
+                entries.pop(i)
                 break
-    return [_normalized(p, order) for p in polys]
+            # r is reduced by the other leads, so it is settled as it stands
+            data, = _basis_data([_normalized(r, order)], order)
+            entries[i] = [key(data[0]), data, True]
+            if data[0] != entry[1][0]:
+                for other in entries:
+                    if other[2] and other is not entries[i] and any(
+                            _divides(data[0], e) for e in other[1][2].terms):
+                        other[2] = False
+            break
+    return [_normalized(entry[1][2], order) for entry in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +251,7 @@ def buchberger(gens, order, budget):
     if any(g.is_constant() for g in G):
         return [MultiPoly.constant(G[0].space, 1)]
     data = _basis_data(G, order)
+    memo = {}  # data only grows by appending, so one divisor memo serves every S-pair
     pairs = []
     done = set()
     key = order.key
@@ -232,7 +281,7 @@ def buchberger(gens, order, budget):
         _sub_multiple(s, [], order.rkey, gi, ei, _exp_sub(lcm, ei), -a)
         _sub_multiple(s, [], order.rkey, gj, ej, _exp_sub(lcm, ej), b)
         budget.charge()
-        r = reduce_poly(MultiPoly(gi.space, s), data, order, budget)
+        r = reduce_poly(MultiPoly(gi.space, s), data, order, budget, memo)
         if r.is_zero():
             continue
         if r.is_constant():
@@ -259,7 +308,7 @@ def buchberger(gens, order, budget):
 class Ideal:
     """Finitely generated ideal with lazily cached reduced Groebner bases."""
 
-    __slots__ = ("space", "generators", "_bases")
+    __slots__ = ("space", "generators", "_bases")  # order -> (basis, _basis_data(basis))
 
     def __init__(self, space, generators):
         gens = []
@@ -276,9 +325,9 @@ class Ideal:
     def basis(self, order=GREVLEX, budget=None):
         cached = self._bases.get(order)
         if cached is None:
-            cached = buchberger(list(self.generators), order, budget)
-            self._bases[order] = cached
-        return cached
+            basis = buchberger(list(self.generators), order, budget)
+            cached = self._bases[order] = (basis, _basis_data(basis, order))
+        return cached[0]
 
     def has_cached_basis(self, order=GREVLEX):
         return order in self._bases
@@ -321,10 +370,9 @@ def normal_form(f, ideal, order=GREVLEX, budget=None):
     budget = _as_budget(budget)
     if f.space != ideal.space:
         raise SpaceMismatch(f"{f.space} vs {ideal.space}")
-    basis = ideal.basis(order=order, budget=budget)
-    if not basis:
+    if not ideal.basis(order=order, budget=budget):
         return f
-    return reduce_poly(f, _basis_data(basis, order), order, budget)
+    return reduce_poly(f, ideal._bases[order][1], order, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,8 @@ class MultiPoly(SparseSum):
         for k, v in mapping.items():
             idx = k if isinstance(k, int) else self.space.index(k)
             subs[idx] = v
+        if all(isinstance(v, SCALARS) for v in subs.values()):
+            return self._substitute_scalars(subs)
         out = MultiPoly.zero(self.space)
         for e, c in self.terms.items():
             term = MultiPoly.constant(self.space, c)
@@ -405,6 +407,27 @@ class MultiPoly(SparseSum):
                     rest[i] = k
             out = out + term * MultiPoly.monomial(self.space, tuple(rest))
         return out
+
+    def _substitute_scalars(self, subs):
+        """substitute() for scalar values: c*v^k summed into one term dict."""
+        out = {}
+        for e, c in self.terms.items():
+            c = Fraction(c) if type(c) is int else c
+            rest = list(e)
+            for i, k in enumerate(e):
+                if k and i in subs:
+                    c = c * subs[i] ** k
+                    rest[i] = 0
+            if not c:
+                continue
+            rest = tuple(rest)
+            if rest in out:
+                c = out[rest] + c
+                if not c:  # a cancelled term leaves the dict, as in MultiPoly addition
+                    del out[rest]
+                    continue
+            out[rest] = c
+        return MultiPoly(self.space, out)
 
     def evaluate(self, point):
         """Evaluate at a full point given as a mapping name/index -> scalar."""

@@ -10,14 +10,34 @@ The point count of a zero-dimensional ideal (:func:`seidenberg_count`) is
 the one reference here that does use the library's Groebner engine: it
 takes the radical through univariate eliminants, a route independent of
 the Jacobian determinant that ``singular_scheme`` reads the count from.
+
+:func:`scan_reduce_poly` and :func:`restart_interreduce` are the engine's
+reduction and start-of-run interreduction written plainly: every popped
+term rescans the basis for its first divisor, and every restart re-sorts
+the generators, recomputes every lead and reduces every element again.
+They share the engine's step arithmetic, so a faster engine must give the
+same bases and charge the same steps.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop
 from itertools import product
+from math import gcd
 
-from folichar.ideals import Ideal, eliminate, krull_dim_zero_check
+from folichar.ideals import (
+    _CONTENT_EVERY,
+    Ideal,
+    _basis_data,
+    _exp_sub,
+    _normalized,
+    _rescale,
+    _step,
+    _sub_multiple,
+    eliminate,
+    krull_dim_zero_check,
+)
 from folichar.polynomials import MultiPoly
-from folichar.scalars import upoly_squarefree_part
+from folichar.scalars import content, upoly_squarefree_part
 
 _ZERO = Fraction(0)
 
@@ -137,3 +157,56 @@ def seidenberg_count(ideal):
     isolated, count = krull_dim_zero_check(Ideal(space, augmented))
     assert isolated
     return count
+
+
+def scan_reduce_poly(f, basis, order, budget, memo=None):
+    """reduce_poly without the divisor memo: each popped term scans the basis."""
+    tail = {}
+    p = f.terms.copy()
+    rkey = order.rkey
+    heap = [(rkey(e), e) for e in p]
+    heapify(heap)
+    while heap:
+        e = heappop(heap)[1]
+        c = p.pop(e, None)
+        if c is None:
+            continue
+        hit = next(((le, lc, g) for le, lc, g in basis
+                    if all(a <= b for a, b in zip(le, e))), None)
+        if hit is None:
+            tail[e] = c
+            continue
+        le, lc, g = hit
+        budget.charge()
+        if type(lc) is int and budget.used % _CONTENT_EVERY == 0:
+            d = (gcd(c, *p.values(), *tail.values()) if type(c) is int
+                 else content(c, *p.values(), *tail.values()))
+            if d != 1:
+                c //= d
+                _rescale(p, tail, 1, d)
+        a, c = _step(c, lc)
+        if a != 1:
+            _rescale(p, tail, a)
+        _sub_multiple(p, heap, rkey, g, le, _exp_sub(e, le), c)
+    return MultiPoly(f.space, tail)
+
+
+def restart_interreduce(polys, order, budget):
+    """The start-of-run restart loop with nothing cached between restarts."""
+    changed = True
+    while changed:
+        changed = False
+        polys.sort(key=lambda g: order.key(g.leading(order)[0]))
+        for i in range(len(polys)):
+            others = polys[:i] + polys[i + 1:]
+            if not others:
+                continue
+            r = scan_reduce_poly(polys[i], _basis_data(others, order), order, budget)
+            if r.terms != polys[i].terms:
+                changed = True
+                if r.is_zero():
+                    polys.pop(i)
+                else:
+                    polys[i] = _normalized(r, order)
+                break
+    return [_normalized(p, order) for p in polys]

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from folichar import foliations
 from folichar.foliations import (
     ConstantFunction,
     EmptyVariety,
@@ -286,6 +287,35 @@ def test_point_count_matches_seidenberg(n, field, split, count):
         assert ss.reduced == (distinct == ss.vecdim)
         nonreduced += not ss.reduced
     assert isolated >= count // 2 and nonreduced >= 1
+
+
+def test_isolated_scheme_skips_the_gcd(monkeypatch):
+    """For n >= 2 a common factor of the components would cut a hypersurface
+    out of V(I), so an isolated scheme has no divisorial part and no gcd is
+    computed; a planted common line and n = 1 still report one."""
+    calls = []
+    real = foliations.poly_gcd_list
+    monkeypatch.setattr(foliations, "poly_gcd_list",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    rng = rng_for("isolated-gcd")
+    isolated = 0
+    for n in (2, 3):
+        for _ in range(6):
+            before = len(calls)
+            ss = singular_scheme(_squared_field(rng, n, None, 1))
+            if ss.isolated:
+                isolated += 1
+                assert len(calls) == before and ss.divisorial_part is None
+    assert isolated >= 8
+
+    line = X1 - 2 * X2 + 1
+    planted = singular_scheme(PolyVectorField(S2, [line * X1, line * (X2 - 3)]))
+    assert not planted.isolated and str(planted.divisorial_part) == "x1 - 2*x2 + 1"
+    s1 = VarSpace(("x1",))
+    x = MultiPoly.variable(s1, "x1")
+    single = singular_scheme(PolyVectorField(s1, [2 * x * x - 2 * x]))
+    assert single.isolated and str(single.divisorial_part) == "x1^2 - x1"
+    assert len(calls) == 2
 
 
 def test_ch_singular_locus_trio():

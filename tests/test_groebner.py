@@ -6,7 +6,7 @@ from itertools import cycle, product
 
 import pytest
 from conftest import QA, QI, SQRT2, cyclic, katsura, rand_poly, rng_for
-from oracles import membership_oracle
+from oracles import membership_oracle, restart_interreduce, scan_reduce_poly
 
 from folichar import ideals
 from folichar.errors import BudgetExceeded, FieldMismatch
@@ -23,8 +23,8 @@ from folichar.ideals import (
     rational_points,
     standard_monomials,
 )
-from folichar.polynomials import GREVLEX, LEX, MultiPoly, VarSpace
-from folichar.scalars import NFElement, make_number_field
+from folichar.polynomials import GREVLEX, LEX, MultiPoly, VarSpace, elimination_order
+from folichar.scalars import NFElement, common_field, integral_multiple, make_number_field
 
 SXY = VarSpace(("x", "y"))
 X, Y = (MultiPoly.variable(SXY, v) for v in SXY.all_vars)
@@ -321,3 +321,60 @@ def test_membership_matches_oracle_sample():
         ]
         for f in probes:
             assert I.contains(f) == membership_oracle(f, gens)
+
+
+def _exact(polys):
+    """Terms with coefficient types and coordinates, in dict order."""
+    return [[(e, type(c), c.coords if isinstance(c, NFElement) else c)
+             for e, c in g.terms.items()] for g in polys]
+
+
+def _seeded_generators(rng, field):
+    """Two or three random polynomials and a combination of them, so that the
+    start-of-run interreduction has leads to divide; over ``field`` every
+    coefficient is scaled by a random element of it."""
+    gens = [rand_poly(rng, SXYZ, 2, 4, nonzero=True) for _ in range(rng.randint(2, 3))]
+    gens.append(gens[0] * rand_poly(rng, SXYZ, 1, 2, nonzero=True) + gens[-1])
+    if field is not None:
+        gens = [MultiPoly(SXYZ, {e: c * field.element([rng.randint(-2, 2) or 1, rng.randint(-2, 2)])
+                                 for e, c in g.terms.items()}) for g in gens]
+    return gens
+
+
+# The engine keeps each element's lead, skips settled elements in the
+# start-of-run restart loop and shares a divisor memo across one run's
+# S-pair reductions; the plain loop of tests/oracles.py recomputes all of
+# it.  Both must give the same bases and charge the same steps.
+@pytest.mark.parametrize("field", [None, SQRT2], ids=["Q", "sqrt2"])
+@pytest.mark.parametrize("order", [GREVLEX, LEX, elimination_order(SXYZ, [0])],
+                         ids=["grevlex", "lex", "block"])
+def test_cached_engine_matches_the_plain_loop(order, field, monkeypatch):
+    rng = rng_for(f"plain-loop:{order.name}:{field}")
+    interreduction_steps = 0
+    for _ in range(12):
+        gens = _seeded_generators(rng, field)
+        ring = common_field(c for g in gens for c in g.terms.values())
+        start = [ideals._normalized(MultiPoly(SXYZ, dict(zip(
+            g.terms, integral_multiple(g.terms.values(), ring)))), order) for g in gens]
+        fast, slow = StepBudget(10 ** 6), StepBudget(10 ** 6)
+        assert _exact(ideals._interreduce(list(start), order, fast)) == _exact(
+            restart_interreduce(list(start), order, slow))
+        assert fast.used == slow.used
+        interreduction_steps += fast.used
+
+        fast, slow = StepBudget(10 ** 6), StepBudget(10 ** 6)
+        ideal = Ideal(SXYZ, gens)
+        basis = ideal.basis(order, budget=fast)
+        with monkeypatch.context() as m:
+            m.setattr(ideals, "_interreduce", restart_interreduce)
+            m.setattr(ideals, "reduce_poly", scan_reduce_poly)
+            plain = buchberger(gens, order, slow)
+        assert _exact(basis) == _exact(plain) and fast.used == slow.used
+
+        probe = gens[0] * gens[-1] + rand_poly(rng, SXYZ, 3)
+        fast, slow = StepBudget(10 ** 6), StepBudget(10 ** 6)
+        data = [(*g.leading(order), g) for g in basis]
+        assert _exact([normal_form(probe, ideal, order, fast)]) == _exact(
+            [scan_reduce_poly(probe, data, order, slow)])
+        assert fast.used == slow.used
+    assert interreduction_steps > 0

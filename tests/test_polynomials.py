@@ -85,6 +85,32 @@ def test_substitute_evaluate():
         )
 
 
+def _typed(p):
+    return {e: (type(c), getattr(c, "coords", c)) for e, c in p.terms.items()}
+
+
+@pytest.mark.parametrize("field", [None, SQRT2], ids=["Q", "sqrt2"])
+def test_substitute_scalars_matches_the_polynomial_path(field):
+    """Scalar values take the one-dict path; the same values given as
+    constant polynomials take the general one.  Values, coefficient types
+    and the order of the terms agree, cancellations included."""
+    rng = rng_for(f"subst-scalars:{field}")
+    for _ in range(40):
+        p = rand_poly(rng, S3, 4, 6)
+        if field is not None:
+            p = p * rand_coeff(rng, field)
+        picks = rng.sample(range(3), rng.randint(1, 3))
+        values = {i: rand_coeff(rng, field) * rng.choice([0, 1, 1, 1]) for i in picks}
+        values = {S3.all_vars[i] if rng.random() < 0.5 else i: v for i, v in values.items()}
+        as_polys = {k: MultiPoly.constant(S3, v) for k, v in values.items()}
+        fast, general = p.substitute(values), p.substitute(as_polys)
+        assert fast == general
+        assert list(fast.terms) == list(general.terms) and _typed(fast) == _typed(general)
+    # terms that cancel after the substitution leave the result
+    x1, x2 = (MultiPoly.variable(S3, v) for v in ("x1", "x2"))
+    assert (x1 * x2 - 2 * x2).substitute({"x1": 2}).is_zero()
+
+
 def test_degree_and_homogeneous_parts():
     f = X1 * X1 * X2 + X1 + 5
     assert f.degree() == 3
@@ -305,3 +331,13 @@ def test_one_determinant_kernel():
             called = {getattr(n.func, "id", None) for n in ast.walk(node)
                       if isinstance(n, ast.Call)}
             assert not called & {"eliminate", "radical_membership"}, node.name
+
+
+def test_one_divisor_search():
+    """reduce_poly finds divisors only through _first_divisor, which owns
+    the divisor memo: it never scans the leads with _divides itself."""
+    tree = dict(_package_modules())["ideals.py"]
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    called = {getattr(n.func, "id", None) for n in ast.walk(functions["reduce_poly"])
+              if isinstance(n, ast.Call)}
+    assert "_first_divisor" in called and "_divides" not in called
