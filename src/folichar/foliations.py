@@ -11,6 +11,10 @@ Omega = sum dx_i ^ dy_i with the convention dF = Omega(xi_F, .), i.e.
 
     xi_F = sum (dF/dy_i) d/dx_i - sum (dF/dx_i) d/dy_i.
 
+So :func:`prolong` returns :func:`hamiltonian` of
+:func:`characteristic_polynomial`; ``tests/oracles.py`` keeps the coordinate
+formula above as the independent reference.
+
 xi_hat and the Hamiltonian fields are :class:`PolyVectorField` instances on
 the doubled space, whose directions are the x-block then the y-block.  A field
 prints as the operator sum a_i*d_i with its directions numbered d1..dm:
@@ -24,6 +28,7 @@ of a fiber over a singular point, or the whole characteristic variety.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -202,24 +207,12 @@ def hamiltonian(F):
 
 
 def prolong(xi):
-    """First prolongation xi_hat, also dual-computable via the Hamiltonian.
+    """First prolongation xi_hat: the Hamiltonian field of P.
 
-    The direct formula is used: x-components a_i, y-components
-    -sum_i (da_i/dx_j) y_i for each j.
+    Its x-components are a_i and its y-components -sum_i (da_i/dx_j) y_i,
+    i.e. dP/dy_i and -dP/dx_j for P = sum a_i y_i.
     """
-    dspace = xi.space.doubled()
-    lifted = [a.lift_to(dspace) for a in xi.components]
-    n = len(lifted)
-    ys = [MultiPoly.variable(dspace, v) for v in dspace.y_vars]
-    yc = []
-    for j in range(n):
-        acc = MultiPoly.zero(dspace)
-        for i in range(n):
-            d = lifted[i].partial(dspace.x_indices[j])
-            if not d.is_zero():
-                acc = acc - d * ys[i]
-        yc.append(acc)
-    out = PolyVectorField(dspace, lifted + yc)
+    out = hamiltonian(characteristic_polynomial(xi))
     if not out.is_prolongation_shaped():
         raise RuntimeError("prolongation is not linear in the fiber variables")
     return out
@@ -449,20 +442,9 @@ class DarbouxResult:
 
 
 def _monomials_up_to(space, max_deg):
-    n = space.nvars
-    out = []
-    for total in range(max_deg + 1):
-        out.extend(_exps_of_degree(n, total))
-    return out
-
-
-def _exps_of_degree(n, total):
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _exps_of_degree(n - 1, total - first):
-            yield (first,) + rest
+    """Exponents of total degree <= max_deg, by degree, then ascending."""
+    exps = itertools.product(range(max_deg + 1), repeat=space.nvars)
+    return sorted((e for e in exps if sum(e) <= max_deg), key=lambda e: (sum(e), e))
 
 
 def darboux_search(xi, max_deg, max_cofactor_deg, budget=None):
@@ -499,7 +481,6 @@ def darboux_search(xi, max_deg, max_cofactor_deg, budget=None):
         (m for m in g_monos if any(m)), key=LEX.key, reverse=True
     )
     results = []
-    seen = set()
     complete = True
     for lead in lexkeys:
         unknowns = [m for m in g_monos if LEX.key(m) < LEX.key(lead)]
@@ -516,23 +497,14 @@ def darboux_search(xi, max_deg, max_cofactor_deg, budget=None):
         )
         if not exhaustive:
             complete = False
+        # each point gives its own g with the lex lead pinned on this branch
         for pt in pts:
-            g = MultiPoly.monomial(space, lead)
-            for i, m in enumerate(unknowns):
-                val = pt[i]
-                if val:
-                    g = g + MultiPoly.monomial(space, m, val)
-            c = MultiPoly.zero(space)
-            for j, m in enumerate(c_monos):
-                val = pt[len(unknowns) + j]
-                if val:
-                    c = c + MultiPoly.monomial(space, m, val)
+            vals = [pt[i] for i in range(len(unknowns) + len(c_monos))]
+            g = MultiPoly(space, {lead: _ONE, **dict(zip(unknowns, vals))})
+            c = MultiPoly(space, dict(zip(c_monos, vals[len(unknowns):])))
             if xi.apply(g) != c * g:
                 continue  # pinned free coordinate broke the identity
-            key = (frozenset(g.terms.items()), frozenset(c.terms.items()))
-            if key not in seen:
-                seen.add(key)
-                results.append(DarbouxPair(g, c))
+            results.append(DarbouxPair(g, c))
     results.sort(
         key=lambda p: (
             p.polynomial.degree(),

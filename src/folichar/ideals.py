@@ -70,9 +70,7 @@ class StepBudget:
 
 
 def _as_budget(budget):
-    if budget is None or isinstance(budget, int):
-        return StepBudget(budget)
-    return budget
+    return StepBudget() if budget is None else budget
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +193,7 @@ def _normalized(g, order):
 
 
 def _interreduce(polys, order, budget):
-    """Make a generating set of nonzero polynomials fully autoreduced and normalized.
+    """Make a generating set of normalized polynomials fully autoreduced.
 
     The restart loop: sort by lead, reduce each element by all the others
     and start over after the first one that changes.  Each entry keeps its
@@ -231,7 +229,7 @@ def _interreduce(polys, order, budget):
                             _divides(data[0], e) for e in other[1][2].terms):
                         other[2] = False
             break
-    return [_normalized(entry[1][2], order) for entry in entries]
+    return [entry[1][2] for entry in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -577,64 +575,49 @@ def rational_points(gens, space, budget=None, zero_free_vars=False):
     """Rational solutions of a polynomial system by lex triangularization.
 
     Returns ``(points, exhaustive)`` where each point maps variable index to
-    a Fraction.  Every rational point of a zero-dimensional system is listed.
-    ``exhaustive`` says more: the points listed are all the solutions over
-    the algebraic closure.  It comes back False when the univariate
-    eliminant of some branch has more distinct roots (the degree of its
-    squarefree part) than rational ones, since each of its roots extends to
-    a solution.  If a variable is unconstrained and ``zero_free_vars`` is
-    set, it is pinned to 0 and ``exhaustive`` comes back False too; without
-    the flag such systems raise ValueError.
+    a Fraction.  Every rational point of a zero-dimensional system is listed:
+    each branch substitutes the rational roots of the univariate eliminant,
+    the one element of its reduced lex basis in the lex-least remaining
+    variable.  ``exhaustive`` says more: the points listed are all the
+    solutions over the algebraic closure.  It comes back False when the
+    univariate eliminant of some branch has more distinct roots (the degree
+    of its squarefree part) than rational ones, since each of its roots
+    extends to a solution.  If a variable is unconstrained (no eliminant, or
+    an empty basis) and ``zero_free_vars`` is set, it is pinned to 0 and
+    ``exhaustive`` comes back False too; without the flag such systems
+    raise ValueError.  Generators over another space raise
+    :class:`SpaceMismatch`.
     """
+    if any(g.space != space for g in gens):
+        raise SpaceMismatch(f"the system does not live in {space}")
     budget = _as_budget(budget)
-    nv = space.nvars
     points = []
     exhaustive = True
 
     def walk(current_gens, assignment, remaining):
         nonlocal exhaustive
         basis = buchberger(current_gens, LEX, budget)
-        if basis and basis[0].is_constant():
+        if not basis:
+            if remaining and not zero_free_vars:
+                raise ValueError("system is not zero-dimensional")
+            exhaustive = exhaustive and not remaining
+            points.append({**assignment, **dict.fromkeys(remaining, Fraction(0))})
             return
-        live = [g for g in basis if not g.is_zero()]
-        if not live:
-            pt = dict(assignment)
-            if remaining:
-                if not zero_free_vars:
-                    raise ValueError("system is not zero-dimensional")
-                exhaustive = False
-                for i in remaining:
-                    pt[i] = Fraction(0)
-            points.append(pt)
+        if basis[0].is_constant():
             return
-        if not remaining:
-            return  # nonzero constraints but nothing left to solve: inconsistent
         idx = remaining[-1]  # lex-least variable first
-        univs = [u for u in (_univariate_in(g, idx) for g in live) if u is not None]
-        if not univs:
+        u = next((u for u in (_univariate_in(g, idx) for g in basis) if u is not None), None)
+        if u is None:
             if not zero_free_vars:
                 raise ValueError("system is not zero-dimensional")
             exhaustive = False
-            sub = [g.substitute({idx: 0}) for g in live]
-            walk([s for s in sub if not s.is_zero()] or [MultiPoly.zero(space)],
-                 {**assignment, idx: Fraction(0)}, remaining[:-1])
-            return
-        roots = None
-        for u in univs:
-            rs = set(upoly_rational_roots(u)) if len(u) > 1 else set()
-            if len(upoly_squarefree_part(u)) > len(rs) + 1:
+            roots = [Fraction(0)]
+        else:
+            roots = upoly_rational_roots(u)
+            if len(upoly_squarefree_part(u)) > len(roots) + 1:
                 exhaustive = False
-            roots = rs if roots is None else roots & rs
-        for r in sorted(roots or ()):
-            sub = [g.substitute({idx: r}) for g in live]
-            sub = [s for s in sub if not s.is_zero()]
-            walk(sub or [MultiPoly.zero(space)], {**assignment, idx: r}, remaining[:-1])
+        for r in sorted(roots):
+            walk([g.substitute({idx: r}) for g in basis], {**assignment, idx: r}, remaining[:-1])
 
-    start = [g for g in gens if not g.is_zero()]
-    if not start:
-        if nv and not zero_free_vars:
-            raise ValueError("system is not zero-dimensional")
-        pt = {i: Fraction(0) for i in range(nv)}
-        return ([pt], nv == 0)
-    walk(start, {}, list(range(nv)))
+    walk(gens, {}, list(range(space.nvars)))
     return points, exhaustive

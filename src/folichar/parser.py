@@ -31,9 +31,9 @@ from functools import partial
 
 from .errors import MixedContext, ParseError, UnknownVariable
 from .forms import PolyForm, wedge
-from .ideals import Ideal
+from .ideals import Ideal, _univariate_in
 from .polynomials import MultiPoly, VarSpace
-from .scalars import make_number_field, scalar_inverse, upoly_trim
+from .scalars import make_number_field, scalar_inverse, upoly_monic
 from .weyl import WeylOperator, order_one_field, principal_symbol
 
 _VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
@@ -664,16 +664,9 @@ def _parse_field_clause(session, rest, line, assume_irreducible):
     gspace = VarSpace((gen,))
     helper = Session(gspace)
     poly = helper.eval_poly(ast, gspace)
-    deg = poly.degree()
-    if deg < 1:
+    if poly.degree() < 1:
         raise ParseError("the minimal polynomial must have degree >= 1", line, 1)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for e, c in poly.terms.items():
-        coeffs[e[0]] = c
-    lead = coeffs[-1]
-    if lead != 1:
-        coeffs = [c / lead for c in coeffs]
-    return make_number_field(gen, upoly_trim(coeffs),
+    return make_number_field(gen, upoly_monic(_univariate_in(poly, 0)),
                              assume_irreducible=assume_irreducible)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import SpaceMismatch
 from .scalars import NFElement, scalar_inverse
@@ -387,46 +388,42 @@ class MultiPoly(SparseSum):
         return MultiPoly(self.space, out)
 
     def substitute(self, mapping):
-        """Substitute variables (by index or name) with polynomials or scalars."""
+        """Substitute variables (by index or name) with polynomials or scalars.
+
+        Scalar values scale a term's coefficient; polynomial values multiply
+        a per-term factor.  Every result is summed into one term dict, and a
+        cancelled term leaves it, as in ``MultiPoly`` addition.
+        """
         subs = {}
         for k, v in mapping.items():
             idx = k if isinstance(k, int) else self.space.index(k)
             subs[idx] = v
-        if all(isinstance(v, SCALARS) for v in subs.values()):
-            return self._substitute_scalars(subs)
-        out = MultiPoly.zero(self.space)
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(self.space, c)
-            rest = [0] * self.space.nvars
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                if i in subs:
-                    term = term * subs[i] ** k
-                else:
-                    rest[i] = k
-            out = out + term * MultiPoly.monomial(self.space, tuple(rest))
-        return out
-
-    def _substitute_scalars(self, subs):
-        """substitute() for scalar values: c*v^k summed into one term dict."""
         out = {}
         for e, c in self.terms.items():
             c = Fraction(c) if type(c) is int else c
             rest = list(e)
+            factors = []
             for i, k in enumerate(e):
                 if k and i in subs:
-                    c = c * subs[i] ** k
+                    v = subs[i]
+                    if isinstance(v, SCALARS):
+                        c = c * v ** k
+                    else:
+                        factors.append(v ** k)
                     rest[i] = 0
-            if not c:
-                continue
-            rest = tuple(rest)
-            if rest in out:
-                c = out[rest] + c
-                if not c:  # a cancelled term leaves the dict, as in MultiPoly addition
-                    del out[rest]
-                    continue
-            out[rest] = c
+            if factors:
+                term = MultiPoly.constant(self.space, c)
+                for f in factors:
+                    term = term * f  # SpaceMismatch or TypeError on a bad value
+                summands = [(tuple(map(add, f, rest)), d) for f, d in term.terms.items()]
+            else:
+                summands = [(tuple(rest), c)] if c else []
+            for r, d in summands:
+                d = out[r] + d if r in out else d
+                if d:
+                    out[r] = d
+                else:
+                    del out[r]
         return MultiPoly(self.space, out)
 
     def evaluate(self, point):

@@ -593,13 +593,9 @@ def make_number_field(name, min_poly, assume_irreducible=False):
         )
     ints = tuple(map(int, field.model.min_poly))
     # rational root screen on the integral model (roots are r*scale)
-    for num in _int_divisors(ints[0]) if ints[0] else [0]:
-        candidates = [num, -num] if num else [0]
-        for cand in candidates:
-            if not upoly_eval(ints, cand):
-                raise RationalRootFound(
-                    f"min_poly has the rational root {Fraction(cand, scale)}"
-                )
+    roots = upoly_rational_roots(ints)
+    if roots:
+        raise RationalRootFound(f"min_poly has the rational root {roots[0] / scale}")
     if d == 4:
         hit = _quadratic_factor(ints)
         if hit is not None:

@@ -198,8 +198,6 @@ def jacobian_eigendata(xi, point, field=None, budget=None):
                 break
             remaining = quo
             count += 1
-        if not count:
-            continue
         eigenvalues.extend([lam] * count)
         shifted = [
             [mat[i][j] - (lam if i == j else 0) for j in range(n)]

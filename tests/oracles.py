@@ -17,6 +17,13 @@ term rescans the basis for its first divisor, and every restart re-sorts
 the generators, recomputes every lead and reduces every element again.
 They share the engine's step arithmetic, so a faster engine must give the
 same bases and charge the same steps.
+
+:func:`direct_prolongation` is the first prolongation by its coordinate
+formula, independent of the Hamiltonian of the characteristic polynomial
+that ``prolong`` returns.  :func:`two_path_substitute` is the substitution
+with a separate loop for scalar values and a polynomial sum for the rest:
+the library's one loop must match it in value, coefficient type and term
+order.
 """
 
 from fractions import Fraction
@@ -36,7 +43,8 @@ from folichar.ideals import (
     eliminate,
     krull_dim_zero_check,
 )
-from folichar.polynomials import MultiPoly
+from folichar.foliations import PolyVectorField
+from folichar.polynomials import SCALARS, MultiPoly
 from folichar.scalars import content, upoly_squarefree_part
 
 _ZERO = Fraction(0)
@@ -210,3 +218,56 @@ def restart_interreduce(polys, order, budget):
                     polys[i] = _normalized(r, order)
                 break
     return [_normalized(p, order) for p in polys]
+
+
+def direct_prolongation(xi):
+    """xi_hat = sum a_i d/dx_i - sum_{i,j} (da_i/dx_j) y_i d/dy_j, term by term."""
+    dspace = xi.space.doubled()
+    lifted = [a.lift_to(dspace) for a in xi.components]
+    ys = [MultiPoly.variable(dspace, v) for v in dspace.y_vars]
+    yc = []
+    for j in dspace.x_indices:
+        acc = MultiPoly.zero(dspace)
+        for a, y in zip(lifted, ys):
+            acc = acc - a.partial(j) * y
+        yc.append(acc)
+    return PolyVectorField(dspace, lifted + yc)
+
+
+def two_path_substitute(p, mapping):
+    """Scalar values summed into one term dict; any polynomial value sends
+    every term through polynomial products and sums."""
+    space = p.space
+    subs = {k if isinstance(k, int) else space.index(k): v for k, v in mapping.items()}
+    if all(isinstance(v, SCALARS) for v in subs.values()):
+        out = {}
+        for e, c in p.terms.items():
+            c = Fraction(c) if type(c) is int else c
+            rest = list(e)
+            for i, k in enumerate(e):
+                if k and i in subs:
+                    c = c * subs[i] ** k
+                    rest[i] = 0
+            if not c:
+                continue
+            rest = tuple(rest)
+            if rest in out:
+                c = out[rest] + c
+                if not c:
+                    del out[rest]
+                    continue
+            out[rest] = c
+        return MultiPoly(space, out)
+    out = MultiPoly.zero(space)
+    for e, c in p.terms.items():
+        term = MultiPoly.constant(space, c)
+        rest = [0] * space.nvars
+        for i, k in enumerate(e):
+            if not k:
+                continue
+            if i in subs:
+                term = term * subs[i] ** k
+            else:
+                rest[i] = k
+        out = out + term * MultiPoly.monomial(space, tuple(rest))
+    return out

@@ -24,7 +24,7 @@ from folichar.ideals import Ideal, eliminate, radical_membership
 from folichar.polynomials import LEX, MultiPoly, VarSpace
 
 from conftest import SQRT2, rand_coeff, rand_field, rand_poly, rng_for
-from oracles import seidenberg_count
+from oracles import direct_prolongation, seidenberg_count
 
 S2 = VarSpace(("x1", "x2"))
 X1, X2 = (MultiPoly.variable(S2, v) for v in S2.all_vars)
@@ -169,12 +169,21 @@ def test_prolong_examples():
     assert [str(c) for c in pr.y_components] == ["-2*x1*y1", "-y2"]
 
 
+def _typed_components(field):
+    return [{e: type(c) for e, c in comp.terms.items()} for comp in field.components]
+
+
 def test_prolong_is_hamiltonian_of_characteristic_polynomial():
+    """The prolongation matches its coordinate formula (tests/oracles.py)
+    and the Hamiltonian field of P, coefficient types included."""
     rng = rng_for("prolong-ham")
     for _ in range(25):
         n = rng.choice([2, 3])
-        xi = rand_field(rng, n, 3)
-        assert prolong(xi) == hamiltonian(characteristic_polynomial(xi))
+        base = rand_field(rng, n, 3)
+        for xi in (base, base.scale(SQRT2.gen() + 1)):
+            pr, ref = prolong(xi), direct_prolongation(xi)
+            assert pr == ref and _typed_components(pr) == _typed_components(ref)
+            assert pr == hamiltonian(characteristic_polynomial(xi))
 
 
 def test_prolong_tangency():
@@ -382,6 +391,15 @@ def test_classify_trichotomy_table():
         assert c.certificate is not None
     fiber = classify_ch_subvariety(DIAG, Ideal(D2, [DX1, DX2]))
     assert fiber.point == (F(0), F(0))
+
+
+def test_classify_fiber_over_a_line_of_zeros_reports_the_residual():
+    """x1*d1 + x1*d2 vanishes on the whole line x1 = 0, so V(x1) lies over
+    no single point: the fiber tag carries the residual ideal in x instead."""
+    xi = PolyVectorField(S2, [X1, X1])
+    c = classify_ch_subvariety(xi, Ideal(D2, [DX1]))
+    assert c.tag == "FiberOverSingularPoint" and c.point is None
+    assert c.residual.space == S2 and c.residual.generators == (X1,)
 
 
 def test_classify_negative_tags():

@@ -9,7 +9,7 @@ from conftest import QA, QI, SQRT2, cyclic, katsura, rand_poly, rng_for
 from oracles import membership_oracle, restart_interreduce, scan_reduce_poly
 
 from folichar import ideals
-from folichar.errors import BudgetExceeded, FieldMismatch
+from folichar.errors import BudgetExceeded, FieldMismatch, SpaceMismatch
 from folichar.ideals import (
     Ideal,
     StepBudget,
@@ -161,6 +161,25 @@ def test_rational_points_finite():
     # x^2 + 1 has two complex roots and no rational one
     none, sure = rational_points([X * X + 1, Y], SXY)
     assert not sure and none == []
+
+
+def test_rational_points_of_degenerate_systems():
+    """The empty system, an unconstrained variable and the 0-variable space."""
+    for gens in ([], [X - 1]):
+        with pytest.raises(ValueError, match="not zero-dimensional"):
+            rational_points(gens, SXY)
+    assert rational_points([], SXY, zero_free_vars=True) == ([{0: 0, 1: 0}], False)
+    pts, exhaustive = rational_points([X - 1], SXY, zero_free_vars=True)
+    assert (pts, exhaustive) == ([{1: 0, 0: 1}], False)
+    assert list(pts[0]) == [1, 0] and all(type(v) is F for v in pts[0].values())
+    assert rational_points([], VarSpace(())) == ([{}], True)
+
+
+def test_rational_points_rejects_a_system_over_another_space():
+    """(x - 1, y - 2) has the point (1, 2); over the space of x alone the
+    walk runs out of variables and must not answer "no points"."""
+    with pytest.raises(SpaceMismatch):
+        rational_points([X - 1, Y - 2], VarSpace(("x",)))
 
 
 # Step counts are deterministic, so they gate the engine's work exactly:

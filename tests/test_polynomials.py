@@ -2,10 +2,12 @@
 
 import ast
 from fractions import Fraction as F
+from functools import partial
 from pathlib import Path
 
 import pytest
 from conftest import SQRT2, rand_coeff, rand_poly, rng_for
+from oracles import two_path_substitute
 
 import folichar
 from folichar.errors import SpaceMismatch
@@ -109,6 +111,42 @@ def test_substitute_scalars_matches_the_polynomial_path(field):
     # terms that cancel after the substitution leave the result
     x1, x2 = (MultiPoly.variable(S3, v) for v in ("x1", "x2"))
     assert (x1 * x2 - 2 * x2).substitute({"x1": 2}).is_zero()
+
+
+@pytest.mark.parametrize("field", [None, SQRT2], ids=["Q", "sqrt2"])
+def test_substitute_matches_the_two_path_reference(field):
+    """One substitution loop for every value against the retired pair of
+    loops (tests/oracles.py): polynomial, scalar and mixed values agree in
+    value, coefficient type and term order, and both reject a value over
+    another space or one that is not a polynomial."""
+    rng = rng_for(f"subst-two-path:{field}")
+    for kind in ("polynomial", "scalar", "mixed") * 30:
+        p = rand_poly(rng, S3, 4, 6)
+        if field is not None:
+            p = p * rand_coeff(rng, field)
+        values = {}
+        for i in rng.sample(range(3), rng.randint(1, 3)):
+            poly = kind == "polynomial" or (kind == "mixed" and rng.random() < 0.5)
+            v = rand_poly(rng, S3, 2, 3) if poly else rand_coeff(rng, field) * rng.choice([0, 1, 1])
+            values[S3.all_vars[i] if rng.random() < 0.5 else i] = v
+        got, ref = p.substitute(values), two_path_substitute(p, values)
+        assert got == ref
+        assert list(got.terms) == list(ref.terms) and _typed(got) == _typed(ref)
+    # a term that cancels and comes back goes to the end, as in addition
+    f = MultiPoly(S3, {(1, 1, 0): F(1), (0, 0, 1): F(1), (0, 1, 0): F(-2), (2, 1, 0): F(1, 4)})
+    for value in (F(2), MultiPoly.constant(S3, 2)):
+        got, ref = f.substitute({"x1": value}), two_path_substitute(f, {"x1": value})
+        assert list(got.terms) == list(ref.terms) == [(0, 0, 1), (0, 1, 0)]
+    x1 = MultiPoly.variable(S3, "x1")
+    f = x1 * x1 + 2
+    for bad, error in ((X1, SpaceMismatch), ("x2", TypeError), (1.5, TypeError)):
+        for substitute in (f.substitute, partial(two_path_substitute, f)):
+            with pytest.raises(error):
+                substitute({"x1": bad})
+            with pytest.raises(error):
+                substitute({"x1": bad, "x2": MultiPoly.variable(S3, "x3")})
+    # a value for a variable that does not occur is never looked at
+    assert f.substitute({"x2": X1}) == two_path_substitute(f, {"x2": X1}) == f
 
 
 def test_degree_and_homogeneous_parts():
@@ -341,3 +379,23 @@ def test_one_divisor_search():
     called = {getattr(n.func, "id", None) for n in ast.walk(functions["reduce_poly"])
               if isinstance(n, ast.Call)}
     assert "_first_divisor" in called and "_divides" not in called
+
+
+def test_one_implementation_per_primitive():
+    """Substitution, prolongation, monomial enumeration and the rational
+    root search each have one implementation: the scalar-only substitution
+    loop and the recursive exponent generator are gone, prolong is the
+    Hamiltonian field of P, and the number-field screen reuses
+    upoly_rational_roots."""
+    modules = dict(_package_modules())
+    defined = {n.name for tree in modules.values() for n in ast.walk(tree)
+               if isinstance(n, ast.FunctionDef)}
+    assert not {"_substitute_scalars", "_exps_of_degree"} & defined
+
+    def calls(module, function):
+        node = next(n for n in ast.walk(modules[module])
+                    if isinstance(n, ast.FunctionDef) and n.name == function)
+        return {getattr(n.func, "id", None) for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+    assert {"hamiltonian", "characteristic_polynomial"} <= calls("foliations.py", "prolong")
+    assert "upoly_rational_roots" in calls("scalars.py", "make_number_field")

@@ -1,0 +1,60 @@
+"""Digest of every in-process benchmark answer, for comparing two checkouts.
+
+    python3 tools/answer_digest.py --seeds 0,1,2
+
+Builds the ``groebner`` and ``pipelines`` query sets of ``perfbench`` for
+each seed and runs every query once with a fresh ``StepBudget(10**6)``.
+Prints one line per query (workload, seed, label, sha256 of its fingerprint
+or of the error it raised, ``budget.used``), then the sha256 of all those
+lines.  Two checkouts that give the same answers and charge the same steps
+print the same last line, so a refactor is checked by one diff of the
+outputs.  Run it from the root of a checkout; it imports ``folichar`` from
+``src`` and only reads ``perfbench``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+
+from folichar.ideals import StepBudget  # noqa: E402
+from perfbench import workloads  # noqa: E402
+
+STEP_LIMIT = 10 ** 6
+BUILDERS = (("groebner", workloads.groebner_queries),
+            ("pipelines", workloads.pipeline_queries))
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def answer_lines(seed):
+    """One line per query of both in-process workloads at ``seed``."""
+    for name, build in BUILDERS:
+        for q in build(seed):
+            budget = StepBudget(STEP_LIMIT)
+            try:
+                text = str(q.fingerprint(q.run(budget)))
+            except Exception as exc:  # a raising query is part of its answer
+                text = f"{type(exc).__name__}: {exc}"
+            yield f"{name} {seed} {q.label} {_sha(text)[:16]} {budget.used}"
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", default="0", help="comma-separated seeds (default 0)")
+    args = ap.parse_args(argv)
+    lines = [line for seed in args.seeds.split(",") for line in answer_lines(int(seed))]
+    text = "\n".join(lines)
+    print(text)
+    print(f"{len(lines)} queries, sha256 {_sha(text)}")
+
+
+if __name__ == "__main__":
+    main()
