@@ -8,6 +8,7 @@ from .errors import (
     EmptyVariety,
     FieldMismatch,
     FolicharError,
+    InvalidInput,
     IrreducibilityUnattested,
     LeafNotInvariant,
     MixedContext,
@@ -94,7 +95,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceeded", "ConstantFunction", "DegeneratePencil", "EmptyVariety",
-    "FieldMismatch", "FolicharError", "IrreducibilityUnattested",
+    "FieldMismatch", "FolicharError", "InvalidInput", "IrreducibilityUnattested",
     "LeafNotInvariant", "MixedContext",
     "NotADistribution", "NotASingularPoint", "NotLogarithmic",
     "NotTorusInvariant", "ParseError", "ReducibleDetected",

@@ -24,6 +24,7 @@ from typing import NamedTuple
 from .errors import (
     BudgetExceeded,
     FolicharError,
+    InvalidInput,
     LeafNotInvariant,
     NotADistribution,
     NotLogarithmic,
@@ -361,7 +362,7 @@ def _cmd_inf_auto(session, args, budget, xi, w):
 def _cmd_disc(session, args, budget, p):
     k = p.degree()
     if k < 2:
-        raise ValueError("discriminants need degree >= 2")
+        raise InvalidInput("discriminants need degree >= 2")
     coeffs = [Fraction(0)] * (k + 1)
     for e, c in p.terms.items():
         coeffs[e[1]] = c
@@ -490,7 +491,7 @@ def main(argv=None):
             result={"reason": str(exc), "error": type(exc).__name__},
             verdict=False,
         )
-    except (FolicharError, ValueError, KeyError) as exc:
+    except FolicharError as exc:
         _emit(_error_report(args.command, exc), args.json)
         return 2
     except Exception as exc:

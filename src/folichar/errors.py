@@ -9,6 +9,10 @@ class FolicharError(Exception):
     """Base class for all library-specific errors."""
 
 
+class InvalidInput(FolicharError, ValueError):
+    """An argument outside an operation's domain (a degree, an index)."""
+
+
 # ---------------------------------------------------------------------------
 # scalars / number fields
 # ---------------------------------------------------------------------------

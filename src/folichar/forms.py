@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .errors import (
     DegeneratePencil,
+    InvalidInput,
     NotADistribution,
     NotLogarithmic,
     NotTorusInvariant,
@@ -232,7 +233,7 @@ def contract_field(w, xi):
     """Interior product i_xi(w) for a polynomial vector field."""
     ndir = w.ndirections
     if len(xi.components) != ndir:
-        raise ValueError(f"expected {ndir} components, got {len(xi.components)}")
+        raise SpaceMismatch(f"expected {ndir} components, got {len(xi.components)}")
     out = PolyForm(w.space, max(w.degree - 1, 0))
     for j, c in enumerate(xi.components):
         if c.is_zero():
@@ -267,7 +268,7 @@ def is_distribution(w):
     if w.is_zero():
         raise ZeroForm("the zero form does not define a distribution")
     if w.degree < 1:
-        raise ValueError("distributions come from forms of degree >= 1")
+        raise InvalidInput("distributions come from forms of degree >= 1")
     return _wedge_residues(w, w)
 
 
@@ -389,7 +390,7 @@ def logarithmic_normal_form(w):
     if w.is_zero():
         raise ZeroForm("normal form needs a nonzero form")
     if w.degree < 1:
-        raise ValueError("normal form applies to forms of degree >= 1")
+        raise InvalidInput("normal form applies to forms of degree >= 1")
     if not is_torus_invariant_form(w):
         raise NotTorusInvariant("form is not invariant under coordinate scaling")
     space = w.space

@@ -34,9 +34,8 @@ from .forms import PolyForm, wedge
 from .ideals import Ideal, _univariate_in
 from .polynomials import MultiPoly, VarSpace
 from .scalars import make_number_field, scalar_inverse, upoly_monic
-from .weyl import WeylOperator, order_one_field, principal_symbol
+from .weyl import WeylOperator, _is_field_shaped, order_one_field, principal_symbol
 
-_VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
 _YVAR_RE = re.compile(r"^y([1-9][0-9]*)$")
 _D_RE = re.compile(r"^d([1-9][0-9]*)$")
 _DX_RE = re.compile(r"^dx([1-9][0-9]*)$")
@@ -229,14 +228,8 @@ def _constant_scalar(value, pos):
     """Extract a plain scalar from a constant poly/0-form/order-0 operator."""
     if isinstance(value, PolyForm) and value.degree == 0:
         value = value.terms.get((), MultiPoly.zero(value.space))
-    if isinstance(value, MultiPoly):
-        if value.is_constant():
-            return value.constant_value()
-    elif isinstance(value, WeylOperator):
-        if value.is_zero():
-            return Fraction(0)
-        if value.total_degree() == 0:
-            return next(iter(value.terms.values()))
+    if isinstance(value, MultiPoly) and value.is_constant():
+        return value.constant_value()
     raise ParseError("expected a constant here", *pos)
 
 
@@ -367,18 +360,14 @@ class Session:
         return self._evaluate(ast, leaf, _arith)
 
     def eval_operator(self, ast):
-        n = self.n
-        const = partial(WeylOperator.constant, n)
+        const = partial(WeylOperator.constant, self.n)
+        ops = const(0).space
 
         def leaf(kind, name, pos):
             if kind == "num":
                 return const(name)
-            m = _VAR_RE.match(name)
-            if m and int(m.group(1)) <= n:
-                return WeylOperator.x_var(n, int(m.group(1)) - 1)
-            m = _D_RE.match(name)
-            if m and int(m.group(1)) <= n:
-                return WeylOperator.d_var(n, int(m.group(1)) - 1)
+            if name in ops.all_vars:
+                return WeylOperator.variable(ops, name)
             if _DX_RE.match(name) or _DY_RE.match(name) or _YVAR_RE.match(name):
                 raise MixedContext(f"{name} cannot appear in an operator", *pos)
             return self._named(name, pos, const, "op")
@@ -620,11 +609,6 @@ def _reevaluates(kind, decl_kind):
     evaluating its AST again (the other coercions convert its value)?"""
     return (kind == "op" and decl_kind not in ("op", "field", "poly")
             or kind == "form" and decl_kind in ("op", "field"))
-
-
-def _is_field_shaped(op):
-    """Pure first order with no order-zero part: readable as a vector field."""
-    return bool(op.terms) and all(sum(de) == 1 for _, de in op.terms)
 
 
 def print_value(value):

@@ -29,6 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import (
+    InvalidInput,
     LeafNotInvariant,
     NotASingularPoint,
     UnknownVariable,
@@ -298,7 +299,7 @@ def holonomy_spectrum(xi, point, index, field=None, budget=None):
     data = jacobian_eigendata(xi, point, field=field, budget=budget)
     eigs = data.eigenvalues
     if not 1 <= index <= len(eigs):
-        raise ValueError(f"separatrix index {index} out of range 1..{len(eigs)}")
+        raise InvalidInput(f"separatrix index {index} out of range 1..{len(eigs)}")
     lam = eigs[index - 1]
     if not lam:
         raise ZeroEigenvalue("holonomy needs a nonzero separatrix eigenvalue")
@@ -526,7 +527,7 @@ def coordinate_subspace_decomposition(ideal, budget=None):
         )
     involved = sorted(set().union(*supports)) if supports else []
     if len(involved) > 10:
-        raise ValueError("subset enumeration limited to supports in 10 variables")
+        raise InvalidInput("subset enumeration limited to supports in 10 variables")
     covers = []
     for size in range(len(involved) + 1):
         for combo in combinations(involved, size):

@@ -1,60 +1,49 @@
 """Weyl algebra arithmetic and the two symbol maps.
 
-Operators are kept normally ordered (all x's to the left of all d's); the
-product is expanded term-pair-wise through the closed commutation formula
+An operator is a polynomial in (x1..xn | d1..dn), a :class:`MultiPoly`
+whose y-block is the d-block, read in normal order (all x's to the left of
+all d's).  Sums, scaling, powers, equality and printing are the
+polynomials'; only the product differs, expanded term pair by term pair
+through the closed commutation formula
 
     d^s x^r = sum_k C(s,k) C(r,k) k! x^(r-k) d^(s-k)
 
 applied per variable (distinct variables commute).  Two filtrations matter:
 the total-degree (Bernstein) filtration and the order filtration counting
-only d's.  Their top-part symbol maps substitute y_i for d_i; the symbol of
-a first-order operator xi + f recovers the characteristic polynomial of the
-vector field xi, which is the bridge between principal ideals of operators
-and characteristic varieties of foliations.
-
-Sums, differences, negation, scalar scaling and powers come from
-:class:`folichar.polynomials.SparseSum`; an operator prints as the
-polynomial in x1..xn, d1..dn with the same terms.
+only d's.  Their top-part symbol maps read the d-block as the y-block; the
+symbol of a first-order operator xi + f recovers the characteristic
+polynomial of the vector field xi, which is the bridge between principal
+ideals of operators and characteristic varieties of foliations.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, factorial
+from math import comb, perm
 
 from .errors import SizeMismatch, ZeroOperator
 from .foliations import PolyVectorField, characteristic_polynomial
 from .ideals import Ideal
-from .polynomials import SCALARS, MultiPoly, SparseSum, VarSpace
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .polynomials import SCALARS, MultiPoly, VarSpace
 
 
-def _doubled_space(n, stem="y"):
-    """x1..xn with a second block stem1..stemn (the symbol's y's, or d's)."""
+def _doubled_space(n):
+    """(x1..xn | d1..dn): the variables of the operators on n variables."""
     return VarSpace(tuple(f"x{i + 1}" for i in range(n)),
-                    tuple(f"{stem}{i + 1}" for i in range(n)))
+                    tuple(f"d{i + 1}" for i in range(n)))
 
 
-class WeylOperator(SparseSum):
-    """Element of A_n: finite sum of c * x^r * d^s in normal order."""
+class WeylOperator(MultiPoly):
+    """Element of A_n: a sum of c * x^r * d^s in normal order, keyed r + s."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
     _noun = "operator"
 
-    def __init__(self, n, terms=None):
-        self.n = n
-        clean = {}
-        for (xe, de), c in (terms or {}).items():
-            if len(xe) != n or len(de) != n:
-                raise SizeMismatch(f"exponent vectors must have length {n}")
-            if c:
-                clean[(tuple(xe), tuple(de))] = c
-        self.terms = clean
+    @property
+    def n(self):
+        return self.space.n
 
     def _like(self, terms):
-        return WeylOperator(self.n, terms)
+        return WeylOperator(self.space, terms)
 
     def _embed(self, c):
         return WeylOperator.constant(self.n, c)
@@ -63,32 +52,28 @@ class WeylOperator(SparseSum):
 
     @classmethod
     def zero(cls, n):
-        return cls(n, {})
+        return cls(_doubled_space(n))
 
     @classmethod
     def constant(cls, n, c):
-        e = (0,) * n
-        return cls(n, {(e, e): Fraction(c) if isinstance(c, int) else c})
+        return cls.monomial(_doubled_space(n), (0,) * (2 * n), c)
 
     @classmethod
     def x_var(cls, n, i):
-        xe = tuple(1 if j == i else 0 for j in range(n))
-        return cls(n, {(xe, (0,) * n): _ONE})
+        return cls.variable(_doubled_space(n), i)
 
     @classmethod
     def d_var(cls, n, i):
-        de = tuple(1 if j == i else 0 for j in range(n))
-        return cls(n, {((0,) * n, de): _ONE})
+        return cls.variable(_doubled_space(n), n + i)
 
     @classmethod
     def from_poly(cls, f):
         """Multiplication operator by a polynomial in the x-variables."""
-        space = f.space
-        if f.involves(range(len(space.x_vars), space.nvars)):
+        n = len(f.space.x_vars)
+        if f.involves(range(n, f.space.nvars)):
             raise ValueError("multiplication operators come from x-only polynomials")
-        n = len(space.x_vars)
         zero = (0,) * n
-        return cls(n, {(e[:n], zero): c for e, c in f.terms.items()})
+        return cls(_doubled_space(n), {e[:n] + zero: c for e, c in f.terms.items()})
 
     @classmethod
     def from_vector_field(cls, xi):
@@ -96,32 +81,17 @@ class WeylOperator(SparseSum):
         n = len(xi.components)
         terms = {}
         for i, a in enumerate(xi.components):
-            de = tuple(1 if j == i else 0 for j in range(n))
-            for e, c in a.terms.items():
-                key = (e[:n], de)
-                terms[key] = terms.get(key, _ZERO) + c
-        return cls(n, terms)
+            de = tuple(int(j == i) for j in range(n))
+            terms.update((e[:n] + de, c) for e, c in a.terms.items())
+        return cls(_doubled_space(n), terms)
 
     # -- structure -------------------------------------------------------------
 
-    def __eq__(self, other):
-        if not isinstance(other, WeylOperator):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
     def order(self):
         """Largest number of d's in a term; -1 for the zero operator."""
-        if not self.terms:
-            return -1
-        return max(sum(de) for _, de in self.terms)
+        return self.degree(self.space.y_indices)
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(xe) + sum(de) for xe, de in self.terms)
+    total_degree = MultiPoly.degree
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -133,36 +103,10 @@ class WeylOperator(SparseSum):
         if isinstance(other, SCALARS):
             return self._scale(other)
         if not isinstance(other, WeylOperator):
-            return NotImplemented
+            return NotImplemented  # a MultiPoly then raises SpaceMismatch
         return weyl_mul(self, other)
 
     __rmul__ = __mul__
-
-    # -- display ---------------------------------------------------------------
-
-    def __str__(self):
-        """Printed as a polynomial in x1..xn, d1..dn."""
-        return str(_symbol_poly(self.terms.items(), self.n, _doubled_space(self.n, "d")))
-
-    def __repr__(self):
-        return f"<{self}>"
-
-
-def _term_product(xe1, de1, xe2, de2, coeff, n, out):
-    """Accumulate x^xe1 d^de1 * x^xe2 d^de2 into ``out`` in normal order."""
-    ranges = [range(min(de1[i], xe2[i]) + 1) for i in range(n)]
-    # iterate the k-vector of contractions variable by variable
-    stack = [(0, (), coeff)]
-    while stack:
-        i, ks, c = stack.pop()
-        if i == n:
-            xe = tuple(xe1[j] + xe2[j] - ks[j] for j in range(n))
-            de = tuple(de1[j] + de2[j] - ks[j] for j in range(n))
-            out[xe, de] = out.get((xe, de), _ZERO) + c
-            continue
-        for k in ranges[i]:
-            w = comb(de1[i], k) * comb(xe2[i], k) * factorial(k)
-            stack.append((i + 1, ks + (k,), c * w))
 
 
 def weyl_mul(a, b):
@@ -170,59 +114,74 @@ def weyl_mul(a, b):
     if not isinstance(a, WeylOperator) or not isinstance(b, WeylOperator):
         raise TypeError("weyl_mul expects two WeylOperators")
     a._check(b)
+    n = a.n
     out = {}
-    for (xe1, de1), c1 in a.terms.items():
-        for (xe2, de2), c2 in b.terms.items():
-            _term_product(xe1, de1, xe2, de2, c1 * c2, a.n, out)
-    return WeylOperator(a.n, out)
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            # per variable i, contract k of the d_i^s of e1 with the x_i^r of e2
+            parts = [((), (), c1 * c2)]
+            for i in range(n):
+                s, r = e1[n + i], e2[i]
+                x, d = e1[i] + r, s + e2[n + i]
+                parts = [(xs + (x - k,), ds + (d - k,), c * (perm(s, k) * comb(r, k)))
+                         for xs, ds, c in parts for k in range(min(s, r) + 1)]
+            for xs, ds, c in parts:
+                e = xs + ds
+                out[e] = out[e] + c if e in out else c
+    return WeylOperator(a.space, out)
 
 
 # ---------------------------------------------------------------------------
 # symbol maps
 # ---------------------------------------------------------------------------
 
-def _symbol_poly(terms, n, space):
+def _symbol_space(d, space):
+    """The target (x | y | aux) of ``d``'s symbols: its blocks must fit."""
     if space is None:
-        space = _doubled_space(n)
-    pad = space.nvars - 2 * n
-    out = {}
-    for (xe, de), c in terms:
-        out[xe + de + (0,) * pad] = c
-    return MultiPoly(space, out)
+        return d.space.x_only().doubled()
+    if len(space.x_vars) != d.n or len(space.y_vars) != d.n:
+        raise SizeMismatch(f"an operator on {d.n} variables has no symbol in {space}")
+    return space
+
+
+def _top_part(d, indices, space):
+    """(k, top part of ``d`` in the degree counted on ``indices``), the
+    d-block read as the y-block of ``space``."""
+    if d.is_zero():
+        raise ZeroOperator("the zero operator has no symbol")
+    space = _symbol_space(d, space)
+    k = d.degree(indices)
+    pad = (0,) * len(space.aux_vars)
+    return k, MultiPoly(space, {e + pad: c for e, c in
+                                d.homogeneous_part(k, indices).terms.items()})
 
 
 def bernstein_symbol(d, space=None):
     """(k, sigma_k): top total-degree part with d_i replaced by y_i."""
-    if d.is_zero():
-        raise ZeroOperator("the zero operator has no symbol")
-    k = d.total_degree()
-    top = [(key, c) for key, c in d.terms.items() if sum(key[0]) + sum(key[1]) == k]
-    return k, _symbol_poly(top, d.n, space)
+    return _top_part(d, None, space)
 
 
 def principal_symbol(d, space=None):
     """(m, symbol): order filtration, keeping the terms with m d's."""
-    if d.is_zero():
-        raise ZeroOperator("the zero operator has no symbol")
-    m = d.order()
-    top = [(key, c) for key, c in d.terms.items() if sum(key[1]) == m]
-    return m, _symbol_poly(top, d.n, space)
+    return _top_part(d, d.space.y_indices, space)
+
+
+def _is_field_shaped(op):
+    """Pure first order with no order-zero part: readable as a vector field."""
+    return set(op.homogeneous_parts(op.space.y_indices)) == {1}
 
 
 def order_one_field(d, space=None):
-    """The vector field sum g_i d_i read off an order-one operator."""
+    """The vector field sum g_i d_i read off an order-one operator:
+    g_i is the d_i-derivative of its order-one part."""
+    base = _symbol_space(d, space).x_only()
     if d.order() != 1:
         raise ValueError("not an order-one operator")
-    if space is None:
-        space = _doubled_space(d.n)
-    base = space.x_only()
-    comps = [MultiPoly.zero(base) for _ in range(d.n)]
-    for (xe, de), c in d.terms.items():
-        if sum(de) != 1:
-            continue
-        i = de.index(1)
-        comps[i] = comps[i] + MultiPoly.monomial(base, xe, c)
-    return PolyVectorField(base, comps)
+    n = d.n
+    part = d.homogeneous_part(1, d.space.y_indices)
+    return PolyVectorField(base, [
+        MultiPoly(base, {e[:n]: c for e, c in part.partial(n + i).terms.items()})
+        for i in range(n)])
 
 
 def charvariety_of_principal_ideal(d, space=None):

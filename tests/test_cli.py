@@ -438,6 +438,25 @@ def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_bare_value_or_key_error_is_a_defect(tmp_path, capsys, monkeypatch, error):
+    """Input errors are FolicharError subclasses; a bare ValueError or
+    KeyError out of a handler is a defect (exit 4), never exit 2."""
+    def broken(xi):
+        raise error("simulated defect")
+
+    monkeypatch.setattr("folichar.cli.characteristic_polynomial", broken)
+    fol = tmp_path / "session.fol"
+    fol.write_text(DIAG_SESSION)
+    code = main(["ch", str(fol), "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert payload["result"]["error"] == error.__name__
+    # library callers that catch ValueError still catch the input errors
+    assert issubclass(folichar.InvalidInput, ValueError)
+    assert issubclass(folichar.InvalidInput, folichar.FolicharError)
+
+
 def test_readme_matches_the_command_table():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     listed = re.search(r"Subcommands:(.*?)\.\n", readme, re.S).group(1)

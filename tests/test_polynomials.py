@@ -399,3 +399,37 @@ def test_one_implementation_per_primitive():
 
     assert {"hamiltonian", "characteristic_polynomial"} <= calls("foliations.py", "prolong")
     assert "upoly_rational_roots" in calls("scalars.py", "make_number_field")
+
+
+def _splits_a_key(loop):
+    """Does a for-loop or comprehension unpack the keys of some ``.terms``?"""
+    it, target = loop.iter, loop.target
+    if isinstance(it, ast.Attribute) and it.attr == "terms":
+        return isinstance(target, ast.Tuple)
+    if isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute) \
+            and it.func.attr == "items" and getattr(it.func.value, "attr", None) == "terms":
+        return isinstance(target, ast.Tuple) and isinstance(target.elts[0], ast.Tuple)
+    return False
+
+
+def test_operators_are_polynomials():
+    """A Weyl operator is a MultiPoly over (x1..xn | d1..dn): it keeps no
+    store, equality or printer of its own, no module converts its terms to
+    polynomials, and the parser never splits an exponent into x- and d-parts."""
+    modules = dict(_package_modules())
+    cls = next(n for n in ast.walk(modules["weyl.py"])
+               if isinstance(n, ast.ClassDef) and n.name == "WeylOperator")
+    assert [getattr(b, "id", None) for b in cls.bases] == ["MultiPoly"]
+    own = set()
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef):
+            own.add(item.name)
+        elif isinstance(item, ast.Assign):
+            own.update(t.id for t in item.targets if isinstance(t, ast.Name))
+    assert not own & {"__init__", "__eq__", "__hash__", "__str__", "__repr__", "to_str"}
+    defined = {n.name for tree in modules.values() for n in ast.walk(tree)
+               if isinstance(n, ast.FunctionDef)}
+    assert not {"_symbol_poly", "_term_product"} & defined
+    loops = [n for n in ast.walk(modules["parser.py"])
+             if isinstance(n, (ast.For, ast.comprehension))]
+    assert loops and not [n for n in loops if _splits_a_key(n)]

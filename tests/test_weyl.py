@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from folichar.errors import SpaceMismatch
 from folichar.foliations import PolyVectorField, characteristic_polynomial
 from folichar.polynomials import MultiPoly, VarSpace
 from folichar.scalars import NFElement
@@ -26,13 +27,19 @@ D1 = WeylOperator.d_var(1, 0)
 X1 = WeylOperator.x_var(1, 0)
 
 
+def op_space(n):
+    """(x1..xn | d1..dn): an operator's term x^xe d^de is keyed xe + de."""
+    return VarSpace(tuple(f"x{i + 1}" for i in range(n)),
+                    tuple(f"d{i + 1}" for i in range(n)))
+
+
 def rand_weyl(rng, n, max_deg=2, max_terms=3):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         xe = tuple(rng.randint(0, max_deg) for _ in range(n))
         de = tuple(rng.randint(0, max_deg) for _ in range(n))
-        terms[(xe, de)] = F(rng.randint(-5, 5))
-    return WeylOperator(n, terms)
+        terms[xe + de] = F(rng.randint(-5, 5))
+    return WeylOperator(op_space(n), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -41,13 +48,13 @@ def rand_weyl(rng, n, max_deg=2, max_terms=3):
 
 def test_weyl_mul_examples():
     p = weyl_mul(D1, X1)  # d x = x d + 1
-    assert p.terms == {((1,), (1,)): F(1), ((0,), (0,)): F(1)}
+    assert p.terms == {(1, 1): F(1), (0, 0): F(1)}
 
     q = weyl_mul(weyl_mul(D1, D1), X1)  # d^2 x = x d^2 + 2 d
-    assert q.terms == {((1,), (2,)): F(1), ((0,), (1,)): F(2)}
+    assert q.terms == {(1, 2): F(1), (0, 1): F(2)}
 
     r = weyl_mul(X1, D1)  # already normally ordered
-    assert r.terms == {((1,), (1,)): F(1)}
+    assert r.terms == {(1, 1): F(1)}
 
 
 def test_weyl_commutation_relations():
@@ -183,13 +190,14 @@ def reference_str(op):
     MultiPoly, kept as the reference the shared printer must match."""
     if not op.terms:
         return "0"
+    n = op.n
 
     def key(item):
-        (xe, de), _ = item
-        merged = xe + de
+        merged, _ = item
         return (sum(merged), tuple(-e for e in reversed(merged)))
     chunks = []
-    for (xe, de), c in sorted(op.terms.items(), key=key, reverse=True):
+    for e, c in sorted(op.terms.items(), key=key, reverse=True):
+        xe, de = e[:n], e[n:]
         factors = []
         for i, k in enumerate(xe):
             if k == 1:
@@ -221,8 +229,8 @@ def rand_op(rng, n, field=None, max_terms=4):
     for _ in range(rng.randint(0, max_terms)):
         xe = tuple(rng.randint(0, 2) for _ in range(n))
         de = tuple(rng.randint(0, 2) for _ in range(n))
-        terms[(xe, de)] = rand_coeff(rng, field)
-    return WeylOperator(n, terms)
+        terms[xe + de] = rand_coeff(rng, field)
+    return WeylOperator(op_space(n), terms)
 
 
 @pytest.mark.parametrize("field", [None, SQRT2], ids=["Q", "Q(sqrt2)"])
@@ -252,3 +260,35 @@ def test_sparse_sum_properties(field):
             op()
     with pytest.raises(ValueError, match="^operator powers take nonnegative"):
         X1 ** -1
+
+
+def test_symbol_maps_reject_a_target_of_the_wrong_size():
+    """A symbol target needs x- and y-blocks as long as the operator's n;
+    aux variables after them are padded with zero exponents."""
+    d1 = WeylOperator.d_var(1, 0)
+    d2 = WeylOperator.d_var(2, 0) + WeylOperator.x_var(2, 1)
+    bad = [(d1, VarSpace(("x1", "x2")).doubled()),
+           (d2, VarSpace(("x1",)).doubled()),
+           (d2, VarSpace(("x1", "x2")))]
+    for op, space in bad:
+        for symbol_map in (bernstein_symbol, principal_symbol, order_one_field,
+                           charvariety_of_principal_ideal):
+            with pytest.raises(SizeMismatch, match="has no symbol in"):
+                symbol_map(op, space)
+    aux = VarSpace(("x1", "x2")).doubled().with_aux(("t",))
+    m, sym = principal_symbol(d2, aux)
+    assert (m, str(sym), sym.space) == (1, "y1", aux)
+    assert str(bernstein_symbol(d2, aux)[1]) == "x2 + y1"
+    assert order_one_field(d2, aux).components[0] == MultiPoly.constant(aux.x_only(), 1)
+
+
+def test_operators_and_polynomials_do_not_mix():
+    """An operator lives on (x | d), so sums and products with a polynomial
+    on another space raise SpaceMismatch, as for two polynomials."""
+    S = VarSpace(("x1",))
+    x1 = MultiPoly.variable(S, "x1")
+    for op in (lambda: X1 + x1, lambda: x1 + X1, lambda: X1 - x1,
+               lambda: X1 * x1, lambda: x1 * X1):
+        with pytest.raises(SpaceMismatch):
+            op()
+    assert str(WeylOperator.from_poly(x1) * D1) == "x1*d1"

@@ -1,29 +1,39 @@
-"""Digest of every in-process benchmark answer, for comparing two checkouts.
+"""Digest of every benchmark answer, for comparing two checkouts.
 
     python3 tools/answer_digest.py --seeds 0,1,2
 
-Builds the ``groebner`` and ``pipelines`` query sets of ``perfbench`` for
-each seed and runs every query once with a fresh ``StepBudget(10**6)``.
-Prints one line per query (workload, seed, label, sha256 of its fingerprint
-or of the error it raised, ``budget.used``), then the sha256 of all those
-lines.  Two checkouts that give the same answers and charge the same steps
-print the same last line, so a refactor is checked by one diff of the
-outputs.  Run it from the root of a checkout; it imports ``folichar`` from
-``src`` and only reads ``perfbench``.
+Builds the ``groebner``, ``pipelines`` and ``cli`` query sets of
+``perfbench`` for each seed.  Every in-process query runs once with a fresh
+``StepBudget(10**6)``; every ``cli`` query runs once through
+``folichar.cli.main`` in this process, on its session written to a
+temporary directory, with ``--json --budget 10**6`` and its output
+captured.  Prints one line per query (workload, seed, label, sha256 of its
+fingerprint or of the error it raised, ``budget.used``), then the sha256 of
+all those lines.  A ``cli`` fingerprint is the exit code and the JSON
+envelope without ``timings``; ``main`` builds its own budget, so the steps
+column of a ``cli`` line reads ``-``.  Two checkouts that give the same
+answers and charge the same steps print the same last line, so a refactor
+is checked by one diff of the outputs.  Run it from the root of a checkout;
+it imports ``folichar`` from ``src`` and only reads ``perfbench``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
+from folichar import cli  # noqa: E402
 from folichar.ideals import StepBudget  # noqa: E402
-from perfbench import workloads  # noqa: E402
+from perfbench import cli_workload, workloads  # noqa: E402
 
 STEP_LIMIT = 10 ** 6
 BUILDERS = (("groebner", workloads.groebner_queries),
@@ -46,11 +56,34 @@ def answer_lines(seed):
             yield f"{name} {seed} {q.label} {_sha(text)[:16]} {budget.used}"
 
 
+def cli_lines(seed):
+    """One line per ``cli`` query at ``seed``, each run through ``cli.main``."""
+    queries = cli_workload.cli_queries(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        cli_workload.write_sessions(queries, tmp)
+        for q in queries:
+            cmd, *rest = q.args
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                try:
+                    code = cli.main([cmd, q.path, *rest, "--json", "--budget", str(STEP_LIMIT)])
+                except SystemExit as exc:
+                    code = exc.code
+            try:
+                payload = json.loads(out.getvalue())
+                payload.pop("timings", None)
+                text = f"{code} {json.dumps(payload)}"
+            except ValueError:  # argparse or another non-JSON exit
+                text = f"{code} {out.getvalue()}"
+            yield f"cli {seed} {q.label} {_sha(text)[:16]} -"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", default="0", help="comma-separated seeds (default 0)")
     args = ap.parse_args(argv)
-    lines = [line for seed in args.seeds.split(",") for line in answer_lines(int(seed))]
+    lines = [line for seed in map(int, args.seeds.split(","))
+             for line in (*answer_lines(seed), *cli_lines(seed))]
     text = "\n".join(lines)
     print(text)
     print(f"{len(lines)} queries, sha256 {_sha(text)}")
