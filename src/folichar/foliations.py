@@ -32,7 +32,9 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import ConstantFunction, EmptyVariety, FieldMismatch, SpaceMismatch
+from .errors import (ConstantFunction, EmptyVariety, FieldMismatch, InvalidInput,
+                     SpaceMismatch)
+from .forms import PolyForm, proportional_forms
 from .ideals import (
     Ideal,
     _as_budget,
@@ -463,9 +465,12 @@ def darboux_search(xi, max_deg, max_cofactor_deg, budget=None):
     (:func:`rational_points`' ``exhaustive``).  It then certifies that no
     Darboux polynomial within the degree bounds, rational or not, was
     missed.  A field with a coefficient outside Q raises
-    :class:`FieldMismatch`.
+    :class:`FieldMismatch`, a negative degree bound :class:`InvalidInput`.
     """
     budget = _as_budget(budget)
+    if max_deg < 0 or max_cofactor_deg < 0:
+        raise InvalidInput(f"Darboux degree bounds must be nonnegative, got max_deg "
+                           f"{max_deg} and max_cofactor_deg {max_cofactor_deg}")
     for comp in xi.components:
         for c in comp.terms.values():
             if not isinstance(c, Fraction):
@@ -474,6 +479,7 @@ def darboux_search(xi, max_deg, max_cofactor_deg, budget=None):
     if max_deg < 1:
         return DarbouxResult([], True)
     space = xi.space
+    nx = space.nvars
     cof_cap = min(max_cofactor_deg, max(xi.degree() - 1, 0))
     g_monos = _monomials_up_to(space, max_deg)
     c_monos = _monomials_up_to(space, cof_cap)
@@ -484,27 +490,31 @@ def darboux_search(xi, max_deg, max_cofactor_deg, budget=None):
     complete = True
     for lead in lexkeys:
         unknowns = [m for m in g_monos if LEX.key(m) < LEX.key(lead)]
-        u_names = tuple(f"_u{i}" for i in range(len(unknowns)))
-        v_names = tuple(f"_v{i}" for i in range(len(c_monos)))
-        uspace = VarSpace(u_names + v_names)
-        # g = lead + sum u_i m_i ; c = sum v_j k_j, coefficients in Q[u, v]
-        # expand xi(g) - c*g over x with coefficients in the unknowns
-        equations = _darboux_equations(
-            xi, lead, unknowns, c_monos, uspace
-        )
+        names = ([f"_u{i}" for i in range(len(unknowns))]
+                 + [f"_v{j}" for j in range(len(c_monos))])
+        uspace, ext = VarSpace(names), space.with_aux(names)
+        pad = (0,) * len(names)
+        us = [MultiPoly.variable(ext, name) for name in names]
+        # g = lead + sum u_i m_i and c = sum v_j k_j; each x-coefficient of
+        # xi(g) - c*g is one equation in the unknowns
+        g = MultiPoly.monomial(ext, lead + pad) + sum(
+            u * MultiPoly.monomial(ext, m + pad) for u, m in zip(us, unknowns))
+        c = sum(v * MultiPoly.monomial(ext, m + pad)
+                for v, m in zip(us[len(unknowns):], c_monos))
+        rows = {}
+        for e, coeff in (xi.apply(g) - c * g).terms.items():
+            rows.setdefault(e[:nx], {})[e[nx:]] = coeff
         pts, exhaustive = rational_points(
-            equations, uspace, budget=budget, zero_free_vars=True
+            [MultiPoly(uspace, t) for t in rows.values()], uspace,
+            budget=budget, zero_free_vars=True
         )
-        if not exhaustive:
-            complete = False
+        complete = complete and exhaustive
         # each point gives its own g with the lex lead pinned on this branch
         for pt in pts:
-            vals = [pt[i] for i in range(len(unknowns) + len(c_monos))]
-            g = MultiPoly(space, {lead: _ONE, **dict(zip(unknowns, vals))})
-            c = MultiPoly(space, dict(zip(c_monos, vals[len(unknowns):])))
-            if xi.apply(g) != c * g:
-                continue  # pinned free coordinate broke the identity
-            results.append(DarbouxPair(g, c))
+            values = {nx + i: v for i, v in pt.items()}
+            g_pt, c_pt = (p.substitute(values).restrict_to(space) for p in (g, c))
+            if xi.apply(g_pt) == c_pt * g_pt:  # a pinned free coordinate can break it
+                results.append(DarbouxPair(g_pt, c_pt))
     results.sort(
         key=lambda p: (
             p.polynomial.degree(),
@@ -512,44 +522,6 @@ def darboux_search(xi, max_deg, max_cofactor_deg, budget=None):
         )
     )
     return DarbouxResult(results, complete)
-
-
-def _darboux_equations(xi, lead, unknowns, c_monos, uspace):
-    """Coefficient equations of xi(g) - c*g = 0 in the unknown space.
-
-    Returns polynomials in Q[u, v]; each x-monomial of the expansion
-    contributes one equation.
-    """
-    space = xi.space
-    # xi applied to a monomial exponent -> MultiPoly in x
-    def xi_of_monomial(m):
-        return xi.apply(MultiPoly.monomial(space, m))
-
-    # rows: x-exponent -> MultiPoly over uspace
-    rows = {}
-
-    def add(xexp, upoly):
-        cur = rows.get(xexp)
-        rows[xexp] = upoly if cur is None else cur + upoly
-
-    one_u = MultiPoly.constant(uspace, 1)
-    for e, c in xi_of_monomial(lead).terms.items():
-        add(e, one_u * c)
-    for i, m in enumerate(unknowns):
-        u = MultiPoly.variable(uspace, i)
-        for e, c in xi_of_monomial(m).terms.items():
-            add(e, u * c)
-    # minus c * g
-    g_entries = [(lead, None)] + [(m, i) for i, m in enumerate(unknowns)]
-    for j, k in enumerate(c_monos):
-        v = MultiPoly.variable(uspace, len(unknowns) + j)
-        for m, ui in g_entries:
-            xexp = tuple(a + b for a, b in zip(k, m))
-            if ui is None:
-                add(xexp, -v)
-            else:
-                add(xexp, -(v * MultiPoly.variable(uspace, ui)))
-    return [p for p in rows.values() if not p.is_zero()]
 
 
 # ---------------------------------------------------------------------------
@@ -569,21 +541,16 @@ def hyperplane_at_infinity(xi):
 
     With d the maximal component degree and a_i^(d) the degree-d parts, the
     hyperplane fails to be invariant exactly when the top parts are a radial
-    multiple (all x_j a_i^(d) - x_i a_j^(d) vanish); then the projective
-    degree drops to d - 1, otherwise it is d.
+    multiple (the 1-form sum a_i^(d) dx_i is proportional to sum x_i dx_i);
+    then the projective degree drops to d - 1, otherwise it is d.
     """
     space = xi.space
     d = xi.degree()
     tops = [c.homogeneous_part(d) for c in xi.components]
     xs = [MultiPoly.variable(space, v) for v in space.x_vars]
-    radial = True
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            if not (xs[j] * tops[i] - xs[i] * tops[j]).is_zero():
-                radial = False
-                break
-        if not radial:
-            break
+    slots = range(len(xs))
+    radial = proportional_forms(PolyForm(space, 1, {(i,): tops[i] for i in slots}),
+                                PolyForm(space, 1, {(i,): xs[i] for i in slots}))
     factor = None
     if radial:
         nz = next((i for i, t in enumerate(tops) if not t.is_zero()), None)

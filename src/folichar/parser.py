@@ -481,8 +481,6 @@ class Session:
         if decl.kind == kind:
             return decl.value
         if kind == "field":
-            if decl.kind == "op" and _is_field_shaped(decl.value):
-                return order_one_field(decl.value, self.dspace)
             raise MixedContext(f"{name} is not a polynomial vector field")
         if kind in ("op", "form") and decl.kind == "poly":
             if decl.value.involves(self.dspace.y_indices):

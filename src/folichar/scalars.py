@@ -179,15 +179,9 @@ def upoly_rational_roots(p):
         p = p[k:]
     if len(p) == 1:
         return roots
-    den = 1
-    for c in p:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
+    ints = integral_multiple(p)
+    g = gcd(*ints)
+    ints = [c // g for c in ints]
     a0, an = ints[0], ints[-1]
     for num in _int_divisors(a0):
         for dd in _int_divisors(an):
@@ -237,19 +231,10 @@ class NumberField:
         self.name = name
         self.min_poly = min_poly
         self.degree = upoly_degree(min_poly)
-        # reduction table: alpha^(d+k) as a coordinate vector, k = 0..d-2
+        # reduction table: alpha^k as a coordinate vector, k = d..2d-2
         d = self.degree
-        red = []
-        cur = [-c for c in min_poly[:-1]]  # alpha^d
-        red.append(tuple(cur))
-        for _ in range(d - 2):
-            nxt = [_ZERO] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for i in range(d):
-                    nxt[i] -= top * min_poly[i]
-            cur = nxt
-            red.append(tuple(cur))
+        rems = (upoly_divmod((_ZERO,) * k + (_ONE,), min_poly)[1] for k in range(d, 2 * d - 1))
+        red = [r + (_ZERO,) * (d - len(r)) for r in rems]
         self.scale, ints = _to_integer_monic(min_poly)
         self.integral = self.scale == 1  # Z[alpha]: _red holds ints
         self._red = tuple(tuple(map(int, v)) if self.integral else v for v in red)
@@ -520,9 +505,7 @@ def rational_integer(c):
 
 def _to_integer_monic(p):
     """Monic rational p(t) -> (c, g) with g(u) = c^d p(u/c) monic integral."""
-    c = 1
-    for a in p:
-        c = c * a.denominator // gcd(c, a.denominator)
+    c = lcm(*(a.denominator for a in p))
     d = upoly_degree(p)
     return c, tuple(int(p[i] * c ** (d - i)) for i in range(d + 1))
 
@@ -560,13 +543,9 @@ def _quadratic_factor(ints):
                    if root * root == disc and (a3 + root) % 2 == 0 else [])
         candidates.extend((pp, k) for pp in pps if abs(pp) <= 2 * bound)
     for pp, k in sorted(candidates):
-        # synthetic division of ints by u^2 + pp*u + qq
-        qq, rem = qqs[k], list(ints)
-        for i in range(len(ints) - 1, 1, -1):
-            rem[i - 1] -= rem[i] * pp
-            rem[i - 2] -= rem[i] * qq
-        if not rem[0] and not rem[1]:
-            return (qq, pp, 1), tuple(rem[2:])
+        quot, rem = upoly_divmod(ints, (qqs[k], pp, 1))
+        if not rem:
+            return (qqs[k], pp, 1), quot
     return None
 
 

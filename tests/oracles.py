@@ -24,6 +24,13 @@ that ``prolong`` returns.  :func:`two_path_substitute` is the substitution
 with a separate loop for scalar values and a polynomial sum for the rest:
 the library's one loop must match it in value, coefficient type and term
 order.
+
+:func:`expanded_darboux_equations` writes the coefficient equations of
+xi(g) - c*g out on exponent tuples, one unknown at a time, where
+``darboux_search`` reads them off polynomial arithmetic with the unknowns as
+auxiliary variables.  :func:`shift_reduce_powers` builds the table of
+alpha^d, ..., alpha^(2d-2) by shifting and subtracting the minimal
+polynomial, where ``NumberField`` divides t^k by it.
 """
 
 from fractions import Fraction
@@ -271,3 +278,51 @@ def two_path_substitute(p, mapping):
                 rest[i] = k
         out = out + term * MultiPoly.monomial(space, tuple(rest))
     return out
+
+
+def expanded_darboux_equations(xi, lead, unknowns, c_monos, uspace):
+    """Coefficient equations of xi(g) - c*g = 0 for g = lead + sum u_i m_i and
+    c = sum v_j k_j, as polynomials over ``uspace`` (the u's, then the v's):
+    each x-monomial of the expansion contributes one equation."""
+    space = xi.space
+    rows = {}
+
+    def add(xexp, upoly):
+        cur = rows.get(xexp)
+        rows[xexp] = upoly if cur is None else cur + upoly
+
+    one_u = MultiPoly.constant(uspace, 1)
+    for e, c in xi.apply(MultiPoly.monomial(space, lead)).terms.items():
+        add(e, one_u * c)
+    for i, m in enumerate(unknowns):
+        u = MultiPoly.variable(uspace, i)
+        for e, c in xi.apply(MultiPoly.monomial(space, m)).terms.items():
+            add(e, u * c)
+    # minus c * g
+    g_entries = [(lead, None)] + [(m, i) for i, m in enumerate(unknowns)]
+    for j, k in enumerate(c_monos):
+        v = MultiPoly.variable(uspace, len(unknowns) + j)
+        for m, ui in g_entries:
+            xexp = tuple(a + b for a, b in zip(k, m))
+            if ui is None:
+                add(xexp, -v)
+            else:
+                add(xexp, -(v * MultiPoly.variable(uspace, ui)))
+    return [p for p in rows.values() if not p.is_zero()]
+
+
+def shift_reduce_powers(min_poly):
+    """alpha^d, ..., alpha^(2d-2) as coordinate vectors for a monic min_poly of
+    degree d >= 2: multiply by alpha (shift) and replace alpha^d."""
+    d = len(min_poly) - 1
+    cur = [-c for c in min_poly[:-1]]  # alpha^d
+    red = [tuple(cur)]
+    for _ in range(d - 2):
+        nxt = [_ZERO] + cur[:-1]
+        top = cur[-1]
+        if top:
+            for i in range(d):
+                nxt[i] -= top * min_poly[i]
+        cur = nxt
+        red.append(tuple(cur))
+    return red

@@ -104,6 +104,30 @@ def test_darboux_over_number_field_coefficients_exits_two(run):
     assert json.loads(out)["result"]["error"] == "FieldMismatch"
 
 
+@pytest.mark.parametrize("bounds, message", [
+    (("--max-deg", "-1"), "got max_deg -1 and max_cofactor_deg 0"),
+    (("--max-deg", "1", "--max-cofactor", "-3"), "got max_deg 1 and max_cofactor_deg -3"),
+], ids=["max-deg", "max-cofactor"])
+def test_darboux_negative_bound_exits_two(run, bounds, message):
+    # an empty search would be vacuously complete: a negative bound is an input error
+    code, out = run(ROT_SESSION, "darboux", *bounds, "--json")
+    assert code == 2
+    result = json.loads(out)["result"]
+    assert result["error"] == "InvalidInput" and result["message"].endswith(message)
+
+
+def test_declared_polynomial_as_ideal_and_binary_form(run):
+    source = DIAG_SESSION + "f: x1*y1 + 2*x2*y2\nq: x1^2 - 2*x2^2\n"
+    code, out = run(source, "classify", "f", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["inputs"]["ideal"] == "ideal(x1*y1 + 2*x2*y2)"
+    assert payload["result"]["tag"] == "WholeCharVariety"
+    declared, inline = (json.loads(run(source, "disc", q, "--json")[1])
+                        for q in ("q", "x1^2 - 2*x2^2"))
+    assert declared["result"] == inline["result"] == {"degree": 2, "discriminant": "8"}
+    assert declared["inputs"] == inline["inputs"]
+
+
 # ---------------------------------------------------------------------------
 # JSON envelope and schema
 

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from folichar import foliations
+from folichar.errors import InvalidInput
 from folichar.foliations import (
     ConstantFunction,
     EmptyVariety,
@@ -24,7 +25,7 @@ from folichar.ideals import Ideal, eliminate, radical_membership
 from folichar.polynomials import LEX, MultiPoly, VarSpace
 
 from conftest import SQRT2, rand_coeff, rand_field, rand_poly, rng_for
-from oracles import direct_prolongation, seidenberg_count
+from oracles import direct_prolongation, expanded_darboux_equations, seidenberg_count
 
 S2 = VarSpace(("x1", "x2"))
 X1, X2 = (MultiPoly.variable(S2, v) for v in S2.all_vars)
@@ -463,6 +464,59 @@ def test_darboux_irrational_lines_leave_the_search_incomplete(xi):
 def test_darboux_bound_zero_is_empty():
     rep = darboux_search(DIAG, 0, 0)
     assert rep.pairs == [] and rep.complete
+
+
+@pytest.mark.parametrize("max_deg, max_cofactor_deg", [(-1, 0), (1, -3)])
+def test_darboux_rejects_negative_bounds(max_deg, max_cofactor_deg):
+    with pytest.raises(InvalidInput, match="nonnegative"):
+        darboux_search(ROT, max_deg, max_cofactor_deg)
+
+
+def _planted_line_field(rng, n):
+    """x1 + a*x2 is invariant with a cofactor of degree <= 1."""
+    space = VarSpace(tuple(f"x{i + 1}" for i in range(n)))
+    xs = [MultiPoly.variable(space, v) for v in space.x_vars]
+    a = rand_coeff(rng)
+    rest = [xs[0] * rand_poly(rng, space, 1) + rand_poly(rng, space, 2) for _ in range(n - 1)]
+    first = rand_poly(rng, space, 1, nonzero=True) * (xs[0] + a * xs[1]) - a * rest[0]
+    return PolyVectorField(space, [first] + rest)
+
+
+def _planted_conic_field(rng):
+    """x2^2 - q*x1^2 is invariant: A * (dQ/dx2, -dQ/dx1) + Q * (w1, w2)."""
+    conic = X2 * X2 - rng.choice((2, 3, 5)) * X1 * X1
+    amp = rand_poly(rng, S2, 1, nonzero=True)
+    return PolyVectorField(S2, [amp * conic.partial(1) + rand_coeff(rng) * conic,
+                                -amp * conic.partial(0) + rand_coeff(rng) * conic])
+
+
+def test_darboux_branches_match_the_expanded_equations(monkeypatch):
+    """Each branch's system, read off xi(g) - c*g with the unknowns as
+    auxiliary variables, is the equation set the term-by-term expansion
+    gives, on seeded planar and 3-D fields and planted line and conic fields."""
+    rng = rng_for("darboux-equations")
+    fields = [DIAG, ROT, CUSP, _planted_conic_field(rng), _planted_conic_field(rng),
+              _planted_line_field(rng, 2), _planted_line_field(rng, 3)]
+    fields += [rand_field(rng, n, 2) for n in (2, 2, 3)]
+    systems = []
+
+    def record(gens, space, **kwargs):  # the equations only: solve nothing
+        systems.append((gens, space))
+        return [], True
+
+    monkeypatch.setattr(foliations, "rational_points", record)
+    for xi in fields:
+        max_deg, cap = 2, max(xi.degree() - 1, 0)
+        systems.clear()
+        darboux_search(xi, max_deg, 1)
+        monos = foliations._monomials_up_to(xi.space, max_deg)
+        c_monos = foliations._monomials_up_to(xi.space, min(1, cap))
+        leads = sorted((m for m in monos if any(m)), key=LEX.key, reverse=True)
+        assert len(systems) == len(leads)
+        for lead, (gens, uspace) in zip(leads, systems):
+            unknowns = [m for m in monos if LEX.key(m) < LEX.key(lead)]
+            want = expanded_darboux_equations(xi, lead, unknowns, c_monos, uspace)
+            assert len(gens) == len(want) and set(gens) == set(want), (xi, lead)
 
 
 def test_darboux_pairs_reverify():

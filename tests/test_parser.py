@@ -16,6 +16,7 @@ from folichar.parser import (
     parse_input,
     print_value,
 )
+from folichar.polynomials import MultiPoly
 
 
 def test_vector_field_declaration():
@@ -177,6 +178,21 @@ def test_operator_coerces_to_field_and_back():
     back = s.get("xi", "field")
     assert [str(c) for c in back.components] == ["x2", "-x1"]
 
+
+
+def test_declared_values_convert_between_kinds():
+    """An order-0 operator is read as its polynomial; a polynomial in the
+    y-variables is neither an operator nor a form; an ideal is not a form."""
+    s = parse_input("vars: x1 x2\no: x1^2 + d1 - d1\nc: d1*x1 - x1*d1\n"
+                    "p: y1*x1\nJ: ideal(x1)\n")
+    assert s.decls["o"].kind == s.decls["c"].kind == "op"
+    assert s.get("o", "poly") == MultiPoly.variable(s.dspace, "x1") ** 2
+    assert s.get("c", "poly") == MultiPoly.constant(s.dspace, 1)
+    for kind in ("op", "form"):
+        with pytest.raises(MixedContext, match="^p involves y-variables$"):
+            s.get("p", kind)
+    with pytest.raises(MixedContext, match="^J is not a form$"):
+        s.get("J", "form")
 
 
 def test_leftmost_error_of_a_long_chain_is_reported():

@@ -382,15 +382,16 @@ def test_one_divisor_search():
 
 
 def test_one_implementation_per_primitive():
-    """Substitution, prolongation, monomial enumeration and the rational
-    root search each have one implementation: the scalar-only substitution
-    loop and the recursive exponent generator are gone, prolong is the
-    Hamiltonian field of P, and the number-field screen reuses
-    upoly_rational_roots."""
+    """Substitution, prolongation, monomial enumeration, the rational root
+    search and the derivation each have one implementation: the scalar-only
+    substitution loop, the recursive exponent generator and the term-by-term
+    Darboux expansion are gone, prolong is the Hamiltonian field of P, the
+    number-field screen reuses upoly_rational_roots, and darboux_search reads
+    its equations off xi.apply(g) - c*g."""
     modules = dict(_package_modules())
     defined = {n.name for tree in modules.values() for n in ast.walk(tree)
                if isinstance(n, ast.FunctionDef)}
-    assert not {"_substitute_scalars", "_exps_of_degree"} & defined
+    assert not {"_substitute_scalars", "_exps_of_degree", "_darboux_equations"} & defined
 
     def calls(module, function):
         node = next(n for n in ast.walk(modules[module])
@@ -399,6 +400,11 @@ def test_one_implementation_per_primitive():
 
     assert {"hamiltonian", "characteristic_polynomial"} <= calls("foliations.py", "prolong")
     assert "upoly_rational_roots" in calls("scalars.py", "make_number_field")
+    darboux = next(n for n in ast.walk(modules["foliations.py"])
+                   if isinstance(n, ast.FunctionDef) and n.name == "darboux_search")
+    assert [n for n in ast.walk(darboux) if isinstance(n, ast.BinOp)
+            and isinstance(n.op, ast.Sub) and isinstance(n.left, ast.Call)
+            and getattr(n.left.func, "attr", None) == "apply"]
 
 
 def _splits_a_key(loop):

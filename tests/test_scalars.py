@@ -17,6 +17,7 @@ from folichar.errors import (
 )
 from folichar.scalars import (
     NFElement,
+    NumberField,
     _quadratic_factor,
     content,
     from_integral,
@@ -34,6 +35,8 @@ from folichar.scalars import (
     upoly_trim,
     zrank,
 )
+
+from oracles import shift_reduce_powers
 
 coeff = st.fractions(min_value=-30, max_value=30, max_denominator=6)
 upoly = st.lists(coeff, min_size=1, max_size=6).map(lambda c: upoly_trim(c))
@@ -91,6 +94,34 @@ def test_field_construction_screens():
     assert make_number_field(
         "v", [F(-2), F(0), F(0), F(0), F(0), F(1)], assume_irreducible=True
     ).degree == 5
+
+
+@pytest.mark.parametrize("name, min_poly, factors, scale", [
+    ("a", [4, 0, 0, 0, 1], "(a^2 - 2*a + 2) * (a^2 + 2*a + 2)", 1),
+    ("b", upoly_mul((F(3), F(1), F(1)), (F(5), F(-2), F(1))),
+     "(b^2 - 2*b + 5) * (b^2 + b + 3)", 1),
+    ("c", [F(1, 4), 0, 0, 0, 1], "(c^2 - 4*c + 8) * (c^2 + 4*c + 8)", 4),
+], ids=["t^4+4", "planted", "t^4+1/4"])
+def test_quartic_screen_names_factor_and_cofactor(name, min_poly, factors, scale):
+    with pytest.raises(ReducibleDetected) as exc:
+        make_number_field(name, min_poly)
+    assert str(exc.value) == (f"min_poly factors as {factors} after clearing "
+                              f"denominators (scale {scale})")
+
+
+@pytest.mark.parametrize("min_poly", [
+    (-2, 0, 1), (1, 0, 1), (1, -3, 0, 1),
+    (F(1, 3), F(1, 2), 0, 1), (F(-2, 7), F(1, 5), F(-3, 4), 0, 1),
+], ids=["sqrt2", "i", "cubic", "cubic-sixths", "quartic-non-integral"])
+def test_reduction_table_matches_the_shift_loop(min_poly):
+    """alpha^d..alpha^(2d-2) as remainders of t^k equal the shift-and-subtract
+    table, held as ints exactly when the minimal polynomial is integral."""
+    field = NumberField("a", min_poly)
+    for field in {field, field.model}:
+        assert field._red == tuple(shift_reduce_powers(field.min_poly))
+        kind = int if field.integral else F
+        assert {type(x) for row in field._red for x in row} == {kind}
+        assert all(len(row) == field.degree for row in field._red)
 
 
 def test_quartic_screen_over_constant_term_divisors():
