@@ -544,8 +544,8 @@ def _quadratic_factor(ints):
         candidates.extend((pp, k) for pp in pps if abs(pp) <= 2 * bound)
     for pp, k in sorted(candidates):
         quot, rem = upoly_divmod(ints, (qqs[k], pp, 1))
-        if not rem:
-            return (qqs[k], pp, 1), quot
+        if not rem:  # exact division by a monic integer divisor
+            return (qqs[k], pp, 1), tuple(map(int, quot))
     return None
 
 

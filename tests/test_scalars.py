@@ -173,7 +173,10 @@ def test_quartic_screen_solves_for_the_linear_coefficient():
             s = q if k % 3 == 1 else rng.randint(-6, 6)
             ints = (q * s, p * s + q * r, q + s + p * r, p + r, 1)
         if ints[0]:
-            assert _quadratic_factor(ints) == _quadratic_factor_by_walk(ints), ints
+            hit = _quadratic_factor(ints)
+            assert hit == _quadratic_factor_by_walk(ints), ints
+            if hit:  # an integer factorisation, as the walk gives
+                assert {type(c) for part in hit for c in part} == {int}, ints
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,15 @@
 """Statements of ``src/folichar`` that neither the tests nor the benchmark run.
 
-    python3 tools/line_trace.py [--seeds 0,1,2]
+    python3 tools/line_trace.py
 
 Installs a ``sys.settrace`` line tracer (standard library only), runs the
 tier-1 suite in this process with ``pytest.main``, then the ``groebner``,
 ``pipelines`` and ``cli`` query sets of ``tools/answer_digest.py`` for each
-seed.  A statement counts as run when one of the lines its own code sits on
-(its header, for a compound statement) fired a line event; statements that
-compile to no code (docstrings, ``global``) are never reported.  Prints one
-``path:line: source`` entry per statement that never ran, then their count.
+seed in ``SEEDS``.  A statement counts as run when one of the lines its own
+code sits on (its header, for a compound statement) fired a line event;
+statements that compile to no code (docstrings, ``global``) are never
+reported.  Prints one ``path:line: source`` entry per statement that never
+ran, then their count.
 Tracing starts before ``folichar`` is imported, so module-level statements
 are seen too; code run in child processes is not.  The hypothesis tests
 draw new examples on each run, so a few error branches come and go between
@@ -18,7 +19,6 @@ the suite alone.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import sys
 import threading
@@ -27,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "folichar"
+SEEDS = (0, 1, 2)
 
 
 def _code_lines(code):
@@ -63,10 +64,7 @@ def never_run(executed):
                 yield path.relative_to(ROOT), first, lines[first - 1].strip()
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seeds", default="0,1,2", help="comma-separated seeds (default 0,1,2)")
-    args = ap.parse_args(argv)
+def main():
     executed = defaultdict(set)
     prefix = str(PACKAGE)
 
@@ -88,7 +86,7 @@ def main(argv=None):
         code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
         sys.path.insert(0, str(ROOT / "tools"))
         import answer_digest
-        for seed in map(int, args.seeds.split(",")):
+        for seed in SEEDS:
             for _ in (*answer_digest.answer_lines(seed), *answer_digest.cli_lines(seed)):
                 pass
     finally:
