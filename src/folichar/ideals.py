@@ -2,22 +2,40 @@
 
 The Groebner engine is a budgeted Buchberger loop with the coprime-lead and
 chain pair criteria (Gebauer-Moeller style pruning) and the normal strategy:
-pairs wait on a heap keyed ``(key(lcm), i, j)``, computed once per pair, so
-the smallest lcm goes next and ties go to the smaller indices.  The sugar
-strategy was rejected: it sped up cyclic-5 but took the lex systems of the
-Darboux search to about three times as many steps.  Reduction pops terms
-largest first from a heap keyed once per monomial by ``order.rkey`` and
-divides each by the first basis lead that divides it (:func:`_first_divisor`).
-One run's S-pair reductions share a divisor memo, exponent -> (that index,
-how far the scan got), which stays valid because the basis only grows by
-appending.  The start-of-run interreduction keeps each element's lead and
-marks an element that came back unchanged as settled; it is not reduced
-again until another element's new lead divides one of its terms.  A
-cached basis keeps its lead data beside it for :func:`normal_form`.
-Bases are fully interreduced and monic, so for a fixed monomial order the
-reduced basis of an ideal is canonical regardless of generator order.
-Every reduction step charges one unit against the step budget; exhausting
-it raises :class:`BudgetExceeded` rather than returning a wrong answer.
+pairs wait on a heap keyed ``(lcm, i, j)``, so the smallest lcm goes next
+and ties go to the smaller indices.  The sugar strategy was rejected: it
+sped up cyclic-5 but took the lex systems of the Darboux search to about
+three times as many steps.  Reduction pops terms largest first from a heap
+of monomials and divides each by the first basis lead that divides it
+(:func:`_first_divisor`).  One run's S-pair reductions share a divisor memo,
+monomial -> (that index, how far the scan got), which stays valid because
+the basis only grows by appending.  The start-of-run interreduction keeps
+each element's lead and marks an element that came back unchanged as
+settled; it is not reduced again until another element's new lead divides
+one of its terms.  A cached basis keeps its lead data beside it for
+:func:`normal_form`.  Bases are fully interreduced and monic, so for a fixed
+monomial order the reduced basis of an ideal is canonical regardless of
+generator order.  Every reduction step charges one unit against the step
+budget; exhausting it raises :class:`BudgetExceeded` rather than returning a
+wrong answer.
+
+Inside the engine a monomial is one int (:class:`_Packing`; Bachmann and
+Schoenemann, ISSAC 1998; Monagan and Pearce, CASC 2007).  Its high bits hold
+the fields the order compares, so ``<`` on ints is the monomial order: for
+lex the exponents e1..en; for grevlex the degree, then the partial sums
+s_(n-1)..s_1 (s_k = e1 + ... + ek; a larger s_(n-1) is a smaller en); for a
+block order those fields of each block in turn.  The low bits hold the
+exponents themselves (lex needs no second copy).  Every field is the same
+number of bits wide plus one guard bit above it, and every field is linear
+in the exponents, so x^a * x^b is ``a + b`` and x^a | x^b exactly when
+``(b - a) & guard`` is 0: a field of a larger than that of b borrows and
+sets the guard bit.  The fields start 8 bits wide.  A new monomial with a
+guard bit set, or an input exponent that does not fit, raises
+:class:`_Overflow`; the computation then starts over with twice the width,
+its step budget set back to the value it had on entry, so the steps charged
+do not depend on the width (:func:`_widening`).  Polynomials keep their
+exponent tuples outside the engine; :class:`_Packing` converts the
+generators once on the way in and the basis once on the way out.
 
 Over Q and over every Q(alpha) the engine clears denominators once and
 works fraction-free, in Z or in Z[beta] for the integral generator
@@ -36,20 +54,22 @@ on the coefficient ring.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import product
 from math import gcd
-from operator import add, itemgetter, le as _le, sub
+from operator import itemgetter, mul
 
 from .errors import BudgetExceeded, SpaceMismatch
-from .polynomials import GREVLEX, LEX, SCALARS, MultiPoly, elimination_order
+from .polynomials import GREVLEX, LEX, SCALARS, MultiPoly, SparseSum, elimination_order
 from .scalars import (common_field, content, from_integral, integral_multiple, norm_cofactor,
                       rational_integer, scalar_inverse, upoly_rational_roots,
                       upoly_squarefree_part, upoly_trim)
 
 DEFAULT_BUDGET = 10 ** 6
 _CONTENT_EVERY = 8  # budget steps between divisions by the content over Z and Z[alpha]
+_WIDTH = 8  # bits per exponent field of the first attempt
 
 
 class StepBudget:
@@ -74,32 +94,139 @@ def _as_budget(budget):
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+class _Overflow(Exception):
+    """A monomial does not fit the exponent fields of its packing."""
+
+
+class _Packing:
+    """Exponent tuples of one space as ints whose ``<`` is the monomial order.
+
+    ``shifts[i]`` is the bit offset of the field holding the exponent of
+    variable i and ``cols[i]`` the code of that variable, so the code of e
+    is sum(e[i] * cols[i]).  ``raw`` masks the exponent fields, ``guard``
+    the guard bits of all fields.
+    """
+
+    __slots__ = ("space", "width", "mask", "guard", "raw", "shifts", "cols",
+                 "_blocks", "_parts", "_raw_bits", "_raw_guard")
+
+    def __init__(self, space, order, width):
+        n = space.nvars
+        blocks = ([(i,) for i in range(n)] if order.name == "lex" else
+                  [tuple(range(n))] if order.name == "grevlex" else list(order.blocks))
+        if sorted(i for blk in blocks for i in blk) != list(range(n)):
+            raise SpaceMismatch(f"blocks {order.blocks} do not split the variables of {space}")
+        size = width + 1  # the field and its guard bit
+        lex = all(len(blk) == 1 for blk in blocks)  # the exponents are the order fields
+        shifts = [0] * n
+        # exponent fields: the first block highest, each block's first variable
+        # lowest in it, so one product with sum(2^(k*size)) gives its partial sums
+        self._parts = []  # (bit offset, mask, partial-sum multiplier) per block
+        slot = 0
+        for blk in reversed(blocks):
+            for k, i in enumerate(blk):
+                shifts[i] = (slot + k) * size
+            if not lex:
+                self._parts.append((slot * size, (1 << len(blk) * size) - 1,
+                                    sum(1 << k * size for k in range(len(blk)))))
+            slot += len(blk)
+        self.space, self.width, self._blocks = space, width, blocks
+        self.mask = (1 << width) - 1
+        self.shifts = tuple(shifts)
+        self._raw_bits = slot * size
+        self.raw = (1 << self._raw_bits) - 1
+        fields = slot if lex else 2 * slot
+        self.guard = sum(1 << k * size + width for k in range(fields))
+        self._raw_guard = self.guard & self.raw
+        self.cols = tuple(self._with_order(1 << s) for s in shifts)
+
+    def _with_order(self, r):
+        """The code whose exponent fields are those of r."""
+        if not self._parts:
+            return r
+        o = 0
+        for off, m, k in self._parts:
+            o |= (((r >> off) & m) * k & m) << off
+        return o << self._raw_bits | r
+
+    def code(self, e):
+        """The int of the exponent tuple e; :class:`_Overflow` if it does not fit."""
+        limit = self.mask + 1
+        if sum(e) >= limit and any(sum(e[i] for i in b) >= limit for b in self._blocks):
+            raise _Overflow
+        return sum(map(mul, e, self.cols))
+
+    def exponents(self, m):
+        return tuple([(m >> s) & self.mask for s in self.shifts])
+
+    def encode(self, g, coeffs=None):
+        """{code: coefficient} of the polynomial g, with ``coeffs`` in place of
+        its coefficients if given."""
+        if g.space != self.space:
+            raise SpaceMismatch(f"{g.space} vs {self.space}")
+        cs = g.terms.values() if coeffs is None else coeffs
+        return {self.code(e): c for e, c in zip(g.terms, cs)}
+
+    def decode(self, terms):
+        return MultiPoly(self.space, {self.exponents(m): c for m, c in terms.items()})
+
+    def lcm(self, a, b):
+        a, b = a & self.raw, b & self.raw
+        t = ((a | self._raw_guard) - b) & self._raw_guard  # guard bit where a >= b
+        m = self._with_order(b ^ ((a ^ b) & (t - (t >> self.width))))
+        if m & self.guard:
+            raise _Overflow
+        return m
+
+
+@lru_cache(maxsize=64)
+def _packing(space, order, width):
+    return _Packing(space, order, width)
+
+
+def _widening(run, budget=None):
+    """run(width) with 8, 16, 32, ... bits per exponent until nothing
+    overflows; each retry starts from the budget's value on entry."""
+    start, width = (None if budget is None else budget.used), _WIDTH
+    while True:
+        try:
+            return run(width)
+        except _Overflow:
+            if budget is not None:
+                budget.used = start
+            width *= 2
+
+
+class _Packed(SparseSum):
+    """A polynomial inside the engine: ``terms`` maps packed monomials to
+    coefficients."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
+
+
+# ---------------------------------------------------------------------------
 # division / normal form
 # ---------------------------------------------------------------------------
 
-def _divides(e1, e2):
-    return all(map(_le, e1, e2))
-
-
-def _exp_sub(e1, e2):
-    return tuple(map(sub, e1, e2))
-
-
-def _exp_lcm(e1, e2):
-    return tuple(map(max, e1, e2))
-
-
-def _sub_multiple(p, heap, rkey, g, le, shift, factor):
+def _sub_multiple(p, heap, g, le, shift, factor, guard):
     """p -= factor * x^shift * (g - lead term); new monomials go on the heap once."""
     neg = -factor
-    for ge, gc in g.terms.items():
+    for ge, gc in g.items():
         if ge == le:
             continue
-        ne = tuple(map(add, ge, shift))
+        ne = ge + shift
         c = p.get(ne)
         if c is None:
+            if ne & guard:
+                raise _Overflow
             p[ne] = neg * gc
-            heappush(heap, (rkey(ne), ne))
+            heappush(heap, -ne)
         else:
             s = c + neg * gc
             if s:
@@ -123,7 +250,7 @@ def _step(c, lc):
     return 1, c if lc == 1 else c * scalar_inverse(lc)
 
 
-def _first_divisor(e, leads, memo):
+def _first_divisor(e, leads, memo, guard):
     """Index of the first lead dividing e, or None.
 
     ``memo`` maps e to (that index or None, how many leads were scanned), so
@@ -132,32 +259,33 @@ def _first_divisor(e, leads, memo):
     found, start = memo.get(e, (None, 0))
     if found is None and start < len(leads):
         for k in range(start, len(leads)):
-            if _divides(leads[k], e):
+            if not (e - leads[k]) & guard:
                 found = k
                 break
         memo[e] = (found, len(leads))
     return found
 
 
-def reduce_poly(f, basis, order, budget, memo=None):
-    """Normal form (for int leads, a multiple of it) of f by (lead_exp, lead_coeff, poly).
+def reduce_poly(f, basis, pack, budget, memo=None):
+    """Normal form (for int leads, a multiple of it) of the packed terms f by
+    (lead, lead_coeff, terms) entries of the packing ``pack``.
 
     ``memo`` is the divisor memo of :func:`_first_divisor`; share one only
     across calls whose basis lists extend each other.
     """
     memo = {} if memo is None else memo
     leads = [b[0] for b in basis]
+    guard = pack.guard
     tail = {}
-    p = f.terms.copy()
-    rkey = order.rkey
-    heap = [(rkey(e), e) for e in p]
+    p = dict(f)
+    heap = [-e for e in p]
     heapify(heap)
     while heap:
-        e = heappop(heap)[1]
+        e = -heappop(heap)
         c = p.pop(e, None)
         if c is None:  # cancelled after it was pushed
             continue
-        k = _first_divisor(e, leads, memo)
+        k = _first_divisor(e, leads, memo, guard)
         if k is None:
             tail[e] = c
             continue
@@ -172,38 +300,38 @@ def reduce_poly(f, basis, order, budget, memo=None):
         a, c = _step(c, lc)
         if a != 1:
             _rescale(p, tail, a)
-        _sub_multiple(p, heap, rkey, g, le, _exp_sub(e, le), c)
-    return MultiPoly(f.space, tail)
+        _sub_multiple(p, heap, g, le, e - le, c, guard)
+    return _Packed(tail)
 
 
-def _basis_data(polys, order):
-    return [(e, rational_integer(c), g) for g in polys for e, c in [g.leading(order)]]
+def _basis_data(polys):
+    return [(le, rational_integer(g[le]), g) for g in polys for le in [max(g)]]
 
 
-def _normalized(g, order):
-    """g over Z or Z[beta] made primitive with a positive integer lead."""
-    lc = g.leading(order)[1]
+def _normalized(g):
+    """Packed terms over Z or Z[beta] made primitive with a positive integer lead."""
+    lc = g[max(g)]
     if type(lc) is int:
-        d = gcd(*g.terms.values()) * (1 if lc > 0 else -1)
-        return MultiPoly(g.space, {e: c // d for e, c in g.terms.items()})
+        d = gcd(*g.values()) * (1 if lc > 0 else -1)
+        return {e: c // d for e, c in g.items()}
     m = norm_cofactor(lc)
-    terms = {e: c * m for e, c in g.terms.items()}
+    terms = {e: c * m for e, c in g.items()}
     d = content(*terms.values())
-    return MultiPoly(g.space, {e: c // d for e, c in terms.items()})
+    return {e: c // d for e, c in terms.items()}
 
 
-def _interreduce(polys, order, budget):
-    """Make a generating set of normalized polynomials fully autoreduced.
+def _interreduce(polys, pack, budget):
+    """Make a generating set of normalized packed polynomials fully autoreduced.
 
     The restart loop: sort by lead, reduce each element by all the others
     and start over after the first one that changes.  Each entry keeps its
-    key, lead data and whether it is settled (came back unchanged, so none
-    of its terms is divisible by another lead); a settled element is skipped
-    until another element's new lead divides one of its terms.
+    lead data and whether it is settled (came back unchanged, so none of its
+    terms is divisible by another lead); a settled element is skipped until
+    another element's new lead divides one of its terms.
     """
-    key = order.key
-    # [key(lead), (lead, int lead coefficient, poly), settled]
-    entries = [[key(data[0]), data, False] for data in _basis_data(polys, order)]
+    guard = pack.guard
+    # [lead, (lead, int lead coefficient, terms), settled]
+    entries = [[data[0], data, False] for data in _basis_data(polys)]
     changed = True
     while changed:
         changed = False
@@ -212,8 +340,8 @@ def _interreduce(polys, order, budget):
             if entry[2] or len(entries) == 1:
                 continue
             g = entry[1][2]
-            r = reduce_poly(g, [o[1] for o in entries if o is not entry], order, budget)
-            if r.terms == g.terms:
+            r = reduce_poly(g, [o[1] for o in entries if o is not entry], pack, budget)
+            if r.terms == g:
                 entry[2] = True
                 continue
             changed = True
@@ -221,12 +349,13 @@ def _interreduce(polys, order, budget):
                 entries.pop(i)
                 break
             # r is reduced by the other leads, so it is settled as it stands
-            data, = _basis_data([_normalized(r, order)], order)
-            entries[i] = [key(data[0]), data, True]
-            if data[0] != entry[1][0]:
+            data, = _basis_data([_normalized(r.terms)])
+            le = data[0]
+            entries[i] = [le, data, True]
+            if le != entry[0]:
                 for other in entries:
                     if other[2] and other is not entries[i] and any(
-                            _divides(data[0], e) for e in other[1][2].terms):
+                            not (e - le) & guard for e in other[1][2]):
                         other[2] = False
             break
     return [entry[1][2] for entry in entries]
@@ -237,66 +366,71 @@ def _interreduce(polys, order, budget):
 # ---------------------------------------------------------------------------
 
 def buchberger(gens, order, budget):
-    """Reduced Groebner basis of the given generators, budgeted."""
+    """Reduced Groebner basis of the given generators, budgeted.
+
+    Generators over different spaces raise :class:`SpaceMismatch`.
+    """
     budget = _as_budget(budget)
     gens = [g for g in gens if not g.is_zero()]
-    field = common_field(c for g in gens for c in g.terms.values())
-    gens = [_normalized(MultiPoly(g.space, dict(zip(
-        g.terms, integral_multiple(g.terms.values(), field)))), order) for g in gens]
-    G = _interreduce(gens, order, budget)
-    if not G:
+    if not gens:
         return []
-    if any(g.is_constant() for g in G):
-        return [MultiPoly.constant(G[0].space, 1)]
-    data = _basis_data(G, order)
-    memo = {}  # data only grows by appending, so one divisor memo serves every S-pair
-    pairs = []
-    done = set()
-    key = order.key
+    space = gens[0].space
+    field = common_field(c for g in gens for c in g.terms.values())
 
-    def push_pairs(j):
-        ej = data[j][0]
-        for i in range(j):
-            heappush(pairs, (key(_exp_lcm(data[i][0], ej)), i, j))
+    def run(width):
+        pack = _packing(space, order, width)
+        guard, lcm = pack.guard, pack.lcm
+        data = _basis_data(_interreduce([_normalized(pack.encode(
+            g, integral_multiple(g.terms.values(), field))) for g in gens], pack, budget))
+        if any(le == 0 for le, _, _ in data):
+            return [MultiPoly.constant(space, 1)]
+        memo = {}  # data only grows by appending, so one divisor memo serves every S-pair
+        pairs = []
+        done = set()
 
-    for j in range(1, len(data)):
-        push_pairs(j)
-    while pairs:
-        _, i, j = heappop(pairs)
-        done.update(((i, j), (j, i)))
-        (ei, ci, gi), (ej, cj, gj) = data[i], data[j]
-        lcm = _exp_lcm(ei, ej)
-        # coprime-lead criterion
-        if all(a + b == m for a, b, m in zip(ei, ej, lcm)):
-            continue
-        # chain criterion: some k with lt(k) | lcm and both side pairs settled
-        if any((i, k) in done and (j, k) in done and _divides(data[k][0], lcm)
-               for k in range(len(data))):
-            continue
-        # S-polynomial a*x^(lcm-ei)*gi - b*x^(lcm-ej)*gj; its lead terms cancel
-        a, b = _step(ci, cj)
-        s = {}
-        _sub_multiple(s, [], order.rkey, gi, ei, _exp_sub(lcm, ei), -a)
-        _sub_multiple(s, [], order.rkey, gj, ej, _exp_sub(lcm, ej), b)
-        budget.charge()
-        r = reduce_poly(MultiPoly(gi.space, s), data, order, budget, memo)
-        if r.is_zero():
-            continue
-        if r.is_constant():
-            return [MultiPoly.constant(r.space, 1)]
-        data += _basis_data([_normalized(r, order)], order)
-        push_pairs(len(data) - 1)
-    # One final pass, leads ascending: a lead divisible by an earlier lead is
-    # redundant; a tail term can only be divided by a smaller lead, so each
-    # survivor is tail-reduced against the survivors before it.
-    data.sort(key=lambda d: key(d[0]))
-    reduced = []
-    for le, _, g in data:
-        if not any(_divides(ke, le) for ke, _, _ in reduced):
-            r = reduce_poly(g, reduced, order, budget)
-            reduced.append((le, rational_integer(r.terms[le]), r))
-    return [MultiPoly(g.space, {e: from_integral(c, lc, field) for e, c in g.terms.items()})
-            for _, lc, g in reduced]
+        def push_pairs(j):
+            ej = data[j][0]
+            for i in range(j):
+                heappush(pairs, (lcm(data[i][0], ej), i, j))
+
+        for j in range(1, len(data)):
+            push_pairs(j)
+        while pairs:
+            m, i, j = heappop(pairs)
+            done.update(((i, j), (j, i)))
+            (ei, ci, gi), (ej, cj, gj) = data[i], data[j]
+            if m == ei + ej:  # coprime-lead criterion
+                continue
+            # chain criterion: some k with lt(k) | lcm and both side pairs settled
+            if any((i, k) in done and (j, k) in done and not (m - data[k][0]) & guard
+                   for k in range(len(data))):
+                continue
+            # S-polynomial a*x^(lcm-ei)*gi - b*x^(lcm-ej)*gj; its lead terms cancel
+            a, b = _step(ci, cj)
+            s = {}
+            _sub_multiple(s, [], gi, ei, m - ei, -a, guard)
+            _sub_multiple(s, [], gj, ej, m - ej, b, guard)
+            budget.charge()
+            r = reduce_poly(s, data, pack, budget, memo)
+            if r.is_zero():
+                continue
+            data += _basis_data([_normalized(r.terms)])
+            if data[-1][0] == 0:
+                return [MultiPoly.constant(space, 1)]
+            push_pairs(len(data) - 1)
+        # One final pass, leads ascending: a lead divisible by an earlier lead is
+        # redundant; a tail term can only be divided by a smaller lead, so each
+        # survivor is tail-reduced against the survivors before it.
+        data.sort(key=itemgetter(0))
+        reduced = []
+        for le, _, g in data:
+            if all((le - ke) & guard for ke, _, _ in reduced):
+                r = reduce_poly(g, reduced, pack, budget).terms
+                reduced.append((le, rational_integer(r[le]), r))
+        return [pack.decode({e: from_integral(c, lc, field) for e, c in g.items()})
+                for _, lc, g in reduced]
+
+    return _widening(run, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +440,8 @@ def buchberger(gens, order, budget):
 class Ideal:
     """Finitely generated ideal with lazily cached reduced Groebner bases."""
 
-    __slots__ = ("space", "generators", "_bases")  # order -> (basis, _basis_data(basis))
+    # order -> [basis, (packing, its _basis_data) once a normal form needs it]
+    __slots__ = ("space", "generators", "_bases")
 
     def __init__(self, space, generators):
         gens = []
@@ -323,9 +458,16 @@ class Ideal:
     def basis(self, order=GREVLEX, budget=None):
         cached = self._bases.get(order)
         if cached is None:
-            basis = buchberger(list(self.generators), order, budget)
-            cached = self._bases[order] = (basis, _basis_data(basis, order))
+            cached = self._bases[order] = [buchberger(list(self.generators), order, budget), None]
         return cached[0]
+
+    def _lead_data(self, order, width):
+        """(packing at least ``width`` bits wide, its lead data) of the cached basis."""
+        cached = self._bases[order]
+        if cached[1] is None or cached[1][0].width < width:
+            pack = _packing(self.space, order, width)
+            cached[1] = pack, _basis_data([pack.encode(g) for g in cached[0]])
+        return cached[1]
 
     def has_cached_basis(self, order=GREVLEX):
         return order in self._bases
@@ -370,7 +512,12 @@ def normal_form(f, ideal, order=GREVLEX, budget=None):
         raise SpaceMismatch(f"{f.space} vs {ideal.space}")
     if not ideal.basis(order=order, budget=budget):
         return f
-    return reduce_poly(f, ideal._bases[order][1], order, budget)
+
+    def run(width):
+        pack, data = ideal._lead_data(order, width)
+        return pack.decode(reduce_poly(pack.encode(f), data, pack, budget).terms)
+
+    return _widening(run, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -423,20 +570,22 @@ def eliminate(ideal, keep, budget=None):
 def _standard_monomials(ideal, order, budget):
     """Unsorted standard monomials if dim V(I) = 0, else None."""
     basis = ideal.basis(order=order, budget=budget)
-    nv = ideal.space.nvars
     if not basis:
-        return [()] if nv == 0 else None
+        return [()] if ideal.space.nvars == 0 else None
     if basis[0].is_constant():
         return []
-    leads = [g.leading(order)[0] for g in basis]
-    bounds = []
-    for i in range(nv):
-        pure = [e[i] for e in leads if sum(e) == e[i]]
+    pack, data = _widening(lambda width: ideal._lead_data(order, width))
+    # the exponent fields alone: a standard monomial's degree may not fit the order fields
+    leads = [le & pack.raw for le, _, _ in data]
+    steps = []
+    for s in pack.shifts:
+        pure = [le >> s for le in leads if not le & ~(pack.mask << s)]
         if not pure:
             return None
-        bounds.append(min(pure))
-    return [mono for mono in itertools.product(*(range(b) for b in bounds))
-            if not any(_divides(le, mono) for le in leads)]
+        steps.append(range(0, min(pure) << s, 1 << s))
+    guard = pack.guard
+    return [pack.exponents(m) for m in (sum(ms) for ms in product(*steps))
+            if all((m - le) & guard for le in leads)]
 
 
 def krull_dim_zero_check(ideal, order=GREVLEX, budget=None):
@@ -463,29 +612,33 @@ def standard_monomials(ideal, order=GREVLEX, budget=None):
 # ---------------------------------------------------------------------------
 
 def exact_divide(f, g, order=GREVLEX):
-    """Quotient f/g when g divides f exactly; raises ValueError otherwise."""
+    """Quotient f/g when g divides f exactly; raises ValueError otherwise.
+
+    Operands over different spaces raise :class:`SpaceMismatch`.
+    """
     if g.is_zero():
         raise ZeroDivisionError("exact division by zero polynomial")
-    if f.is_zero():
-        return f
-    space = f.space
-    le, lc = g.leading(order)
-    quot = {}
-    p = dict(f.terms)
-    rkey = order.rkey
-    heap = [(rkey(e), e) for e in p]
-    heapify(heap)
-    while heap:
-        e = heappop(heap)[1]
-        c = p.pop(e, None)
-        if c is None:
-            continue
-        if not _divides(le, e):
-            raise ValueError("division is not exact")
-        qe = _exp_sub(e, le)
-        quot[qe] = c * scalar_inverse(lc)
-        _sub_multiple(p, heap, rkey, g, le, qe, quot[qe])
-    return MultiPoly(space, quot)
+
+    def run(width):
+        pack = _packing(f.space, order, width)
+        p, d = pack.encode(f), pack.encode(g)
+        le = max(d)
+        inv = scalar_inverse(d[le])
+        quot = {}
+        heap = [-e for e in p]
+        heapify(heap)
+        while heap:
+            e = -heappop(heap)
+            c = p.pop(e, None)
+            if c is None:
+                continue
+            if (e - le) & pack.guard:
+                raise ValueError("division is not exact")
+            q = quot[e - le] = c * inv
+            _sub_multiple(p, heap, d, le, e - le, q, pack.guard)
+        return pack.decode(quot)
+
+    return _widening(run)
 
 
 def poly_det(rows):

@@ -130,10 +130,6 @@ def _grevlex_key(exp):
     return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
-def _grevlex_rkey(exp):
-    return (-sum(exp), exp[::-1])
-
-
 class MonomialOrder:
     """Total order on exponent tuples; larger key means larger monomial."""
 
@@ -149,14 +145,6 @@ class MonomialOrder:
         if self.name == "grevlex":
             return _grevlex_key(exp)
         return tuple(_grevlex_key(tuple(exp[i] for i in blk)) for blk in self.blocks)
-
-    def rkey(self, exp):
-        """Key of the reverse order: a min-heap on it pops the largest monomial."""
-        if self.name == "lex":
-            return tuple(-e for e in exp)
-        if self.name == "grevlex":
-            return _grevlex_rkey(exp)
-        return tuple(_grevlex_rkey(tuple(exp[i] for i in blk)) for blk in self.blocks)
 
     def __eq__(self, other):
         return (

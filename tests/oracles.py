@@ -11,12 +11,16 @@ the one reference here that does use the library's Groebner engine: it
 takes the radical through univariate eliminants, a route independent of
 the Jacobian determinant that ``singular_scheme`` reads the count from.
 
-:func:`scan_reduce_poly` and :func:`restart_interreduce` are the engine's
-reduction and start-of-run interreduction written plainly: every popped
-term rescans the basis for its first divisor, and every restart re-sorts
-the generators, recomputes every lead and reduces every element again.
-They share the engine's step arithmetic, so a faster engine must give the
-same bases and charge the same steps.
+:func:`buchberger`, :func:`reduce_poly` and :func:`_interreduce` are the
+engine as it was before monomials were packed into ints: exponent tuples,
+compared through ``order.key`` and a reverse key (:func:`_rkey`), with the
+divisor memo and the settled flags.  :func:`scan_reduce_poly` and
+:func:`restart_interreduce` write its reduction and start-of-run
+interreduction plainly: every popped term rescans the basis for its first
+divisor, and every restart re-sorts the generators, recomputes every lead
+and reduces every element again.  All of them share the engine's step
+arithmetic, so the packed engine must give the same bases and charge the
+same steps.
 
 :func:`direct_prolongation` is the first prolongation by its coordinate
 formula, independent of the Hamiltonian of the characteristic polynomial
@@ -34,25 +38,24 @@ polynomial, where ``NumberField`` divides t^k by it.
 """
 
 from fractions import Fraction
-from heapq import heapify, heappop
+from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd
+from operator import add, itemgetter, le as _le, sub
 
 from folichar.ideals import (
     _CONTENT_EVERY,
     Ideal,
-    _basis_data,
-    _exp_sub,
-    _normalized,
+    _as_budget,
     _rescale,
     _step,
-    _sub_multiple,
     eliminate,
     krull_dim_zero_check,
 )
 from folichar.foliations import PolyVectorField
 from folichar.polynomials import SCALARS, MultiPoly
-from folichar.scalars import content, upoly_squarefree_part
+from folichar.scalars import (common_field, content, from_integral, integral_multiple,
+                              norm_cofactor, rational_integer, upoly_squarefree_part)
 
 _ZERO = Fraction(0)
 
@@ -174,12 +177,206 @@ def seidenberg_count(ideal):
     return count
 
 
+def _divides(e1, e2):
+    return all(map(_le, e1, e2))
+
+
+def _exp_sub(e1, e2):
+    return tuple(map(sub, e1, e2))
+
+
+def _exp_lcm(e1, e2):
+    return tuple(map(max, e1, e2))
+
+
+def _grevlex_rkey(exp):
+    return (-sum(exp), exp[::-1])
+
+
+def _rkey(order, exp):
+    """Key of the reverse order: a min-heap on it pops the largest monomial."""
+    if order.name == "lex":
+        return tuple(-e for e in exp)
+    if order.name == "grevlex":
+        return _grevlex_rkey(exp)
+    return tuple(_grevlex_rkey(tuple(exp[i] for i in blk)) for blk in order.blocks)
+
+
+def _sub_multiple(p, heap, order, g, le, shift, factor):
+    """p -= factor * x^shift * (g - lead term); new monomials go on the heap once."""
+    neg = -factor
+    for ge, gc in g.terms.items():
+        if ge == le:
+            continue
+        ne = tuple(map(add, ge, shift))
+        c = p.get(ne)
+        if c is None:
+            p[ne] = neg * gc
+            heappush(heap, (_rkey(order, ne), ne))
+        else:
+            s = c + neg * gc
+            if s:
+                p[ne] = s
+            else:
+                del p[ne]
+
+
+def _first_divisor(e, leads, memo):
+    found, start = memo.get(e, (None, 0))
+    if found is None and start < len(leads):
+        for k in range(start, len(leads)):
+            if _divides(leads[k], e):
+                found = k
+                break
+        memo[e] = (found, len(leads))
+    return found
+
+
+def reduce_poly(f, basis, order, budget, memo=None):
+    """Normal form of f by (lead_exp, lead_coeff, poly), on exponent tuples."""
+    memo = {} if memo is None else memo
+    leads = [b[0] for b in basis]
+    tail = {}
+    p = f.terms.copy()
+    heap = [(_rkey(order, e), e) for e in p]
+    heapify(heap)
+    while heap:
+        e = heappop(heap)[1]
+        c = p.pop(e, None)
+        if c is None:
+            continue
+        k = _first_divisor(e, leads, memo)
+        if k is None:
+            tail[e] = c
+            continue
+        le, lc, g = basis[k]
+        budget.charge()
+        if type(lc) is int and budget.used % _CONTENT_EVERY == 0:
+            d = (gcd(c, *p.values(), *tail.values()) if type(c) is int
+                 else content(c, *p.values(), *tail.values()))
+            if d != 1:
+                c //= d
+                _rescale(p, tail, 1, d)
+        a, c = _step(c, lc)
+        if a != 1:
+            _rescale(p, tail, a)
+        _sub_multiple(p, heap, order, g, le, _exp_sub(e, le), c)
+    return MultiPoly(f.space, tail)
+
+
+def _basis_data(polys, order):
+    return [(e, rational_integer(c), g) for g in polys for e, c in [g.leading(order)]]
+
+
+def _normalized(g, order):
+    """g over Z or Z[beta] made primitive with a positive integer lead."""
+    lc = g.leading(order)[1]
+    if type(lc) is int:
+        d = gcd(*g.terms.values()) * (1 if lc > 0 else -1)
+        return MultiPoly(g.space, {e: c // d for e, c in g.terms.items()})
+    m = norm_cofactor(lc)
+    terms = {e: c * m for e, c in g.terms.items()}
+    d = content(*terms.values())
+    return MultiPoly(g.space, {e: c // d for e, c in terms.items()})
+
+
+def _interreduce(polys, order, budget):
+    """The start-of-run restart loop with leads kept and settled elements skipped."""
+    key = order.key
+    entries = [[key(data[0]), data, False] for data in _basis_data(polys, order)]
+    changed = True
+    while changed:
+        changed = False
+        entries.sort(key=itemgetter(0))
+        for i, entry in enumerate(entries):
+            if entry[2] or len(entries) == 1:
+                continue
+            g = entry[1][2]
+            r = reduce_poly(g, [o[1] for o in entries if o is not entry], order, budget)
+            if r.terms == g.terms:
+                entry[2] = True
+                continue
+            changed = True
+            if r.is_zero():
+                entries.pop(i)
+                break
+            data, = _basis_data([_normalized(r, order)], order)
+            entries[i] = [key(data[0]), data, True]
+            if data[0] != entry[1][0]:
+                for other in entries:
+                    if other[2] and other is not entries[i] and any(
+                            _divides(data[0], e) for e in other[1][2].terms):
+                        other[2] = False
+            break
+    return [entry[1][2] for entry in entries]
+
+
+def buchberger(gens, order, budget):
+    """The reduced Groebner basis on exponent tuples: the reference engine.
+
+    It calls this module's ``_interreduce`` and ``reduce_poly`` by name, so a
+    test may put the plain loops below in their place.
+    """
+    budget = _as_budget(budget)
+    gens = [g for g in gens if not g.is_zero()]
+    field = common_field(c for g in gens for c in g.terms.values())
+    gens = [_normalized(MultiPoly(g.space, dict(zip(
+        g.terms, integral_multiple(g.terms.values(), field)))), order) for g in gens]
+    G = _interreduce(gens, order, budget)
+    if not G:
+        return []
+    if any(g.is_constant() for g in G):
+        return [MultiPoly.constant(G[0].space, 1)]
+    data = _basis_data(G, order)
+    memo = {}
+    pairs = []
+    done = set()
+    key = order.key
+
+    def push_pairs(j):
+        ej = data[j][0]
+        for i in range(j):
+            heappush(pairs, (key(_exp_lcm(data[i][0], ej)), i, j))
+
+    for j in range(1, len(data)):
+        push_pairs(j)
+    while pairs:
+        _, i, j = heappop(pairs)
+        done.update(((i, j), (j, i)))
+        (ei, ci, gi), (ej, cj, gj) = data[i], data[j]
+        lcm = _exp_lcm(ei, ej)
+        if all(a + b == m for a, b, m in zip(ei, ej, lcm)):
+            continue
+        if any((i, k) in done and (j, k) in done and _divides(data[k][0], lcm)
+               for k in range(len(data))):
+            continue
+        a, b = _step(ci, cj)
+        s = {}
+        _sub_multiple(s, [], order, gi, ei, _exp_sub(lcm, ei), -a)
+        _sub_multiple(s, [], order, gj, ej, _exp_sub(lcm, ej), b)
+        budget.charge()
+        r = reduce_poly(MultiPoly(gi.space, s), data, order, budget, memo)
+        if r.is_zero():
+            continue
+        if r.is_constant():
+            return [MultiPoly.constant(r.space, 1)]
+        data += _basis_data([_normalized(r, order)], order)
+        push_pairs(len(data) - 1)
+    data.sort(key=lambda d: key(d[0]))
+    reduced = []
+    for le, _, g in data:
+        if not any(_divides(ke, le) for ke, _, _ in reduced):
+            r = reduce_poly(g, reduced, order, budget)
+            reduced.append((le, rational_integer(r.terms[le]), r))
+    return [MultiPoly(g.space, {e: from_integral(c, lc, field) for e, c in g.terms.items()})
+            for _, lc, g in reduced]
+
+
 def scan_reduce_poly(f, basis, order, budget, memo=None):
     """reduce_poly without the divisor memo: each popped term scans the basis."""
     tail = {}
     p = f.terms.copy()
-    rkey = order.rkey
-    heap = [(rkey(e), e) for e in p]
+    heap = [(_rkey(order, e), e) for e in p]
     heapify(heap)
     while heap:
         e = heappop(heap)[1]
@@ -202,7 +399,7 @@ def scan_reduce_poly(f, basis, order, budget, memo=None):
         a, c = _step(c, lc)
         if a != 1:
             _rescale(p, tail, a)
-        _sub_multiple(p, heap, rkey, g, le, _exp_sub(e, le), c)
+        _sub_multiple(p, heap, order, g, le, _exp_sub(e, le), c)
     return MultiPoly(f.space, tail)
 
 

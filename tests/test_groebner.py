@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from hashlib import sha256
 from itertools import cycle, product
 
+import oracles
 import pytest
 from conftest import QA, QI, SQRT2, cyclic, katsura, rand_poly, rng_for
 from oracles import membership_oracle, restart_interreduce, scan_reduce_poly
@@ -15,6 +16,7 @@ from folichar.ideals import (
     StepBudget,
     buchberger,
     eliminate,
+    exact_divide,
     krull_dim_zero_check,
     normal_form,
     poly_gcd,
@@ -23,7 +25,7 @@ from folichar.ideals import (
     rational_points,
     standard_monomials,
 )
-from folichar.polynomials import GREVLEX, LEX, MultiPoly, VarSpace, elimination_order
+from folichar.polynomials import GREVLEX, LEX, MonomialOrder, MultiPoly, VarSpace, elimination_order
 from folichar.scalars import NFElement, common_field, integral_multiple, make_number_field
 
 SXY = VarSpace(("x", "y"))
@@ -362,21 +364,24 @@ def _seeded_generators(rng, field):
 
 # The engine keeps each element's lead, skips settled elements in the
 # start-of-run restart loop and shares a divisor memo across one run's
-# S-pair reductions; the plain loop of tests/oracles.py recomputes all of
-# it.  Both must give the same bases and charge the same steps.
+# S-pair reductions, all on packed monomials; the plain loop of
+# tests/oracles.py recomputes all of it on exponent tuples.  Both must give
+# the same bases and charge the same steps.
 @pytest.mark.parametrize("field", [None, SQRT2], ids=["Q", "sqrt2"])
 @pytest.mark.parametrize("order", [GREVLEX, LEX, elimination_order(SXYZ, [0])],
                          ids=["grevlex", "lex", "block"])
 def test_cached_engine_matches_the_plain_loop(order, field, monkeypatch):
     rng = rng_for(f"plain-loop:{order.name}:{field}")
+    pack = ideals._packing(SXYZ, order, 8)
     interreduction_steps = 0
     for _ in range(12):
         gens = _seeded_generators(rng, field)
         ring = common_field(c for g in gens for c in g.terms.values())
-        start = [ideals._normalized(MultiPoly(SXYZ, dict(zip(
-            g.terms, integral_multiple(g.terms.values(), ring)))), order) for g in gens]
+        packed = [ideals._normalized(pack.encode(g, integral_multiple(g.terms.values(), ring)))
+                  for g in gens]
+        start = [pack.decode(g) for g in packed]
         fast, slow = StepBudget(10 ** 6), StepBudget(10 ** 6)
-        assert _exact(ideals._interreduce(list(start), order, fast)) == _exact(
+        assert _exact(pack.decode(g) for g in ideals._interreduce(packed, pack, fast)) == _exact(
             restart_interreduce(list(start), order, slow))
         assert fast.used == slow.used
         interreduction_steps += fast.used
@@ -385,9 +390,9 @@ def test_cached_engine_matches_the_plain_loop(order, field, monkeypatch):
         ideal = Ideal(SXYZ, gens)
         basis = ideal.basis(order, budget=fast)
         with monkeypatch.context() as m:
-            m.setattr(ideals, "_interreduce", restart_interreduce)
-            m.setattr(ideals, "reduce_poly", scan_reduce_poly)
-            plain = buchberger(gens, order, slow)
+            m.setattr(oracles, "_interreduce", restart_interreduce)
+            m.setattr(oracles, "reduce_poly", scan_reduce_poly)
+            plain = oracles.buchberger(gens, order, slow)
         assert _exact(basis) == _exact(plain) and fast.used == slow.used
 
         probe = gens[0] * gens[-1] + rand_poly(rng, SXYZ, 3)
@@ -397,3 +402,81 @@ def test_cached_engine_matches_the_plain_loop(order, field, monkeypatch):
             [scan_reduce_poly(probe, data, order, slow)])
         assert fast.used == slow.used
     assert interreduction_steps > 0
+
+
+def _overflow_systems():
+    """Systems whose exponents or degrees leave 8-bit fields: on entry, in an
+    lcm or in a reduction, depending on the order."""
+    s2, s6 = VarSpace(("x1", "x2")), VarSpace(tuple(f"x{i}" for i in range(1, 7)))
+    s3 = VarSpace(("x1", "x2", "x3"))
+    x1, x2 = (MultiPoly.variable(s2, v) for v in s2.all_vars)
+    xs = [MultiPoly.variable(s6, v) for v in s6.all_vars]
+    y1, y2, y3 = (MultiPoly.variable(s3, v) for v in s3.all_vars)
+    return [
+        [x1 ** 300 - x2],
+        [xs[i] - xs[i + 1] ** 3 for i in range(5)],
+        [y1 ** 200 * y2 - 1, y2 ** 255 + y3],
+        [x1 - x2 ** 200, x1 ** 2 - x2],
+    ]
+
+
+# The tuple-keyed engine of tests/oracles.py is the engine before monomials
+# were packed; the packed one must return the same bases, term for term,
+# and charge the same steps, also when it has to start over wider.
+@pytest.mark.parametrize("field", [None, SQRT2, QA], ids=["Q", "sqrt2", "cubic"])
+@pytest.mark.parametrize("order", ["grevlex", "lex", "block"])
+def test_packed_engine_matches_the_tuple_engine(order, field, monkeypatch):
+    rng = rng_for(f"tuple-engine:{order}:{field}")
+    widths = []
+    real = ideals._packing
+    monkeypatch.setattr(ideals, "_packing", lambda *a: widths.append(a[2]) or real(*a))
+    systems = [_seeded_generators(rng, field) for _ in range(6)]
+    for gens in _overflow_systems():
+        scale = [field.element([rng.randint(1, 3), rng.randint(-2, 2)]) if field else F(1, 3),
+                 F(-7, 2)]
+        systems.append([g * c for g, c in zip(gens, cycle(scale))])
+    for gens in systems:
+        space = gens[0].space
+        mono = {"grevlex": GREVLEX, "lex": LEX}.get(order) or elimination_order(space, [0])
+        fast, slow = StepBudget(10 ** 6), StepBudget(10 ** 6)
+        assert _exact(buchberger(gens, mono, fast)) == _exact(oracles.buchberger(gens, mono, slow))
+        assert fast.used == slow.used
+    assert max(widths) > 8
+
+
+def test_generators_over_two_spaces_raise():
+    s2, s3 = VarSpace(("x1", "x2")), VarSpace(("x1", "x2", "x3"))
+    x1, x2 = (MultiPoly.variable(s2, v) for v in s2.all_vars)
+    y1, _, y3 = (MultiPoly.variable(s3, v) for v in s3.all_vars)
+    with pytest.raises(SpaceMismatch):
+        buchberger([x1 ** 2 + x2, y1 * y3 - 1], GREVLEX, StepBudget())
+    for f, g in ((x1 ** 2, y1), (y1 * y3, x1)):
+        with pytest.raises(SpaceMismatch):
+            exact_divide(f, g)
+    # a block order must split the variables of the space it orders
+    for order in (elimination_order(s3, [0]), MonomialOrder("block", ((0,),))):
+        with pytest.raises(SpaceMismatch, match="do not split the variables of"):
+            buchberger([x1 ** 2 + x2], order, StepBudget())
+
+
+def test_normal_form_division_and_standard_monomials_past_8_bits():
+    """Normal forms, exact quotients and standard monomials whose exponents
+    or degrees leave 8-bit fields match the tuple-keyed references."""
+    for gens, probe in (([X ** 2 - Y], X ** 301 + Y), ([X ** 300 - Y], X ** 601 - 3 * Y)):
+        ideal = Ideal(SXY, gens)
+        for order in (GREVLEX, LEX):
+            fast, slow = StepBudget(10 ** 6), StepBudget(10 ** 6)
+            basis = ideal.basis(order)
+            data = [(*g.leading(order), g) for g in basis]
+            assert _exact([normal_form(probe, ideal, order, fast)]) == _exact(
+                [scan_reduce_poly(probe, data, order, slow)])
+            assert fast.used == slow.used
+    f, g = X ** 300 - Y, X ** 200 * Y + 2
+    assert exact_divide(f * g, g, LEX) == f and exact_divide(f * g, f) == g
+    with pytest.raises(ValueError, match="not exact"):
+        exact_divide(f * g + 1, f)
+    # grevlex leads x^150 and y^130; the lex basis is x + y^130, y^19500
+    big = Ideal(SXY, [X ** 150, Y ** 130 + X])
+    assert krull_dim_zero_check(big) == (True, 150 * 130)
+    assert standard_monomials(big)[-1] == (149, 129)
+    assert standard_monomials(big, LEX) == [(0, k) for k in range(150 * 130)]

@@ -3,6 +3,7 @@
 import ast
 from fractions import Fraction as F
 from functools import partial
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from oracles import two_path_substitute
 
 import folichar
 from folichar.errors import SpaceMismatch
-from folichar.ideals import StepBudget, reduce_poly
+from folichar.ideals import StepBudget, _Overflow, _packing, reduce_poly
 from folichar.polynomials import (
     GREVLEX,
     LEX,
@@ -181,10 +182,50 @@ ORDERS = [GREVLEX, LEX, elimination_order(S4, [0, 2])]
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=["grevlex", "lex", "block"])
-def test_rkey_is_exact_reverse_of_key(order):
+def test_packed_order_is_the_key_order(order):
+    """Packed monomials sort as order.key sorts their exponent tuples, decode
+    back to them, and give products, divisibility and lcms by int arithmetic."""
     rng = rng_for("rkey")
-    exps = {tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(300)}
-    assert sorted(exps, key=order.rkey) == sorted(exps, key=order.key)[::-1]
+    exps = sorted({tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(300)})
+    pack = _packing(S4, order, 8)
+    codes = {e: pack.code(e) for e in exps}
+    assert sorted(exps, key=codes.get) == sorted(exps, key=order.key)
+    assert all(pack.exponents(m) == e for e, m in codes.items())
+    for _ in range(500):
+        a, b = rng.choice(exps), rng.choice(exps)
+        assert codes[a] + codes[b] == pack.code(tuple(map(add, a, b)))
+        assert (not (codes[b] - codes[a]) & pack.guard) == all(map(int.__le__, a, b))
+        assert pack.lcm(codes[a], codes[b]) == pack.code(tuple(map(max, a, b)))
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["grevlex", "lex", "block"])
+def test_packed_overflow_sets_a_guard_bit(order):
+    """With 2-bit fields a product or lcm that leaves its fields sets a guard
+    bit (lcm raises), and an exponent tuple that does not fit is refused."""
+    rng = rng_for("packed-overflow")
+    pack, wide = _packing(S4, order, 2), _packing(S4, order, 8)
+
+    def fits(e):
+        try:
+            pack.code(e)
+        except _Overflow:
+            return False
+        return True
+
+    exps = {tuple(rng.choice((0, 0, 0, 1, 1, 2, 3, 5)) for _ in range(4)) for _ in range(400)}
+    assert not all(map(fits, exps))
+    small = sorted(filter(fits, exps))
+    assert len(small) > 10
+    for _ in range(500):
+        a, b = rng.choice(small), rng.choice(small)
+        m, p = tuple(map(max, a, b)), tuple(map(add, a, b))
+        assert (not (pack.code(a) + pack.code(b)) & pack.guard) == fits(p)
+        if fits(m):
+            assert pack.exponents(pack.lcm(pack.code(a), pack.code(b))) == m
+        else:
+            with pytest.raises(_Overflow):
+                pack.lcm(pack.code(a), pack.code(b))
+        assert wide.exponents(wide.code(p)) == p
 
 
 def _reduce_by_max_scan(f, basis, order, budget):
@@ -214,7 +255,10 @@ def test_reduce_poly_matches_max_scan(order):
         basis = [(*g.leading(order), g) for g in polys[1:]]
         fast, slow = StepBudget(10 ** 5), StepBudget(10 ** 5)
         f = polys[0] * polys[0]
-        assert reduce_poly(f, basis, order, fast) == _reduce_by_max_scan(f, basis, order, slow)
+        pack = _packing(S4, order, 8)
+        data = [(pack.code(le), lc, pack.encode(g)) for le, lc, g in basis]
+        assert pack.decode(reduce_poly(pack.encode(f), data, pack, fast).terms) == _reduce_by_max_scan(
+            f, basis, order, slow)
         assert fast.used == slow.used
 
 
@@ -379,6 +423,26 @@ def test_one_divisor_search():
     called = {getattr(n.func, "id", None) for n in ast.walk(functions["reduce_poly"])
               if isinstance(n, ast.Call)}
     assert "_first_divisor" in called and "_divides" not in called
+
+
+def test_the_groebner_kernel_packs_its_monomials():
+    """The Groebner kernel of ideals.py works on packed monomials: outside
+    _Packing it builds no tuple, zips or maps nothing and reads no order key
+    or lead, and the exponent-tuple helpers and the reverse key are gone."""
+    modules = dict(_package_modules())
+    functions = {n.name: n for n in modules["ideals.py"].body if isinstance(n, ast.FunctionDef)}
+    kernel = {"_sub_multiple", "_first_divisor", "reduce_poly", "_basis_data", "_normalized",
+              "_interreduce", "buchberger", "normal_form", "_standard_monomials", "exact_divide"}
+    assert kernel <= set(functions)
+    for name in kernel:
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call):
+                assert getattr(node.func, "id", None) not in {"tuple", "zip", "map"}, name
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in {"key", "rkey", "leading"}, name
+    defined = {n.name for tree in modules.values() for n in ast.walk(tree)
+               if isinstance(n, ast.FunctionDef)}
+    assert not {"_divides", "_exp_sub", "_exp_lcm", "rkey", "_grevlex_rkey"} & defined
 
 
 def test_one_implementation_per_primitive():
