@@ -149,24 +149,16 @@ class PolyVectorField:
 
         Returns the field in the u-coordinates: M^{-1} a(M u).
         """
-        n = len(self.components)
         inv = _matrix_inverse(matrix)
-        xs = [MultiPoly.variable(self.space, i) for i in range(n)]
-        images = []
-        for i in range(n):
-            acc = MultiPoly.zero(self.space)
-            for j in range(n):
-                acc = acc + xs[j] * matrix[i][j]
-            images.append(acc)
-        subs = {i: images[i] for i in range(n)}
+        zero = MultiPoly.zero(self.space)
+
+        def product(m, vec):
+            return [sum((v * c for v, c in zip(vec, row)), zero) for row in m]
+
+        xs = [MultiPoly.variable(self.space, i) for i in range(len(self.components))]
+        subs = dict(enumerate(product(matrix, xs)))
         moved = [c.substitute(subs) for c in self.components]
-        new_comps = []
-        for i in range(n):
-            acc = MultiPoly.zero(self.space)
-            for j in range(n):
-                acc = acc + moved[j] * inv[i][j]
-            new_comps.append(acc)
-        return PolyVectorField(self.space, new_comps)
+        return PolyVectorField(self.space, product(inv, moved))
 
 
 def _matrix_inverse(m):
@@ -476,8 +468,6 @@ def darboux_search(xi, max_deg, max_cofactor_deg, budget=None):
             if not isinstance(c, Fraction):
                 raise FieldMismatch(f"darboux_search solves over Q only; the "
                                     f"field's coefficient {c} is not rational")
-    if max_deg < 1:
-        return DarbouxResult([], True)
     space = xi.space
     nx = space.nvars
     cof_cap = min(max_cofactor_deg, max(xi.degree() - 1, 0))
@@ -553,11 +543,10 @@ def hyperplane_at_infinity(xi):
                                 PolyForm(space, 1, {(i,): xs[i] for i in slots}))
     factor = None
     if radial:
-        nz = next((i for i, t in enumerate(tops) if not t.is_zero()), None)
-        if nz is not None:
-            try:
-                factor = exact_divide(tops[nz], xs[nz])
-            except ValueError:
-                factor = None
+        nz = next(i for i, t in enumerate(tops) if not t.is_zero())
+        try:
+            factor = exact_divide(tops[nz], xs[nz])
+        except ValueError:
+            factor = None
         return InfinityReport(False, d - 1, d, factor)
     return InfinityReport(True, d, d, None)

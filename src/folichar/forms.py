@@ -305,6 +305,8 @@ def is_infinitesimal_automorphism(xi, w):
     """L_xi(w) proportional to w (zero counts as proportional)."""
     if w.is_zero():
         raise ZeroForm("automorphism test needs a nonzero form")
+    if w.degree < 1:
+        raise InvalidInput("the automorphism test applies to forms of degree >= 1")
     lw = lie_derivative(xi, w)
     if lw.is_zero():
         return True

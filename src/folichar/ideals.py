@@ -569,11 +569,7 @@ def eliminate(ideal, keep, budget=None):
 
 def _standard_monomials(ideal, order, budget):
     """Unsorted standard monomials if dim V(I) = 0, else None."""
-    basis = ideal.basis(order=order, budget=budget)
-    if not basis:
-        return [()] if ideal.space.nvars == 0 else None
-    if basis[0].is_constant():
-        return []
+    ideal.basis(order=order, budget=budget)
     pack, data = _widening(lambda width: ideal._lead_data(order, width))
     # the exponent fields alone: a standard monomial's degree may not fit the order fields
     leads = [le & pack.raw for le, _, _ in data]

@@ -219,7 +219,6 @@ def _ast_names(ast):
 class Declaration:
     name: str
     ast: object
-    source: str
     kind: str     # poly | form | op | field | ideal | binform
     value: object
 
@@ -458,14 +457,13 @@ class Session:
         if kind == "op" and _is_field_shaped(value):
             kind = "field"
             value = order_one_field(value, self.dspace)
-        self.decls[name] = Declaration(name, ast, source, kind, value)
+        self.decls[name] = Declaration(name, ast, kind, value)
         return self.decls[name]
 
     def _check_binform(self, p, pos):
         if p.is_zero():
             raise ParseError("binform must be nonzero", *pos)
-        support = p.support_indices()
-        if not support <= {0, 1}:
+        if p.involves(range(2, p.space.nvars)):
             raise ParseError("binform uses only x1 and x2", *pos)
         degs = {sum(e) for e in p.terms}
         if len(degs) != 1:
@@ -599,7 +597,10 @@ def _split_commas(text):
         else:
             cur.append(ch)
     parts.append("".join(cur))
-    return [p for p in (s.strip() for s in parts) if p]
+    parts = [s.strip() for s in parts]
+    if not all(parts):
+        raise ParseError("point has an empty coordinate", 1, 1)
+    return parts
 
 
 def _reevaluates(kind, decl_kind):
@@ -655,7 +656,6 @@ def _parse_field_clause(session, rest, line, assume_irreducible):
 def parse_input(text, assume_irreducible=False):
     """Parse a whole session file into a :class:`Session`."""
     session = None
-    pending_field = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -678,10 +678,7 @@ def parse_input(text, assume_irreducible=False):
                 raise ParseError("field: may appear only once", lineno, 1)
             if session.decls:
                 raise ParseError("field: must precede declarations", lineno, 1)
-            pending_field = _parse_field_clause(
-                session, rest, lineno, assume_irreducible
-            )
-            session.field = pending_field
+            session.field = _parse_field_clause(session, rest, lineno, assume_irreducible)
             continue
         if not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", head):
             raise ParseError(f"bad declaration name {head!r}", lineno, 0)

@@ -9,8 +9,9 @@ to nonzero scalars.
 :class:`SparseSum` is the one home of sparse-sum arithmetic: ``+``, ``-``,
 negation, scalar scaling, ``**`` and zero tests for polynomials here, Weyl
 operators (:mod:`folichar.weyl`) and differential forms
-(:mod:`folichar.forms`).  :func:`term_str` and :func:`sum_str` are the one
-printing rule for a coefficient times a monomial and for a sum of terms.
+(:mod:`folichar.forms`).  The one printing rule for a coefficient times a
+monomial and for a sum of terms, ``term_str`` and ``sum_str``, lives in
+:mod:`folichar.scalars`, where :class:`NFElement` prints by it too.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import SpaceMismatch
-from .scalars import NFElement, scalar_inverse
+from .scalars import NFElement, power, scalar_inverse, sum_str, term_str
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -255,18 +256,12 @@ class SparseSum:
         return self._like({k: v * c for k, v in self.terms.items()} if c else {})
 
     def __pow__(self, k):
-        out = self._embed(1)
-        if out is NotImplemented:
+        one = self._embed(1)
+        if one is NotImplemented:
             return NotImplemented
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"{self._noun} powers take nonnegative integer exponents")
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, one)
 
 
 class MultiPoly(SparseSum):
@@ -448,12 +443,6 @@ class MultiPoly(SparseSum):
         idx = set(indices)
         return any(e[i] for e in self.terms for i in idx)
 
-    def support_indices(self):
-        out = set()
-        for e in self.terms:
-            out.update(i for i, v in enumerate(e) if v)
-        return out
-
     # -- leading data ----------------------------------------------------------
 
     def leading(self, order=GREVLEX):
@@ -476,36 +465,26 @@ class MultiPoly(SparseSum):
 
     # -- space transport ---------------------------------------------------------
 
-    def lift_to(self, space):
-        """Reinterpret in a larger space containing the same variable names."""
+    def restrict_to(self, space):
+        """The same polynomial over ``space``, each variable matched by name;
+        raises :class:`SpaceMismatch` if a used variable is absent from it."""
         if space == self.space:
             return self
-        pos = [space.index(v) for v in self.space.all_vars]
+        names = self.space.all_vars
+        keep = {v: i for i, v in enumerate(space.all_vars)}
+        pos = [keep.get(v) for v in names]
         out = {}
         for e, c in self.terms.items():
             ne = [0] * space.nvars
             for i, k in enumerate(e):
-                ne[pos[i]] = k
+                if k:
+                    if pos[i] is None:
+                        raise SpaceMismatch(f"variable {names[i]} is used but absent from {space}")
+                    ne[pos[i]] = k
             out[tuple(ne)] = c
         return MultiPoly(space, out)
 
-    def restrict_to(self, space):
-        """Project onto a subspace; fails if a live variable is dropped."""
-        if space == self.space:
-            return self
-        keep = {v: i for i, v in enumerate(space.all_vars)}
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * space.nvars
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                name = self.space.all_vars[i]
-                if name not in keep:
-                    raise SpaceMismatch(f"variable {name} is used but absent from {space}")
-                ne[keep[name]] = k
-            out[tuple(ne)] = c
-        return MultiPoly(space, out)
+    lift_to = restrict_to
 
     # -- display -------------------------------------------------------------
 
@@ -526,25 +505,6 @@ class MultiPoly(SparseSum):
 
     def __repr__(self):
         return f"<{self.to_str()}>"
-
-
-def term_str(c, mono):
-    """``c`` times the monomial text ``mono``: a coefficient 1 or -1 is left
-    implicit and a non-rational Q(alpha) coefficient is parenthesized."""
-    if isinstance(c, NFElement) and not c.is_rational():
-        return f"({c})*{mono}" if mono else f"({c})"
-    if not mono:
-        return str(c)
-    if c == 1:
-        return mono
-    if c == -1:
-        return f"-{mono}"
-    return f"{c}*{mono}"
-
-
-def sum_str(chunks):
-    """Join printed terms with signs; the empty sum prints as 0."""
-    return " + ".join(chunks).replace("+ -", "- ") or "0"
 
 
 def multigrade_decompose(f, order=GREVLEX):

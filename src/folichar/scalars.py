@@ -153,6 +153,17 @@ def upoly_squarefree_part(p):
     return upoly_monic(upoly_divmod(p, d)[0])
 
 
+def power(base, k, one):
+    """base**k for an int k >= 0 by square-and-multiply, starting from ``one``."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
 def _int_divisors(n):
     n = abs(n)
     small, large = [], []
@@ -192,9 +203,26 @@ def upoly_rational_roots(p):
     return roots
 
 
+def term_str(c, mono):
+    """``c`` times the monomial text ``mono``: a coefficient 1 or -1 is left
+    implicit and a non-rational Q(alpha) coefficient is parenthesized."""
+    if isinstance(c, NFElement) and not c.is_rational():
+        return f"({c})*{mono}" if mono else f"({c})"
+    if not mono:
+        return str(c)
+    if c == 1:
+        return mono
+    if c == -1:
+        return f"-{mono}"
+    return f"{c}*{mono}"
+
+
+def sum_str(chunks):
+    """Join printed terms with signs; the empty sum prints as 0."""
+    return " + ".join(chunks).replace("+ -", "- ") or "0"
+
+
 def upoly_str(p, var="t"):
-    if not p:
-        return "0"
     parts = []
     for i in range(len(p) - 1, -1, -1):
         c = p[i]
@@ -208,8 +236,7 @@ def upoly_str(p, var="t"):
                 cs = f"({cs})"
             head = "" if c == 1 else ("-" if c == -1 else f"{cs}*")
             parts.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
-    out = " + ".join(parts)
-    return out.replace("+ -", "- ")
+    return sum_str(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -415,31 +442,14 @@ class NFElement:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, self.field.one())
 
     # -- display ------------------------------------------------------------
 
     def __str__(self):
-        if not self:
-            return "0"
         name = self.field.name
-        parts = []
-        for i, c in enumerate(self.coords):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                parts.append(f"{head}{name}" + (f"^{i}" if i > 1 else ""))
-        return " + ".join(parts).replace("+ -", "- ")
+        return sum_str([term_str(c, f"{name}^{i}" if i > 1 else name if i else "")
+                        for i, c in enumerate(self.coords) if c])
 
     __repr__ = __str__
 
@@ -634,17 +644,9 @@ def rref(rows):
 def _coord_rows(values):
     """Coordinate vectors of the values, all padded to the field degree."""
     field = common_field(values)
-    rows = []
-    for v in values:
-        if isinstance(v, NFElement):
-            rows.append(list(v.coords))
-        else:
-            q = Fraction(v)
-            if field is None:
-                rows.append([q])
-            else:
-                rows.append([q] + [_ZERO] * (field.degree - 1))
-    return rows
+    if field is None:
+        return [[Fraction(v)] for v in values]
+    return [list(field.coerce(v).coords) for v in values]
 
 
 def zrank(values):

@@ -460,11 +460,11 @@ class TorusFiberReport:
     """
 
     torus_invariant: bool
-    offending: object
-    monomials: tuple
-    components: tuple
-    dimensions: tuple
-    same_dimension: bool
+    offending: object = None
+    monomials: tuple = ()
+    components: tuple = ()
+    dimensions: tuple = ()
+    same_dimension: bool = True
 
     def __bool__(self):
         return self.torus_invariant
@@ -497,14 +497,7 @@ def coordinate_subspace_decomposition(ideal, budget=None):
         parts = multigrade_decompose(g)
         for part in parts:
             if len(parts) > 1 and not ideal.contains(part, budget=budget):
-                return TorusFiberReport(
-                    torus_invariant=False,
-                    offending=part,
-                    monomials=(),
-                    components=(),
-                    dimensions=(),
-                    same_dimension=True,
-                )
+                return TorusFiberReport(torus_invariant=False, offending=part)
             exp = next(iter(part.terms))
             monomials[exp] = MultiPoly.monomial(space, exp)
     # keep only divisibility-minimal monomials
@@ -515,17 +508,7 @@ def coordinate_subspace_decomposition(ideal, budget=None):
             minimal_exps.append(e)
     gens = tuple(monomials[e] for e in minimal_exps)
     supports = {frozenset(i for i, v in enumerate(e) if v) for e in minimal_exps}
-    if frozenset() in supports:
-        # a unit generator: empty variety
-        return TorusFiberReport(
-            torus_invariant=True,
-            offending=None,
-            monomials=gens,
-            components=(),
-            dimensions=(),
-            same_dimension=True,
-        )
-    involved = sorted(set().union(*supports)) if supports else []
+    involved = sorted(set().union(*supports))
     if len(involved) > 10:
         raise InvalidInput("subset enumeration limited to supports in 10 variables")
     covers = []
@@ -543,7 +526,6 @@ def coordinate_subspace_decomposition(ideal, budget=None):
     dimensions = tuple(space.nvars - len(s) for s in covers)
     return TorusFiberReport(
         torus_invariant=True,
-        offending=None,
         monomials=gens,
         components=components,
         dimensions=dimensions,

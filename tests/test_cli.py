@@ -2,6 +2,8 @@
 error handling, and the shipped schema."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,9 +12,12 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_parser import _HEADERS, _expression_text
 
 import folichar
-from folichar.cli import _build_parser, main
+from folichar.cli import _COMMANDS, _build_parser, _positionals, main
 
 DIAG_SESSION = """\
 vars: x1 x2
@@ -365,6 +370,31 @@ def test_torus_fiber_command(run):
     ]
 
 
+def test_torus_fiber_of_an_ideal_with_a_unit_generator(run):
+    code, out = run("vars: x1 x2\n", "torus-fiber", "ideal(y1*y2, 1)", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["verdict"] is True
+    assert payload["result"] == {"offending": None, "monomials": ["1"], "components": [],
+                                 "dimensions": [], "same_dimension": True}
+
+
+def test_automorphism_test_of_a_function_exits_two(run):
+    # any two nonzero functions are proportional over the fraction field, so
+    # the test says nothing about a 0-form; the distribution tests reject one too
+    code, out = run(DIAG_SESSION, "inf-auto", "xi", "x1^2 + 1", "--json")
+    assert code == 2
+    assert json.loads(out)["result"] == {
+        "error": "InvalidInput",
+        "message": "the automorphism test applies to forms of degree >= 1"}
+
+
+@pytest.mark.parametrize("point", ["0,,0", "0,0,"])
+def test_empty_point_coordinate_exits_two(run, point):
+    code, out = run(DIAG_SESSION, "eigen", point, "--json")
+    assert code == 2
+    assert json.loads(out)["result"]["error"] == "ParseError"
+
+
 # ---------------------------------------------------------------------------
 # declared names in every context
 
@@ -489,3 +519,50 @@ def test_readme_matches_the_command_table():
                if isinstance(a, argparse._SubParsersAction))
     assert re.findall(r"`([^`]+)`", listed) == list(sub.choices)
     assert re.findall(r"^\| (\d+) \|", readme, re.M) == ["0", "1", "2", "3", "4"]
+
+
+# ---------------------------------------------------------------------------
+# exit-code fuzzer
+
+_FUZZ_FIELDS = ("x1*d1 + 2*x2*d2", "x2*d1 - x1*d2", "(x1^2 - 1)*d1 + (x2^2 - x1)*d2",
+                "r*x2*d1 + x1*d2", "x1*x2*d1 - x2^2*d2")
+_FUZZ_DECLARATIONS = ("x1^2 - x2", "ideal(x1*y1, x2)", "ideal(y1, y2^2)", "x2*dx1 - x1*dx2",
+                      "dx1^dx2", "x2*d1 + 1", "binform(x1^2 - 3*x2^2)", "ideal(x2 - r*x1)")
+_FUZZ_TEXTS = {
+    "point": ("0,0", "1, 0", "(0, 0)", "1/2,-1", "r,0", "x1,0", "0", "0,,0", ""),
+    "int": ("0", "1", "-1", "7", "x1"),
+    "leaf": ("x1", "x2", "0", "1", "-1", "y1", "z"),
+}
+_FUZZ_EXPRESSIONS = ("e", "xi", "0", "1", "x1", "y1", "d1", "dx1", "x1*d1 - x2*d2",
+                     "ideal(x1, y2)", "x1^2 - x2^2", "r*x1", "e^dx2", "z", "(")
+_FUZZ_OPTIONS = {
+    "darboux": (("--max-deg", "0"), ("--max-deg", "1"), ("--max-deg", "1", "--max-cofactor", "0")),
+    "gb": ((), ("--order", "lex"), ("--order", "block")),
+    "symbol": ((), ("--bernstein",), ("--order",)),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_exit_code_is_an_answer_on_drawn_input(tmp_path_factory, data):
+    """Every subcommand on drawn sessions and arguments exits 0-3 and prints
+    one JSON envelope: exit 4 (a defect) is never the answer to an input."""
+    xi = data.draw(st.one_of(st.sampled_from(_FUZZ_FIELDS), _expression_text()))
+    e = data.draw(st.one_of(st.sampled_from(_FUZZ_DECLARATIONS), _expression_text()))
+    source = f"{data.draw(st.sampled_from(_HEADERS))}xi: {xi}\ne: {e}\n"
+    fol = tmp_path_factory.getbasetemp() / "fuzz.fol"
+    fol.write_text(source)
+    name = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [name, str(fol), "--json", "--budget", "5000"]
+    for _, kind, _ in _positionals(_COMMANDS[name].specs):
+        argv.append(data.draw(st.sampled_from(_FUZZ_TEXTS.get(kind, _FUZZ_EXPRESSIONS))))
+    argv += data.draw(st.sampled_from(_FUZZ_OPTIONS.get(name, ((),))))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line on stderr
+            assert exc.code == 2 and not out.getvalue()
+            return
+    assert code in (0, 1, 2, 3), (source, argv, out.getvalue())
+    jsonschema.validate(json.loads(out.getvalue()), _schema())

@@ -155,6 +155,18 @@ def test_krull_dim_zero():
     assert set(standard_monomials(Ideal(SXY, [X * X, Y]))) == {(0, 0), (1, 0)}
 
 
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_standard_monomials_of_the_zero_and_unit_ideals(order):
+    # over no variables the zero ideal's quotient is the field itself
+    point = Ideal(VarSpace(()), [])
+    assert krull_dim_zero_check(point, order) == (True, 1)
+    assert standard_monomials(point, order) == [()]
+    assert krull_dim_zero_check(Ideal(SXY, []), order) == (False, None)
+    unit = Ideal(SXY, [X, X + 1])
+    assert krull_dim_zero_check(unit, order) == (True, 0)
+    assert standard_monomials(unit, order) == []
+
+
 def test_rational_points_finite():
     pts, exhaustive = rational_points([X * X - 1, Y - X], SXY)
     assert exhaustive

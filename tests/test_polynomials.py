@@ -287,6 +287,18 @@ def test_lift_restrict_round_trip():
         y1.restrict_to(S2)
 
 
+def test_lift_matches_variables_by_name():
+    """lift_to moves each used variable by name: a target that lacks only
+    unused variables is fine, one that lacks a used variable is a mismatch."""
+    d = S2.doubled()
+    p = MultiPoly.variable(d, "x2") * MultiPoly.variable(d, "y1") + 3
+    target = VarSpace(("x2",), (), ("w", "y1"))
+    lifted = p.lift_to(target)
+    assert str(lifted) == "x2*y1 + 3" and lifted.space == target
+    with pytest.raises(SpaceMismatch, match="variable y1 is used but absent"):
+        p.lift_to(VarSpace(("x1", "x2"), (), ("w",)))
+
+
 def test_str_round_trip_shape():
     f = X1 * X1 - F(1, 2) * X2 + 1
     assert str(f) == "x1^2 - 1/2*x2 + 1"
@@ -451,7 +463,9 @@ def test_one_implementation_per_primitive():
     substitution loop, the recursive exponent generator and the term-by-term
     Darboux expansion are gone, prolong is the Hamiltonian field of P, the
     number-field screen reuses upoly_rational_roots, and darboux_search reads
-    its equations off xi.apply(g) - c*g."""
+    its equations off xi.apply(g) - c*g.  Powers of scalars and of sparse sums
+    share one square-and-multiply loop, NFElement prints by the polynomial
+    coefficient rule, and lift_to is restrict_to."""
     modules = dict(_package_modules())
     defined = {n.name for tree in modules.values() for n in ast.walk(tree)
                if isinstance(n, ast.FunctionDef)}
@@ -463,6 +477,17 @@ def test_one_implementation_per_primitive():
         return {getattr(n.func, "id", None) for n in ast.walk(node) if isinstance(n, ast.Call)}
 
     assert {"hamiltonian", "characteristic_polynomial"} <= calls("foliations.py", "prolong")
+    # one powering loop (scalars.power), one printer, one space transport
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in Path(folichar.__file__).parent.glob("*.py")}
+    assert sum(text.count("k >>= 1") for text in sources.values()) == 1
+    power = next(n for n in ast.walk(modules["scalars.py"])
+                 if isinstance(n, ast.FunctionDef) and n.name == "power")
+    assert "k >>= 1" in ast.get_source_segment(sources["scalars.py"], power)
+    assert "power" in calls("scalars.py", "__pow__") & calls("polynomials.py", "__pow__")
+    assert "sum_str" in calls("scalars.py", "__str__")
+    assert MultiPoly.lift_to is MultiPoly.restrict_to
+    assert "support_indices" not in defined
     assert "upoly_rational_roots" in calls("scalars.py", "make_number_field")
     darboux = next(n for n in ast.walk(modules["foliations.py"])
                    if isinstance(n, ast.FunctionDef) and n.name == "darboux_search")

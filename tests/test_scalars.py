@@ -195,6 +195,36 @@ def test_nf_arithmetic(sqrt2):
         sqrt2.zero().inverse()
 
 
+@pytest.mark.parametrize("name, min_poly, coords, text", [
+    ("r", (-2, 0, 1), (0, 0), "0"),
+    ("r", (-2, 0, 1), (1, 0), "1"),
+    ("r", (-2, 0, 1), (-1, 0), "-1"),
+    ("r", (-2, 0, 1), (0, 1), "r"),
+    ("r", (-2, 0, 1), (0, -1), "-r"),
+    ("r", (-2, 0, 1), (F(1, 2), F(-3, 4)), "1/2 - 3/4*r"),
+    ("r", (-2, 0, 1), (-2, 1), "-2 + r"),
+    ("r", (-2, 0, 1), (0, F(5, 3)), "5/3*r"),
+    ("r", (-2, 0, 1), (F(-7, 3), -1), "-7/3 - r"),
+    ("i", (1, 0, 1), (0, 1), "i"),
+    ("i", (1, 0, 1), (0, -1), "-i"),
+    ("i", (1, 0, 1), (3, -1), "3 - i"),
+    ("i", (1, 0, 1), (-1, F(1, 2)), "-1 + 1/2*i"),
+    ("a", (1, -3, 0, 1), (0, 0, 0), "0"),
+    ("a", (1, -3, 0, 1), (0, 0, 1), "a^2"),
+    ("a", (1, -3, 0, 1), (0, 0, -1), "-a^2"),
+    ("a", (1, -3, 0, 1), (1, 1, 1), "1 + a + a^2"),
+    ("a", (1, -3, 0, 1), (1, -1, -1), "1 - a - a^2"),
+    ("a", (1, -3, 0, 1), (0, 2, F(-1, 3)), "2*a - 1/3*a^2"),
+    ("a", (1, -3, 0, 1), (F(-5, 2), 0, 1), "-5/2 + a^2"),
+])
+def test_nf_element_printing(name, min_poly, coords, text):
+    field = make_number_field(name, [F(c) for c in min_poly])
+    assert str(field.element(coords)) == text
+    # Z[alpha] elements carry int coordinates and print the same
+    if all(F(c).denominator == 1 for c in coords):
+        assert str(NFElement(field, tuple(map(int, coords)))) == text
+
+
 def test_nf_field_axioms_random(sqrt2):
     import random
     rng = random.Random(11)
