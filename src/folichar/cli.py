@@ -9,6 +9,8 @@ Each subcommand is one handler declared with :func:`_command`: its name,
 help text, typed positionals and options.  ``_build_parser`` and ``main``
 both read that table; ``main`` resolves the arguments, and the handler
 returns ``(inputs, result, verdict)`` as library values for one serializer.
+Each handler imports the domain module it calls, so that a run loads only
+what its subcommand uses.
 """
 
 from __future__ import annotations
@@ -31,39 +33,11 @@ from .errors import (
     NotTorusInvariant,
     UnresolvedFactor,
 )
-from .foliations import (
-    characteristic_polynomial,
-    ch_singular_locus,
-    classify_ch_subvariety,
-    darboux_search,
-    hamiltonian,
-    hyperplane_at_infinity,
-    is_invariant,
-    prolong,
-    singular_scheme,
-)
-from .forms import (
-    binary_discriminant,
-    is_distribution,
-    is_infinitesimal_automorphism,
-    is_integrable,
-    logarithmic_normal_form,
-)
 from .ideals import DEFAULT_BUDGET, Ideal, StepBudget
 from .parser import parse_expression, parse_input, print_value
 from .polynomials import VarSpace, order_from_name
 from .reports import Report
 from .scalars import upoly_str
-from .singularities import (
-    bott_connection,
-    coordinate_subspace_decomposition,
-    holonomy_spectrum,
-    is_nonresonant,
-    jacobian_eigendata,
-    point_str,
-    verify_prolongation_duality,
-)
-from .weyl import bernstein_symbol, order_one_field, principal_symbol
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -151,12 +125,14 @@ def _jsonable(value):
 
 @_command("ch", "characteristic polynomial of the session field", xi=True)
 def _cmd_ch(session, args, budget, xi):
+    from .foliations import characteristic_polynomial
     P = characteristic_polynomial(xi)
     return {"xi": xi}, {"characteristic_polynomial": P}, None
 
 
 @_command("prolong", "first prolongation", xi=True)
 def _cmd_prolong(session, args, budget, xi):
+    from .foliations import prolong
     hat = prolong(xi)
     return {"xi": xi}, {
         "x_components": hat.x_components,
@@ -166,6 +142,7 @@ def _cmd_prolong(session, args, budget, xi):
 
 @_command("hamiltonian", "Hamiltonian field of a polynomial", "poly?")
 def _cmd_hamiltonian(session, args, budget, F):
+    from .foliations import characteristic_polynomial, hamiltonian
     if F is None:
         F = characteristic_polynomial(session.vector_field(args.field_name))
     ham = hamiltonian(F)
@@ -177,6 +154,7 @@ def _cmd_hamiltonian(session, args, budget, F):
 
 @_command("sing", "singular scheme of the field", xi=True)
 def _cmd_sing(session, args, budget, xi):
+    from .foliations import singular_scheme
     sch = singular_scheme(xi, budget=budget)
     return {"xi": xi}, {
         "generators": sch.ideal.generators,
@@ -190,6 +168,7 @@ def _cmd_sing(session, args, budget, xi):
 
 @_command("ch-sing", "singular locus of the characteristic hypersurface", xi=True)
 def _cmd_ch_sing(session, args, budget, xi):
+    from .foliations import ch_singular_locus
     rep = ch_singular_locus(xi, budget=budget)
     return {"xi": xi}, {
         "jacobian_generators": rep.jacobian_ideal.generators,
@@ -202,12 +181,14 @@ def _cmd_ch_sing(session, args, budget, xi):
 
 @_command("invariant", "is V(J) invariant under the prolongation", "ideal", xi=True)
 def _cmd_invariant(session, args, budget, xi, ideal):
+    from .foliations import is_invariant, prolong
     rep = is_invariant(prolong(xi), ideal, budget=budget)
     return {"xi": xi, "ideal": ideal}, {"certificates": rep.certificates}, rep.invariant
 
 
 @_command("classify", "trichotomy classification of V(J)", "ideal", xi=True)
 def _cmd_classify(session, args, budget, xi, ideal):
+    from .foliations import classify_ch_subvariety
     cls = classify_ch_subvariety(xi, ideal, budget=budget)
     return {"xi": xi, "ideal": ideal}, {
         "tag": cls.tag,
@@ -221,6 +202,7 @@ def _cmd_classify(session, args, budget, xi, ideal):
           ("--max-deg", {"type": int, "required": True}),
           ("--max-cofactor", {"type": int, "default": None}), xi=True)
 def _cmd_darboux(session, args, budget, xi):
+    from .foliations import darboux_search
     max_cof = args.max_cofactor
     if max_cof is None:
         max_cof = max(xi.degree() - 1, 0)
@@ -235,6 +217,7 @@ def _cmd_darboux(session, args, budget, xi):
 
 @_command("degree", "hyperplane at infinity and projective degree", xi=True)
 def _cmd_degree(session, args, budget, xi):
+    from .foliations import hyperplane_at_infinity
     rep = hyperplane_at_infinity(xi)
     return {"xi": xi}, {
         "affine_degree": rep.affine_degree,
@@ -246,6 +229,7 @@ def _cmd_degree(session, args, budget, xi):
 
 @_command("eigen", "eigendata of the linear part at a point", "point", xi=True)
 def _cmd_eigen(session, args, budget, xi, point):
+    from .singularities import jacobian_eigendata, point_str
     inputs = {"xi": xi, "point": point_str(point)}
     try:
         data = jacobian_eigendata(xi, point, field=session.field, budget=budget)
@@ -265,6 +249,7 @@ def _cmd_eigen(session, args, budget, xi, point):
 
 @_command("nonres", "non-resonance test at a point", "point", xi=True)
 def _cmd_nonres(session, args, budget, xi, point):
+    from .singularities import is_nonresonant, point_str
     rep = is_nonresonant(xi, point, field=session.field, budget=budget)
     return {"xi": xi, "point": point_str(point)}, {
         "invertible": rep.invertible,
@@ -276,6 +261,7 @@ def _cmd_nonres(session, args, budget, xi, point):
 @_command("holonomy", "linear holonomy spectrum around a separatrix",
           "point", "axis:int", xi=True)
 def _cmd_holonomy(session, args, budget, xi, point, axis):
+    from .singularities import holonomy_spectrum, point_str
     rep = holonomy_spectrum(xi, point, axis, field=session.field, budget=budget)
     return {"xi": xi, "point": point_str(point), "axis": axis}, {
         "separatrix_eigenvalue": rep.separatrix_eigenvalue,
@@ -294,6 +280,7 @@ def _cmd_holonomy(session, args, budget, xi, point, axis):
 
 @_command("bott", "connection matrix along an invariant axis", "leaf", xi=True)
 def _cmd_bott(session, args, budget, xi, leaf):
+    from .singularities import bott_connection
     conn = bott_connection(xi, axis=leaf)
     return {"xi": xi, "leaf": conn.variable}, {
         "axis": conn.variable,
@@ -303,6 +290,7 @@ def _cmd_bott(session, args, budget, xi, leaf):
 
 @_command("duality", "check the prolongation restricts to -A^T", "leaf", xi=True)
 def _cmd_duality(session, args, budget, xi, leaf):
+    from .singularities import verify_prolongation_duality
     rep = verify_prolongation_duality(xi, axis=leaf)
     return {"xi": xi, "leaf": rep.connection.variable}, {
         "connection": rep.connection.entries,
@@ -312,6 +300,7 @@ def _cmd_duality(session, args, budget, xi, leaf):
 
 @_command("torus-fiber", "coordinate-subspace decomposition in a fiber", "ideal")
 def _cmd_torus_fiber(session, args, budget, ideal):
+    from .singularities import coordinate_subspace_decomposition
     yspace = VarSpace(session.dspace.y_vars)
     gens = [g.restrict_to(yspace) for g in ideal.generators if not g.is_zero()]
     rep = coordinate_subspace_decomposition(Ideal(yspace, gens), budget=budget)
@@ -326,16 +315,19 @@ def _cmd_torus_fiber(session, args, budget, ideal):
 
 @_command("form-dist", "does the form define a distribution", "form")
 def _cmd_form_dist(session, args, budget, w):
+    from .forms import is_distribution
     return {"form": w}, {"degree": w.degree}, is_distribution(w)
 
 
 @_command("form-int", "integrability of the distribution", "form")
 def _cmd_form_int(session, args, budget, w):
+    from .forms import is_integrable
     return {"form": w}, {"degree": w.degree}, is_integrable(w)
 
 
 @_command("form-lognf", "logarithmic normal form of a torus-invariant form", "form")
 def _cmd_form_lognf(session, args, budget, w):
+    from .forms import logarithmic_normal_form
     nf, rep = logarithmic_normal_form(w)
     names = w.space.directions
     return {"form": w}, {
@@ -355,11 +347,13 @@ def _cmd_form_lognf(session, args, budget, w):
 
 @_command("inf-auto", "is the field an infinitesimal automorphism", "field", "form")
 def _cmd_inf_auto(session, args, budget, xi, w):
+    from .forms import is_infinitesimal_automorphism
     return {"xi": xi, "form": w}, {}, is_infinitesimal_automorphism(xi, w)
 
 
 @_command("disc", "discriminant of a binary form", "binform")
 def _cmd_disc(session, args, budget, p):
+    from .forms import binary_discriminant
     k = p.degree()
     if k < 2:
         raise InvalidInput("discriminants need degree >= 2")
@@ -379,6 +373,8 @@ def _cmd_weyl_mul(session, args, budget, a, b):
           ("--bernstein", {"action": "store_true"}),
           ("--order", {"action": "store_true"}), exclusive=True)
 def _cmd_symbol(session, args, budget, d):
+    from .foliations import characteristic_polynomial
+    from .weyl import bernstein_symbol, order_one_field, principal_symbol
     if args.bernstein:
         k, sym = bernstein_symbol(d, session.dspace)
         return {"operator": d}, {

@@ -34,7 +34,6 @@ from fractions import Fraction
 
 from .errors import (ConstantFunction, EmptyVariety, FieldMismatch, InvalidInput,
                      SpaceMismatch)
-from .forms import PolyForm, proportional_forms
 from .ideals import (
     Ideal,
     _as_budget,
@@ -534,6 +533,7 @@ def hyperplane_at_infinity(xi):
     multiple (the 1-form sum a_i^(d) dx_i is proportional to sum x_i dx_i);
     then the projective degree drops to d - 1, otherwise it is d.
     """
+    from .forms import PolyForm, proportional_forms
     space = xi.space
     d = xi.degree()
     tops = [c.homogeneous_part(d) for c in xi.components]

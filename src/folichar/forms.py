@@ -243,10 +243,9 @@ def contract_field(w, xi):
 
 
 def lie_derivative(xi, w):
-    """Cartan formula: L_xi = i_xi d + d i_xi."""
-    return contract_field(exterior_derivative(w), xi) + exterior_derivative(
-        contract_field(w, xi)
-    )
+    """Cartan formula: L_xi = i_xi d + d i_xi; i_xi is 0 on functions, so L_xi f = xi(f)."""
+    out = contract_field(exterior_derivative(w), xi)
+    return out + exterior_derivative(contract_field(w, xi)) if w.degree else out
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,9 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import MixedContext, ParseError, UnknownVariable
-from .forms import PolyForm, wedge
 from .ideals import Ideal, _univariate_in
 from .polynomials import MultiPoly, VarSpace
 from .scalars import make_number_field, scalar_inverse, upoly_monic
-from .weyl import WeylOperator, _is_field_shaped, order_one_field, principal_symbol
 
 _YVAR_RE = re.compile(r"^y([1-9][0-9]*)$")
 _D_RE = re.compile(r"^d([1-9][0-9]*)$")
@@ -224,16 +222,14 @@ class Declaration:
 
 
 def _constant_scalar(value, pos):
-    """Extract a plain scalar from a constant poly/0-form/order-0 operator."""
-    if isinstance(value, PolyForm) and value.degree == 0:
-        value = value.terms.get((), MultiPoly.zero(value.space))
+    """Extract a plain scalar from a constant polynomial or order-0 operator."""
     if isinstance(value, MultiPoly) and value.is_constant():
         return value.constant_value()
     raise ParseError("expected a constant here", *pos)
 
 
 def _arith(op, a, b, pos):
-    """``a op b`` for + - * / ^ on polynomials, operators or 0-forms."""
+    """``a op b`` for + - * / ^ on polynomials, operators or forms."""
     if op == "+":
         return a + b
     if op == "-":
@@ -252,7 +248,9 @@ def _arith(op, a, b, pos):
 
 def _form_arith(op, a, b, pos):
     """Form context: sums need equal degrees, ``^`` is the wedge on forms;
-    ``*`` scales by a function, so it rejects two forms of degree >= 1."""
+    ``*`` scales by a function, so it rejects two forms of degree >= 1;
+    a divisor that is a 0-form divides as its function."""
+    from .forms import PolyForm, wedge
     a_form = isinstance(a, PolyForm)
     b_form = isinstance(b, PolyForm)
     if op in "+-":
@@ -271,6 +269,8 @@ def _form_arith(op, a, b, pos):
         wa = a if a_form else PolyForm.from_poly(a)
         wb = b if b_form else PolyForm.from_poly(b)
         return wedge(wa, wb)
+    elif op == "/" and b_form and b.degree == 0:
+        b = b.terms.get((), MultiPoly.zero(b.space))
     return _arith(op, a, b, pos)
 
 
@@ -359,6 +359,7 @@ class Session:
         return self._evaluate(ast, leaf, _arith)
 
     def eval_operator(self, ast):
+        from .weyl import WeylOperator
         const = partial(WeylOperator.constant, self.n)
         ops = const(0).space
 
@@ -375,6 +376,7 @@ class Session:
 
     def eval_form(self, ast, space):
         """Form-context evaluation: values are PolyForm or MultiPoly."""
+        from .forms import PolyForm
         const = partial(MultiPoly.constant, space)
 
         def leaf(kind, name, pos):
@@ -411,6 +413,7 @@ class Session:
         if kind == "binform":
             return self._check_binform(self.eval_poly(ast, self.space), pos)
         if kind == "form":
+            from .forms import PolyForm
             # a dy<i> or y<i> atom puts the form on the doubled space
             uses_dy = any(_DY_RE.match(nm) or _YVAR_RE.match(nm)
                           for nm, _ in _ast_names(ast))
@@ -454,9 +457,11 @@ class Session:
             value = self.evaluate(ast[2][0], kind, ast[3])
         else:
             value = self.evaluate(ast, kind)
-        if kind == "op" and _is_field_shaped(value):
-            kind = "field"
-            value = order_one_field(value, self.dspace)
+        if kind == "op":
+            from .weyl import _is_field_shaped, order_one_field
+            if _is_field_shaped(value):
+                kind = "field"
+                value = order_one_field(value, self.dspace)
         self.decls[name] = Declaration(name, ast, kind, value)
         return self.decls[name]
 
@@ -484,15 +489,21 @@ class Session:
             if decl.value.involves(self.dspace.y_indices):
                 raise MixedContext(f"{name} involves y-variables")
             base = decl.value.restrict_to(self.space)
-            return (WeylOperator if kind == "op" else PolyForm).from_poly(base)
+            if kind == "op":
+                from .weyl import WeylOperator
+                return WeylOperator.from_poly(base)
+            from .forms import PolyForm
+            return PolyForm.from_poly(base)
         if _reevaluates(kind, decl.kind):
             return self._reevaluate(name, kind)
         if kind == "op":
+            from .weyl import WeylOperator
             return WeylOperator.from_vector_field(decl.value)
         if kind == "form":
             raise MixedContext(f"{name} is not a form")
         if kind == "poly":
             if decl.kind == "op" and decl.value.order() == 0:
+                from .weyl import principal_symbol
                 # an order-0 operator is its own principal symbol
                 return principal_symbol(decl.value, self.dspace)[1]
             raise MixedContext(f"{name} is not a polynomial")

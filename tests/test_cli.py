@@ -480,7 +480,7 @@ def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
     def broken(xi):
         raise RuntimeError("simulated defect")
 
-    monkeypatch.setattr("folichar.cli.characteristic_polynomial", broken)
+    monkeypatch.setattr("folichar.foliations.characteristic_polynomial", broken)
     fol = tmp_path / "session.fol"
     fol.write_text(DIAG_SESSION)
     code = main(["ch", str(fol), "--json"])
@@ -499,7 +499,7 @@ def test_bare_value_or_key_error_is_a_defect(tmp_path, capsys, monkeypatch, erro
     def broken(xi):
         raise error("simulated defect")
 
-    monkeypatch.setattr("folichar.cli.characteristic_polynomial", broken)
+    monkeypatch.setattr("folichar.foliations.characteristic_polynomial", broken)
     fol = tmp_path / "session.fol"
     fol.write_text(DIAG_SESSION)
     code = main(["ch", str(fol), "--json"])

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from conftest import SQRT2, rand_coeff, rand_poly, rng_for
+from conftest import SQRT2, rand_coeff, rand_field, rand_poly, rng_for
 
 from folichar.errors import (
     DegeneratePencil,
@@ -95,6 +95,19 @@ def test_lie_derivative_leibniz_random():
         lhs = lie_derivative(xi, wedge(a, b))
         rhs = wedge(lie_derivative(xi, a), b) + wedge(a, lie_derivative(xi, b))
         assert lhs == rhs
+
+
+def test_lie_derivative_of_a_function_is_the_field_applied():
+    """L_xi f = xi(f) is a 0-form, and d commutes with L_xi on functions."""
+    rng = rng_for("lie-functions")
+    for n in (2, 3, 2, 3, 2, 3):
+        xi = rand_field(rng, n, 2)
+        g = rand_poly(rng, xi.space, 3)
+        f = PolyForm.from_poly(g)
+        lf = lie_derivative(xi, f)
+        assert lf.degree == 0
+        assert lf == PolyForm.from_poly(xi.apply(g))
+        assert exterior_derivative(lf) == lie_derivative(xi, exterior_derivative(f))
 
 
 def test_contract_field_is_evaluation():

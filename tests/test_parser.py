@@ -195,6 +195,17 @@ def test_declared_values_convert_between_kinds():
         s.get("J", "form")
 
 
+def test_declared_polynomial_in_operator_and_form_context():
+    """A declared x-polynomial multiplies as an operator and is a 0-form in
+    form context, where it divides as its function; a literal 0 adds to a
+    form as nothing."""
+    s = parse_input("vars: x1 x2\nf: x1^2\nc: 2\nL: f*d1\nw: x1*dx1 / c\nv: 0 + dx2\n")
+    assert str(s.get("f", "op")) == "x1^2"
+    assert [str(a) for a in s.get("L", "field").components] == ["x1^2", "0"]
+    assert s.get("w", "form") == parse_input("vars: x1 x2\nw: (1/2)*x1*dx1\n").get("w", "form")
+    assert str(s.get("v", "form")) == "dx2"
+
+
 def test_leftmost_error_of_a_long_chain_is_reported():
     # operands are evaluated left to right, however long the chain
     prefix = "x1 + " * 2000

@@ -394,14 +394,16 @@ def test_groebner_engine_leaves_coordinates_to_scalars():
 def test_number_field_internals_stay_in_scalars():
     """How Q(alpha) is stored (the reduction table, the integral model) is
     read only in scalars.py, and NFElement is named only where values are
-    built, embedded as polynomial constants or exported."""
+    built, embedded as polynomial constants or exported (the export table
+    names it as a string)."""
     internals = {"_red", "integral", "scale", "model"}
     readers, namers = set(), set()
     for name, tree in _package_modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in internals:
                 readers.add(name)
-            if "NFElement" in (getattr(node, "id", None), getattr(node, "name", None)):
+            if "NFElement" in (getattr(node, "id", None), getattr(node, "name", None),
+                               getattr(node, "value", None)):
                 namers.add(name)
     assert readers <= {"scalars.py"}
     assert namers == {"scalars.py", "polynomials.py", "__init__.py"}
