@@ -20,8 +20,8 @@ import os
 import re
 import sys
 import time
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import (
     BudgetExceeded,
@@ -50,13 +50,7 @@ _VERDICT_ERRORS = (
 )
 
 
-class _Command(NamedTuple):
-    handler: object
-    help: str
-    specs: tuple
-    xi: bool
-    exclusive: bool
-
+_Command = namedtuple("_Command", "handler help specs xi exclusive")
 
 _COMMANDS = {}
 
@@ -103,19 +97,18 @@ def _resolve(session, kind, text):
 
 
 def _jsonable(value):
-    """Report data: tuples and sets as lists, dataclasses as dicts, and every
-    other value that is not a JSON scalar as its canonical printed form."""
+    """Report data: records (named tuples) as dicts of their fields, other
+    tuples, lists and sets as lists, and every other value that is not a
+    JSON scalar as its canonical printed form.  Records are tested first,
+    since they are tuples too."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
+    if hasattr(value, "_fields"):
+        return {k: _jsonable(v) for k, v in zip(value._fields, value)}
     if isinstance(value, (list, tuple, set, frozenset)):
         return [_jsonable(v) for v in value]
-    if hasattr(value, "__dataclass_fields__"):
-        return {
-            k: _jsonable(getattr(value, k))
-            for k in value.__dataclass_fields__
-        }
     return print_value(value)
 
 
@@ -434,40 +427,37 @@ def _build_parser():
     return top
 
 
-def _emit(report, as_json):
-    print(report.json_text() if as_json else report.human())
-
-
 def _error_report(command, exc):
-    return Report(
-        command or "?",
-        result={"error": type(exc).__name__, "message": str(exc)},
-    )
+    result = {"error": type(exc).__name__, "message": str(exc)}
+    return Report(command, {}, result, None, {})
 
 
 def _step_limit(flag):
-    """The step limit: ``--budget``, else ``FOLICHAR_BUDGET``, else the default."""
+    """The step limit: ``--budget``, else ``FOLICHAR_BUDGET``, else the default.
+    A value that is not a positive integer is an input error."""
     text = os.environ.get("FOLICHAR_BUDGET") if flag is None else str(flag)
-    if text:
-        try:
-            return max(1, int(text))
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET
+    if not text:
+        return DEFAULT_BUDGET
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise InvalidInput(f"step budget must be a positive integer, got {text!r}")
+    return limit
 
 
-def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    budget = StepBudget(_step_limit(args.budget))
+def _run(args):
+    """The report of one run and its exit code."""
     cmd = _COMMANDS[args.command]
     t0 = time.perf_counter()
     try:
         with open(args.session, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        _emit(_error_report(args.command, exc), args.json)
-        return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        return _error_report(args.command, exc), 2
     try:
+        budget = StepBudget(_step_limit(args.budget))
         session = parse_input(
             text, assume_irreducible=args.assume_irreducible
         )
@@ -477,28 +467,33 @@ def main(argv=None):
         values += [_resolve(session, kind, getattr(args, arg))
                    for arg, kind, _ in _positionals(cmd.specs)]
         inputs, result, verdict = cmd.handler(session, args, budget, *values)
-        report = Report(args.command, _jsonable(inputs), _jsonable(result), verdict)
+        inputs, result = _jsonable(inputs), _jsonable(result)
     except BudgetExceeded as exc:
-        _emit(_error_report(args.command, exc), args.json)
-        return 3
+        return _error_report(args.command, exc), 3
     except _VERDICT_ERRORS as exc:
-        report = Report(
-            args.command,
-            result={"reason": str(exc), "error": type(exc).__name__},
-            verdict=False,
-        )
+        inputs, verdict = {}, False
+        result = {"reason": str(exc), "error": type(exc).__name__}
     except FolicharError as exc:
-        _emit(_error_report(args.command, exc), args.json)
-        return 2
+        return _error_report(args.command, exc), 2
     except Exception as exc:
         # a defect, not an answer: never exit 1, which means "no"
-        _emit(_error_report(args.command, exc), args.json)
-        return 4
-    report.timings = {
-        "total_ms": round((time.perf_counter() - t0) * 1000, 3)
-    }
-    _emit(report, args.json)
-    return 0 if report.verdict in (True, None) else 1
+        return _error_report(args.command, exc), 4
+    timings = {"total_ms": round((time.perf_counter() - t0) * 1000, 3)}
+    report = Report(args.command, inputs, result, verdict, timings)
+    return report, 0 if verdict in (True, None) else 1
+
+
+def main(argv=None):
+    args = _build_parser().parse_args(argv)
+    report, code = _run(args)
+    text = report.json_text() if args.json else report.human()
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        # an unwritable report is not a "no": exit 2, without a traceback
+        print(f"folichar: cannot write the report: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ of a fiber over a singular point, or the whole characteristic variety.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (ConstantFunction, EmptyVariety, FieldMismatch, InvalidInput,
@@ -215,14 +215,10 @@ def prolong(xi):
 # singular scheme
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SingularScheme:
-    ideal: Ideal
-    isolated: bool
-    vecdim: int | None
-    reduced: bool | None           # None when not zero-dimensional
-    distinct_points: int | None    # vecdim(I) - vecdim(I + (det D(xi)))
-    divisorial_part: MultiPoly | None
+# reduced is None when the scheme is not zero-dimensional; distinct_points
+# is vecdim(I) - vecdim(I + (det D(xi)))
+SingularScheme = namedtuple("SingularScheme", "ideal isolated vecdim reduced "
+                            "distinct_points divisorial_part")
 
 
 def singular_scheme(xi, budget=None):
@@ -258,12 +254,8 @@ def singular_scheme(xi, budget=None):
     return SingularScheme(ideal, isolated, vecdim, reduced, distinct, divisorial)
 
 
-@dataclass
-class ChSingularReport:
-    jacobian_ideal: Ideal
-    smooth_away_from_zero_section: bool
-    scheme: SingularScheme
-    consistent: bool
+ChSingularReport = namedtuple("ChSingularReport", "jacobian_ideal "
+                              "smooth_away_from_zero_section scheme consistent")
 
 
 def ch_singular_locus(xi, budget=None):
@@ -293,17 +285,8 @@ def ch_singular_locus(xi, budget=None):
 # invariance and classification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class InvarianceCertificate:
-    generator: MultiPoly
-    image: MultiPoly
-    remainder: MultiPoly
-
-
-@dataclass
-class InvarianceReport:
-    invariant: bool
-    certificates: list
+InvarianceCertificate = namedtuple("InvarianceCertificate", "generator image remainder")
+InvarianceReport = namedtuple("InvarianceReport", "invariant certificates")
 
 
 def is_invariant(field, ideal, budget=None):
@@ -340,12 +323,9 @@ TAG_WHOLE = "WholeCharVariety"
 TAG_VIOLATION = "QuasiMinimalityViolation"
 
 
-@dataclass
-class SubvarietyClassification:
-    tag: str
-    point: tuple | None = None
-    residual: Ideal | None = None
-    certificate: dict = dc_field(default_factory=dict)
+SubvarietyClassification = namedtuple("SubvarietyClassification",
+                                      "tag certificate point residual",
+                                      defaults=(None, None))
 
 
 def classify_ch_subvariety(xi, ideal, budget=None):
@@ -422,16 +402,9 @@ def classify_ch_subvariety(xi, ideal, budget=None):
 # Darboux polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DarbouxPair:
-    polynomial: MultiPoly
-    cofactor: MultiPoly
-
-
-@dataclass
-class DarbouxResult:
-    pairs: list
-    complete: bool   # no Darboux polynomial over the algebraic closure missed
+DarbouxPair = namedtuple("DarbouxPair", "polynomial cofactor")
+# complete: no Darboux polynomial over the algebraic closure was missed
+DarbouxResult = namedtuple("DarbouxResult", "pairs complete")
 
 
 def _monomials_up_to(space, max_deg):
@@ -517,12 +490,8 @@ def darboux_search(xi, max_deg, max_cofactor_deg, budget=None):
 # hyperplane at infinity
 # ---------------------------------------------------------------------------
 
-@dataclass
-class InfinityReport:
-    invariant: bool
-    projective_degree: int
-    affine_degree: int
-    radial_factor: MultiPoly | None
+InfinityReport = namedtuple("InfinityReport", "invariant projective_degree "
+                            "affine_degree radial_factor")
 
 
 def hyperplane_at_infinity(xi):

@@ -19,7 +19,7 @@ coefficient-times-monomial rule it prints with, are the polynomials' own.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     DegeneratePencil,
@@ -348,8 +348,7 @@ def is_torus_invariant_form(w):
     return proportional_forms(pulled, lifted)
 
 
-@dataclass
-class LogNormalForm:
+class LogNormalForm(namedtuple("LogNormalForm", "h lambdas")):
     """w = (Sum over I of lambda_I * x_I * dx_I / x_I) * h-normalization data.
 
     ``h`` is the common polynomial with h = c_I * x_I / lambda_I for every
@@ -357,8 +356,7 @@ class LogNormalForm:
     scalars.
     """
 
-    h: MultiPoly
-    lambdas: dict
+    __slots__ = ()
 
     @property
     def support(self):
@@ -368,15 +366,12 @@ class LogNormalForm:
         return tuple(sorted(out))
 
 
-@dataclass
-class LogNormalReport:
-    normal_form: LogNormalForm
-    support: tuple          # union of participating direction indices
-    k: int                  # number of invariant hyperplanes
-    q: int                  # form degree
-    hyperplanes: tuple      # variable names cut out by the support
-    witness_subspace: tuple | None  # indices pinned to zero, if k > q, q <= n-2
-    witness_dimension: int | None
+# support: the union of the participating direction indices; k: the number
+# of invariant hyperplanes; q: the form degree; hyperplanes: the variable
+# names cut out by the support; witness_subspace: the indices pinned to zero,
+# None unless k > q and q <= n - 2
+LogNormalReport = namedtuple("LogNormalReport", "normal_form support k q hyperplanes "
+                             "witness_subspace witness_dimension")
 
 
 def logarithmic_normal_form(w):

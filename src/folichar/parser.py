@@ -25,7 +25,7 @@ nesting through parentheses or unary minus is capped, at 100 levels.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -44,12 +44,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+Token = namedtuple("Token", "kind text line column")
 
 
 def _tokenize(text, line, offset=0):
@@ -213,12 +208,8 @@ def _ast_names(ast):
 # typed evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Declaration:
-    name: str
-    ast: object
-    kind: str     # poly | form | op | field | ideal | binform
-    value: object
+# kind is one of poly | form | op | field | ideal | binform
+Declaration = namedtuple("Declaration", "name ast kind value")
 
 
 def _constant_scalar(value, pos):

@@ -16,7 +16,7 @@ monomial and for a sum of terms, ``term_str`` and ``sum_str``, lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add
 
@@ -31,23 +31,19 @@ _ONE = Fraction(1)
 # variable spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VarSpace:
+class VarSpace(namedtuple("VarSpace", "x_vars y_vars aux_vars")):
     """Named coordinate block structure shared by all objects of a session."""
 
-    x_vars: tuple
-    y_vars: tuple = ()
-    aux_vars: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "x_vars", tuple(self.x_vars))
-        object.__setattr__(self, "y_vars", tuple(self.y_vars))
-        object.__setattr__(self, "aux_vars", tuple(self.aux_vars))
+    def __new__(cls, x_vars, y_vars=(), aux_vars=()):
+        self = super().__new__(cls, tuple(x_vars), tuple(y_vars), tuple(aux_vars))
         names = self.all_vars
         if len(set(names)) != len(names):
             raise ValueError(f"variable names must be distinct: {names}")
         if self.y_vars and len(self.y_vars) != len(self.x_vars):
             raise ValueError("y-block must be empty or match the x-block length")
+        return self
 
     @property
     def all_vars(self):

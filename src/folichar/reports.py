@@ -10,16 +10,11 @@ canonical strings (matrices row-major).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
-@dataclass
-class Report:
-    command: str
-    inputs: dict = field(default_factory=dict)
-    result: dict = field(default_factory=dict)
-    verdict: object = None
-    timings: dict = field(default_factory=dict)
+class Report(namedtuple("Report", "command inputs result verdict timings")):
+    __slots__ = ()
 
     def to_json(self):
         return {

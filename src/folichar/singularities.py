@@ -24,7 +24,7 @@ restricted to the conormal of the axis, is linear in y with matrix -A^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -60,8 +60,8 @@ _ONE = Fraction(1)
 # eigendata of the linear part
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EigenData:
+class EigenData(namedtuple("EigenData", "point char_poly eigenvalues eigenvectors "
+                                      "invertible field")):
     """Exact spectral data of the linear part at a singular point.
 
     ``char_poly`` is the monic characteristic polynomial det(tI - D), stored
@@ -72,12 +72,7 @@ class EigenData:
     multiplicity.
     """
 
-    point: tuple
-    char_poly: tuple
-    eigenvalues: tuple
-    eigenvectors: tuple
-    invertible: bool
-    field: object = None
+    __slots__ = ()
 
     def multiplicity(self, value):
         return sum(1 for v in self.eigenvalues if v == value)
@@ -225,12 +220,9 @@ def jacobian_eigendata(xi, point, field=None, budget=None):
 # resonance and linear holonomy
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResonanceReport:
-    nonresonant: bool
-    invertible: bool
-    rank: int
-    eigenvalues: tuple
+class ResonanceReport(namedtuple("ResonanceReport",
+                                  "nonresonant invertible rank eigenvalues")):
+    __slots__ = ()
 
     def __bool__(self):
         return self.nonresonant
@@ -254,12 +246,10 @@ def is_nonresonant(xi, point, field=None, budget=None):
     )
 
 
-@dataclass(frozen=True)
-class HolonomyEigenvalue:
-    ratio: object
-    symbol: str
-    root_of_unity: bool
-    order: object  # denominator of the ratio when rational, else None
+# order is the denominator of the ratio when it is rational, else None
+class HolonomyEigenvalue(namedtuple("HolonomyEigenvalue",
+                                    "ratio symbol root_of_unity order")):
+    __slots__ = ()
 
     def __str__(self):
         tag = f"root of unity (order {self.order})" if self.root_of_unity else \
@@ -267,12 +257,9 @@ class HolonomyEigenvalue:
         return f"{self.symbol}  [{tag}]"
 
 
-@dataclass(frozen=True)
-class HolonomyReport:
-    separatrix_eigenvalue: object
-    entries: tuple
-    maximal_torus: bool
-    eigenvalues: tuple
+class HolonomyReport(namedtuple("HolonomyReport", "separatrix_eigenvalue entries "
+                                "maximal_torus eigenvalues")):
+    __slots__ = ()
 
     def __str__(self):
         lines = [str(e) for e in self.entries]
@@ -330,8 +317,7 @@ def holonomy_spectrum(xi, point, index, field=None, budget=None):
 # connection along an invariant coordinate axis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConnectionMatrix:
+class ConnectionMatrix(namedtuple("ConnectionMatrix", "axis variable indices entries")):
     """Matrix of the normal-bundle connection along a coordinate axis.
 
     ``entries[r][c]`` is da_{j_c}/dx_{i_r} restricted to the axis, where
@@ -339,10 +325,7 @@ class ConnectionMatrix:
     entries are univariate polynomials in the axis variable.
     """
 
-    axis: int
-    variable: str
-    indices: tuple
-    entries: tuple
+    __slots__ = ()
 
     @property
     def size(self):
@@ -395,11 +378,8 @@ def bott_connection(xi, axis=0):
     )
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    holds: bool
-    connection: ConnectionMatrix
-    restricted: ConnectionMatrix
+class DualityReport(namedtuple("DualityReport", "holds connection restricted")):
+    __slots__ = ()
 
     def __bool__(self):
         return self.holds
@@ -450,8 +430,9 @@ def verify_prolongation_duality(xi, axis=0):
 # torus-invariant subvarieties of a fiber
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TorusFiberReport:
+class TorusFiberReport(namedtuple("TorusFiberReport", "torus_invariant offending "
+                                  "monomials components dimensions same_dimension",
+                                  defaults=(None, (), (), (), True))):
     """Decomposition of a torus-invariant variety into coordinate subspaces.
 
     A variety invariant under the full torus action is cut out by monomials;
@@ -459,12 +440,7 @@ class TorusFiberReport:
     hitting every generator support.
     """
 
-    torus_invariant: bool
-    offending: object = None
-    monomials: tuple = ()
-    components: tuple = ()
-    dimensions: tuple = ()
-    same_dimension: bool = True
+    __slots__ = ()
 
     def __bool__(self):
         return self.torus_invariant

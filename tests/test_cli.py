@@ -284,6 +284,51 @@ def test_only_the_cli_reads_the_environment():
     assert readers == ["cli.py"]
 
 
+@pytest.mark.parametrize("value", ["5k", "0", "-3", "1.5"])
+def test_malformed_or_nonpositive_budget_in_environment_exits_two(run, monkeypatch, value):
+    monkeypatch.setenv("FOLICHAR_BUDGET", value)
+    code, out = run(DIAG_SESSION, "ch", "--json")
+    assert code == 2
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema())
+    assert payload["result"]["error"] == "InvalidInput"
+    assert repr(value) in payload["result"]["message"]
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_nonpositive_budget_flag_exits_two(run, monkeypatch, value):
+    monkeypatch.setenv("FOLICHAR_BUDGET", "100000")
+    code, out = run(DIAG_SESSION, "ch", "--json", "--budget", value)
+    assert code == 2
+    assert json.loads(out)["result"]["error"] == "InvalidInput"
+
+
+def test_unwritable_report_exits_two(tmp_path, capsys, monkeypatch):
+    class BrokenPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    fol = tmp_path / "session.fol"
+    fol.write_text(DIAG_SESSION)
+    monkeypatch.setattr("sys.stdout", BrokenPipe())
+    code = main(["ch", str(fol), "--json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "cannot write the report" in err
+    assert "Traceback" not in err
+
+
+def test_undecodable_session_exits_two(tmp_path, capsys):
+    fol = tmp_path / "session.fol"
+    fol.write_bytes(b"vars: x1\xff x2\n")
+    code = main(["ch", str(fol), "--json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["result"]["error"] == "UnicodeDecodeError"
+
+
 def test_budget_flag_restores_environment(run):
     os.environ.pop("FOLICHAR_BUDGET", None)
     code, _ = run(DIAG_SESSION, "ch", "--budget", "100000")

@@ -1,6 +1,8 @@
 """The package surface: lazily resolved exports, and the modules that a
-bare import and each CLI run load."""
+bare import and each CLI run load (the package's own, and ``dataclasses``,
+which no run needs)."""
 
+import ast
 import importlib
 import json
 import os
@@ -14,10 +16,10 @@ import folichar
 
 SRC = str(Path(folichar.__file__).parents[1])
 
-_REPORT = ('print("modules:", *sorted(m for m in sys.modules if m.startswith("folichar.")),'
-           ' file=sys.stderr)')
+_REPORT = ('print("modules:", *sorted(m for m in sys.modules'
+           ' if m.startswith("folichar.") or m == "dataclasses"), file=sys.stderr)')
 
-# runs ``python -m folichar.cli ARGS`` and reports its folichar.* modules at exit
+# runs ``python -m folichar.cli ARGS`` and reports its modules at exit
 _RUN_CLI = f"""\
 import atexit, runpy, sys
 atexit.register(lambda: {_REPORT})
@@ -43,14 +45,16 @@ def _loaded(tmp_path, code, *args):
      {"singularities", "forms"}),
     ("vars: x1 x2 x3\nw: x2*dx1 + dx3\n", ["form-int", "w"],
      {"weyl", "foliations", "singularities"}),
-], ids=["gb", "classify", "form-int"])
+    ("vars: x1 x2\nxi: x1*d1 + 2*x2*d2\n", ["eigen", "0,0"], {"forms"}),
+], ids=["gb", "classify", "form-int", "eigen"])
 def test_cli_loads_only_what_its_subcommand_uses(tmp_path, session, args, absent):
     (tmp_path / "s.fol").write_text(session)
     proc, loaded = _loaded(tmp_path, _RUN_CLI, args[0], "s.fol", *args[1:], "--json")
     assert proc.returncode in (0, 1), proc.stderr
     assert json.loads(proc.stdout)["command"] == args[0]
     assert {"parser", "reports"} <= loaded
-    assert not loaded & absent
+    assert loaded & _DOMAIN == _DOMAIN - absent
+    assert "dataclasses" not in loaded
 
 
 def test_bare_import_loads_no_submodule_but_errors(tmp_path):
@@ -72,3 +76,16 @@ def test_exports_resolve_to_their_modules():
     assert set(folichar.__all__) <= set(namespace)
     with pytest.raises(AttributeError, match="no_such_name"):
         folichar.no_such_name
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    # records are named tuples: collections is loaded before folichar is
+    for path in Path(folichar.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = {node.module.partition(".")[0]}
+            else:
+                continue
+            assert not roots & {"dataclasses", "typing"}, (path.name, node.lineno)

@@ -37,6 +37,22 @@ def test_spaces():
         VarSpace(("x1", "x1"))
 
 
+def test_var_space_construction():
+    listed = VarSpace(["x1", "x2"], ["y1", "y2"], ["t"])
+    tupled = VarSpace(("x1", "x2"), ("y1", "y2"), ("t",))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert all(type(b) is tuple for b in (listed.x_vars, listed.y_vars, listed.aux_vars))
+    assert VarSpace(["x1"]) == VarSpace(("x1",), (), ())
+    with pytest.raises(ValueError, match="distinct"):
+        VarSpace(("x1", "x2"), ("y1", "x1"))
+    with pytest.raises(ValueError, match="distinct"):
+        VarSpace(("x1",), (), ("x1",))
+    with pytest.raises(ValueError, match="y-block"):
+        VarSpace(("x1", "x2"), ("y1",))
+    with pytest.raises(ValueError, match="y-block"):
+        VarSpace(("x1",), ("y1", "y2"))
+
+
 def test_arith_examples():
     # d/dx1 (x1^2 x2) = 2 x1 x2
     assert (X1 * X1 * X2).partial(0) == 2 * X1 * X2
