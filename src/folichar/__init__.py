@@ -24,8 +24,7 @@ _EXPORTS = {
         "block_order_xy", "elimination_order", "multigrade_decompose",
     ),
     "ideals": (
-        "Ideal", "StepBudget", "groebner", "normal_form", "radical_membership",
-        "rational_points",
+        "Ideal", "StepBudget", "normal_form", "radical_membership", "rational_points",
     ),
     "forms": (
         "PolyForm", "binary_discriminant", "contract_field",

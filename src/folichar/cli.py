@@ -34,7 +34,7 @@ from .errors import (
     UnresolvedFactor,
 )
 from .ideals import DEFAULT_BUDGET, Ideal, StepBudget
-from .parser import parse_expression, parse_input, print_value
+from .parser import parse_expression, parse_input
 from .polynomials import VarSpace, order_from_name
 from .reports import Report
 from .scalars import upoly_str
@@ -109,7 +109,7 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in zip(value._fields, value)}
     if isinstance(value, (list, tuple, set, frozenset)):
         return [_jsonable(v) for v in value]
-    return print_value(value)
+    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +348,9 @@ def _cmd_inf_auto(session, args, budget, xi, w):
 def _cmd_disc(session, args, budget, p):
     from .forms import binary_discriminant
     k = p.degree()
-    if k < 2:
-        raise InvalidInput("discriminants need degree >= 2")
     coeffs = [Fraction(0)] * (k + 1)
     for e, c in p.terms.items():
-        coeffs[e[1]] = c
+        coeffs[k - e[0]] = c
     disc = binary_discriminant(coeffs)
     return {"binform": p}, {"degree": k, "discriminant": disc}, None
 

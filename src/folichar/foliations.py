@@ -467,16 +467,16 @@ def darboux_search(xi, max_deg, max_cofactor_deg, budget=None):
         for e, coeff in (xi.apply(g) - c * g).terms.items():
             rows.setdefault(e[:nx], {})[e[nx:]] = coeff
         pts, exhaustive = rational_points(
-            [MultiPoly(uspace, t) for t in rows.values()], uspace,
-            budget=budget, zero_free_vars=True
-        )
+            [MultiPoly(uspace, t) for t in rows.values()], uspace, budget=budget)
         complete = complete and exhaustive
-        # each point gives its own g with the lex lead pinned on this branch
+        # each point solves the branch's equations, so it gives its own pair,
+        # with g's lex lead pinned on this branch
         for pt in pts:
             values = {nx + i: v for i, v in pt.items()}
             g_pt, c_pt = (p.substitute(values).restrict_to(space) for p in (g, c))
-            if xi.apply(g_pt) == c_pt * g_pt:  # a pinned free coordinate can break it
-                results.append(DarbouxPair(g_pt, c_pt))
+            if xi.apply(g_pt) != c_pt * g_pt:
+                raise RuntimeError("a rational point does not solve its Darboux branch")
+            results.append(DarbouxPair(g_pt, c_pt))
     results.sort(
         key=lambda p: (
             p.polynomial.degree(),
@@ -498,24 +498,20 @@ def hyperplane_at_infinity(xi):
     """Is the hyperplane at infinity invariant, and the projective degree.
 
     With d the maximal component degree and a_i^(d) the degree-d parts, the
-    hyperplane fails to be invariant exactly when the top parts are a radial
-    multiple (the 1-form sum a_i^(d) dx_i is proportional to sum x_i dx_i);
-    then the projective degree drops to d - 1, otherwise it is d.
+    hyperplane fails to be invariant exactly when the top parts are radial:
+    a_i^(d) = h * x_i for every i with one polynomial h, the
+    ``radial_factor``.  Then the projective degree drops to d - 1, otherwise
+    it is d.  A constant field such as d/dx1 has no radial top part.
     """
-    from .forms import PolyForm, proportional_forms
     space = xi.space
     d = xi.degree()
     tops = [c.homogeneous_part(d) for c in xi.components]
     xs = [MultiPoly.variable(space, v) for v in space.x_vars]
-    slots = range(len(xs))
-    radial = proportional_forms(PolyForm(space, 1, {(i,): tops[i] for i in slots}),
-                                PolyForm(space, 1, {(i,): xs[i] for i in slots}))
-    factor = None
-    if radial:
-        nz = next(i for i, t in enumerate(tops) if not t.is_zero())
-        try:
-            factor = exact_divide(tops[nz], xs[nz])
-        except ValueError:
-            factor = None
-        return InfinityReport(False, d - 1, d, factor)
+    nz = next(i for i, t in enumerate(tops) if not t.is_zero())
+    try:
+        h = exact_divide(tops[nz], xs[nz])
+    except ValueError:  # x_nz does not divide its top part
+        h = None
+    if h is not None and all(t == h * x for t, x in zip(tops, xs)):
+        return InfinityReport(False, d - 1, d, h)
     return InfinityReport(True, d, d, None)

@@ -348,22 +348,10 @@ def is_torus_invariant_form(w):
     return proportional_forms(pulled, lifted)
 
 
-class LogNormalForm(namedtuple("LogNormalForm", "h lambdas")):
-    """w = (Sum over I of lambda_I * x_I * dx_I / x_I) * h-normalization data.
-
-    ``h`` is the common polynomial with h = c_I * x_I / lambda_I for every
-    participating index tuple; ``lambdas`` maps index tuples to nonzero
-    scalars.
-    """
-
-    __slots__ = ()
-
-    @property
-    def support(self):
-        out = set()
-        for idx in self.lambdas:
-            out.update(idx)
-        return tuple(sorted(out))
+# w = h * Sum over I of lambda_I * dx_I / x_I: h is the common polynomial
+# with h = c_I * x_I / lambda_I for every participating index tuple I, and
+# lambdas maps those index tuples to nonzero scalars
+LogNormalForm = namedtuple("LogNormalForm", "h lambdas")
 
 
 # support: the union of the participating direction indices; k: the number
@@ -409,7 +397,7 @@ def logarithmic_normal_form(w):
             )
         lambdas[idx] = lam
     nf = LogNormalForm(h, lambdas)
-    support = nf.support
+    support = tuple(sorted({i for idx in lambdas for i in idx}))
     k = len(support)
     q = w.degree
     n = w.ndirections
@@ -435,7 +423,7 @@ def logarithmic_normal_form(w):
 # binary discriminant
 # ---------------------------------------------------------------------------
 
-def binary_discriminant(coeffs, space=None):
+def binary_discriminant(coeffs):
     """Discriminant of a binary form phi = sum a_j u^(k-j) v^j, k >= 2.
 
     Computed as (-1)^(k(k-1)/2) Res(d phi/du, d phi/dv) / k^(k-2), the
@@ -445,15 +433,13 @@ def binary_discriminant(coeffs, space=None):
     so a form with a_0 = 0 needs no change of coordinates.  Coefficients
     may be scalars or polynomials.
 
-    Raises :class:`DegeneratePencil` on the zero form.
+    Raises :class:`InvalidInput` below degree 2 and :class:`DegeneratePencil`
+    on the zero form.
     """
     coeffs = list(coeffs)
     if len(coeffs) < 3:
-        raise ValueError("binary form must have degree k >= 2")
-    if space is None:
-        space = next(
-            (c.space for c in coeffs if isinstance(c, MultiPoly)), None
-        ) or VarSpace(("x1",))
+        raise InvalidInput("discriminants need degree >= 2")
+    space = next((c.space for c in coeffs if isinstance(c, MultiPoly)), VarSpace(("x1",)))
     a = []
     for c in coeffs:
         if isinstance(c, SCALARS):

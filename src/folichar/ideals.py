@@ -494,15 +494,9 @@ class Ideal:
         return hash(self.space)
 
     def __str__(self):
-        return "(" + ", ".join(str(g) for g in self.generators) + ")"
+        return "ideal(" + ", ".join(str(g) for g in self.generators) + ")"
 
     __repr__ = __str__
-
-
-def groebner(ideal, order=GREVLEX, budget=None):
-    """Return the ideal with a freshly cached reduced basis for ``order``."""
-    ideal.basis(order=order, budget=budget)
-    return ideal
 
 
 def normal_form(f, ideal, order=GREVLEX, budget=None):
@@ -607,7 +601,7 @@ def standard_monomials(ideal, order=GREVLEX, budget=None):
 # exact division, determinants, gcd/lcm via elimination
 # ---------------------------------------------------------------------------
 
-def exact_divide(f, g, order=GREVLEX):
+def exact_divide(f, g):
     """Quotient f/g when g divides f exactly; raises ValueError otherwise.
 
     Operands over different spaces raise :class:`SpaceMismatch`.
@@ -616,7 +610,7 @@ def exact_divide(f, g, order=GREVLEX):
         raise ZeroDivisionError("exact division by zero polynomial")
 
     def run(width):
-        pack = _packing(f.space, order, width)
+        pack = _packing(f.space, GREVLEX, width)
         p, d = pack.encode(f), pack.encode(g)
         le = max(d)
         inv = scalar_inverse(d[le])
@@ -720,7 +714,7 @@ def _univariate_in(g, idx):
     return upoly_trim(out)
 
 
-def rational_points(gens, space, budget=None, zero_free_vars=False):
+def rational_points(gens, space, budget=None):
     """Rational solutions of a polynomial system by lex triangularization.
 
     Returns ``(points, exhaustive)`` where each point maps variable index to
@@ -731,11 +725,10 @@ def rational_points(gens, space, budget=None, zero_free_vars=False):
     solutions over the algebraic closure.  It comes back False when the
     univariate eliminant of some branch has more distinct roots (the degree
     of its squarefree part) than rational ones, since each of its roots
-    extends to a solution.  If a variable is unconstrained (no eliminant, or
-    an empty basis) and ``zero_free_vars`` is set, it is pinned to 0 and
-    ``exhaustive`` comes back False too; without the flag such systems
-    raise ValueError.  Generators over another space raise
-    :class:`SpaceMismatch`.
+    extends to a solution.  A variable with no eliminant (a branch of
+    positive dimension, or an empty basis) is pinned to 0, and
+    ``exhaustive`` comes back False too; every point listed still solves the
+    system.  Generators over another space raise :class:`SpaceMismatch`.
     """
     if any(g.space != space for g in gens):
         raise SpaceMismatch(f"the system does not live in {space}")
@@ -747,8 +740,6 @@ def rational_points(gens, space, budget=None, zero_free_vars=False):
         nonlocal exhaustive
         basis = buchberger(current_gens, LEX, budget)
         if not basis:
-            if remaining and not zero_free_vars:
-                raise ValueError("system is not zero-dimensional")
             exhaustive = exhaustive and not remaining
             points.append({**assignment, **dict.fromkeys(remaining, Fraction(0))})
             return
@@ -757,8 +748,6 @@ def rational_points(gens, space, budget=None, zero_free_vars=False):
         idx = remaining[-1]  # lex-least variable first
         u = next((u for u in (_univariate_in(g, idx) for g in basis) if u is not None), None)
         if u is None:
-            if not zero_free_vars:
-                raise ValueError("system is not zero-dimensional")
             exhaustive = False
             roots = [Fraction(0)]
         else:

@@ -487,9 +487,6 @@ class Session:
             return PolyForm.from_poly(base)
         if _reevaluates(kind, decl.kind):
             return self._reevaluate(name, kind)
-        if kind == "op":
-            from .weyl import WeylOperator
-            return WeylOperator.from_vector_field(decl.value)
         if kind == "form":
             raise MixedContext(f"{name} is not a form")
         if kind == "poly":
@@ -556,8 +553,7 @@ class Session:
     # -- canonical printing --------------------------------------------------------
 
     def value_str(self, name):
-        decl = self.decls[name]
-        return print_value(decl.value)
+        return str(self.decls[name].value)
 
     # -- scalars and points ----------------------------------------------------------
 
@@ -608,15 +604,8 @@ def _split_commas(text):
 def _reevaluates(kind, decl_kind):
     """Does ``Session.get`` read a ``decl_kind`` declaration as ``kind`` by
     evaluating its AST again (the other coercions convert its value)?"""
-    return (kind == "op" and decl_kind not in ("op", "field", "poly")
+    return (kind == "op" and decl_kind not in ("op", "poly")
             or kind == "form" and decl_kind in ("op", "field"))
-
-
-def print_value(value):
-    """Canonical, re-parseable text for any declarable value."""
-    if isinstance(value, Ideal):
-        return "ideal(" + ", ".join(str(g) for g in value.generators) + ")"
-    return str(value)
 
 
 # ---------------------------------------------------------------------------

@@ -503,8 +503,6 @@ class MultiPoly(SparseSum):
         return f"<{self.to_str()}>"
 
 
-def multigrade_decompose(f, order=GREVLEX):
-    """Split a polynomial into its monomial summands, largest first."""
-    return [
-        MultiPoly.monomial(f.space, e, c) for e, c in f.sorted_terms(order)
-    ]
+def multigrade_decompose(f):
+    """Split a polynomial into its monomial summands, largest first in grevlex."""
+    return [MultiPoly.monomial(f.space, e, c) for e, c in f.sorted_terms()]

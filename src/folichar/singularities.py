@@ -74,9 +74,6 @@ class EigenData(namedtuple("EigenData", "point char_poly eigenvalues eigenvector
 
     __slots__ = ()
 
-    def multiplicity(self, value):
-        return sum(1 for v in self.eigenvalues if v == value)
-
     def __str__(self):
         vals = ", ".join(str(v) for v in self.eigenvalues)
         return f"char {upoly_str(self.char_poly)}; eigenvalues {{{vals}}}"
@@ -126,10 +123,7 @@ def _field_roots(char, field, budget=None):
         acc = acc * z + field.coerce(coeff)
     eqs = [MultiPoly(space, {e: c.coords[i] for e, c in acc.terms.items()})
            for i in range(d)]
-    eqs = [g for g in eqs if not g.is_zero()]
-    if not eqs:
-        raise ValueError("zero polynomial has every root")
-    points, _ = rational_points(eqs, space, budget=budget)
+    points, _ = rational_points([g for g in eqs if not g.is_zero()], space, budget=budget)
     return [field.element([p.get(k, _ZERO) for k in range(d)]) for p in points]
 
 
@@ -283,8 +277,8 @@ def holonomy_spectrum(xi, point, index, field=None, budget=None):
     non-resonance verdict: rank-n eigenvalues force the closure of the
     holonomy group to be the full torus.
     """
-    data = jacobian_eigendata(xi, point, field=field, budget=budget)
-    eigs = data.eigenvalues
+    res = is_nonresonant(xi, point, field=field, budget=budget)
+    eigs = res.eigenvalues
     if not 1 <= index <= len(eigs):
         raise InvalidInput(f"separatrix index {index} out of range 1..{len(eigs)}")
     lam = eigs[index - 1]
@@ -304,11 +298,10 @@ def holonomy_spectrum(xi, point, index, field=None, budget=None):
                 order=as_fraction(ratio).denominator if rational else None,
             )
         )
-    rank = zrank(eigs)
     return HolonomyReport(
         separatrix_eigenvalue=lam,
         entries=tuple(entries),
-        maximal_torus=data.invertible and rank == len(xi.components),
+        maximal_torus=res.nonresonant,
         eigenvalues=eigs,
     )
 
@@ -317,23 +310,11 @@ def holonomy_spectrum(xi, point, index, field=None, budget=None):
 # connection along an invariant coordinate axis
 # ---------------------------------------------------------------------------
 
-class ConnectionMatrix(namedtuple("ConnectionMatrix", "axis variable indices entries")):
-    """Matrix of the normal-bundle connection along a coordinate axis.
-
-    ``entries[r][c]`` is da_{j_c}/dx_{i_r} restricted to the axis, where
-    i_r, j_c run over the transverse coordinate indices in ascending order;
-    entries are univariate polynomials in the axis variable.
-    """
-
-    __slots__ = ()
-
-    @property
-    def size(self):
-        return len(self.indices)
-
-    def __str__(self):
-        rows = ["[" + ", ".join(str(e) for e in row) + "]" for row in self.entries]
-        return "[" + "; ".join(rows) + "]"
+# the matrix of the normal-bundle connection along a coordinate axis:
+# entries[r][c] is da_{j_c}/dx_{i_r} restricted to the axis, where i_r, j_c
+# run over the transverse coordinate indices in ascending order; entries are
+# univariate polynomials in the axis variable
+ConnectionMatrix = namedtuple("ConnectionMatrix", "axis variable indices entries")
 
 
 def _axis_index(space, axis):
@@ -384,10 +365,6 @@ class DualityReport(namedtuple("DualityReport", "holds connection restricted")):
     def __bool__(self):
         return self.holds
 
-    def __str__(self):
-        verdict = "B = -A^T holds" if self.holds else "B = -A^T FAILS"
-        return f"{verdict}; A = {self.connection}, B = {self.restricted}"
-
 
 def verify_prolongation_duality(xi, axis=0):
     """Check that the prolonged field restricts to the negative transpose.
@@ -417,7 +394,7 @@ def verify_prolongation_duality(xi, axis=0):
         indices=conn.indices,
         entries=tuple(rows),
     )
-    size = conn.size
+    size = len(conn.indices)
     holds = all(
         restricted.entries[r][c] == -conn.entries[c][r]
         for r in range(size)
@@ -444,16 +421,6 @@ class TorusFiberReport(namedtuple("TorusFiberReport", "torus_invariant offending
 
     def __bool__(self):
         return self.torus_invariant
-
-    def __str__(self):
-        if not self.torus_invariant:
-            return f"not torus-invariant: {self.offending} escapes the ideal"
-        if not self.components:
-            return "empty variety"
-        subs = ", ".join(
-            "{" + " = ".join(list(comp) + ["0"]) + "}" for comp in self.components
-        )
-        return f"components {subs}"
 
 
 def coordinate_subspace_decomposition(ideal, budget=None):

@@ -30,7 +30,7 @@ from folichar.forms import (
     logarithmic_normal_form,
     wedge,
 )
-from folichar.ideals import Ideal, eliminate, groebner, normal_form, radical_membership
+from folichar.ideals import Ideal, eliminate, normal_form, radical_membership
 from folichar.polynomials import MultiPoly, VarSpace
 from folichar.scalars import make_number_field
 from folichar.singularities import (

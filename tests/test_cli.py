@@ -89,6 +89,21 @@ def test_ch_and_degree(run):
     assert payload["result"]["projective_degree"] == 1
 
 
+def test_degree_of_a_constant_field_in_one_variable(run):
+    # d/dx1 has no radial top part: the hyperplane at infinity is invariant
+    code, out = run("vars: x1\nxi: d1\n", "degree", "--json")
+    assert code == 0
+    assert json.loads(out)["result"] == {"affine_degree": 0, "infinity_invariant": True,
+                                         "projective_degree": 0, "radial_factor": None}
+
+
+def test_disc_in_a_one_variable_session(run):
+    # a*x1^k is a*u^k with v absent: a k-fold root, discriminant 0
+    code, out = run("vars: x1\nxi: x1*d1\n", "disc", "x1^2", "--json")
+    assert code == 0
+    assert json.loads(out)["result"] == {"degree": 2, "discriminant": "0"}
+
+
 def test_darboux_command(run):
     code, out = run(DIAG_SESSION, "darboux", "--max-deg", "1", "--json")
     payload = json.loads(out)
@@ -579,7 +594,7 @@ _FUZZ_TEXTS = {
     "leaf": ("x1", "x2", "0", "1", "-1", "y1", "z"),
 }
 _FUZZ_EXPRESSIONS = ("e", "xi", "0", "1", "x1", "y1", "d1", "dx1", "x1*d1 - x2*d2",
-                     "ideal(x1, y2)", "x1^2 - x2^2", "r*x1", "e^dx2", "z", "(")
+                     "ideal(x1, y2)", "x1^2 - x2^2", "x1^2", "r*x1", "e^dx2", "z", "(")
 _FUZZ_OPTIONS = {
     "darboux": (("--max-deg", "0"), ("--max-deg", "1"), ("--max-deg", "1", "--max-cofactor", "0")),
     "gb": ((), ("--order", "lex"), ("--order", "block")),

@@ -373,6 +373,11 @@ def test_is_invariant_examples():
     assert is_invariant(pr, Ideal(D2, [DX2, DY1])).invariant
 
 
+def test_is_invariant_skips_zero_generators():
+    rep = is_invariant(DIAG, Ideal(S2, [MultiPoly.zero(S2), X2]))
+    assert rep.invariant and [str(c.generator) for c in rep.certificates] == ["x2"]
+
+
 def test_is_invariant_rejects_unit_ideal():
     with pytest.raises(EmptyVariety):
         is_invariant(DIAG, Ideal(S2, [MultiPoly.constant(S2, 1)]))
@@ -472,6 +477,18 @@ def test_darboux_rejects_negative_bounds(max_deg, max_cofactor_deg):
         darboux_search(ROT, max_deg, max_cofactor_deg)
 
 
+def test_darboux_point_that_misses_its_branch_is_a_defect(monkeypatch):
+    """Every point that rational_points lists solves its branch's equations,
+    the x-coefficients of xi(g) - c*g, so a pair failing xi(g) = c*g is a
+    defect to raise, not a pair to drop from a complete answer."""
+    def all_sevens(gens, space, budget=None):
+        return [dict.fromkeys(range(space.nvars), F(7))], True
+
+    monkeypatch.setattr(foliations, "rational_points", all_sevens)
+    with pytest.raises(RuntimeError, match="does not solve its Darboux branch"):
+        darboux_search(ROT, 1, 0)
+
+
 def _planted_line_field(rng, n):
     """x1 + a*x2 is invariant with a cofactor of degree <= 1."""
     space = VarSpace(tuple(f"x{i + 1}" for i in range(n)))
@@ -555,3 +572,14 @@ def test_hyperplane_at_infinity_table():
 
     diag = hyperplane_at_infinity(DIAG)
     assert (diag.invariant, diag.projective_degree) == (True, 1)
+
+
+def test_hyperplane_at_infinity_in_one_variable():
+    """Radial means a top part h*x1 with h a polynomial: x1^2*d1 is radial
+    (h = x1), the constant field d1 is not."""
+    s1 = VarSpace(("x1",))
+    x1 = MultiPoly.variable(s1, "x1")
+    rep = hyperplane_at_infinity(PolyVectorField(s1, [x1 * x1]))
+    assert (rep.invariant, rep.projective_degree, str(rep.radial_factor)) == (False, 1, "x1")
+    rep = hyperplane_at_infinity(PolyVectorField(s1, [MultiPoly.constant(s1, 1)]))
+    assert rep == (True, 0, 0, None)

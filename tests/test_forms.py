@@ -8,6 +8,7 @@ from conftest import SQRT2, rand_coeff, rand_field, rand_poly, rng_for
 
 from folichar.errors import (
     DegeneratePencil,
+    InvalidInput,
     NotADistribution,
     NotTorusInvariant,
     SpaceMismatch,
@@ -208,6 +209,11 @@ def test_log_normal_accepted_forms_integrable():
             assert is_integrable(w)
 
 
+def test_log_normal_form_of_the_zero_form_is_an_input_error():
+    with pytest.raises(ZeroForm, match="normal form needs a nonzero form"):
+        logarithmic_normal_form(dx(S3, 0) * 0)
+
+
 def test_binary_discriminant():
     sabc = VarSpace(("a", "b", "c"))
     a, b, c = (MultiPoly.variable(sabc, v) for v in sabc.all_vars)
@@ -227,6 +233,11 @@ def test_binary_discriminant():
 
     with pytest.raises(DegeneratePencil):
         binary_discriminant([zero, zero, zero])
+
+
+def test_binary_discriminant_of_a_linear_form_is_an_input_error():
+    with pytest.raises(InvalidInput, match=r"^discriminants need degree >= 2$"):
+        binary_discriminant([1, 2])
 
 
 @pytest.mark.parametrize("coeff_deg", [0, 1])

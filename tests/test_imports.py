@@ -46,7 +46,8 @@ def _loaded(tmp_path, code, *args):
     ("vars: x1 x2 x3\nw: x2*dx1 + dx3\n", ["form-int", "w"],
      {"weyl", "foliations", "singularities"}),
     ("vars: x1 x2\nxi: x1*d1 + 2*x2*d2\n", ["eigen", "0,0"], {"forms"}),
-], ids=["gb", "classify", "form-int", "eigen"])
+    ("vars: x1 x2\nxi: x1^2*d1 + x1*x2*d2\n", ["degree"], {"singularities", "forms"}),
+], ids=["gb", "classify", "form-int", "eigen", "degree"])
 def test_cli_loads_only_what_its_subcommand_uses(tmp_path, session, args, absent):
     (tmp_path / "s.fol").write_text(session)
     proc, loaded = _loaded(tmp_path, _RUN_CLI, args[0], "s.fol", *args[1:], "--json")
