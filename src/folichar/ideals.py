@@ -37,19 +37,10 @@ do not depend on the width (:func:`_widening`).  Polynomials keep their
 exponent tuples outside the engine; :class:`_Packing` converts the
 generators once on the way in and the basis once on the way out.
 
-Over Q and over every Q(alpha) the engine clears denominators once and
-works fraction-free, in Z or in Z[beta] for the integral generator
-beta = scale*alpha of the field's model (:func:`scalars.integral_multiple`):
-every basis element is primitive with a positive rational integer D as its
-lead (over Z[beta], via the norm cofactor D*lc^-1 in Z[beta]) and is made
-monic, with Fraction coordinates over alpha, only when the basis is
-returned (:func:`scalars.from_integral`).  A step reducing c*x^e by g with
-lead coefficient lc is p <- a*p - b*x^s*g: with an int lead a = lc/d and
-b = c/d for d = gcd(content(c), lc) (Becker-Weispfenning 1993, ch. 5), and
-the content of p and the tail is divided out every ``_CONTENT_EVERY``
-steps; the monic bases of :func:`normal_form` take the field rule a = 1 and
-b = c/lc.  Both rules pick the same divisors, so step counts do not depend
-on the coefficient ring.
+:func:`buchberger` picks one coefficient rule from the generators' field
+(:class:`scalars.IntegerRule` over Q, :class:`scalars.ZBetaRule` over
+Q(alpha)) and hands it to :func:`_interreduce` and :func:`reduce_poly`; the
+monic cached bases of :func:`normal_form` take none, so a step subtracts c*x^s*g.
 """
 
 from __future__ import annotations
@@ -58,17 +49,15 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import product
-from math import gcd
 from operator import itemgetter, mul
 
 from .errors import BudgetExceeded, SpaceMismatch
 from .polynomials import GREVLEX, LEX, SCALARS, MultiPoly, SparseSum, elimination_order
-from .scalars import (common_field, content, from_integral, integral_multiple, norm_cofactor,
-                      rational_integer, scalar_inverse, upoly_rational_roots,
-                      upoly_squarefree_part, upoly_trim)
+from .scalars import (IntegerRule, ZBetaRule, common_field, scalar_inverse,
+                      upoly_rational_roots, upoly_squarefree_part, upoly_trim)
 
 DEFAULT_BUDGET = 10 ** 6
-_CONTENT_EVERY = 8  # budget steps between divisions by the content over Z and Z[alpha]
+_CONTENT_EVERY = 8  # budget steps between divisions by the rule's content
 _WIDTH = 8  # bits per exponent field of the first attempt
 
 
@@ -242,14 +231,6 @@ def _rescale(p, tail, a, d=1):
             terms[e] = c // d if a == 1 else c * a
 
 
-def _step(c, lc):
-    """(a, b) with a*c == b*lc: fraction-free for int leads, a = 1 over a field."""
-    if type(lc) is int:
-        d = gcd(c if type(c) is int else content(c), lc)
-        return lc // d, c // d
-    return 1, c if lc == 1 else c * scalar_inverse(lc)
-
-
 def _first_divisor(e, leads, memo, guard):
     """Index of the first lead dividing e, or None.
 
@@ -266,9 +247,9 @@ def _first_divisor(e, leads, memo, guard):
     return found
 
 
-def reduce_poly(f, basis, pack, budget, memo=None):
-    """Normal form (for int leads, a multiple of it) of the packed terms f by
-    (lead, lead_coeff, terms) entries of the packing ``pack``.
+def reduce_poly(f, basis, pack, budget, rule=None, memo=None):
+    """Normal form of the packed terms f by (lead, lead_coeff, terms) entries
+    of the packing ``pack``; with a coefficient ``rule``, a multiple of it.
 
     ``memo`` is the divisor memo of :func:`_first_divisor`; share one only
     across calls whose basis lists extend each other.
@@ -291,37 +272,25 @@ def reduce_poly(f, basis, pack, budget, memo=None):
             continue
         le, lc, g = basis[k]
         budget.charge()
-        if type(lc) is int and budget.used % _CONTENT_EVERY == 0:
-            d = (gcd(c, *p.values(), *tail.values()) if type(c) is int
-                 else content(c, *p.values(), *tail.values()))
-            if d != 1:
-                c //= d
-                _rescale(p, tail, 1, d)
-        a, c = _step(c, lc)
-        if a != 1:
-            _rescale(p, tail, a)
+        if rule is not None:
+            if budget.used % _CONTENT_EVERY == 0:
+                d = rule.content(c, *p.values(), *tail.values())
+                if d != 1:
+                    c //= d
+                    _rescale(p, tail, 1, d)
+            a, c = rule.step(c, lc)
+            if a != 1:
+                _rescale(p, tail, a)
         _sub_multiple(p, heap, g, le, e - le, c, guard)
     return _Packed(tail)
 
 
-def _basis_data(polys):
-    return [(le, rational_integer(g[le]), g) for g in polys for le in [max(g)]]
+def _basis_data(polys, rule):
+    return [(le, rule.lead(g[le]), g) for g in polys for le in [max(g)]]
 
 
-def _normalized(g):
-    """Packed terms over Z or Z[beta] made primitive with a positive integer lead."""
-    lc = g[max(g)]
-    if type(lc) is int:
-        d = gcd(*g.values()) * (1 if lc > 0 else -1)
-        return {e: c // d for e, c in g.items()}
-    m = norm_cofactor(lc)
-    terms = {e: c * m for e, c in g.items()}
-    d = content(*terms.values())
-    return {e: c // d for e, c in terms.items()}
-
-
-def _interreduce(polys, pack, budget):
-    """Make a generating set of normalized packed polynomials fully autoreduced.
+def _interreduce(polys, pack, budget, rule):
+    """Make a generating set of primitive packed polynomials fully autoreduced.
 
     The restart loop: sort by lead, reduce each element by all the others
     and start over after the first one that changes.  Each entry keeps its
@@ -331,7 +300,7 @@ def _interreduce(polys, pack, budget):
     """
     guard = pack.guard
     # [lead, (lead, int lead coefficient, terms), settled]
-    entries = [[data[0], data, False] for data in _basis_data(polys)]
+    entries = [[data[0], data, False] for data in _basis_data(polys, rule)]
     changed = True
     while changed:
         changed = False
@@ -340,7 +309,7 @@ def _interreduce(polys, pack, budget):
             if entry[2] or len(entries) == 1:
                 continue
             g = entry[1][2]
-            r = reduce_poly(g, [o[1] for o in entries if o is not entry], pack, budget)
+            r = reduce_poly(g, [o[1] for o in entries if o is not entry], pack, budget, rule)
             if r.terms == g:
                 entry[2] = True
                 continue
@@ -349,7 +318,7 @@ def _interreduce(polys, pack, budget):
                 entries.pop(i)
                 break
             # r is reduced by the other leads, so it is settled as it stands
-            data, = _basis_data([_normalized(r.terms)])
+            data, = _basis_data([rule.primitive(r.terms, max(r.terms))], rule)
             le = data[0]
             entries[i] = [le, data, True]
             if le != entry[0]:
@@ -376,12 +345,14 @@ def buchberger(gens, order, budget):
         return []
     space = gens[0].space
     field = common_field(c for g in gens for c in g.terms.values())
+    rule = IntegerRule() if field is None else ZBetaRule(field)
 
     def run(width):
         pack = _packing(space, order, width)
         guard, lcm = pack.guard, pack.lcm
-        data = _basis_data(_interreduce([_normalized(pack.encode(
-            g, integral_multiple(g.terms.values(), field))) for g in gens], pack, budget))
+        cleared = [pack.encode(g, rule.clear(g.terms.values())) for g in gens]
+        data = _basis_data(_interreduce([rule.primitive(g, max(g)) for g in cleared],
+                                        pack, budget, rule), rule)
         if any(le == 0 for le, _, _ in data):
             return [MultiPoly.constant(space, 1)]
         memo = {}  # data only grows by appending, so one divisor memo serves every S-pair
@@ -406,15 +377,15 @@ def buchberger(gens, order, budget):
                    for k in range(len(data))):
                 continue
             # S-polynomial a*x^(lcm-ei)*gi - b*x^(lcm-ej)*gj; its lead terms cancel
-            a, b = _step(ci, cj)
+            a, b = IntegerRule.step(ci, cj)
             s = {}
             _sub_multiple(s, [], gi, ei, m - ei, -a, guard)
             _sub_multiple(s, [], gj, ej, m - ej, b, guard)
             budget.charge()
-            r = reduce_poly(s, data, pack, budget, memo)
+            r = reduce_poly(s, data, pack, budget, rule, memo)
             if r.is_zero():
                 continue
-            data += _basis_data([_normalized(r.terms)])
+            data += _basis_data([rule.primitive(r.terms, max(r.terms))], rule)
             if data[-1][0] == 0:
                 return [MultiPoly.constant(space, 1)]
             push_pairs(len(data) - 1)
@@ -425,9 +396,9 @@ def buchberger(gens, order, budget):
         reduced = []
         for le, _, g in data:
             if all((le - ke) & guard for ke, _, _ in reduced):
-                r = reduce_poly(g, reduced, pack, budget).terms
-                reduced.append((le, rational_integer(r[le]), r))
-        return [pack.decode({e: from_integral(c, lc, field) for e, c in g.items()})
+                r = reduce_poly(g, reduced, pack, budget, rule).terms
+                reduced.append((le, rule.lead(r[le]), r))
+        return [pack.decode({e: rule.restore(c, lc) for e, c in g.items()})
                 for _, lc, g in reduced]
 
     return _widening(run, budget)
@@ -440,7 +411,7 @@ def buchberger(gens, order, budget):
 class Ideal:
     """Finitely generated ideal with lazily cached reduced Groebner bases."""
 
-    # order -> [basis, (packing, its _basis_data) once a normal form needs it]
+    # order -> [basis, (packing, its lead data) once a normal form needs it]
     __slots__ = ("space", "generators", "_bases")
 
     def __init__(self, space, generators):
@@ -466,7 +437,8 @@ class Ideal:
         cached = self._bases[order]
         if cached[1] is None or cached[1][0].width < width:
             pack = _packing(self.space, order, width)
-            cached[1] = pack, _basis_data([pack.encode(g) for g in cached[0]])
+            # monic, and reduce_poly reads no lead coefficient without a rule
+            cached[1] = pack, [(max(g), 1, g) for g in map(pack.encode, cached[0])]
         return cached[1]
 
     def has_cached_basis(self, order=GREVLEX):
@@ -587,14 +559,6 @@ def krull_dim_zero_check(ideal, order=GREVLEX, budget=None):
     """
     mons = _standard_monomials(ideal, order, budget)
     return (False, None) if mons is None else (True, len(mons))
-
-
-def standard_monomials(ideal, order=GREVLEX, budget=None):
-    """Monomial basis of the quotient ring for a zero-dimensional ideal."""
-    mons = _standard_monomials(ideal, order, budget)
-    if mons is None:
-        raise ValueError("ideal is not zero-dimensional")
-    return sorted(mons, key=order.key)
 
 
 # ---------------------------------------------------------------------------

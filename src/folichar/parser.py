@@ -550,11 +550,6 @@ class Session:
             f"several vector fields declared ({', '.join(fields)}); pick one"
         )
 
-    # -- canonical printing --------------------------------------------------------
-
-    def value_str(self, name):
-        return str(self.decls[name].value)
-
     # -- scalars and points ----------------------------------------------------------
 
     def parse_scalar(self, text):

@@ -6,9 +6,9 @@ over Q.  Field elements are coordinate vectors in the power basis
 1, alpha, ..., alpha^(d-1); all arithmetic is exact.
 
 Q(alpha) has the integral model Q(beta), beta = scale*alpha (Cohen 1993,
-ch. 4): every Groebner input is made fraction-free in Z or Z[beta] by
-:func:`integral_multiple` and mapped back by :func:`from_integral`, so the
-field rule (division by a lead coefficient) serves only monic bases.
+ch. 4).  The Groebner kernel's coefficient rule lives here: it computes
+fraction-free in Z (:class:`IntegerRule`, inputs over Q) or in Z[beta]
+(:class:`ZBetaRule`, inputs over Q(alpha)).
 
 Univariate polynomials over a field are represented as tuples of
 coefficients in ascending degree order (``()`` is the zero polynomial).
@@ -55,12 +55,8 @@ def upoly_add(p, q):
     )
 
 
-def upoly_neg(p):
-    return tuple(-c for c in p)
-
-
 def upoly_sub(p, q):
-    return upoly_add(p, upoly_neg(q))
+    return upoly_add(p, tuple(-c for c in q))
 
 
 def upoly_scale(p, c):
@@ -190,7 +186,7 @@ def upoly_rational_roots(p):
         p = p[k:]
     if len(p) == 1:
         return roots
-    ints = integral_multiple(p)
+    ints = IntegerRule.clear(p)
     g = gcd(*ints)
     ints = [c // g for c in ints]
     a0, an = ints[0], ints[-1]
@@ -465,48 +461,90 @@ def common_field(values):
     return field
 
 
-def integral_multiple(coeffs, field=None):
-    """The coefficients times their least common denominator: ints over Q,
-    elements of Z[beta] (``field.model``) with int coordinates over a field."""
-    if field is None:
+# ---------------------------------------------------------------------------
+# coefficient rules of the Groebner kernel
+# ---------------------------------------------------------------------------
+
+class IntegerRule:
+    """How the Groebner kernel treats coefficients over Q: fraction-free in Z.
+
+    ``clear`` multiplies the generators' coefficients by their least common
+    denominator once; every basis element is kept ``primitive`` with a
+    positive int ``lead``.  A step reducing c*x^e by g with lead coefficient
+    lc is p <- a*p - b*x^s*g for (a, b) = ``step(c, lc)``: a = lc/d, b = c/d
+    for d = gcd(content(c), lc) (Becker-Weispfenning 1993, ch. 5).  The
+    kernel divides p and its tail by their ``content`` every few steps, and
+    ``restore(c, lc)`` = c/lc makes the basis monic on return.  Divisors are
+    those of division by lc, so step counts do not depend on the ring.  The
+    S-polynomial of two int leads takes this ``step`` over every ring.
+    """
+
+    __slots__ = ()
+    content = staticmethod(gcd)
+    restore = staticmethod(Fraction)
+    lead = staticmethod(int)
+
+    @staticmethod
+    def clear(coeffs):
         den = lcm(*(c.denominator for c in coeffs))
         return [int(c * den) for c in coeffs]
-    s = field.scale
-    vecs = [[x / s ** i for i, x in enumerate(field.coerce(c).coords)] for c in coeffs]
-    den = lcm(*(x.denominator for v in vecs for x in v))
-    return [NFElement(field.model, tuple(int(x * den) for x in v)) for v in vecs]
+
+    @staticmethod
+    def step(c, lc):
+        d = gcd(c, lc)
+        return lc // d, c // d
+
+    @staticmethod
+    def primitive(terms, le):
+        """The terms over their content, signed so that terms[le] is positive."""
+        d = gcd(*terms.values()) * (1 if terms[le] > 0 else -1)
+        return {e: c // d for e, c in terms.items()}
 
 
-def from_integral(c, lc, field=None):
-    """c/lc for the int lc and c from :func:`integral_multiple`'s ring: a
-    Fraction over Q, else an element of ``field`` with Fraction coordinates."""
-    if field is None:
-        return Fraction(c, lc)
-    s = field.scale
-    return NFElement(field, tuple(Fraction(x * s ** i, lc) for i, x in enumerate(c.coords)))
+class ZBetaRule(IntegerRule):
+    """The rule over Q(alpha), fraction-free in Z[beta] (``field.model``):
+    ``primitive`` makes a lead lc a positive rational integer D by the norm
+    cofactor D*lc^-1, and ``content`` is the gcd of all int coordinates."""
 
+    __slots__ = ("field",)
 
-def content(*elements):
-    """gcd of all int coordinates of elements of Z[alpha]."""
-    return gcd(*(x for c in elements for x in c.coords))
+    def __init__(self, field):
+        self.field = field
 
+    def clear(self, coeffs):
+        s, field = self.field.scale, self.field
+        vecs = [[x / s ** i for i, x in enumerate(field.coerce(c).coords)] for c in coeffs]
+        den = lcm(*(x.denominator for v in vecs for x in v))
+        return [NFElement(field.model, tuple(int(x * den) for x in v)) for v in vecs]
 
-def norm_cofactor(c):
-    """For c with int coordinates, m in Z[alpha] with m*c a positive integer; else None."""
-    if type(c) is not NFElement or type(c.coords[0]) is not int:
-        return None
-    if c.is_rational():
-        return 1 if c.coords[0] > 0 else -1
-    inv = c.inverse().coords
-    den = lcm(*(x.denominator for x in inv))
-    return NFElement(c.field, tuple(int(x * den) for x in inv))
+    def restore(self, c, lc):
+        s = self.field.scale
+        return NFElement(self.field, tuple(Fraction(x * s ** i, lc)
+                                           for i, x in enumerate(c.coords)))
 
+    @staticmethod
+    def content(*elements):
+        return gcd(*(x for c in elements for x in c.coords))
 
-def rational_integer(c):
-    """c as an int if it has int coordinates and no alpha part, else c."""
-    if type(c) is NFElement and type(c.coords[0]) is int and c.is_rational():
+    @staticmethod
+    def lead(c):
         return c.coords[0]
-    return c
+
+    def step(self, c, lc):
+        d = gcd(self.content(c), lc)
+        return lc // d, c // d
+
+    def primitive(self, terms, le):
+        lc = terms[le]
+        if lc.is_rational():
+            m = 1 if lc.coords[0] > 0 else -1
+        else:
+            inv = lc.inverse().coords
+            den = lcm(*(x.denominator for x in inv))
+            m = NFElement(lc.field, tuple(int(x * den) for x in inv))
+        terms = {e: c * m for e, c in terms.items()}
+        d = self.content(*terms.values())
+        return {e: c // d for e, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +558,6 @@ def _to_integer_monic(p):
     return c, tuple(int(p[i] * c ** (d - i)) for i in range(d + 1))
 
 
-def _norm2_bound(ints):
-    """floor(l2 norm) + 1: cheap Mahler-measure bound for factor coefficients."""
-    s = sum(c * c for c in ints)
-    return isqrt(s) + 1
-
-
 def _quadratic_factor(ints):
     """Search for a monic integer quadratic divisor of a monic integer quartic.
 
@@ -537,7 +569,7 @@ def _quadratic_factor(ints):
     pp, and the hit with the least (pp, qq position) is the factor reported.
     """
     a0, a1, a2, a3 = ints[:4]
-    bound = _norm2_bound(ints)
+    bound = isqrt(sum(c * c for c in ints)) + 1  # floor(l2 norm) + 1: a Mahler-measure bound
     divs = [d for d in _int_divisors(a0) if d <= bound]
     qqs = [-d for d in reversed(divs)] + divs
     candidates = []

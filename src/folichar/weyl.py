@@ -59,14 +59,6 @@ class WeylOperator(MultiPoly):
         return cls.monomial(_doubled_space(n), (0,) * (2 * n), c)
 
     @classmethod
-    def x_var(cls, n, i):
-        return cls.variable(_doubled_space(n), i)
-
-    @classmethod
-    def d_var(cls, n, i):
-        return cls.variable(_doubled_space(n), n + i)
-
-    @classmethod
     def from_poly(cls, f):
         """Multiplication operator by a polynomial in the x-variables."""
         n = len(f.space.x_vars)
@@ -74,16 +66,6 @@ class WeylOperator(MultiPoly):
             raise ValueError("multiplication operators come from x-only polynomials")
         zero = (0,) * n
         return cls(_doubled_space(n), {e[:n] + zero: c for e, c in f.terms.items()})
-
-    @classmethod
-    def from_vector_field(cls, xi):
-        """sum a_i d_i as an operator (already normally ordered)."""
-        n = len(xi.components)
-        terms = {}
-        for i, a in enumerate(xi.components):
-            de = tuple(int(j == i) for j in range(n))
-            terms.update((e[:n] + de, c) for e, c in a.terms.items())
-        return cls(_doubled_space(n), terms)
 
     # -- structure -------------------------------------------------------------
 

@@ -19,7 +19,9 @@ divisor memo and the settled flags.  :func:`scan_reduce_poly` and
 interreduction plainly: every popped term rescans the basis for its first
 divisor, and every restart re-sorts the generators, recomputes every lead
 and reduces every element again.  All of them share the engine's step
-arithmetic, so the packed engine must give the same bases and charge the
+arithmetic: each takes the step, content, primitive form, lead, cleared
+input and restored output of a coefficient rule of ``scalars`` (none for a
+monic basis), so the packed engine must give the same bases and charge the
 same steps.
 
 :func:`direct_prolongation` is the first prolongation by its coordinate
@@ -40,7 +42,6 @@ polynomial, where ``NumberField`` divides t^k by it.
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
-from math import gcd
 from operator import add, itemgetter, le as _le, sub
 
 from folichar.ideals import (
@@ -48,14 +49,12 @@ from folichar.ideals import (
     Ideal,
     _as_budget,
     _rescale,
-    _step,
     eliminate,
     krull_dim_zero_check,
 )
 from folichar.foliations import PolyVectorField
 from folichar.polynomials import SCALARS, MultiPoly
-from folichar.scalars import (common_field, content, from_integral, integral_multiple,
-                              norm_cofactor, rational_integer, upoly_squarefree_part)
+from folichar.scalars import IntegerRule, ZBetaRule, common_field, upoly_squarefree_part
 
 _ZERO = Fraction(0)
 
@@ -232,7 +231,24 @@ def _first_divisor(e, leads, memo):
     return found
 
 
-def reduce_poly(f, basis, order, budget, memo=None):
+def _factor(c, lc, p, tail, budget, rule):
+    """The multiple of the divisor with lead coefficient lc that cancels the
+    term c: the rule's, after its content division and rescaling of p and
+    the tail; c itself without a rule (a monic basis)."""
+    if rule is None:
+        return c
+    if budget.used % _CONTENT_EVERY == 0:
+        d = rule.content(c, *p.values(), *tail.values())
+        if d != 1:
+            c //= d
+            _rescale(p, tail, 1, d)
+    a, c = rule.step(c, lc)
+    if a != 1:
+        _rescale(p, tail, a)
+    return c
+
+
+def reduce_poly(f, basis, order, budget, rule=None, memo=None):
     """Normal form of f by (lead_exp, lead_coeff, poly), on exponent tuples."""
     memo = {} if memo is None else memo
     leads = [b[0] for b in basis]
@@ -251,39 +267,23 @@ def reduce_poly(f, basis, order, budget, memo=None):
             continue
         le, lc, g = basis[k]
         budget.charge()
-        if type(lc) is int and budget.used % _CONTENT_EVERY == 0:
-            d = (gcd(c, *p.values(), *tail.values()) if type(c) is int
-                 else content(c, *p.values(), *tail.values()))
-            if d != 1:
-                c //= d
-                _rescale(p, tail, 1, d)
-        a, c = _step(c, lc)
-        if a != 1:
-            _rescale(p, tail, a)
+        c = _factor(c, lc, p, tail, budget, rule)
         _sub_multiple(p, heap, order, g, le, _exp_sub(e, le), c)
     return MultiPoly(f.space, tail)
 
 
-def _basis_data(polys, order):
-    return [(e, rational_integer(c), g) for g in polys for e, c in [g.leading(order)]]
+def _basis_data(polys, order, rule):
+    return [(e, rule.lead(c), g) for g in polys for e, c in [g.leading(order)]]
 
 
-def _normalized(g, order):
-    """g over Z or Z[beta] made primitive with a positive integer lead."""
-    lc = g.leading(order)[1]
-    if type(lc) is int:
-        d = gcd(*g.terms.values()) * (1 if lc > 0 else -1)
-        return MultiPoly(g.space, {e: c // d for e, c in g.terms.items()})
-    m = norm_cofactor(lc)
-    terms = {e: c * m for e, c in g.terms.items()}
-    d = content(*terms.values())
-    return MultiPoly(g.space, {e: c // d for e, c in terms.items()})
+def _primitive(g, order, rule):
+    return MultiPoly(g.space, rule.primitive(g.terms, g.leading(order)[0]))
 
 
-def _interreduce(polys, order, budget):
+def _interreduce(polys, order, budget, rule):
     """The start-of-run restart loop with leads kept and settled elements skipped."""
     key = order.key
-    entries = [[key(data[0]), data, False] for data in _basis_data(polys, order)]
+    entries = [[key(data[0]), data, False] for data in _basis_data(polys, order, rule)]
     changed = True
     while changed:
         changed = False
@@ -292,7 +292,7 @@ def _interreduce(polys, order, budget):
             if entry[2] or len(entries) == 1:
                 continue
             g = entry[1][2]
-            r = reduce_poly(g, [o[1] for o in entries if o is not entry], order, budget)
+            r = reduce_poly(g, [o[1] for o in entries if o is not entry], order, budget, rule)
             if r.terms == g.terms:
                 entry[2] = True
                 continue
@@ -300,7 +300,7 @@ def _interreduce(polys, order, budget):
             if r.is_zero():
                 entries.pop(i)
                 break
-            data, = _basis_data([_normalized(r, order)], order)
+            data, = _basis_data([_primitive(r, order, rule)], order, rule)
             entries[i] = [key(data[0]), data, True]
             if data[0] != entry[1][0]:
                 for other in entries:
@@ -320,14 +320,15 @@ def buchberger(gens, order, budget):
     budget = _as_budget(budget)
     gens = [g for g in gens if not g.is_zero()]
     field = common_field(c for g in gens for c in g.terms.values())
-    gens = [_normalized(MultiPoly(g.space, dict(zip(
-        g.terms, integral_multiple(g.terms.values(), field)))), order) for g in gens]
-    G = _interreduce(gens, order, budget)
+    rule = IntegerRule() if field is None else ZBetaRule(field)
+    gens = [_primitive(MultiPoly(g.space, dict(zip(g.terms, rule.clear(g.terms.values())))),
+                       order, rule) for g in gens]
+    G = _interreduce(gens, order, budget, rule)
     if not G:
         return []
     if any(g.is_constant() for g in G):
         return [MultiPoly.constant(G[0].space, 1)]
-    data = _basis_data(G, order)
+    data = _basis_data(G, order, rule)
     memo = {}
     pairs = []
     done = set()
@@ -350,29 +351,29 @@ def buchberger(gens, order, budget):
         if any((i, k) in done and (j, k) in done and _divides(data[k][0], lcm)
                for k in range(len(data))):
             continue
-        a, b = _step(ci, cj)
+        a, b = IntegerRule.step(ci, cj)
         s = {}
         _sub_multiple(s, [], order, gi, ei, _exp_sub(lcm, ei), -a)
         _sub_multiple(s, [], order, gj, ej, _exp_sub(lcm, ej), b)
         budget.charge()
-        r = reduce_poly(MultiPoly(gi.space, s), data, order, budget, memo)
+        r = reduce_poly(MultiPoly(gi.space, s), data, order, budget, rule, memo)
         if r.is_zero():
             continue
         if r.is_constant():
             return [MultiPoly.constant(r.space, 1)]
-        data += _basis_data([_normalized(r, order)], order)
+        data += _basis_data([_primitive(r, order, rule)], order, rule)
         push_pairs(len(data) - 1)
     data.sort(key=lambda d: key(d[0]))
     reduced = []
     for le, _, g in data:
         if not any(_divides(ke, le) for ke, _, _ in reduced):
-            r = reduce_poly(g, reduced, order, budget)
-            reduced.append((le, rational_integer(r.terms[le]), r))
-    return [MultiPoly(g.space, {e: from_integral(c, lc, field) for e, c in g.terms.items()})
+            r = reduce_poly(g, reduced, order, budget, rule)
+            reduced.append((le, rule.lead(r.terms[le]), r))
+    return [MultiPoly(g.space, {e: rule.restore(c, lc) for e, c in g.terms.items()})
             for _, lc, g in reduced]
 
 
-def scan_reduce_poly(f, basis, order, budget, memo=None):
+def scan_reduce_poly(f, basis, order, budget, rule=None, memo=None):
     """reduce_poly without the divisor memo: each popped term scans the basis."""
     tail = {}
     p = f.terms.copy()
@@ -390,20 +391,12 @@ def scan_reduce_poly(f, basis, order, budget, memo=None):
             continue
         le, lc, g = hit
         budget.charge()
-        if type(lc) is int and budget.used % _CONTENT_EVERY == 0:
-            d = (gcd(c, *p.values(), *tail.values()) if type(c) is int
-                 else content(c, *p.values(), *tail.values()))
-            if d != 1:
-                c //= d
-                _rescale(p, tail, 1, d)
-        a, c = _step(c, lc)
-        if a != 1:
-            _rescale(p, tail, a)
+        c = _factor(c, lc, p, tail, budget, rule)
         _sub_multiple(p, heap, order, g, le, _exp_sub(e, le), c)
     return MultiPoly(f.space, tail)
 
 
-def restart_interreduce(polys, order, budget):
+def restart_interreduce(polys, order, budget, rule):
     """The start-of-run restart loop with nothing cached between restarts."""
     changed = True
     while changed:
@@ -413,15 +406,15 @@ def restart_interreduce(polys, order, budget):
             others = polys[:i] + polys[i + 1:]
             if not others:
                 continue
-            r = scan_reduce_poly(polys[i], _basis_data(others, order), order, budget)
+            r = scan_reduce_poly(polys[i], _basis_data(others, order, rule), order, budget, rule)
             if r.terms != polys[i].terms:
                 changed = True
                 if r.is_zero():
                     polys.pop(i)
                 else:
-                    polys[i] = _normalized(r, order)
+                    polys[i] = _primitive(r, order, rule)
                 break
-    return [_normalized(p, order) for p in polys]
+    return [_primitive(p, order, rule) for p in polys]
 
 
 def direct_prolongation(xi):

@@ -31,6 +31,7 @@ from folichar.forms import (
     wedge,
 )
 from folichar.ideals import Ideal, eliminate, normal_form, radical_membership
+from folichar.parser import parse_input
 from folichar.polynomials import MultiPoly, VarSpace
 from folichar.scalars import make_number_field
 from folichar.singularities import (
@@ -313,12 +314,12 @@ def test_criterion_09_weyl_bridge():
                 comps[0] = MultiPoly.variable(space, "x1")
             xi = PolyVectorField(space, comps)
             f = rand_poly(rng, space, 2, max_terms=3)
-            op = WeylOperator.from_vector_field(xi) + WeylOperator.from_poly(f)
+            text = f"vars: {' '.join(space.x_vars)}\nxi: {xi}\n"
+            op = parse_input(text).get("xi", "op") + WeylOperator.from_poly(f)
             m, sym = principal_symbol(op, space=space.doubled())
             assert m == 1 and sym == characteristic_polynomial(xi)
 
-        d1 = WeylOperator.d_var(1, 0)
-        x1 = WeylOperator.x_var(1, 0)
+        x1, d1 = (WeylOperator.variable(VarSpace(("x1",), ("d1",)), v) for v in ("x1", "d1"))
         assert weyl_mul(d1, x1) == weyl_mul(x1, d1) + WeylOperator.constant(1, 1)
 
         k, s = bernstein_symbol(weyl_mul(x1, d1) + WeylOperator.constant(1, 1))

@@ -23,10 +23,9 @@ from folichar.ideals import (
     poly_lcm,
     radical_membership,
     rational_points,
-    standard_monomials,
 )
 from folichar.polynomials import GREVLEX, LEX, MonomialOrder, MultiPoly, VarSpace, elimination_order
-from folichar.scalars import NFElement, common_field, integral_multiple, make_number_field
+from folichar.scalars import IntegerRule, NFElement, ZBetaRule, common_field, make_number_field
 
 SXY = VarSpace(("x", "y"))
 X, Y = (MultiPoly.variable(SXY, v) for v in SXY.all_vars)
@@ -51,12 +50,17 @@ def _fraction_coords(c):
     return all(type(x) is F for x in (c.coords if isinstance(c, NFElement) else (c,)))
 
 
+def standard_monomials(ideal, order=GREVLEX):
+    return sorted(ideals._standard_monomials(ideal, order, None), key=order.key)
+
+
 @pytest.fixture
 def content_calls(monkeypatch):
-    """Calls of the Z[alpha] content helper, which only that path makes."""
+    """Calls of the Z[alpha] rule's content, which only that path makes."""
     calls = []
-    real = ideals.content
-    monkeypatch.setattr(ideals, "content", lambda *cs: calls.append(cs) or real(*cs))
+    real = ZBetaRule.content
+    monkeypatch.setattr(ZBetaRule, "content",
+                        staticmethod(lambda *cs: calls.append(cs) or real(*cs)))
     return calls
 
 
@@ -388,12 +392,13 @@ def test_cached_engine_matches_the_plain_loop(order, field, monkeypatch):
     for _ in range(12):
         gens = _seeded_generators(rng, field)
         ring = common_field(c for g in gens for c in g.terms.values())
-        packed = [ideals._normalized(pack.encode(g, integral_multiple(g.terms.values(), ring)))
-                  for g in gens]
+        rule = IntegerRule() if ring is None else ZBetaRule(ring)
+        packed = [rule.primitive(t, max(t)) for t in
+                  (pack.encode(g, rule.clear(g.terms.values())) for g in gens)]
         start = [pack.decode(g) for g in packed]
         fast, slow = StepBudget(10 ** 6), StepBudget(10 ** 6)
-        assert _exact(pack.decode(g) for g in ideals._interreduce(packed, pack, fast)) == _exact(
-            restart_interreduce(list(start), order, slow))
+        assert _exact(pack.decode(g) for g in ideals._interreduce(packed, pack, fast, rule)) == \
+            _exact(restart_interreduce(list(start), order, slow, rule))
         assert fast.used == slow.used
         interreduction_steps += fast.used
 

@@ -268,7 +268,8 @@ def test_reduce_poly_matches_max_scan(order):
     rng = rng_for("reduce-ref")
     for _ in range(40):
         polys = [rand_poly(rng, S4, 3, 4, nonzero=True) for _ in range(3)]
-        basis = [(*g.leading(order), g) for g in polys[1:]]
+        # monic, like the cached bases that reduce_poly reduces by without a rule
+        basis = [(*g.leading(order), g) for g in (h.monic(order) for h in polys[1:])]
         fast, slow = StepBudget(10 ** 5), StepBudget(10 ** 5)
         f = polys[0] * polys[0]
         pack = _packing(S4, order, 8)
@@ -461,8 +462,8 @@ def test_the_groebner_kernel_packs_its_monomials():
     or lead, and the exponent-tuple helpers and the reverse key are gone."""
     modules = dict(_package_modules())
     functions = {n.name: n for n in modules["ideals.py"].body if isinstance(n, ast.FunctionDef)}
-    kernel = {"_sub_multiple", "_first_divisor", "reduce_poly", "_basis_data", "_normalized",
-              "_interreduce", "buchberger", "normal_form", "_standard_monomials", "exact_divide"}
+    kernel = {"_sub_multiple", "_first_divisor", "reduce_poly", "_basis_data", "_interreduce",
+              "buchberger", "normal_form", "_standard_monomials", "exact_divide"}
     assert kernel <= set(functions)
     for name in kernel:
         for node in ast.walk(functions[name]):
@@ -473,6 +474,34 @@ def test_the_groebner_kernel_packs_its_monomials():
     defined = {n.name for tree in modules.values() for n in ast.walk(tree)
                if isinstance(n, ast.FunctionDef)}
     assert not {"_divides", "_exp_sub", "_exp_lcm", "rkey", "_grevlex_rkey"} & defined
+
+
+def test_one_coefficient_rule():
+    """The Groebner kernel reads coefficients only through a rule of
+    scalars.py, chosen once per call: no function of ideals.py tests a
+    coefficient's type, only exact_divide inverts a scalar, the per-step
+    helpers and the conversions the rule replaced are gone, and no module
+    but scalars.py defines a rule."""
+    modules = dict(_package_modules())
+
+    def called(node):
+        return {getattr(n.func, "id", None) for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+    # the module's functions and methods, each with the functions nested in it
+    body = modules["ideals.py"].body
+    functions = [n for n in body if isinstance(n, ast.FunctionDef)] + [
+        m for c in body if isinstance(c, ast.ClassDef) for m in c.body
+        if isinstance(m, ast.FunctionDef)]
+    assert [f.name for f in functions if "type" in called(f)] == []
+    assert [f.name for f in functions if "scalar_inverse" in called(f)] == ["exact_divide"]
+    defined = {n.name for tree in modules.values() for n in ast.walk(tree)
+               if isinstance(n, ast.FunctionDef)}
+    assert not {"_step", "_normalized", "integral_multiple", "from_integral", "norm_cofactor",
+                "rational_integer"} & defined
+    rules = {(name, n.name) for name, tree in modules.items() for n in ast.walk(tree)
+             if isinstance(n, ast.ClassDef) and {"clear", "restore", "step", "primitive"}
+             & {m.name for m in n.body if isinstance(m, ast.FunctionDef)}}
+    assert rules == {("scalars.py", "IntegerRule"), ("scalars.py", "ZBetaRule")}
 
 
 def test_one_implementation_per_primitive():

@@ -16,15 +16,12 @@ from folichar.errors import (
     ReducibleDetected,
 )
 from folichar.scalars import (
+    IntegerRule,
     NFElement,
     NumberField,
+    ZBetaRule,
     _quadratic_factor,
-    content,
-    from_integral,
-    integral_multiple,
     make_number_field,
-    norm_cofactor,
-    rational_integer,
     upoly_divmod,
     upoly_eval,
     upoly_gcd,
@@ -267,19 +264,25 @@ def test_int_coordinates_beside_fraction_coordinates(sqrt2):
                          ids=["sqrt2", "i", "cubic"])
 def test_norm_cofactor_makes_a_positive_rational_integer(min_poly):
     K = make_number_field("a", min_poly)
+    rule = ZBetaRule(K)
     rng = random.Random(str(min_poly))
     for _ in range(30):
-        c, = integral_multiple([K.element([F(rng.randint(-6, 6), rng.randint(1, 4))
-                                           for _ in range(K.degree)])], K)
+        c, tail = rule.clear([K.element([F(rng.randint(-6, 6), rng.randint(1, 4))
+                                         for _ in range(K.degree)]), K.gen() + 2])
         if not c:
             continue
-        m = norm_cofactor(c)
-        lead = m * c
-        assert type(rational_integer(lead)) is int and rational_integer(lead) > 0
-        assert all(type(x) is int for x in c.coords + lead.coords)
-        assert content(c // content(c)) == 1 and content(c * 6) == 6 * content(c)
-    assert norm_cofactor(K.element([F(1, 2)])) is None  # Fraction coordinates
-    assert norm_cofactor(F(3)) is None and rational_integer(F(3)) == 3
+        # the norm cofactor of the lead c, then division by the content
+        prim = rule.primitive({1: c, 0: tail}, 1)
+        lead = prim[1]
+        assert type(rule.lead(lead)) is int and rule.lead(lead) > 0 and lead.is_rational()
+        assert all(type(x) is int for x in c.coords + lead.coords + prim[0].coords)
+        assert prim[0] * c == lead * tail and rule.content(*prim.values()) == 1
+        assert rule.content(c // rule.content(c)) == 1
+        assert rule.content(c * 6) == 6 * rule.content(c)
+    # Fraction coordinates and rationals reach the rule only through clear
+    half, three = rule.clear([K.element([F(1, 2)]), F(3)])
+    assert (half, three) == (1, 6) and all(type(x) is int for x in half.coords + three.coords)
+    assert IntegerRule.clear([F(3)]) == [3] and IntegerRule.lead(3) == 3
 
 
 @pytest.mark.parametrize("min_poly, scale, model", [
@@ -299,9 +302,10 @@ def test_integral_model(min_poly, scale, model):
     rng = random.Random(str(min_poly))
     values = [K.element([F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(K.degree)])
               for _ in range(5)] + [F(1, 3), 2]
-    out = integral_multiple(values, K)
+    rule = ZBetaRule(K)
+    out = rule.clear(values)
     assert all(c.field is K.model and all(type(x) is int for x in c.coords) for c in out)
-    back = [from_integral(c, 1, K) for c in out]
+    back = [rule.restore(c, 1) for c in out]
     assert all(b.field is K and all(type(x) is F for x in b.coords) for b in back)
     ratio = back[0] / values[0]
     assert ratio.is_rational() and ratio != 0

@@ -8,6 +8,7 @@ import pytest
 
 from folichar.errors import SpaceMismatch
 from folichar.foliations import PolyVectorField, characteristic_polynomial
+from folichar.parser import parse_input
 from folichar.polynomials import MultiPoly, VarSpace
 from folichar.scalars import NFElement
 from folichar.weyl import (
@@ -23,14 +24,28 @@ from folichar.weyl import (
 
 from conftest import SQRT2, rand_coeff, rand_poly, rng_for
 
-D1 = WeylOperator.d_var(1, 0)
-X1 = WeylOperator.x_var(1, 0)
-
 
 def op_space(n):
     """(x1..xn | d1..dn): an operator's term x^xe d^de is keyed xe + de."""
     return VarSpace(tuple(f"x{i + 1}" for i in range(n)),
                     tuple(f"d{i + 1}" for i in range(n)))
+
+
+def x_op(n, i):
+    return WeylOperator.variable(op_space(n), i)
+
+
+def d_op(n, i):
+    return WeylOperator.variable(op_space(n), n + i)
+
+
+def field_op(xi):
+    """sum a_i d_i, read as an operator from the field's session text."""
+    return parse_input(f"vars: {' '.join(xi.space.x_vars)}\nxi: {xi}\n").get("xi", "op")
+
+
+D1 = d_op(1, 0)
+X1 = x_op(1, 0)
 
 
 def rand_weyl(rng, n, max_deg=2, max_terms=3):
@@ -62,8 +77,8 @@ def test_weyl_commutation_relations():
     one = WeylOperator.constant(n, 1)
     for i in range(n):
         for j in range(n):
-            d = WeylOperator.d_var(n, i)
-            x = WeylOperator.x_var(n, j)
+            d = d_op(n, i)
+            x = x_op(n, j)
             bracket = weyl_mul(d, x) - weyl_mul(x, d)
             if i == j:
                 assert bracket == one
@@ -81,7 +96,7 @@ def test_weyl_mul_associative():
 
 def test_weyl_mul_size_mismatch():
     with pytest.raises(SizeMismatch):
-        weyl_mul(D1, WeylOperator.d_var(2, 0))
+        weyl_mul(D1, d_op(2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +150,11 @@ def test_principal_symbol_examples():
     S = VarSpace(("x1", "x2"))
     x1, x2 = (MultiPoly.variable(S, v) for v in S.all_vars)
     rot = PolyVectorField(S, [x2, -x1])
-    op = WeylOperator.from_vector_field(rot) + WeylOperator.from_poly(x1)
+    op = field_op(rot) + WeylOperator.from_poly(x1)
     m, sym = principal_symbol(op, space=S.doubled())
     assert m == 1 and str(sym) == "x2*y1 - x1*y2"
 
-    da, db = WeylOperator.d_var(2, 0), WeylOperator.d_var(2, 1)
+    da, db = d_op(2, 0), d_op(2, 1)
     m, sym = principal_symbol(weyl_mul(da, db) + da)
     assert m == 2 and str(sym) == "y1*y2"
 
@@ -157,7 +172,7 @@ def test_principal_symbol_of_field_plus_function_is_char_poly():
             comps[0] = MultiPoly.variable(space, "x1")
         xi = PolyVectorField(space, comps)
         f = rand_poly(rng, space, 2, max_terms=3)
-        op = WeylOperator.from_vector_field(xi) + WeylOperator.from_poly(f)
+        op = field_op(xi) + WeylOperator.from_poly(f)
         m, sym = principal_symbol(op, space=space.doubled())
         assert m == 1
         assert sym == characteristic_polynomial(xi)
@@ -168,15 +183,15 @@ def test_charvariety_of_principal_ideal():
     S = VarSpace(("x1", "x2"))
     x1, x2 = (MultiPoly.variable(S, v) for v in S.all_vars)
     diag = PolyVectorField(S, [x1, 2 * x2])
-    op = WeylOperator.from_vector_field(diag) + WeylOperator.constant(2, 7)
+    op = field_op(diag) + WeylOperator.constant(2, 7)
     ideal = charvariety_of_principal_ideal(op, space=S.doubled())
     assert [str(g) for g in ideal.generators] == ["x1*y1 + 2*x2*y2"]
     assert ideal.generators[0] == characteristic_polynomial(diag)
 
-    ideal = charvariety_of_principal_ideal(WeylOperator.d_var(1, 0))
+    ideal = charvariety_of_principal_ideal(d_op(1, 0))
     assert [str(g) for g in ideal.generators] == ["y1"]
 
-    dsq = weyl_mul(WeylOperator.d_var(1, 0), WeylOperator.d_var(1, 0))
+    dsq = weyl_mul(d_op(1, 0), d_op(1, 0))
     ideal = charvariety_of_principal_ideal(dsq)
     assert [str(g) for g in ideal.generators] == ["y1^2"]
 
@@ -254,7 +269,7 @@ def test_sparse_sum_properties(field):
         assert c * a == a * c
         assert a ** 3 == a * a * a
         assert a ** 0 == WeylOperator.constant(n, 1)
-    other = WeylOperator.x_var(3, 0)
+    other = x_op(3, 0)
     for op in (lambda: X1 + other, lambda: X1 - other, lambda: X1 * other):
         with pytest.raises(SizeMismatch, match="operators on 1 and 3 variables"):
             op()
@@ -265,8 +280,8 @@ def test_sparse_sum_properties(field):
 def test_symbol_maps_reject_a_target_of_the_wrong_size():
     """A symbol target needs x- and y-blocks as long as the operator's n;
     aux variables after them are padded with zero exponents."""
-    d1 = WeylOperator.d_var(1, 0)
-    d2 = WeylOperator.d_var(2, 0) + WeylOperator.x_var(2, 1)
+    d1 = d_op(1, 0)
+    d2 = d_op(2, 0) + x_op(2, 1)
     bad = [(d1, VarSpace(("x1", "x2")).doubled()),
            (d2, VarSpace(("x1",)).doubled()),
            (d2, VarSpace(("x1", "x2")))]

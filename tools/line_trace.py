@@ -8,8 +8,10 @@ tier-1 suite in this process with ``pytest.main``, then the ``groebner``,
 seed in ``SEEDS``.  A statement counts as run when one of the lines its own
 code sits on (its header, for a compound statement) fired a line event;
 statements that compile to no code (docstrings, ``global``) are never
-reported.  Prints one ``path:line: source`` entry per statement that never
-ran, then their count.
+reported.  A statement counts as run when any part of its line runs, so an
+unreached arm of a one-line conditional expression (``return x if t else
+y``) or of a short-circuit ``and``/``or`` is invisible to it.  Prints one
+``path:line: source`` entry per statement that never ran, then their count.
 Tracing starts before ``folichar`` is imported, so module-level statements
 are seen too; code run in child processes is not.  The hypothesis tests
 draw new examples on each run, so a few error branches come and go between
