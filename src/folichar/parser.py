@@ -34,10 +34,8 @@ from .ideals import Ideal, _univariate_in
 from .polynomials import MultiPoly, VarSpace
 from .scalars import make_number_field, scalar_inverse, upoly_monic
 
-_YVAR_RE = re.compile(r"^y([1-9][0-9]*)$")
-_D_RE = re.compile(r"^d([1-9][0-9]*)$")
-_DX_RE = re.compile(r"^dx([1-9][0-9]*)$")
-_DY_RE = re.compile(r"^dy([1-9][0-9]*)$")
+# the atoms d<i>, dx<i>, dy<i> and y<i>: group 1 is the prefix, group 2 i
+_ATOM_RE = re.compile(r"(d|dx|dy|y)([1-9][0-9]*)")
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^(),=])"
@@ -98,12 +96,20 @@ class _ExprParser:
         self.pos += 1
         return tok
 
-    def _expect_op(self, text):
-        tok = self._next()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}",
-                             tok.line, tok.column)
-        return tok
+    def _op(self, ops):
+        """Consume and return the next token if it is an operator in ``ops``."""
+        tok = self._peek()
+        if tok is not None and tok.kind == "op" and tok.text in ops:
+            self.pos += 1
+            return tok
+        return None
+
+    def _chain(self, ops, operand):
+        """``operand (op operand)*`` for op in ``ops``, left associative."""
+        node = operand()
+        while tok := self._op(ops):
+            node = ("bin", tok.text, node, operand(), (tok.line, tok.column))
+        return node
 
     def parse(self):
         node = self.expr()
@@ -113,22 +119,10 @@ class _ExprParser:
         return node
 
     def expr(self):
-        node = self.term()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "op" or tok.text not in "+-":
-                return node
-            self._next()
-            node = ("bin", tok.text, node, self.term(), (tok.line, tok.column))
+        return self._chain("+-", self.term)
 
     def term(self):
-        node = self.unary()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "op" or tok.text not in "*/":
-                return node
-            self._next()
-            node = ("bin", tok.text, node, self.unary(), (tok.line, tok.column))
+        return self._chain("*/", self.unary)
 
     def unary(self):
         tok = self._peek()
@@ -136,8 +130,7 @@ class _ExprParser:
             raise ParseError(f"expression nested more than {_MAX_DEPTH} deep",
                              self.line, tok.column if tok else None)
         self.depth += 1
-        if tok is not None and tok.kind == "op" and tok.text == "-":
-            self._next()
+        if self._op("-"):
             node = ("neg", self.unary(), (tok.line, tok.column))
         else:
             node = self.power()
@@ -145,39 +138,28 @@ class _ExprParser:
         return node
 
     def power(self):
-        node = self.atom()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "op" or tok.text != "^":
-                return node
-            self._next()
-            node = ("bin", "^", node, self.atom(), (tok.line, tok.column))
+        return self._chain("^", self.atom)
 
     def atom(self):
         tok = self._next()
+        pos = (tok.line, tok.column)
         if tok.kind == "num":
-            return ("num", Fraction(int(tok.text)), (tok.line, tok.column))
-        if tok.kind == "name":
-            nxt = self._peek()
-            if nxt is not None and nxt.kind == "op" and nxt.text == "(":
-                self._next()
-                args = [self.expr()]
-                while True:
-                    sep = self._next()
-                    if sep.kind == "op" and sep.text == ",":
-                        args.append(self.expr())
-                        continue
-                    if sep.kind == "op" and sep.text == ")":
-                        break
-                    raise ParseError(f"expected ',' or ')', found {sep.text!r}",
-                                     sep.line, sep.column)
-                return ("call", tok.text, args, (tok.line, tok.column))
-            return ("name", tok.text, (tok.line, tok.column))
-        if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
-            self._expect_op(")")
-            return node
-        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
+            return ("num", Fraction(int(tok.text)), pos)
+        if tok.kind == "name" and self._op("("):
+            args = [self.expr()]
+            while self._op(","):
+                args.append(self.expr())
+            node, wanted = ("call", tok.text, args, pos), "',' or ')'"
+        elif tok.kind == "name":
+            return ("name", tok.text, pos)
+        elif tok.text == "(":
+            node, wanted = self.expr(), "')'"
+        else:
+            raise ParseError(f"unexpected {tok.text!r}", *pos)
+        if not self._op(")"):
+            tok = self._next()
+            raise ParseError(f"expected {wanted}, found {tok.text!r}", tok.line, tok.column)
+        return node
 
 
 def parse_expression(text, line=1, offset=0):
@@ -269,8 +251,9 @@ class Session:
     """Parsed session: one shared coordinate space plus named declarations.
 
     Polynomials and ideals live on the doubled space (x- and y-blocks);
-    forms live on the base space, or the doubled one when a ``dy<i>`` atom
-    appears; operators know only the x-block.
+    forms live on the base space, or the doubled one when a ``dy<i>`` or
+    ``y<i>`` atom or a form declared there appears; operators know only the
+    x-block.
     """
 
     def __init__(self, space, field=None):
@@ -281,10 +264,6 @@ class Session:
         self._reevaluated = {}  # (name, kind) -> (value, error)
 
     # -- variable atoms --------------------------------------------------------
-
-    @property
-    def n(self):
-        return len(self.space.x_vars)
 
     def _named(self, name, pos, const, kind):
         """The field generator as ``const(gen)``, else the declared ``name``."""
@@ -339,11 +318,8 @@ class Session:
                 return const(name)
             if name in space.all_vars:
                 return MultiPoly.variable(space, name)
-            if _D_RE.match(name) or _DX_RE.match(name) or _DY_RE.match(name):
-                raise MixedContext(
-                    f"differential {name} cannot appear in a polynomial",
-                    *pos,
-                )
+            if _prefix(name) in ("d", "dx", "dy"):
+                raise MixedContext(f"differential {name} cannot appear in a polynomial", *pos)
             # declared polynomials live on dspace: SpaceMismatch if y is used
             return self._named(name, pos, const, "poly").restrict_to(space)
 
@@ -351,7 +327,7 @@ class Session:
 
     def eval_operator(self, ast):
         from .weyl import WeylOperator
-        const = partial(WeylOperator.constant, self.n)
+        const = partial(WeylOperator.constant, self.space.n)
         ops = const(0).space
 
         def leaf(kind, name, pos):
@@ -359,7 +335,7 @@ class Session:
                 return const(name)
             if name in ops.all_vars:
                 return WeylOperator.variable(ops, name)
-            if _DX_RE.match(name) or _DY_RE.match(name) or _YVAR_RE.match(name):
+            if _prefix(name) in ("dx", "dy", "y"):
                 raise MixedContext(f"{name} cannot appear in an operator", *pos)
             return self._named(name, pos, const, "op")
 
@@ -373,20 +349,19 @@ class Session:
         def leaf(kind, name, pos):
             if kind == "num":
                 return const(name)
-            for rx, block in ((_D_RE, "x"), (_DX_RE, "x"), (_DY_RE, "y")):
-                m = rx.match(name)
-                if not m:
-                    continue
-                i = int(m.group(1)) - 1
-                if i >= self.n:
+            m = _ATOM_RE.fullmatch(name)
+            if m and m[1] != "y":
+                i = int(m[2]) - 1
+                if i >= self.space.n:
                     raise UnknownVariable(f"no coordinate for {name}", *pos)
-                idx = i if block == "x" else self.n + i
-                return PolyForm.basis_form(space, idx)
+                return PolyForm.basis_form(space, i + self.space.n * (m[1] == "dy"))
             if name in space.all_vars:
                 return MultiPoly.variable(space, name)
             got = self._named(name, pos, const, "form")
             if isinstance(got, PolyForm) and got.space != space:
-                raise MixedContext(f"form {name} lives on {got.space}, not {space}")
+                # a base-space form lifts to the doubled space, x-directions kept
+                return PolyForm(space, got.degree,
+                                {k: c.lift_to(space) for k, c in got.terms.items()})
             return got
 
         return self._evaluate(ast, leaf, _form_arith)
@@ -405,16 +380,15 @@ class Session:
             return self._check_binform(self.eval_poly(ast, self.space), pos)
         if kind == "form":
             from .forms import PolyForm
-            # a dy<i> or y<i> atom puts the form on the doubled space
-            uses_dy = any(_DY_RE.match(nm) or _YVAR_RE.match(nm)
+            doubled = any(_prefix(nm) in ("dy", "y") or nm in self.decls
+                          and self.decls[nm].kind == "form"
+                          and self.decls[nm].value.space == self.dspace
                           for nm, _ in _ast_names(ast))
-            value = self.eval_form(ast, self.dspace if uses_dy else self.space)
+            value = self.eval_form(ast, self.dspace if doubled else self.space)
             return value if isinstance(value, PolyForm) else PolyForm.from_poly(value)
         if kind == "op":
             return self.eval_operator(ast)
-        if kind == "poly":
-            return self.eval_poly(ast)
-        raise ValueError(f"cannot resolve inline value of kind {kind}")
+        return self.eval_poly(ast)
 
     # -- declaration handling ----------------------------------------------------
 
@@ -425,9 +399,9 @@ class Session:
             raise ParseError(f"unknown function {ast[1]!r}", *ast[3])
         best = "poly"
         for name, _ in _ast_names(ast):
-            if _DX_RE.match(name) or _DY_RE.match(name):
+            if _prefix(name) in ("dx", "dy"):
                 return "form"
-            if _D_RE.match(name):
+            if _prefix(name) == "d":
                 best = "op"
             elif name in self.decls and best == "poly":
                 k = self.decls[name].kind
@@ -469,42 +443,33 @@ class Session:
     # -- retrieval with coercions -------------------------------------------------
 
     def get(self, name, kind):
+        """``name`` read as ``kind``: its own value, its AST evaluated again,
+        a polynomial converted, or an order-0 operator as its symbol."""
         if name not in self.decls:
             raise UnknownVariable(f"no declaration named {name!r}")
         decl = self.decls[name]
+        value = decl.value
         if decl.kind == kind:
-            return decl.value
-        if kind == "field":
-            raise MixedContext(f"{name} is not a polynomial vector field")
-        if kind in ("op", "form") and decl.kind == "poly":
-            if decl.value.involves(self.dspace.y_indices):
-                raise MixedContext(f"{name} involves y-variables")
-            base = decl.value.restrict_to(self.space)
-            if kind == "op":
-                from .weyl import WeylOperator
-                return WeylOperator.from_poly(base)
-            from .forms import PolyForm
-            return PolyForm.from_poly(base)
+            return value
         if _reevaluates(kind, decl.kind):
             return self._reevaluate(name, kind)
-        if kind == "form":
-            raise MixedContext(f"{name} is not a form")
-        if kind == "poly":
-            if decl.kind == "op" and decl.value.order() == 0:
-                from .weyl import principal_symbol
-                # an order-0 operator is its own principal symbol
-                return principal_symbol(decl.value, self.dspace)[1]
-            raise MixedContext(f"{name} is not a polynomial")
-        if kind == "ideal":
-            if decl.kind == "poly":
-                return Ideal(self.dspace, [decl.value])
-            raise MixedContext(f"{name} is not an ideal")
-        if kind == "binform":
-            if decl.kind == "poly":
-                return self._check_binform(
-                    decl.value.restrict_to(self.space), (0, 0))
-            raise MixedContext(f"{name} is not a binary form")
-        raise MixedContext(f"{name} has kind {decl.kind}, wanted {kind}")
+        if decl.kind == "poly" and kind == "ideal":
+            return Ideal(self.dspace, [value])
+        if decl.kind == "poly" and kind == "binform":
+            return self._check_binform(value.restrict_to(self.space), (0, 0))
+        if decl.kind == "poly" and kind in ("op", "form"):
+            if value.involves(self.dspace.y_indices):
+                raise MixedContext(f"{name} involves y-variables")
+            if kind == "op":
+                from .weyl import WeylOperator
+                return WeylOperator.from_poly(value.restrict_to(self.space))
+            from .forms import PolyForm
+            return PolyForm.from_poly(value.restrict_to(self.space))
+        if decl.kind == "op" and kind == "poly" and value.order() == 0:
+            from .weyl import principal_symbol
+            # an order-0 operator is its own principal symbol
+            return principal_symbol(value, self.dspace)[1]
+        raise MixedContext(f"{name} is not {_NOUNS[kind]}")
 
     def _reevaluate(self, name, kind):
         """``name``'s AST evaluated as ``kind``, memoized with its outcome.
@@ -558,9 +523,9 @@ class Session:
 
     def parse_point(self, text):
         parts = _split_commas(text)
-        if len(parts) != self.n:
+        if len(parts) != self.space.n:
             raise ParseError(
-                f"point needs {self.n} coordinates, got {len(parts)}", 1, 1
+                f"point needs {self.space.n} coordinates, got {len(parts)}", 1, 1
             )
         return tuple(self.parse_scalar(p) for p in parts)
 
@@ -594,6 +559,16 @@ def _split_commas(text):
     if not all(parts):
         raise ParseError("point has an empty coordinate", 1, 1)
     return parts
+
+
+_NOUNS = {"poly": "a polynomial", "form": "a form", "ideal": "an ideal",
+          "binform": "a binary form", "field": "a polynomial vector field"}
+
+
+def _prefix(name):
+    """The prefix of a d<i>, dx<i>, dy<i> or y<i> atom, else None."""
+    m = _ATOM_RE.fullmatch(name)
+    return m and m[1]
 
 
 def _reevaluates(kind, decl_kind):

@@ -48,35 +48,6 @@ def upoly_degree(p):
     return len(p) - 1
 
 
-def upoly_add(p, q):
-    n = max(len(p), len(q))
-    return upoly_trim(
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
-    )
-
-
-def upoly_sub(p, q):
-    return upoly_add(p, tuple(-c for c in q))
-
-
-def upoly_scale(p, c):
-    if not c:
-        return ()
-    return tuple(c * a for a in p)
-
-
-def upoly_mul(p, q):
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return upoly_trim(out)
-
-
 def upoly_divmod(p, q):
     """Quotient and remainder over a field; raises on zero divisor."""
     if not q:
@@ -112,22 +83,6 @@ def upoly_gcd(p, q):
     while b:
         a, b = b, upoly_divmod(a, b)[1]
     return upoly_monic(a)
-
-
-def upoly_egcd(p, q):
-    """Extended Euclid: returns (g, u, v) with u*p + v*q = g, g monic."""
-    r0, r1 = upoly_trim(p), upoly_trim(q)
-    u0, u1 = (_ONE,), ()
-    v0, v1 = (), (_ONE,)
-    while r1:
-        quot, rem = upoly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, upoly_sub(u0, upoly_mul(quot, u1))
-        v0, v1 = v1, upoly_sub(v0, upoly_mul(quot, v1))
-    if not r0:
-        return (), u0, v0
-    inv = scalar_inverse(r0[-1])
-    return upoly_scale(r0, inv), upoly_scale(u0, inv), upoly_scale(v0, inv)
 
 
 def upoly_deriv(p):
@@ -405,15 +360,22 @@ class NFElement:
     __rmul__ = __mul__
 
     def inverse(self):
+        """Solve self*x = 1 by :func:`rref` on the matrix of multiplication by
+        self, whose columns are self*alpha^j (Cohen 1993, ch. 4)."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        g, u, _ = upoly_egcd(upoly_trim(self.coords), self.field.min_poly)
-        if upoly_degree(g) != 0:
+        field, d = self.field, self.field.degree
+        cols = [self]
+        while len(cols) < d:
+            cols.append(cols[-1] * field.gen())
+        rows = [[c.coords[i] for c in cols] + [int(i == 0)] for i in range(d)]
+        if rref(rows) != list(range(d)):  # singular: self shares a factor with min_poly
+            g = upoly_gcd(self.coords, field.min_poly)
             raise ReducibleDetected(
-                f"minimal polynomial of {self.field.name} is reducible: "
-                f"gcd {upoly_str(g, self.field.name)} found during inversion"
+                f"minimal polynomial of {field.name} is reducible: "
+                f"gcd {upoly_str(g, field.name)} found during inversion"
             )
-        return self.field.element(u)
+        return field.element(row[d] for row in rows)
 
     def __floordiv__(self, k):
         """Exact division of int coordinates by the int k."""

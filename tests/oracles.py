@@ -36,7 +36,8 @@ xi(g) - c*g out on exponent tuples, one unknown at a time, where
 ``darboux_search`` reads them off polynomial arithmetic with the unknowns as
 auxiliary variables.  :func:`shift_reduce_powers` builds the table of
 alpha^d, ..., alpha^(2d-2) by shifting and subtracting the minimal
-polynomial, where ``NumberField`` divides t^k by it.
+polynomial, where ``NumberField`` divides t^k by it.  :func:`upoly_mul` is
+the schoolbook product of two univariate coefficient tuples.
 """
 
 from fractions import Fraction
@@ -54,7 +55,9 @@ from folichar.ideals import (
 )
 from folichar.foliations import PolyVectorField
 from folichar.polynomials import SCALARS, MultiPoly
-from folichar.scalars import IntegerRule, ZBetaRule, common_field, upoly_squarefree_part
+from folichar.scalars import (
+    IntegerRule, ZBetaRule, common_field, upoly_squarefree_part, upoly_trim,
+)
 
 _ZERO = Fraction(0)
 
@@ -516,3 +519,12 @@ def shift_reduce_powers(min_poly):
         cur = nxt
         red.append(tuple(cur))
     return red
+
+
+def upoly_mul(p, q):
+    """p*q for ascending coefficient tuples, trimmed."""
+    out = [0] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return upoly_trim(out)

@@ -1,8 +1,12 @@
 """Groebner bases, membership, elimination, and the linear-algebra oracle."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from hashlib import sha256
 from itertools import cycle, product
+from pathlib import Path
 
 import oracles
 import pytest
@@ -496,3 +500,38 @@ def test_normal_form_division_and_standard_monomials_past_8_bits():
     assert krull_dim_zero_check(big) == (True, 150 * 130)
     assert standard_monomials(big)[-1] == (149, 129)
     assert standard_monomials(big, LEX) == [(0, k) for k in range(150 * 130)]
+
+
+def test_has_cached_basis_reports_each_order():
+    I = Ideal(SXY, [X * X - Y, X * Y])
+    assert not I.has_cached_basis(LEX)
+    I.basis(LEX)
+    assert I.has_cached_basis(LEX)
+    assert not I.has_cached_basis(GREVLEX)
+
+
+# perfbench's traced run wraps every name in tracing.TARGETS and asks
+# Ideal.has_cached_basis on each Ideal.basis call; it patches the package, so
+# it runs in a child process
+_TRACED_QUERIES = """\
+from perfbench import tracing, workloads
+from folichar.ideals import StepBudget
+tracer = tracing.Tracer()
+tracing.install(tracer)
+queries = workloads.groebner_queries(0)[:3] + [
+    q for q in workloads.pipeline_queries(0)
+    if q.label.startswith(("classify-whole/", "eigen/"))][:6]
+for q in queries:
+    assert q.check(q.run(StepBudget(10 ** 6))) == [], q.label
+print(tracer.counts["basis_calls"], tracer.counts["spair_reductions"])
+"""
+
+
+def test_traced_benchmark_queries_run():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    proc = subprocess.run([sys.executable, "-c", _TRACED_QUERIES], env=env, cwd=root,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    basis_calls, spair_reductions = map(int, proc.stdout.split())
+    assert basis_calls > 0 and spair_reductions > 0

@@ -163,6 +163,23 @@ def test_point_and_scalar_parsing():
     assert s.parse_point("1/2, -3") == (F(1, 2), F(-3))
     assert str(s.parse_scalar("r")) == "r"
     assert s.parse_scalar("3/4") == F(3, 4)
+    # an outer "(" that closes early is no outer pair; inner ones stay
+    for text, point in [("(1/2), (3)", "(1/2, 3)"), ("((1/2)*r, 0)", "(1/2*r, 0)"),
+                        ("(1/2)*r, (0)", "(1/2*r, 0)"), ("(0, (1))", "(0, 1)")]:
+        assert f"({', '.join(map(str, s.parse_point(text)))})" == point, text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(x1", "unexpected end of expression at line 2, column 6"),
+    ("(x1 x2", "expected ')', found 'x2' at line 2, column 7"),
+    ("ideal(x1", "unexpected end of expression at line 2, column 11"),
+    ("ideal(x1 x2)", "expected ',' or ')', found 'x2' at line 2, column 12"),
+    ("ideal(x1, x2 3)", "expected ',' or ')', found '3' at line 2, column 16"),
+])
+def test_unclosed_parenthesis_is_reported_where_it_ends(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_input(f"vars: x1 x2\nf: {text}\n")
+    assert str(exc.value) == message
 
 
 def test_session_vector_field_lookup():
@@ -205,6 +222,20 @@ def test_declared_polynomial_in_operator_and_form_context():
     assert [str(a) for a in s.get("L", "field").components] == ["x1^2", "0"]
     assert s.get("w", "form") == parse_input("vars: x1 x2\nw: (1/2)*x1*dx1\n").get("w", "form")
     assert str(s.get("v", "form")) == "dx2"
+
+
+@pytest.mark.parametrize("decls, text", [
+    ("w: dy1\nv: w + dx1\n", "dx1 + dy1"),
+    ("w: dx1\nv: w ^ dy1\n", "dx1^dy1"),
+    ("w: dy1\nv: w + dy1 - dy1 + dx1\n", "dx1 + dy1"),
+    ("p: x1\nv: p*dy1\n", "x1*dy1"),
+], ids=["declared-dy", "wedge-dy", "literal-dy", "poly-times-dy"])
+def test_form_takes_the_doubled_space_from_declared_forms(decls, text):
+    """A form on the doubled space, declared or literal, puts the expression
+    there; a base-space form is lifted with its x-directions kept."""
+    s = parse_input("vars: x1 x2\n" + decls)
+    v = s.get("v", "form")
+    assert str(v) == text and v.space == s.dspace
 
 
 def test_leftmost_error_of_a_long_chain_is_reported():

@@ -1,6 +1,7 @@
 """Sparse multivariate arithmetic, variable spaces, monomial orders."""
 
 import ast
+import re
 from fractions import Fraction as F
 from functools import partial
 from operator import add
@@ -11,6 +12,7 @@ from conftest import SQRT2, rand_coeff, rand_poly, rng_for
 from oracles import two_path_substitute
 
 import folichar
+from folichar import parser
 from folichar.errors import SpaceMismatch
 from folichar.ideals import StepBudget, _Overflow, _packing, reduce_poly
 from folichar.polynomials import (
@@ -541,6 +543,39 @@ def test_one_implementation_per_primitive():
     assert [n for n in ast.walk(darboux) if isinstance(n, ast.BinOp)
             and isinstance(n.op, ast.Sub) and isinstance(n.left, ast.Call)
             and getattr(n.left.func, "attr", None) == "apply"]
+
+
+def test_inverse_grammar_and_atoms_are_folded():
+    """A number-field inverse is an rref solve, the extended Euclid and its
+    coefficient helpers are gone, the grammar's binary levels share one
+    left-associative loop, and one regex names the d, dx, dy and y atoms."""
+    modules = dict(_package_modules())
+    defined = {n.name for tree in modules.values() for n in ast.walk(tree)
+               if isinstance(n, ast.FunctionDef)}
+    assert not {"upoly_egcd", "upoly_add", "upoly_sub", "upoly_scale", "upoly_mul"} & defined
+
+    def methods(module, cls):
+        node = next(n for n in ast.walk(modules[module])
+                    if isinstance(n, ast.ClassDef) and n.name == cls)
+        return {m.name: m for m in node.body if isinstance(m, ast.FunctionDef)}
+
+    def calls(node):
+        return {getattr(n.func, "id", getattr(n.func, "attr", None))
+                for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+    assert "rref" in calls(methods("scalars.py", "NFElement")["inverse"])
+    grammar = methods("parser.py", "_ExprParser")
+    for name in ("expr", "term", "power"):
+        assert "_chain" in calls(grammar[name]), name
+        assert not [n for n in ast.walk(grammar[name]) if isinstance(n, (ast.For, ast.While))]
+    # a regex names an atom when it matches it but not the same shape in q
+    patterns = {n.args[0].value for n in ast.walk(modules["parser.py"])
+                if isinstance(n, ast.Call) and getattr(n.func, "value", None)
+                and getattr(n.func.value, "id", None) == "re"
+                and n.args and isinstance(n.args[0], ast.Constant)}
+    naming = {p for p in patterns for atom in ("d1", "dx1", "dy1", "y1")
+              if re.fullmatch(p, atom) and not re.fullmatch(p, re.sub("[a-z]", "q", atom))}
+    assert naming == {parser._ATOM_RE.pattern}
 
 
 def _splits_a_key(loop):

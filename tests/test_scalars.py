@@ -25,15 +25,13 @@ from folichar.scalars import (
     upoly_divmod,
     upoly_eval,
     upoly_gcd,
-    upoly_mul,
     upoly_rational_roots,
     upoly_squarefree_part,
-    upoly_sub,
     upoly_trim,
     zrank,
 )
 
-from oracles import shift_reduce_powers
+from oracles import shift_reduce_powers, upoly_mul
 
 coeff = st.fractions(min_value=-30, max_value=30, max_denominator=6)
 upoly = st.lists(coeff, min_size=1, max_size=6).map(lambda c: upoly_trim(c))
@@ -45,7 +43,10 @@ def test_divmod_reconstructs(f, g):
     if not g:
         return
     q, r = upoly_divmod(f, g)
-    assert upoly_trim(upoly_sub(f, upoly_mul(q, g))) == tuple(r)
+    qg_r = list(upoly_mul(q, g)) + [0] * len(r)
+    for i, c in enumerate(r):
+        qg_r[i] += c
+    assert upoly_trim(qg_r) == f
     assert len(r) < len(g) or not r
 
 
@@ -235,6 +236,33 @@ def test_nf_field_axioms_random(sqrt2):
         assert a * (b + c) == a * b + a * c
         if a != sqrt2.zero():
             assert a * a.inverse() == sqrt2.one()
+
+
+@pytest.mark.parametrize("min_poly", [
+    (-2, 0, 1), (1, 0, 1), (1, -3, 0, 1), (F(-2, 7), F(1, 5), F(-3, 4), 0, 1),
+], ids=["sqrt2", "i", "cubic", "quartic-non-integral"])
+def test_inverse_round_trip(min_poly):
+    """a * a^-1 = 1, for Fraction coordinates and for the int coordinates of
+    Z[beta] that ZBetaRule.primitive inverts."""
+    K = make_number_field("a", min_poly)
+    rng = random.Random(str(min_poly))
+    for field, draw in ((K, lambda: F(rng.randint(-6, 6), rng.randint(1, 4))),
+                        (K.model, lambda: rng.randint(-9, 9))):
+        for _ in range(20):
+            a = NFElement(field, tuple(draw() for _ in range(field.degree)))
+            if a:
+                assert a * a.inverse() == field.one()
+
+
+def test_inversion_finds_a_factor_of_the_minimal_polynomial():
+    # (t^2 + 1)(t^3 - 2) has no rational root, so it passes the screens
+    K = make_number_field("a", (-2, 0, -2, 1, 0, 1), assume_irreducible=True)
+    a = K.gen()
+    with pytest.raises(ReducibleDetected) as exc:
+        (a ** 2 + 1).inverse()
+    assert str(exc.value) == ("minimal polynomial of a is reducible: "
+                              "gcd a^2 + 1 found during inversion")
+    assert str((a ** 3 + a - 2).inverse()) == "1/2*a^2"
 
 
 def test_int_coordinates_beside_fraction_coordinates(sqrt2):
