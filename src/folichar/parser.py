@@ -9,13 +9,19 @@ A session is line oriented::
     J:  ideal(x2, y1)    # ideals live on the doubled space
     f:  (1/2)*x1^2
 
-Expressions use rationals, + - * / ^ and parentheses.  The same ``d<i>``
-token is read per declaration: any ``dx<i>``/``dy<i>`` atom forces form
-context, a bare ``d<i>`` otherwise means the Weyl generator; ``^`` is the
-wedge when a form is involved and the power otherwise.  An operator of pure
-first order with no constant term doubles as a polynomial vector field.
-Every declared object is canonicalized, and printing then re-parsing any
-declaration reproduces it exactly.
+Expressions use rationals, + - * / ^ and parentheses.  Each declaration is
+evaluated once, in the kind its own text picks: a ``dx<i>``/``dy<i>`` atom
+or a declared form makes a form (``d<i>`` is then ``dx<i>``); else a
+``d<i>`` atom or a declared operator or field makes an operator (``d<i>``
+the Weyl generator); else a polynomial.  ``^`` is the wedge when a form is
+involved and the power otherwise.  An operator of pure first order with no
+constant term is stored as a polynomial vector field.  A name read in
+another kind converts its stored value: a field sum a_i*d<i> reads as that
+operator and as the 1-form sum a_i*dx<i>, a polynomial as an ideal, binary
+form, operator or 0-form, an order-0 operator as its polynomial; any other
+read raises ``NAME is not KIND`` where it is read.  Every declared object
+is canonicalized, and printing then re-parsing any declaration reproduces
+it exactly.
 
 Evaluation is iterative (one post-order fold with an explicit stack for
 every context), so a flat sum or product may have any number of terms; only
@@ -191,7 +197,7 @@ def _ast_names(ast):
 # ---------------------------------------------------------------------------
 
 # kind is one of poly | form | op | field | ideal | binform
-Declaration = namedtuple("Declaration", "name ast kind value")
+Declaration = namedtuple("Declaration", "name kind value")
 
 
 def _constant_scalar(value, pos):
@@ -261,7 +267,6 @@ class Session:
         self.dspace = space.doubled()
         self.field = field
         self.decls = {}
-        self._reevaluated = {}  # (name, kind) -> (value, error)
 
     # -- variable atoms --------------------------------------------------------
 
@@ -271,7 +276,7 @@ class Session:
             return const(self.field.gen())
         if name not in self.decls:
             raise UnknownVariable(f"unknown name {name!r}", *pos)
-        return self.get(name, kind)
+        return self.get(name, kind, pos)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -397,17 +402,12 @@ class Session:
             if ast[1] in ("ideal", "binform"):
                 return ast[1]
             raise ParseError(f"unknown function {ast[1]!r}", *ast[3])
-        best = "poly"
-        for name, _ in _ast_names(ast):
-            if _prefix(name) in ("dx", "dy"):
-                return "form"
-            if _prefix(name) == "d":
-                best = "op"
-            elif name in self.decls and best == "poly":
-                k = self.decls[name].kind
-                if k in ("form", "op", "field"):
-                    best = "form" if k == "form" else "op"
-        return best
+        # an atom's prefix, else a declaration's kind; atoms shadow names
+        marks = {_prefix(nm) or nm in self.decls and self.decls[nm].kind
+                 for nm, _ in _ast_names(ast)}
+        if marks & {"dx", "dy", "form"}:
+            return "form"
+        return "op" if marks & {"d", "op", "field"} else "poly"
 
     def declare(self, name, source, line, offset=0):
         if name in self.decls or name in self.dspace.all_vars:
@@ -427,7 +427,7 @@ class Session:
             if _is_field_shaped(value):
                 kind = "field"
                 value = order_one_field(value, self.dspace)
-        self.decls[name] = Declaration(name, ast, kind, value)
+        self.decls[name] = Declaration(name, kind, value)
         return self.decls[name]
 
     def _check_binform(self, p, pos):
@@ -442,24 +442,31 @@ class Session:
 
     # -- retrieval with coercions -------------------------------------------------
 
-    def get(self, name, kind):
-        """``name`` read as ``kind``: its own value, its AST evaluated again,
-        a polynomial converted, or an order-0 operator as its symbol."""
+    def get(self, name, kind, pos=()):
+        """``name`` read as ``kind``: its own value, a field as its operator
+        or 1-form, a polynomial converted, or an order-0 operator as its
+        symbol.  ``pos`` is where the name is read, none for a CLI argument."""
         if name not in self.decls:
             raise UnknownVariable(f"no declaration named {name!r}")
         decl = self.decls[name]
         value = decl.value
         if decl.kind == kind:
             return value
-        if _reevaluates(kind, decl.kind):
-            return self._reevaluate(name, kind)
+        if decl.kind == "field" and kind == "op":
+            from .weyl import WeylOperator
+            ops = WeylOperator.zero(self.space.n).space
+            return sum(WeylOperator.from_poly(a) * WeylOperator.variable(ops, f"d{i + 1}")
+                       for i, a in enumerate(value.components))
+        if decl.kind == "field" and kind == "form":
+            from .forms import PolyForm
+            return PolyForm(value.space, 1, {(i,): a for i, a in enumerate(value.components)})
         if decl.kind == "poly" and kind == "ideal":
             return Ideal(self.dspace, [value])
         if decl.kind == "poly" and kind == "binform":
-            return self._check_binform(value.restrict_to(self.space), (0, 0))
+            return self._check_binform(value.restrict_to(self.space), pos)
         if decl.kind == "poly" and kind in ("op", "form"):
             if value.involves(self.dspace.y_indices):
-                raise MixedContext(f"{name} involves y-variables")
+                raise MixedContext(f"{name} involves y-variables", *pos)
             if kind == "op":
                 from .weyl import WeylOperator
                 return WeylOperator.from_poly(value.restrict_to(self.space))
@@ -469,36 +476,7 @@ class Session:
             from .weyl import principal_symbol
             # an order-0 operator is its own principal symbol
             return principal_symbol(value, self.dspace)[1]
-        raise MixedContext(f"{name} is not {_NOUNS[kind]}")
-
-    def _reevaluate(self, name, kind):
-        """``name``'s AST evaluated as ``kind``, memoized with its outcome.
-
-        The declarations it names, transitively, that also need evaluating as
-        ``kind`` go first, oldest first (a declaration names only older
-        ones), so every nested ``get`` hits the memo and a chain of any
-        length takes no recursion per declaration.  A stored error is raised
-        again unchanged.
-        """
-        memo = self._reevaluated
-        if (name, kind) not in memo:
-            needed, todo = {name}, [name]
-            while todo:
-                for dep, _ in _ast_names(self.decls[todo.pop()].ast):
-                    if (dep not in needed and dep in self.decls
-                            and (dep, kind) not in memo
-                            and _reevaluates(kind, self.decls[dep].kind)):
-                        needed.add(dep)
-                        todo.append(dep)
-            for dep in [d for d in self.decls if d in needed]:
-                try:
-                    memo[dep, kind] = (self.evaluate(self.decls[dep].ast, kind), None)
-                except Exception as exc:
-                    memo[dep, kind] = (None, exc)
-        value, error = memo[name, kind]
-        if error is not None:
-            raise error
-        return value
+        raise MixedContext(f"{name} is not {_NOUNS[kind]}", *pos)
 
     def vector_field(self, name=None):
         """The session's vector field: named, or unique, or the one called xi."""
@@ -561,7 +539,7 @@ def _split_commas(text):
     return parts
 
 
-_NOUNS = {"poly": "a polynomial", "form": "a form", "ideal": "an ideal",
+_NOUNS = {"poly": "a polynomial", "form": "a form", "ideal": "an ideal", "op": "an operator",
           "binform": "a binary form", "field": "a polynomial vector field"}
 
 
@@ -569,13 +547,6 @@ def _prefix(name):
     """The prefix of a d<i>, dx<i>, dy<i> or y<i> atom, else None."""
     m = _ATOM_RE.fullmatch(name)
     return m and m[1]
-
-
-def _reevaluates(kind, decl_kind):
-    """Does ``Session.get`` read a ``decl_kind`` declaration as ``kind`` by
-    evaluating its AST again (the other coercions convert its value)?"""
-    return (kind == "op" and decl_kind not in ("op", "poly")
-            or kind == "form" and decl_kind in ("op", "field"))
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,15 @@ def test_declared_polynomial_as_ideal_and_binary_form(run):
     assert declared["inputs"] == inline["inputs"]
 
 
+def test_declared_polynomial_read_as_binary_form_has_no_position(run):
+    # a CLI argument naming a declaration is read at no place in the session
+    source = DIAG_SESSION + "f: x1^2 + x2\n"
+    code, out = run(source, "disc", "f", "--json")
+    assert code == 2
+    assert json.loads(out)["result"] == {"error": "ParseError",
+                                         "message": "binform must be homogeneous"}
+
+
 # ---------------------------------------------------------------------------
 # JSON envelope and schema
 
@@ -499,7 +508,7 @@ def _operator_chain(first, n):
 
 @pytest.mark.parametrize("n", [50, 400])
 def test_operator_chain_used_as_form(run, n):
-    # each declaration re-evaluated in form context names the one before it
+    # each declaration is evaluated once; the last field reads as a 1-form
     source = _operator_chain("x2*d1", n) + f"w: o{n - 1} ^ dx2\n"
     code, out = run(source, "form-dist", "w", "--json")
     payload = json.loads(out)
@@ -509,13 +518,16 @@ def test_operator_chain_used_as_form(run, n):
 
 
 def test_operator_chain_keeps_the_first_error(run):
-    # d1*d2 is an operator but not a form; the error keeps its position
-    code, out = run(_operator_chain("d1*d2", 400), "form-dist", "o399", "--json")
-    assert code == 2
-    assert json.loads(out)["result"] == {
-        "error": "MixedContext",
-        "message": "use ^ to multiply forms at line 2, column 6",
-    }
+    # d1*d2 is an operator but not a form: the error is raised where o399 is
+    # read, with no position for a CLI name and the read's own for an inline one
+    source = _operator_chain("d1*d2", 400)
+    for arg, where in (("o399", ""), ("o399 ^ dx1", " at line 1, column 0")):
+        code, out = run(source, "form-dist", arg, "--json")
+        assert code == 2
+        assert json.loads(out)["result"] == {
+            "error": "MixedContext",
+            "message": f"o399 is not a form{where}",
+        }
 
 
 def test_zero_form_times_form_is_a_product(run):

@@ -1,6 +1,7 @@
 """Session-file grammar: declarations, kind inference, canonical printing,
 and position-carrying parse errors."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -158,6 +159,29 @@ def test_header_and_declaration_errors():
         assert fragment in str(exc.value), src
 
 
+@pytest.mark.parametrize("src, message", [
+    ("vars: x1\nf: x1 $ 2\n", "unexpected character '$' at line 2, column 6"),
+    ("vars: x1 x2 x3\nq: binform(x3^2)\n", "binform uses only x1 and x2 at line 2, column 3"),
+    ("vars:\n", "vars: needs at least one variable at line 1, column 1"),
+    ("vars: x1\nfield: r r^2 - 2 = 0\n",
+     "expected 'field: NAME where POLY = 0' at line 2, column 1"),
+    ("vars: x1\nfield: x1 where x1^2 - 2 = 0\n",
+     "generator 'x1' collides with a coordinate at line 2, column 1"),
+    ("vars: x1\nfield: r where r^2 - 2\n",
+     "the minimal polynomial must be set = 0 at line 2, column 1"),
+    ("vars: x1\nfield: r where 3 = 0\n",
+     "the minimal polynomial must have degree >= 1 at line 2, column 1"),
+    ("vars: x1\nfield: r where r^2 - 2 = 0\nfield: s where s^2 - 3 = 0\n",
+     "field: may appear only once at line 3, column 1"),
+    ("vars: x1\nf: x1\nfield: r where r^2 - 2 = 0\n",
+     "field: must precede declarations at line 3, column 1"),
+    ("vars: x1\n2f: x1\n", "bad declaration name '2f' at line 2, column 0"),
+])
+def test_session_file_errors_name_the_declaring_line(src, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_input(src)
+
+
 def test_point_and_scalar_parsing():
     s = parse_input("vars: x1 x2\nfield: r where r^2 - 2 = 0\nf: x1\n")
     assert s.parse_point("1/2, -3") == (F(1, 2), F(-3))
@@ -209,8 +233,43 @@ def test_declared_values_convert_between_kinds():
     for kind in ("op", "form"):
         with pytest.raises(MixedContext, match="^p involves y-variables$"):
             s.get("p", kind)
+    with pytest.raises(MixedContext, match="^p involves y-variables at line 3, column 3$"):
+        parse_input("vars: x1 x2\np: y1*x1\nL: p*d1\n")
     with pytest.raises(MixedContext, match="^J is not a form$"):
         s.get("J", "form")
+
+
+@pytest.mark.parametrize("decls, read, message", [
+    # a field reads as its operator and as its 1-form, whatever order the
+    # names come in; an operator of order 2 is neither
+    ("a: d1\nw: dx2\n", "w + a", None),
+    ("a: d1\nw: dx2\n", "a + w", None),
+    ("o: d1*d2\nw: dx1\n", "w + o", "o is not a form at line 4, column 7"),
+    ("o: d1*d2\nw: dx1\n", "o + w", "o is not a form at line 4, column 3"),
+])
+def test_kind_does_not_depend_on_the_order_of_names(decls, read, message):
+    src = f"vars: x1 x2\n{decls}b: {read}\n"
+    if message is None:
+        s = parse_input(src)
+        assert s.decls["b"].kind == "form"
+        assert str(s.decls["b"].value) == "dx1 + dx2"
+    else:
+        with pytest.raises(MixedContext, match=f"^{message}$"):
+            parse_input(src)
+
+
+def test_each_declaration_is_read_in_its_own_kind():
+    """``d1^3`` is a third-order operator, not the form 3*dx1; the field
+    ``d1*x1 - 1`` is x1*d1, so it wedges as x1*dx1."""
+    s = parse_input("vars: x1 x2\no: d1^3\nxi: d1*x1 - 1\nv: xi ^ dx2\n")
+    assert (s.decls["o"].kind, str(s.decls["o"].value)) == ("op", "d1^3")
+    with pytest.raises(MixedContext, match="^o is not a form$"):
+        s.get("o", "form")
+    with pytest.raises(MixedContext, match="^o is not a form at line 3, column 3$"):
+        parse_input("vars: x1 x2\no: d1^3\nw: o ^ dx1\n")
+    assert (s.decls["xi"].kind, str(s.decls["xi"].value)) == ("field", "x1*d1")
+    assert str(s.get("xi", "op")) == "x1*d1"
+    assert str(s.decls["v"].value) == "x1*dx1^dx2"
 
 
 def test_declared_polynomial_in_operator_and_form_context():

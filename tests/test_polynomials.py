@@ -578,6 +578,23 @@ def test_inverse_grammar_and_atoms_are_folded():
     assert naming == {parser._ATOM_RE.pattern}
 
 
+def test_each_declaration_is_evaluated_once():
+    """A declaration stores its value, not its AST, and a read in another
+    kind converts that value: ``Session.get`` evaluates nothing."""
+    assert parser.Declaration._fields == ("name", "kind", "value")
+    modules = dict(_package_modules())
+    session = next(n for n in ast.walk(modules["parser.py"])
+                   if isinstance(n, ast.ClassDef) and n.name == "Session")
+    get = next(m for m in session.body if isinstance(m, ast.FunctionDef) and m.name == "get")
+    called = {getattr(n.func, "id", getattr(n.func, "attr", None))
+              for n in ast.walk(get) if isinstance(n, ast.Call)}
+    assert not {c for c in called
+                if c and (c in ("evaluate", "_evaluate") or c.startswith("eval_"))}
+    defined = {n.name for tree in modules.values() for n in ast.walk(tree)
+               if isinstance(n, ast.FunctionDef)}
+    assert not {"_reevaluate", "_reevaluates"} & defined
+
+
 def _splits_a_key(loop):
     """Does a for-loop or comprehension unpack the keys of some ``.terms``?"""
     it, target = loop.iter, loop.target
