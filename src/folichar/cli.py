@@ -396,7 +396,10 @@ def _cmd_gb(session, args, budget, ideal):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser():
+def _build_parser(argv):
+    """The parser of ``argv``: with only the subcommand that ``argv`` starts
+    with, if it starts with one, else with all of them.  The usage lists
+    every subcommand either way."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("session", help="path to a .fol session file")
     common.add_argument("--json", action="store_true", help="emit JSON")
@@ -412,8 +415,11 @@ def _build_parser():
         description="exact characteristic-variety toolkit for polynomial "
                     "vector fields",
     )
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, cmd in _COMMANDS.items():
+    only = argv[:1] if argv and argv[0] in _COMMANDS else None
+    sub = top.add_subparsers(dest="command", required=True,
+                             metavar=only and "{" + ",".join(_COMMANDS) + "}")
+    for name in only or _COMMANDS:
+        cmd = _COMMANDS[name]
         p = sub.add_parser(name, parents=[common], help=cmd.help)
         for arg, kind, optional in _positionals(cmd.specs):
             p.add_argument(arg, type=int if kind == "int" else None,
@@ -482,7 +488,8 @@ def _run(args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     report, code = _run(args)
     text = report.json_text() if args.json else report.human()
     try:

@@ -1,23 +1,41 @@
-"""Ideals, Buchberger's algorithm, and membership certificates.
+"""Ideals, the signature-based Groebner engine, and membership certificates.
 
-The Groebner engine is a budgeted Buchberger loop with the coprime-lead and
-chain pair criteria (Gebauer-Moeller style pruning) and the normal strategy:
-pairs wait on a heap keyed ``(lcm, i, j)``, so the smallest lcm goes next
-and ties go to the smaller indices.  The sugar strategy was rejected: it
-sped up cyclic-5 but took the lex systems of the Darboux search to about
-three times as many steps.  Reduction pops terms largest first from a heap
-of monomials and divides each by the first basis lead that divides it
-(:func:`_first_divisor`).  One run's S-pair reductions share a divisor memo,
-monomial -> (that index, how far the scan got), which stays valid because
-the basis only grows by appending.  The start-of-run interreduction keeps
-each element's lead and marks an element that came back unchanged as
-settled; it is not reduced again until another element's new lead divides
-one of its terms.  A cached basis keeps its lead data beside it for
-:func:`normal_form`.  Bases are fully interreduced and monic, so for a fixed
-monomial order the reduced basis of an ideal is canonical regardless of
-generator order.  Every reduction step charges one unit against the step
-budget; exhausting it raises :class:`BudgetExceeded` rather than returning a
-wrong answer.
+The Groebner engine is the signature loop of Gao, Volny and Wang (Math.
+Comp. 85, 2016), the GVW form of Faugere's F5 (ISSAC 2002), under a step
+budget.  It runs over the start-of-run interreduced generators g_1..g_r.
+Each basis element (u, v) carries the signature u of the module element it
+comes from, x^a*e_i, ordered position over term.  The J-pair of two
+elements is the side of larger signature at the lcm of their leads.
+J-pairs pop from a heap in signature order, ties by lcm, and one is skipped
+when
+- the syzygy criterion holds: the signature of a known syzygy divides its
+  own.  The known syzygies are the principal ones, lt(v')*u - lt(v)*u' for
+  two elements whose two terms differ, and every signature whose reduction
+  ended at 0;
+- the cover criterion holds: some element (u', v') has u' | u and
+  (u/u')*lt(v') below the J-pair's lcm.  A J-pair at the signature just
+  reduced is covered by what that reduction gave.
+A surviving J-pair's S-polynomial is reduced regularly: a divisor counts
+only if its signature times the cofactor is below the J-pair's, and the one
+of smallest signature goes first.  A nonzero remainder joins the basis.  No
+remainder is singular, since a divisor of its lead at the J-pair's own
+signature would have covered the J-pair.  On a regular sequence no J-pair
+reduces to 0.  A final pass, leads ascending, drops every element whose lead
+an earlier lead divides and tail-reduces the rest.
+
+Reduction pops terms largest first from a heap of monomials and divides
+each by the first basis lead that divides it, or in the signature loop by
+the regular one of smallest signature.  One run's J-pair reductions share a divisor
+memo, monomial -> (the indices of the leads dividing it, how far the scan
+got), which stays valid because the basis only grows by appending.  The
+start-of-run interreduction keeps each element's lead and marks an element
+that came back unchanged as settled; it is not reduced again until another
+element's new lead divides one of its terms.  A cached basis keeps its lead
+data beside it for :func:`normal_form`.  Bases are fully interreduced and
+monic, so for a fixed monomial order the reduced basis of an ideal is
+canonical regardless of generator order.  Every reduction step and every
+J-pair reduced charges one unit against the step budget; exhausting it
+raises :class:`BudgetExceeded` rather than returning a wrong answer.
 
 Inside the engine a monomial is one int (:class:`_Packing`; Bachmann and
 Schoenemann, ISSAC 1998; Monagan and Pearce, CASC 2007).  Its high bits hold
@@ -29,13 +47,17 @@ exponents themselves (lex needs no second copy).  Every field is the same
 number of bits wide plus one guard bit above it, and every field is linear
 in the exponents, so x^a * x^b is ``a + b`` and x^a | x^b exactly when
 ``(b - a) & guard`` is 0: a field of a larger than that of b borrows and
-sets the guard bit.  The fields start 8 bits wide.  A new monomial with a
-guard bit set, or an input exponent that does not fit, raises
-:class:`_Overflow`; the computation then starts over with twice the width,
-its step budget set back to the value it had on entry, so the steps charged
-do not depend on the width (:func:`_widening`).  Polynomials keep their
-exponent tuples outside the engine; :class:`_Packing` converts the
-generators once on the way in and the basis once on the way out.
+sets the guard bit.  A signature is one int as well, the generator index
+shifted above every guard bit plus the monomial, so position over term is
+``<``, x^a times a signature is ``+ a`` and divisibility is the guard test
+with the index bits added to the mask.  The fields start 8 bits wide.  A new
+monomial or signature with a guard bit set, or an input exponent that does
+not fit, raises :class:`_Overflow`; the computation then starts over with
+twice the width, its step budget set back to the value it had on entry, so
+the steps charged do not depend on the width (:func:`_widening`).
+Polynomials keep their exponent tuples outside the engine; :class:`_Packing`
+converts the generators once on the way in and the basis once on the way
+out.
 
 :func:`buchberger` picks one coefficient rule from the generators' field
 (:class:`scalars.IntegerRule` over Q, :class:`scalars.ZBetaRule` over
@@ -231,31 +253,46 @@ def _rescale(p, tail, a, d=1):
             terms[e] = c // d if a == 1 else c * a
 
 
-def _first_divisor(e, leads, memo, guard):
-    """Index of the first lead dividing e, or None.
+def _divisors(e, leads, memo, guard):
+    """Indices of the leads dividing e, in order.
 
-    ``memo`` maps e to (that index or None, how many leads were scanned), so
-    a list that only grows by appending is never rescanned from the start.
+    ``memo`` maps e to (those indices, how many leads were scanned), so a
+    list that only grows by appending is never rescanned from the start.
     """
-    found, start = memo.get(e, (None, 0))
-    if found is None and start < len(leads):
+    found, start = memo.get(e, ([], 0))
+    if start < len(leads):
         for k in range(start, len(leads)):
             if not (e - leads[k]) & guard:
-                found = k
-                break
+                found.append(k)
         memo[e] = (found, len(leads))
     return found
 
 
-def reduce_poly(f, basis, pack, budget, rule=None, memo=None):
+def _add_syzygy(syzygies, sig, index, guard):
+    """Add sig to the syzygy signatures of its generator index unless one
+    of them divides it."""
+    known = syzygies.setdefault(sig // index, [])
+    for h in known:
+        if not (sig - h) & guard:
+            return
+    known.append(sig)
+
+
+def reduce_poly(f, basis, pack, budget, rule=None, memo=None, sig=None):
     """Normal form of the packed terms f by (lead, lead_coeff, terms) entries
     of the packing ``pack``; with a coefficient ``rule``, a multiple of it.
 
-    ``memo`` is the divisor memo of :func:`_first_divisor`; share one only
-    across calls whose basis lists extend each other.
+    With a signature ``sig`` every entry carries its signature fourth and the
+    reduction is regular: a divisor counts only if its signature times the
+    cofactor is below ``sig``, and of those the one of smallest signature
+    (the first on a tie) goes first.
+    ``memo`` is the divisor memo of :func:`_divisors`; share one only across
+    calls whose basis lists extend each other.
     """
     memo = {} if memo is None else memo
     leads = [b[0] for b in basis]
+    if sig is not None:
+        offsets = [b[3] - b[0] for b in basis]  # e + offset: the divisor's signature at e
     guard = pack.guard
     tail = {}
     p = dict(f)
@@ -266,11 +303,17 @@ def reduce_poly(f, basis, pack, budget, rule=None, memo=None):
         c = p.pop(e, None)
         if c is None:  # cancelled after it was pushed
             continue
-        k = _first_divisor(e, leads, memo, guard)
+        divs = _divisors(e, leads, memo, guard)
+        k = divs[0] if divs else None
+        if sig is not None:  # the regular divisor of smallest signature at e
+            k = None
+            for d in divs:
+                if e + offsets[d] < sig and (k is None or offsets[d] < offsets[k]):
+                    k = d
         if k is None:
             tail[e] = c
             continue
-        le, lc, g = basis[k]
+        le, lc, g = basis[k][:3]
         budget.charge()
         if rule is not None:
             if budget.used % _CONTENT_EVERY == 0:
@@ -350,51 +393,61 @@ def buchberger(gens, order, budget):
     def run(width):
         pack = _packing(space, order, width)
         guard, lcm = pack.guard, pack.lcm
+        index = 1 << guard.bit_length()  # signature of x^a*e_i: i*index + a
+        apart = guard | -index  # (s - t) & apart is 0 iff t divides s
         cleared = [pack.encode(g, rule.clear(g.terms.values())) for g in gens]
-        data = _basis_data(_interreduce([rule.primitive(g, max(g)) for g in cleared],
-                                        pack, budget, rule), rule)
-        if any(le == 0 for le, _, _ in data):
-            return [MultiPoly.constant(space, 1)]
-        memo = {}  # data only grows by appending, so one divisor memo serves every S-pair
-        pairs = []
-        done = set()
+        start = _interreduce([rule.primitive(g, max(g)) for g in cleared], pack, budget, rule)
+        # (lead, int lead coefficient, terms, signature); the divisor memo
+        # serves every J-pair, because data only grows by appending
+        data, syzygies, jpairs, memo = [], {}, [], {}
 
-        def push_pairs(j):
-            ej = data[j][0]
-            for i in range(j):
-                heappush(pairs, (lcm(data[i][0], ej), i, j))
+        def append(g, sig):
+            le, n = max(g), len(data)
+            for k, (ke, _, _, ks) in enumerate(data):
+                m = lcm(ke, le)
+                a, b = sig + m - le, ks + m - ke  # signatures of the J-pair's two sides
+                c, d = sig + ke, ks + le  # and of the principal syzygy's two terms
+                if (a | b | c | d) & guard:
+                    raise _Overflow
+                if a != b:
+                    heappush(jpairs, (a, m, n, k) if a > b else (b, m, k, n))
+                if c != d:
+                    _add_syzygy(syzygies, max(c, d), index, guard)
+            data.append((le, rule.lead(g[le]), g, sig))
 
-        for j in range(1, len(data)):
-            push_pairs(j)
-        while pairs:
-            m, i, j = heappop(pairs)
-            done.update(((i, j), (j, i)))
-            (ei, ci, gi), (ej, cj, gj) = data[i], data[j]
-            if m == ei + ej:  # coprime-lead criterion
+        for i, g in enumerate(start):
+            if max(g) == 0:
+                return [MultiPoly.constant(space, 1)]
+            append(g, i * index)
+        last = None
+        while jpairs:
+            sig, m, i, j = heappop(jpairs)
+            if (sig == last  # what the pair reduced at sig gave covers this one
+                    or any(not (sig - h) & guard for h in syzygies.get(sig // index, ()))
+                    or any(not (sig - ks) & apart and sig - ks + ke < m for ke, _, _, ks in data)):
                 continue
-            # chain criterion: some k with lt(k) | lcm and both side pairs settled
-            if any((i, k) in done and (j, k) in done and not (m - data[k][0]) & guard
-                   for k in range(len(data))):
-                continue
-            # S-polynomial a*x^(lcm-ei)*gi - b*x^(lcm-ej)*gj; its lead terms cancel
+            last = sig
+            # S-polynomial a*x^(m-ei)*gi - b*x^(m-ej)*gj, of signature sig
+            (ei, ci, gi, _), (ej, cj, gj, _) = data[i], data[j]
             a, b = IntegerRule.step(ci, cj)
             s = {}
             _sub_multiple(s, [], gi, ei, m - ei, -a, guard)
             _sub_multiple(s, [], gj, ej, m - ej, b, guard)
             budget.charge()
-            r = reduce_poly(s, data, pack, budget, rule, memo)
+            r = reduce_poly(s, data, pack, budget, rule, memo, sig)
             if r.is_zero():
+                _add_syzygy(syzygies, sig, index, guard)
                 continue
-            data += _basis_data([rule.primitive(r.terms, max(r.terms))], rule)
-            if data[-1][0] == 0:
+            g = rule.primitive(r.terms, max(r.terms))
+            if max(g) == 0:
                 return [MultiPoly.constant(space, 1)]
-            push_pairs(len(data) - 1)
+            append(g, sig)
         # One final pass, leads ascending: a lead divisible by an earlier lead is
         # redundant; a tail term can only be divided by a smaller lead, so each
         # survivor is tail-reduced against the survivors before it.
         data.sort(key=itemgetter(0))
         reduced = []
-        for le, _, g in data:
+        for le, _, g, _ in data:
             if all((le - ke) & guard for ke, _, _ in reduced):
                 r = reduce_poly(g, reduced, pack, budget, rule).terms
                 reduced.append((le, rule.lead(r[le]), r))
@@ -716,7 +769,8 @@ def rational_points(gens, space, budget=None):
             roots = [Fraction(0)]
         else:
             roots = upoly_rational_roots(u)
-            if len(upoly_squarefree_part(u)) > len(roots) + 1:
+            # more distinct roots than rational ones needs deg u > len(roots)
+            if len(u) > len(roots) + 1 and len(upoly_squarefree_part(u)) > len(roots) + 1:
                 exhaustive = False
         for r in sorted(roots):
             walk([g.substitute({idx: r}) for g in basis], {**assignment, idx: r}, remaining[:-1])

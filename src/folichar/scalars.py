@@ -89,13 +89,6 @@ def upoly_deriv(p):
     return upoly_trim(i * c for i, c in enumerate(p) if i)
 
 
-def upoly_eval(p, x):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def upoly_squarefree_part(p):
     """p / gcd(p, p') over a field of characteristic zero."""
     d = upoly_gcd(p, upoly_deriv(p))
@@ -147,10 +140,14 @@ def upoly_rational_roots(p):
     a0, an = ints[0], ints[-1]
     for num in _int_divisors(a0):
         for dd in _int_divisors(an):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, dd)
-                if cand not in roots and not upoly_eval(p, cand):
-                    roots.append(cand)
+            if gcd(num, dd) != 1:  # its lowest terms came earlier
+                continue
+            for x in (num, -num):
+                v, w = 0, 1  # Horner for dd^n * p(x/dd) over the integers
+                for c in reversed(ints):
+                    v, w = v * x + c * w, w * dd
+                if not v:
+                    roots.append(Fraction(x, dd))
     return roots
 
 

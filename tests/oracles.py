@@ -12,9 +12,13 @@ takes the radical through univariate eliminants, a route independent of
 the Jacobian determinant that ``singular_scheme`` reads the count from.
 
 :func:`buchberger`, :func:`reduce_poly` and :func:`_interreduce` are the
-engine as it was before monomials were packed into ints: exponent tuples,
-compared through ``order.key`` and a reverse key (:func:`_rkey`), with the
-divisor memo and the settled flags.  :func:`scan_reduce_poly` and
+engine as it was before monomials were packed into ints and the pair loop
+gave way to the signature loop: exponent tuples, compared through
+``order.key`` and a reverse key (:func:`_rkey`), with the divisor memo and
+the settled flags; its bases are the reference.  :func:`signature_buchberger`
+and :func:`signature_reduce` are the engine's signature loop on the same
+tuples, signatures (generator index, exponents) compared position over
+term; its step counts are the reference.  :func:`scan_reduce_poly` and
 :func:`restart_interreduce` write its reduction and start-of-run
 interreduction plainly: every popped term rescans the basis for its first
 divisor, and every restart re-sorts the generators, recomputes every lead
@@ -38,11 +42,16 @@ auxiliary variables.  :func:`shift_reduce_powers` builds the table of
 alpha^d, ..., alpha^(2d-2) by shifting and subtracting the minimal
 polynomial, where ``NumberField`` divides t^k by it.  :func:`upoly_mul` is
 the schoolbook product of two univariate coefficient tuples.
+:func:`enumerated_rational_roots` tries every candidate num/dd, in lowest
+terms or not, by evaluating p at a Fraction (:func:`upoly_eval`), where
+``upoly_rational_roots`` skips the unreduced ones and tests the rest by
+integer Horner.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
+from math import gcd
 from operator import add, itemgetter, le as _le, sub
 
 from folichar.ideals import (
@@ -56,7 +65,7 @@ from folichar.ideals import (
 from folichar.foliations import PolyVectorField
 from folichar.polynomials import SCALARS, MultiPoly
 from folichar.scalars import (
-    IntegerRule, ZBetaRule, common_field, upoly_squarefree_part, upoly_trim,
+    IntegerRule, ZBetaRule, _int_divisors, common_field, upoly_squarefree_part, upoly_trim,
 )
 
 _ZERO = Fraction(0)
@@ -314,18 +323,49 @@ def _interreduce(polys, order, budget, rule):
     return [entry[1][2] for entry in entries]
 
 
+def _prepared(gens, order):
+    """The nonzero generators cleared and made primitive, and their rule."""
+    gens = [g for g in gens if not g.is_zero()]
+    field = common_field(c for g in gens for c in g.terms.values())
+    rule = IntegerRule() if field is None else ZBetaRule(field)
+    return [_primitive(MultiPoly(g.space, dict(zip(g.terms, rule.clear(g.terms.values())))),
+                       order, rule) for g in gens], rule
+
+
+def _spoly(order, first, second):
+    """a*x^(m-e1)*g1 - b*x^(m-e2)*g2 for the lcm m of the two leads, whose
+    lead terms cancel."""
+    (e1, c1, g1), (e2, c2, g2) = first[:3], second[:3]
+    m = _exp_lcm(e1, e2)
+    a, b = IntegerRule.step(c1, c2)
+    s = {}
+    _sub_multiple(s, [], order, g1, e1, _exp_sub(m, e1), -a)
+    _sub_multiple(s, [], order, g2, e2, _exp_sub(m, e2), b)
+    return MultiPoly(g1.space, s)
+
+
+def _final_pass(data, order, budget, rule):
+    """Leads ascending: drop each lead an earlier one divides, tail-reduce the
+    rest by the survivors before them and make them monic."""
+    data.sort(key=lambda d: order.key(d[0]))
+    reduced = []
+    for le, _, g, *_ in data:
+        if not any(_divides(ke, le) for ke, _, _ in reduced):
+            r = reduce_poly(g, reduced, order, budget, rule)
+            reduced.append((le, rule.lead(r.terms[le]), r))
+    return [MultiPoly(g.space, {e: rule.restore(c, lc) for e, c in g.terms.items()})
+            for _, lc, g in reduced]
+
+
 def buchberger(gens, order, budget):
-    """The reduced Groebner basis on exponent tuples: the reference engine.
+    """The reduced Groebner basis by the pair loop on exponent tuples, with
+    the coprime and chain criteria: the reference for bases.
 
     It calls this module's ``_interreduce`` and ``reduce_poly`` by name, so a
     test may put the plain loops below in their place.
     """
     budget = _as_budget(budget)
-    gens = [g for g in gens if not g.is_zero()]
-    field = common_field(c for g in gens for c in g.terms.values())
-    rule = IntegerRule() if field is None else ZBetaRule(field)
-    gens = [_primitive(MultiPoly(g.space, dict(zip(g.terms, rule.clear(g.terms.values())))),
-                       order, rule) for g in gens]
+    gens, rule = _prepared(gens, order)
     G = _interreduce(gens, order, budget, rule)
     if not G:
         return []
@@ -347,33 +387,117 @@ def buchberger(gens, order, budget):
     while pairs:
         _, i, j = heappop(pairs)
         done.update(((i, j), (j, i)))
-        (ei, ci, gi), (ej, cj, gj) = data[i], data[j]
+        ei, ej = data[i][0], data[j][0]
         lcm = _exp_lcm(ei, ej)
         if all(a + b == m for a, b, m in zip(ei, ej, lcm)):
             continue
         if any((i, k) in done and (j, k) in done and _divides(data[k][0], lcm)
                for k in range(len(data))):
             continue
-        a, b = IntegerRule.step(ci, cj)
-        s = {}
-        _sub_multiple(s, [], order, gi, ei, _exp_sub(lcm, ei), -a)
-        _sub_multiple(s, [], order, gj, ej, _exp_sub(lcm, ej), b)
         budget.charge()
-        r = reduce_poly(MultiPoly(gi.space, s), data, order, budget, rule, memo)
+        r = reduce_poly(_spoly(order, data[i], data[j]), data, order, budget, rule, memo)
         if r.is_zero():
             continue
         if r.is_constant():
             return [MultiPoly.constant(r.space, 1)]
         data += _basis_data([_primitive(r, order, rule)], order, rule)
         push_pairs(len(data) - 1)
-    data.sort(key=lambda d: key(d[0]))
-    reduced = []
-    for le, _, g in data:
-        if not any(_divides(ke, le) for ke, _, _ in reduced):
-            r = reduce_poly(g, reduced, order, budget, rule)
-            reduced.append((le, rule.lead(r.terms[le]), r))
-    return [MultiPoly(g.space, {e: rule.restore(c, lc) for e, c in g.terms.items()})
-            for _, lc, g in reduced]
+    return _final_pass(data, order, budget, rule)
+
+
+def _sig_key(order, sig):
+    """Position over term: the generator index, then the monomial order."""
+    return sig[0], order.key(sig[1])
+
+
+def _sig_times(sig, t):
+    return sig[0], tuple(map(add, sig[1], t))
+
+
+def _sig_divides(s, t):
+    return s[0] == t[0] and _divides(s[1], t[1])
+
+
+def signature_reduce(f, basis, order, budget, rule, sig):
+    """Regular reduction of f by (lead, lead coefficient, poly, signature)
+    entries, scanning the basis for every term: each step takes the regular
+    divisor of smallest signature at the term, the first of them on a tie."""
+    bound = _sig_key(order, sig)
+    tail = {}
+    p = f.terms.copy()
+    heap = [(_rkey(order, e), e) for e in p]
+    heapify(heap)
+    while heap:
+        e = heappop(heap)[1]
+        c = p.pop(e, None)
+        if c is None:
+            continue
+        divs = [(_sig_key(order, _sig_times(d[3], _exp_sub(e, d[0]))), d)
+                for d in basis if _divides(d[0], e)]
+        regular = [(k, d) for k, d in divs if k < bound]
+        if not regular:
+            # a divisor of the lead at the bound itself would have covered the J-pair
+            assert tail or all(k != bound for k, _ in divs), "singular remainder"
+            tail[e] = c
+            continue
+        le, lc, g, _ = min(regular, key=itemgetter(0))[1]
+        budget.charge()
+        c = _factor(c, lc, p, tail, budget, rule)
+        _sub_multiple(p, heap, order, g, le, _exp_sub(e, le), c)
+    return MultiPoly(f.space, tail)
+
+
+def signature_buchberger(gens, order, budget):
+    """The engine's signature loop on exponent tuples: the reference for steps.
+
+    A signature is (generator index, exponent tuple).  J-pairs pop in
+    signature order, then by lcm, then by the indices of their sides; one is
+    skipped when it repeats the last signature, when a known syzygy's
+    signature divides its own, or when an element covers it.  It calls this
+    module's ``_interreduce`` by name.
+    """
+    budget = _as_budget(budget)
+    gens, rule = _prepared(gens, order)
+    G = _interreduce(gens, order, budget, rule)
+    if not G:
+        return []
+    if any(g.is_constant() for g in G):
+        return [MultiPoly.constant(G[0].space, 1)]
+    key = order.key
+    data, syzygies, jpairs = [], [], []
+
+    def append(g, sig):
+        le, n = g.leading(order)[0], len(data)
+        for k, (ke, _, _, ks) in enumerate(data):
+            m = _exp_lcm(ke, le)
+            a, b = _sig_times(sig, _exp_sub(m, le)), _sig_times(ks, _exp_sub(m, ke))
+            ka, kb = _sig_key(order, a), _sig_key(order, b)
+            if ka != kb:
+                heappush(jpairs, (ka, key(m), n, k, a, m) if ka > kb else (kb, key(m), k, n, b, m))
+            c, d = _sig_times(sig, ke), _sig_times(ks, le)
+            if c != d:
+                syzygies.append(max(c, d, key=lambda s: _sig_key(order, s)))
+        data.append((le, rule.lead(g.terms[le]), g, sig))
+
+    for i, g in enumerate(G):
+        append(g, (i, (0,) * len(g.leading(order)[0])))
+    last = None
+    while jpairs:
+        skey, mkey, i, j, sig, m = heappop(jpairs)
+        if skey == last or any(_sig_divides(h, sig) for h in syzygies) or any(
+                _sig_divides(ks, sig) and key(tuple(map(add, _exp_sub(sig[1], ks[1]), ke))) < mkey
+                for ke, _, _, ks in data):
+            continue
+        last = skey
+        budget.charge()
+        r = signature_reduce(_spoly(order, data[i], data[j]), data, order, budget, rule, sig)
+        if r.is_zero():
+            syzygies.append(sig)
+            continue
+        if r.is_constant():
+            return [MultiPoly.constant(r.space, 1)]
+        append(_primitive(r, order, rule), sig)
+    return _final_pass(data, order, budget, rule)
 
 
 def scan_reduce_poly(f, basis, order, budget, rule=None, memo=None):
@@ -528,3 +652,37 @@ def upoly_mul(p, q):
         for j, b in enumerate(q):
             out[i + j] += a * b
     return upoly_trim(out)
+
+
+def upoly_eval(p, x):
+    """p(x) by Horner for ascending coefficients."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def enumerated_rational_roots(p):
+    """Every rational root of p by trying each +-num/dd, num | a0 and dd | an
+    over the cleared primitive coefficients, reduced or not, and evaluating p
+    at it as a Fraction; zero first when x divides p."""
+    p = upoly_trim(p)
+    roots = []
+    k = 0
+    while not p[k]:
+        k += 1
+    if k:
+        roots.append(Fraction(0))
+        p = p[k:]
+    if len(p) == 1:
+        return roots
+    ints = IntegerRule.clear(p)
+    g = gcd(*ints)
+    ints = [c // g for c in ints]
+    for num in _int_divisors(ints[0]):
+        for dd in _int_divisors(ints[-1]):
+            for sign in (1, -1):
+                cand = Fraction(sign * num, dd)
+                if cand not in roots and not upoly_eval(p, cand):
+                    roots.append(cand)
+    return roots

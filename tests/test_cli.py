@@ -282,7 +282,7 @@ def test_budget_exhaustion_exits_three(run):
         "vars: x1 x2 x3\n"
         "J: ideal(x1^2 + x2*x3, x2^2 + x1*x3, x3^2 + x1*x2)\n"
     )
-    code, out = run(source, "gb", "J", "--json", "--budget", "5")
+    code, out = run(source, "gb", "J", "--json", "--budget", "2")
     assert code == 3
     assert json.loads(out)["result"]["error"] == "BudgetExceeded"
 
@@ -292,7 +292,7 @@ def test_budget_from_environment_and_flag(run, monkeypatch):
         "vars: x1 x2 x3\n"
         "J: ideal(x1^2 + x2*x3, x2^2 + x1*x3, x3^2 + x1*x2)\n"
     )
-    monkeypatch.setenv("FOLICHAR_BUDGET", "5")
+    monkeypatch.setenv("FOLICHAR_BUDGET", "2")
     code, out = run(source, "gb", "J", "--json")
     assert code == 3
     assert json.loads(out)["result"]["error"] == "BudgetExceeded"
@@ -583,10 +583,28 @@ def test_bare_value_or_key_error_is_a_defect(tmp_path, capsys, monkeypatch, erro
     assert issubclass(folichar.InvalidInput, folichar.FolicharError)
 
 
+def test_a_run_builds_only_the_subcommand_it_names(monkeypatch):
+    """A parser built for one subcommand prints the help of that
+    subcommand and the top-level usage exactly as the full table does."""
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def subparsers(parser):
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    full = _build_parser([])
+    for name in _COMMANDS:
+        one = _build_parser([name, "session.fol"])
+        assert list(subparsers(one)) == [name]
+        assert subparsers(one)[name].format_help() == subparsers(full)[name].format_help()
+        assert one.format_usage() == full.format_usage()
+    assert list(subparsers(_build_parser(["nosuch"]))) == list(_COMMANDS)
+
+
 def test_readme_matches_the_command_table():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     listed = re.search(r"Subcommands:(.*?)\.\n", readme, re.S).group(1)
-    parser = _build_parser()
+    parser = _build_parser([])
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
     assert re.findall(r"`([^`]+)`", listed) == list(sub.choices)

@@ -206,10 +206,10 @@ def test_rational_points_rejects_a_system_over_another_space():
 # Step counts are deterministic, so they gate the engine's work exactly:
 # a change in pair selection or reduction order shows up here.
 @pytest.mark.parametrize("gens, order, length, steps", [
-    (cyclic(5), GREVLEX, 20, 1347),
-    (katsura(4), GREVLEX, 13, 557),
-    (katsura(5), GREVLEX, 22, 2766),
-    (katsura(3), LEX, 4, 422),
+    (cyclic(5), GREVLEX, 20, 299),
+    (katsura(4), GREVLEX, 13, 172),
+    (katsura(5), GREVLEX, 22, 690),
+    (katsura(3), LEX, 4, 71),
 ], ids=["cyclic-5", "katsura-4", "katsura-5", "katsura-3-lex"])
 def test_anchor_systems_steps_and_size(gens, order, length, steps):
     runs = []
@@ -218,14 +218,47 @@ def test_anchor_systems_steps_and_size(gens, order, length, steps):
         runs.append((I.basis(order, budget=budget), budget.used))
     assert (len(runs[0][0]), runs[0][1]) == (length, steps)
     assert runs[1] == runs[0]
+    # large enough for the choice among regular divisors to change the steps
+    reference = StepBudget(10 ** 6)
+    assert (oracles.signature_buchberger(gens, order, reference), reference.used) == runs[0]
     assert all(normal_form(g, I, order=order).is_zero() for g in gens)
+
+
+def _four_dense_quadrics():
+    """Four quadrics in four variables, every monomial with a nonzero
+    coefficient: a regular sequence for this seed."""
+    rng = rng_for("dense-system-quadrics")
+    space = VarSpace(("x1", "x2", "x3", "x4"))
+    monos = [e for e in product(range(3), repeat=4) if sum(e) <= 2]
+    return [MultiPoly(space, {e: F(rng.choice([-3, -2, -1, 1, 2, 3])) for e in monos})
+            for _ in range(4)]
+
+
+# F5's criterion, which the syzygy criterion extends, discards every J-pair
+# that would reduce to 0 when the generators form a regular sequence.
+@pytest.mark.parametrize("gens", [katsura(5), _four_dense_quadrics()],
+                         ids=["katsura-5", "dense-4-quadrics"])
+def test_regular_sequences_reduce_nothing_to_zero(gens, monkeypatch):
+    results = []
+    real = ideals.reduce_poly
+
+    def counted(*args):
+        r = real(*args)
+        if len(args) > 6:  # a J-pair: the signature loop passes its signature
+            results.append(r.is_zero())
+        return r
+
+    monkeypatch.setattr(ideals, "reduce_poly", counted)
+    basis = buchberger(gens, GREVLEX, StepBudget(10 ** 6))
+    assert basis == oracles.buchberger(gens, GREVLEX, None)
+    assert results and not any(results)
 
 
 def test_budget_boundary_on_the_integer_path():
     gens = katsura(4)
     with pytest.raises(BudgetExceeded):
-        Ideal(gens[0].space, gens).basis(budget=StepBudget(556))
-    assert len(Ideal(gens[0].space, gens).basis(budget=StepBudget(557))) == 13
+        Ideal(gens[0].space, gens).basis(budget=StepBudget(171))
+    assert len(Ideal(gens[0].space, gens).basis(budget=StepBudget(172))) == 13
 
 
 # Over Q the engine reduces fraction-free in Z and over every Q(alpha) in
@@ -235,10 +268,10 @@ def test_budget_boundary_on_the_integer_path():
 # coefficient ring, so the same system gives the same basis in the same
 # number of steps whether it is given as is, rescaled or lifted.
 @pytest.mark.parametrize("gens, order, steps", [
-    (cyclic(4), GREVLEX, 38),
-    (cyclic(4), LEX, 93),
-    (katsura(3), GREVLEX, 89),
-    (katsura(3), LEX, 422),
+    (cyclic(4), GREVLEX, 21),
+    (cyclic(4), LEX, 44),
+    (katsura(3), GREVLEX, 37),
+    (katsura(3), LEX, 71),
 ], ids=["cyclic-4", "cyclic-4-lex", "katsura-3", "katsura-3-lex"])
 def test_integer_and_field_rules_agree(gens, order, steps):
     forms = [
@@ -258,9 +291,9 @@ def test_integer_and_field_rules_agree(gens, order, steps):
 # Pinned before Z[alpha] got the fraction-free rule: the digest is of the
 # printed basis; every coordinate comes back a Fraction.
 @pytest.mark.parametrize("field, length, steps, digest", [
-    (SQRT2, 6, 85, "266240e2628369c0"),
-    (QI, 6, 85, "cc0e5d72b3f3d4b7"),
-    (QA, 6, 85, "b60b6d9546b8de91"),
+    (SQRT2, 6, 32, "266240e2628369c0"),
+    (QI, 6, 32, "cc0e5d72b3f3d4b7"),
+    (QA, 6, 32, "b60b6d9546b8de91"),
 ], ids=["sqrt2", "i", "cubic"])
 def test_dense_irrational_systems(field, length, steps, digest, content_calls):
     budget = StepBudget(10 ** 6)
@@ -275,8 +308,8 @@ def test_dense_irrational_systems(field, length, steps, digest, content_calls):
 def test_budget_boundary_on_the_integral_field_path():
     gens = _dense_quadrics(SQRT2)
     with pytest.raises(BudgetExceeded):
-        buchberger(gens, GREVLEX, StepBudget(84))
-    assert len(buchberger(gens, GREVLEX, StepBudget(85))) == 6
+        buchberger(gens, GREVLEX, StepBudget(31))
+    assert len(buchberger(gens, GREVLEX, StepBudget(32))) == 6
 
 
 def test_non_integral_minimal_polynomial_takes_the_integral_model(content_calls):
@@ -290,7 +323,7 @@ def test_non_integral_minimal_polynomial_takes_the_integral_model(content_calls)
                              for e, c in g.terms.items()}) for g in basis]
     expected = StepBudget(10 ** 6)
     assert back == buchberger(gens, GREVLEX, expected)
-    assert budget.used == expected.used == 85
+    assert budget.used == expected.used == 32
 
 
 def test_generators_from_two_fields_raise():
@@ -314,13 +347,13 @@ def test_radical_membership_over_an_integral_field(content_calls):
     for f in (X - r * Y, X + r * Y, X * X - 6, X * Y - 3 * r, Y - 1):
         budget = StepBudget(10 ** 6)
         got.append((radical_membership(f, J, budget=budget), budget.used))
-    assert got == [(True, 5), (False, 27), (True, 9), (True, 8), (False, 12)]
+    assert got == [(True, 5), (False, 7), (True, 8), (True, 7), (False, 5)]
     assert content_calls
 
 
 @pytest.mark.parametrize("f, g, lcm, gcd, steps", [
     (X * X - Y * Y, X + Y, "x^2 - y^2", "x + y", 5),
-    (X * X + 1, Y - X, "x^3 - x^2*y + x - y", "1", 8),
+    (X * X + 1, Y - X, "x^3 - x^2*y + x - y", "1", 5),
     (X * X * Y + X * Y * Y, 3 * X * Y - X,
      "x^2*y^2 + x*y^3 - 1/3*x^2*y - 1/3*x*y^2", "x", 9),
     (X * X - 2 * Y * Y, X * X + SQRT2.gen() * X * Y, "x^3 - 2*x*y^2", "x + (r)*y", 5),
@@ -383,9 +416,9 @@ def _seeded_generators(rng, field):
 
 # The engine keeps each element's lead, skips settled elements in the
 # start-of-run restart loop and shares a divisor memo across one run's
-# S-pair reductions, all on packed monomials; the plain loop of
-# tests/oracles.py recomputes all of it on exponent tuples.  Both must give
-# the same bases and charge the same steps.
+# J-pair reductions, all on packed monomials; the plain loops of
+# tests/oracles.py recompute all of it on exponent tuples.  The engine must
+# give the bases of the pair loop and charge the steps of the signature loop.
 @pytest.mark.parametrize("field", [None, SQRT2], ids=["Q", "sqrt2"])
 @pytest.mark.parametrize("order", [GREVLEX, LEX, elimination_order(SXYZ, [0])],
                          ids=["grevlex", "lex", "block"])
@@ -412,8 +445,9 @@ def test_cached_engine_matches_the_plain_loop(order, field, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(oracles, "_interreduce", restart_interreduce)
             m.setattr(oracles, "reduce_poly", scan_reduce_poly)
-            plain = oracles.buchberger(gens, order, slow)
-        assert _exact(basis) == _exact(plain) and fast.used == slow.used
+            plain = oracles.buchberger(gens, order, None)
+            signed = oracles.signature_buchberger(gens, order, slow)
+        assert _exact(basis) == _exact(plain) == _exact(signed) and fast.used == slow.used
 
         probe = gens[0] * gens[-1] + rand_poly(rng, SXYZ, 3)
         fast, slow = StepBudget(10 ** 6), StepBudget(10 ** 6)
@@ -440,9 +474,11 @@ def _overflow_systems():
     ]
 
 
-# The tuple-keyed engine of tests/oracles.py is the engine before monomials
-# were packed; the packed one must return the same bases, term for term,
-# and charge the same steps, also when it has to start over wider.
+# The tuple-keyed pair loop of tests/oracles.py is the engine before
+# monomials were packed and signatures came in, and its signature loop is
+# the engine's loop on exponent tuples; the packed engine must return the
+# bases of both, term for term, and charge the steps of the signature loop,
+# also when it has to start over wider.
 @pytest.mark.parametrize("field", [None, SQRT2, QA], ids=["Q", "sqrt2", "cubic"])
 @pytest.mark.parametrize("order", ["grevlex", "lex", "block"])
 def test_packed_engine_matches_the_tuple_engine(order, field, monkeypatch):
@@ -459,7 +495,9 @@ def test_packed_engine_matches_the_tuple_engine(order, field, monkeypatch):
         space = gens[0].space
         mono = {"grevlex": GREVLEX, "lex": LEX}.get(order) or elimination_order(space, [0])
         fast, slow = StepBudget(10 ** 6), StepBudget(10 ** 6)
-        assert _exact(buchberger(gens, mono, fast)) == _exact(oracles.buchberger(gens, mono, slow))
+        basis = _exact(buchberger(gens, mono, fast))
+        assert basis == _exact(oracles.buchberger(gens, mono, None))
+        assert basis == _exact(oracles.signature_buchberger(gens, mono, slow))
         assert fast.used == slow.used
     assert max(widths) > 8
 

@@ -449,13 +449,13 @@ def test_one_determinant_kernel():
 
 
 def test_one_divisor_search():
-    """reduce_poly finds divisors only through _first_divisor, which owns
-    the divisor memo: it never scans the leads with _divides itself."""
+    """reduce_poly finds divisors only through _divisors, which owns the
+    divisor memo: it never scans the leads with _divides itself."""
     tree = dict(_package_modules())["ideals.py"]
     functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     called = {getattr(n.func, "id", None) for n in ast.walk(functions["reduce_poly"])
               if isinstance(n, ast.Call)}
-    assert "_first_divisor" in called and "_divides" not in called
+    assert "_divisors" in called and "_divides" not in called
 
 
 def test_the_groebner_kernel_packs_its_monomials():
@@ -464,7 +464,7 @@ def test_the_groebner_kernel_packs_its_monomials():
     or lead, and the exponent-tuple helpers and the reverse key are gone."""
     modules = dict(_package_modules())
     functions = {n.name: n for n in modules["ideals.py"].body if isinstance(n, ast.FunctionDef)}
-    kernel = {"_sub_multiple", "_first_divisor", "reduce_poly", "_basis_data", "_interreduce",
+    kernel = {"_sub_multiple", "_divisors", "reduce_poly", "_basis_data", "_interreduce",
               "buchberger", "normal_form", "_standard_monomials", "exact_divide"}
     assert kernel <= set(functions)
     for name in kernel:

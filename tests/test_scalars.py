@@ -23,7 +23,6 @@ from folichar.scalars import (
     _quadratic_factor,
     make_number_field,
     upoly_divmod,
-    upoly_eval,
     upoly_gcd,
     upoly_rational_roots,
     upoly_squarefree_part,
@@ -31,7 +30,7 @@ from folichar.scalars import (
     zrank,
 )
 
-from oracles import shift_reduce_powers, upoly_mul
+from oracles import enumerated_rational_roots, shift_reduce_powers, upoly_eval, upoly_mul
 
 coeff = st.fractions(min_value=-30, max_value=30, max_denominator=6)
 upoly = st.lists(coeff, min_size=1, max_size=6).map(lambda c: upoly_trim(c))
@@ -67,6 +66,23 @@ def test_rational_roots_cubic():
     roots = upoly_rational_roots((F(6), F(-7), F(0), F(1)))
     assert sorted(roots) == [F(-3), F(1), F(2)]
     assert not upoly_rational_roots((F(1), F(0), F(1)))
+
+
+def test_rational_roots_match_the_enumeration_of_every_candidate():
+    """Seeded products of rational linear factors, some repeated, some at 0,
+    times a factor with no rational root: the roots and their order are
+    those of trying every candidate as a Fraction."""
+    rng = random.Random("rational-roots")
+    for _ in range(60):
+        p = (F(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 3, 7])),)
+        for _ in range(rng.randint(1, 5)):
+            root = F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6]))
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                p = upoly_mul(p, (-root, F(1)))
+        if rng.random() < 0.5:
+            p = upoly_mul(p, (F(rng.choice([2, 3, 5])), F(0), F(1)))
+        assert upoly_rational_roots(p) == enumerated_rational_roots(p)
+    assert upoly_rational_roots((F(0), F(0), F(-1, 2), F(1, 4))) == [F(0), F(2)]
 
 
 def test_squarefree_part():

@@ -9,11 +9,13 @@ Builds the ``groebner``, ``pipelines`` and ``cli`` query sets of
 temporary directory, with ``--json --budget 10**6`` and its output
 captured.  Prints one line per query (workload, seed, label, sha256 of its
 fingerprint or of the error it raised, ``budget.used``), then the sha256 of
-all those lines.  A ``cli`` fingerprint is the exit code and the JSON
-envelope without ``timings``; ``main`` builds its own budget, so the steps
-column of a ``cli`` line reads ``-``.  Two checkouts that give the same
-answers and charge the same steps print the same last line, so a refactor
-is checked by one diff of the outputs.  Run it from the root of a checkout;
+all those lines, then the sha256 of the same lines without ``budget.used``.
+A ``cli`` fingerprint is the exit code and the JSON envelope without
+``timings``; ``main`` builds its own budget, so the steps column of a
+``cli`` line reads ``-``.  Two checkouts that give the same answers and
+charge the same steps print the same two digests, so a refactor is checked
+by one diff of the outputs; a change that moves steps but no answer keeps
+the last digest.  Run it from the root of a checkout;
 it imports ``folichar`` from ``src`` and only reads ``perfbench``.
 """
 
@@ -87,6 +89,8 @@ def main(argv=None):
     text = "\n".join(lines)
     print(text)
     print(f"{len(lines)} queries, sha256 {_sha(text)}")
+    answers = "\n".join(line.rsplit(" ", 1)[0] for line in lines)
+    print(f"{len(lines)} answers without steps, sha256 {_sha(answers)}")
 
 
 if __name__ == "__main__":
