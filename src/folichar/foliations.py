@@ -416,10 +416,12 @@ def _monomials_up_to(space, max_deg):
 def darboux_search(xi, max_deg, max_cofactor_deg, budget=None):
     """All Darboux polynomials xi(g) = c * g with deg g <= max_deg.
 
-    The unknown coefficients of g and c satisfy a bilinear system, solved
-    per choice of the lex-leading monomial of g (coefficient pinned to 1,
-    larger monomials pinned to 0).  Cofactor degree is additionally capped
-    at deg(xi) - 1.  Rational solution families with genuinely free
+    The equations are the x-coefficients of ``xi.apply(g) - c * g``, taken
+    once for g = sum u_m * m over every monomial of degree <= max_deg and
+    c = sum v_j * k_j, the unknowns as auxiliary variables.  They are solved
+    per choice of the lex-leading monomial of g, its u pinned to 1 and those
+    of larger monomials to 0.  Cofactor degree is additionally capped at
+    deg(xi) - 1.  Rational solution families with genuinely free
     coordinates are reported by their representative with the free
     coordinates set to zero.  Only rational solutions are listed, so
     irrational Darboux polynomials (x2 +- i*x1 for the rotation
@@ -445,34 +447,31 @@ def darboux_search(xi, max_deg, max_cofactor_deg, budget=None):
     cof_cap = min(max_cofactor_deg, max(xi.degree() - 1, 0))
     g_monos = _monomials_up_to(space, max_deg)
     c_monos = _monomials_up_to(space, cof_cap)
-    lexkeys = sorted(
-        (m for m in g_monos if any(m)), key=LEX.key, reverse=True
-    )
+    names = [f"_u{i}" for i in range(len(g_monos))] + [f"_v{j}" for j in range(len(c_monos))]
+    ext = space.with_aux(names)
+    pad = (0,) * len(names)
+    us = [MultiPoly.variable(ext, name) for name in names]
+    g = sum(u * MultiPoly.monomial(ext, m + pad) for u, m in zip(us, g_monos))
+    c = sum(v * MultiPoly.monomial(ext, m + pad) for v, m in zip(us[len(g_monos):], c_monos))
+    equations = xi.apply(g) - c * g
     results = []
     complete = True
-    for lead in lexkeys:
-        unknowns = [m for m in g_monos if LEX.key(m) < LEX.key(lead)]
-        names = ([f"_u{i}" for i in range(len(unknowns))]
-                 + [f"_v{j}" for j in range(len(c_monos))])
-        uspace, ext = VarSpace(names), space.with_aux(names)
-        pad = (0,) * len(names)
-        us = [MultiPoly.variable(ext, name) for name in names]
-        # g = lead + sum u_i m_i and c = sum v_j k_j; each x-coefficient of
-        # xi(g) - c*g is one equation in the unknowns
-        g = MultiPoly.monomial(ext, lead + pad) + sum(
-            u * MultiPoly.monomial(ext, m + pad) for u, m in zip(us, unknowns))
-        c = sum(v * MultiPoly.monomial(ext, m + pad)
-                for v, m in zip(us[len(unknowns):], c_monos))
+    for lead in sorted((m for m in g_monos if any(m)), key=LEX.key, reverse=True):
+        # u_lead = 1 and u_m = 0 above it; the rest are the branch's unknowns
+        pinned = {nx + i: Fraction(int(m == lead)) for i, m in enumerate(g_monos)
+                  if LEX.key(m) >= LEX.key(lead)}
+        cols = [k for k in range(nx, ext.nvars) if k not in pinned]
+        uspace = VarSpace([ext.all_vars[k] for k in cols])
         rows = {}
-        for e, coeff in (xi.apply(g) - c * g).terms.items():
-            rows.setdefault(e[:nx], {})[e[nx:]] = coeff
+        for e, coeff in equations.substitute(pinned).terms.items():
+            rows.setdefault(e[:nx], {})[tuple(e[k] for k in cols)] = coeff
         pts, exhaustive = rational_points(
             [MultiPoly(uspace, t) for t in rows.values()], uspace, budget=budget)
         complete = complete and exhaustive
         # each point solves the branch's equations, so it gives its own pair,
         # with g's lex lead pinned on this branch
         for pt in pts:
-            values = {nx + i: v for i, v in pt.items()}
+            values = {**pinned, **{cols[i]: v for i, v in pt.items()}}
             g_pt, c_pt = (p.substitute(values).restrict_to(space) for p in (g, c))
             if xi.apply(g_pt) != c_pt * g_pt:
                 raise RuntimeError("a rational point does not solve its Darboux branch")

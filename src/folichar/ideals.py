@@ -731,13 +731,30 @@ def _univariate_in(g, idx):
     return upoly_trim(out)
 
 
+def _specialize(basis, idx, r, budget):
+    """The elements of a lex basis whose leading coefficient in Q[x_idx] is
+    nonzero at r, at x_idx = r, if the others at x_idx = r reduce to 0 by
+    them; else None."""
+    kept, dropped = [], []
+    for g in basis:
+        e, h = g.leading(LEX)[0], g.substitute({idx: r})
+        (kept if h.terms.get(e[:idx] + (0,) + e[idx + 1:]) else dropped).append(h)
+
+    def run(width):
+        pack = _packing(basis[0].space, LEX, width)
+        data = [(max(g), 1, g) for g in (pack.encode(h.monic(LEX)) for h in kept)]
+        return all(not reduce_poly(pack.encode(h), data, pack, budget).terms for h in dropped)
+
+    return kept if not any(h.terms for h in dropped) or _widening(run, budget) else None
+
+
 def rational_points(gens, space, budget=None):
     """Rational solutions of a polynomial system by lex triangularization.
 
     Returns ``(points, exhaustive)`` where each point maps variable index to
     a Fraction.  Every rational point of a zero-dimensional system is listed:
     each branch substitutes the rational roots of the univariate eliminant,
-    the one element of its reduced lex basis in the lex-least remaining
+    the element of least degree of its lex basis in the lex-least remaining
     variable.  ``exhaustive`` says more: the points listed are all the
     solutions over the algebraic closure.  It comes back False when the
     univariate eliminant of some branch has more distinct roots (the degree
@@ -746,6 +763,16 @@ def rational_points(gens, space, budget=None):
     positive dimension, or an empty basis) is pinned to 0, and
     ``exhaustive`` comes back False too; every point listed still solves the
     system.  Generators over another space raise :class:`SpaceMismatch`.
+
+    Only the root computes a basis; a branch specializes its parent's.  Let
+    G be a lex Groebner basis of I in Q[x_0..x_k], read over Q[x_k], and
+    r in Q.  If every g in G whose leading coefficient vanishes at r reduces
+    at x_k = r to 0 by the others at x_k = r, those others are a lex basis
+    of I at x_k = r (Kalkbrener, J. Symbolic Comput. 24, 1997).  At a root
+    of a nonzero eliminant, which extends to a zero (Gianni, EUROCAL '87,
+    LNCS 378), the check still fails for (y*x0 + x1, y^2, x0^2) at y = 0.
+    There :func:`buchberger` runs again, and at a variable pinned to 0, no
+    root of an eliminant: -z0^2*z1^2 - z0*z1 + 1 keeps nothing at z1 = 0.
     """
     if any(g.space != space for g in gens):
         raise SpaceMismatch(f"the system does not live in {space}")
@@ -753,17 +780,16 @@ def rational_points(gens, space, budget=None):
     points = []
     exhaustive = True
 
-    def walk(current_gens, assignment, remaining):
+    def walk(basis, assignment, remaining):
         nonlocal exhaustive
-        basis = buchberger(current_gens, LEX, budget)
         if not basis:
             exhaustive = exhaustive and not remaining
             points.append({**assignment, **dict.fromkeys(remaining, Fraction(0))})
             return
-        if basis[0].is_constant():
+        if any(g.is_constant() for g in basis):  # a specialized basis is not sorted
             return
         idx = remaining[-1]  # lex-least variable first
-        u = next((u for u in (_univariate_in(g, idx) for g in basis) if u is not None), None)
+        u = min(filter(None, (_univariate_in(g, idx) for g in basis)), key=len, default=None)
         if u is None:
             exhaustive = False
             roots = [Fraction(0)]
@@ -773,7 +799,11 @@ def rational_points(gens, space, budget=None):
             if len(u) > len(roots) + 1 and len(upoly_squarefree_part(u)) > len(roots) + 1:
                 exhaustive = False
         for r in sorted(roots):
-            walk([g.substitute({idx: r}) for g in basis], {**assignment, idx: r}, remaining[:-1])
+            special = None if u is None else _specialize(basis, idx, r, budget)
+            if special is None:
+                special = buchberger([g.substitute({idx: r}) for g in basis], LEX, budget)
+            walk(special, {**assignment, idx: r}, remaining[:-1])
 
-    walk(gens, {}, list(range(space.nvars)))
+    if not any(g.terms and g.is_constant() for g in gens):
+        walk(buchberger(gens, LEX, budget), {}, list(range(space.nvars)))
     return points, exhaustive

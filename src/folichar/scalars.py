@@ -446,7 +446,7 @@ class IntegerRule:
     @staticmethod
     def clear(coeffs):
         den = lcm(*(c.denominator for c in coeffs))
-        return [int(c * den) for c in coeffs]
+        return [c.numerator * (den // c.denominator) for c in coeffs]
 
     @staticmethod
     def step(c, lc):

@@ -26,7 +26,10 @@ and reduces every element again.  All of them share the engine's step
 arithmetic: each takes the step, content, primitive form, lead, cleared
 input and restored output of a coefficient rule of ``scalars`` (none for a
 monic basis), so the packed engine must give the same bases and charge the
-same steps.
+same steps.  :func:`rerun_rational_points` is the lex walk of
+``rational_points`` that computes a reduced basis with :func:`buchberger`
+at every node, on the basis of the node above with its value substituted,
+where the library specializes the basis of the root.
 
 :func:`direct_prolongation` is the first prolongation by its coordinate
 formula, independent of the Hamiltonian of the characteristic polynomial
@@ -59,13 +62,15 @@ from folichar.ideals import (
     Ideal,
     _as_budget,
     _rescale,
+    _univariate_in,
     eliminate,
     krull_dim_zero_check,
 )
 from folichar.foliations import PolyVectorField
-from folichar.polynomials import SCALARS, MultiPoly
+from folichar.polynomials import LEX, SCALARS, MultiPoly
 from folichar.scalars import (
-    IntegerRule, ZBetaRule, _int_divisors, common_field, upoly_squarefree_part, upoly_trim,
+    IntegerRule, ZBetaRule, _int_divisors, common_field, upoly_rational_roots,
+    upoly_squarefree_part, upoly_trim,
 )
 
 _ZERO = Fraction(0)
@@ -403,6 +408,39 @@ def buchberger(gens, order, budget):
         data += _basis_data([_primitive(r, order, rule)], order, rule)
         push_pairs(len(data) - 1)
     return _final_pass(data, order, budget, rule)
+
+
+def rerun_rational_points(gens, space, budget=None):
+    """Rational points of a system by a lex walk that computes a reduced lex
+    basis at every node: the reference for ``rational_points``, whose
+    branches specialize the one basis of the root instead."""
+    budget = _as_budget(budget)
+    points = []
+    exhaustive = True
+
+    def walk(current_gens, assignment, remaining):
+        nonlocal exhaustive
+        basis = buchberger(current_gens, LEX, budget)
+        if not basis:
+            exhaustive = exhaustive and not remaining
+            points.append({**assignment, **dict.fromkeys(remaining, Fraction(0))})
+            return
+        if basis[0].is_constant():
+            return
+        idx = remaining[-1]
+        u = next((u for u in (_univariate_in(g, idx) for g in basis) if u is not None), None)
+        if u is None:
+            exhaustive = False
+            roots = [Fraction(0)]
+        else:
+            roots = upoly_rational_roots(u)
+            if len(u) > len(roots) + 1 and len(upoly_squarefree_part(u)) > len(roots) + 1:
+                exhaustive = False
+        for r in sorted(roots):
+            walk([g.substitute({idx: r}) for g in basis], {**assignment, idx: r}, remaining[:-1])
+
+    walk(gens, {}, list(range(space.nvars)))
+    return points, exhaustive
 
 
 def _sig_key(order, sig):

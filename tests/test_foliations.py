@@ -25,7 +25,8 @@ from folichar.ideals import Ideal, eliminate, radical_membership
 from folichar.polynomials import LEX, MultiPoly, VarSpace
 
 from conftest import SQRT2, rand_coeff, rand_field, rand_poly, rng_for
-from oracles import direct_prolongation, expanded_darboux_equations, seidenberg_count
+from oracles import (direct_prolongation, expanded_darboux_equations, rerun_rational_points,
+                     seidenberg_count)
 
 S2 = VarSpace(("x1", "x2"))
 X1, X2 = (MultiPoly.variable(S2, v) for v in S2.all_vars)
@@ -534,6 +535,25 @@ def test_darboux_branches_match_the_expanded_equations(monkeypatch):
             unknowns = [m for m in monos if LEX.key(m) < LEX.key(lead)]
             want = expanded_darboux_equations(xi, lead, unknowns, c_monos, uspace)
             assert len(gens) == len(want) and set(gens) == set(want), (xi, lead)
+
+
+def test_darboux_search_matches_the_rerun_walk(monkeypatch):
+    """With rational_points replaced by the reference walk, which computes a
+    reduced lex basis at every node, the search reports the same pairs and
+    the same complete flag, on seeded planar and 3-D fields and planted line
+    and conic fields."""
+    rng = rng_for("darboux-rerun-walk")
+    fields = [DIAG, ROT, CUSP, PolyVectorField(S2, [X2, 2 * X1])]
+    fields += [_planted_conic_field(rng) for _ in range(2)]
+    fields += [_planted_line_field(rng, n) for n in (2, 2, 3)]
+    fields += [rand_field(rng, 2, 2) for _ in range(4)] + [rand_field(rng, 3, 1) for _ in range(2)]
+    runs = []
+    for walk in (foliations.rational_points, rerun_rational_points):
+        monkeypatch.setattr(foliations, "rational_points", walk)
+        runs.append([darboux_search(xi, 2, 1) for xi in fields])
+    assert runs[0] == runs[1]
+    assert any(r.pairs for r in runs[0]) and any(r.complete for r in runs[0])
+    assert not all(r.complete for r in runs[0])
 
 
 def test_darboux_pairs_reverify():

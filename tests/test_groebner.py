@@ -196,6 +196,95 @@ def test_rational_points_of_degenerate_systems():
     assert rational_points([], VarSpace(())) == ([{}], True)
 
 
+def _point_system(rng, space, npoints):
+    """Generators vanishing on npoints random rational points: each is a sum
+    of products, over the points, of one coordinate's difference from it."""
+    n = space.nvars
+    xs = [MultiPoly.variable(space, i) for i in range(n)]
+    pts = [[F(rng.randint(-2, 2), rng.choice((1, 1, 2))) for _ in range(n)] for _ in range(npoints)]
+    gens = []
+    for _ in range(rng.randint(max(n - 1, 1), n + 1)):
+        g = MultiPoly.zero(space)
+        for _ in range(rng.randint(1, 2)):
+            term = MultiPoly.constant(space, rng.choice((1, -1, 2, F(1, 3))))
+            for pt in pts:
+                i = rng.randrange(n)
+                term = term * (xs[i] - pt[i])
+            g = g + term
+        gens.append(g)
+    return gens
+
+
+def _fat_point_system(rng, space):
+    """Generators in the square of the maximal ideal of a random integer
+    point, some with a multiple of one coordinate's difference added: a
+    point of higher multiplicity, where the kept elements of a specialized
+    basis can miss one."""
+    n = space.nvars
+    ms = [MultiPoly.variable(space, i) - rng.randint(-1, 1) for i in range(n)]
+    gens = []
+    for _ in range(rng.randint(n - 1, n + 1)):
+        g = ms[rng.randrange(n)] * ms[rng.randrange(n)] * rng.choice((1, 2, -1))
+        if rng.random() < 0.6:
+            g = g + ms[rng.randrange(n)] * rand_poly(rng, space, 1, 2)
+        gens.append(g)
+    return gens
+
+
+def _walk_systems(rng):
+    """Seeded systems in 1-4 variables, (kind, generators, space): planted
+    rational points, simple or not, dense random ones (mostly unit or
+    irrational), triangular ones with rational and irrational roots, and
+    fewer generators than variables (positive-dimensional)."""
+    for n in (1, 2, 3, 4):
+        space = VarSpace(tuple(f"z{i}" for i in range(n)))
+        xs = [MultiPoly.variable(space, i) for i in range(n)]
+        for _ in range(30 if n < 4 else 15):
+            yield "points", _point_system(rng, space, rng.randint(1, 3 if n < 4 else 2)), space
+            yield "fat", _fat_point_system(rng, space), space
+            yield "random", [rand_poly(rng, space, 2 if n < 4 else 1, 3) for _ in range(n)], space
+            last = xs[-1]
+            roots = (last - rng.randint(-2, 2)) * (last * last - rng.choice((2, 3, 5)))
+            rest = [xs[i] - rand_poly(rng, space, 1, 2) * xs[i + 1] - rand_poly(rng, space, 1, 2)
+                    for i in range(n - 1)]
+            yield "triangular", [roots * rng.choice((1, 2))] + rest, space
+            if n > 1:
+                yield "under", [rand_poly(rng, space, 2, 3) for _ in range(n - 1)], space
+
+
+def test_rational_points_match_the_rerun_walk():
+    """The walk that specializes one lex basis lists the points, in order,
+    and the exhaustive flag of the walk that computes a reduced lex basis at
+    every node, on seeded systems of every kind."""
+    shapes = {}
+    for kind, gens, space in _walk_systems(rng_for("rational-points-walk")):
+        want = oracles.rerun_rational_points(gens, space, StepBudget(10 ** 5))
+        assert rational_points(gens, space, StepBudget(10 ** 5)) == want, [str(g) for g in gens]
+        shapes.setdefault(kind, set()).update(
+            {"unit" if want == ([], True) else "points" if want[0] else "none",
+             "exhaustive" if want[1] else "partial"})  # partial: irrational or free
+    assert all({"points", "partial"} <= found for found in shapes.values()), shapes
+    assert "unit" in shapes["random"] and "unit" in shapes["under"]
+
+
+def test_a_specialization_that_loses_the_basis_runs_buchberger_again():
+    """Two walks where keeping the elements whose leading coefficient does
+    not vanish is not enough.  At z1 = 0, which is no root of an eliminant
+    (there is none), -z0^2*z1^2 - z0*z1 + 1 keeps nothing and would give the
+    false point (0, 0).  At the root 0 of y^2 the kept elements of
+    (y*x0 + x1, y^2, x0^2) miss x1, so the check sends the walk back to
+    buchberger."""
+    z0, z1 = (MultiPoly.variable(SXY, i) for i in range(2))
+    assert rational_points([-z0 ** 2 * z1 ** 2 - z0 * z1 + 1], SXY) == ([], False)
+    x0, x1, y = (MultiPoly.variable(SXYZ, i) for i in range(3))
+    gens = [y * x0 + x1, y * y, x0 * x0]
+    basis = buchberger(gens, LEX, None)
+    assert ideals._specialize(basis, 2, F(0), StepBudget()) is None
+    assert rational_points(gens, SXYZ) == ([{2: 0, 1: 0, 0: 0}], True)
+    # without x0^2 the kept x1^2 still misses x1; x0 is then free
+    assert rational_points(gens[:2], SXYZ) == ([{2: 0, 1: 0, 0: 0}], False)
+
+
 def test_rational_points_rejects_a_system_over_another_space():
     """(x - 1, y - 2) has the point (1, 2); over the space of x alone the
     walk runs out of variables and must not answer "no points"."""

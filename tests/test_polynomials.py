@@ -627,3 +627,32 @@ def test_operators_are_polynomials():
     loops = [n for n in ast.walk(modules["parser.py"])
              if isinstance(n, (ast.For, ast.comprehension))]
     assert loops and not [n for n in loops if _splits_a_key(n)]
+
+
+def test_one_lex_basis_per_walk_and_one_equation_set_per_search():
+    """rational_points calls buchberger in two places, at the root and again
+    where a specialized basis is not known to be one (a variable pinned to
+    0, a failed check), and _specialize calls it nowhere; darboux_search
+    takes xi.apply(g) - c*g once, outside every loop, and each branch reads
+    its rows off it."""
+    modules = dict(_package_modules())
+
+    def function(module, name):
+        return next(n for n in ast.walk(modules[module])
+                    if isinstance(n, ast.FunctionDef) and n.name == name)
+
+    def calls(node, name):
+        return [n for n in ast.walk(node)
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == name]
+
+    assert len(calls(function("ideals.py", "rational_points"), "buchberger")) == 2
+    assert calls(function("ideals.py", "_specialize"), "buchberger") == []
+    darboux = function("foliations.py", "darboux_search")
+    equations = [n for n in ast.walk(darboux) if isinstance(n, ast.BinOp)
+                 and isinstance(n.op, ast.Sub) and isinstance(n.left, ast.Call)
+                 and getattr(n.left.func, "attr", None) == "apply"]
+    looped = {id(m) for n in ast.walk(darboux)
+              if isinstance(n, (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+                                ast.GeneratorExp))
+              for m in ast.walk(n)}
+    assert len(equations) == 1 and id(equations[0]) not in looped
