@@ -731,21 +731,18 @@ def _univariate_in(g, idx):
     return upoly_trim(out)
 
 
-def _specialize(basis, idx, r, budget):
-    """The elements of a lex basis whose leading coefficient in Q[x_idx] is
-    nonzero at r, at x_idx = r, if the others at x_idx = r reduce to 0 by
-    them; else None."""
-    kept, dropped = [], []
-    for g in basis:
-        e, h = g.leading(LEX)[0], g.substitute({idx: r})
-        (kept if h.terms.get(e[:idx] + (0,) + e[idx + 1:]) else dropped).append(h)
-
-    def run(width):
-        pack = _packing(basis[0].space, LEX, width)
-        data = [(max(g), 1, g) for g in (pack.encode(h.monic(LEX)) for h in kept)]
-        return all(not reduce_poly(pack.encode(h), data, pack, budget).terms for h in dropped)
-
-    return kept if not any(h.terms for h in dropped) or _widening(run, budget) else None
+def _specialize(basis, special, idx):
+    """The elements of ``special``, the lex basis ``basis`` at x_idx = r,
+    whose leading coefficient in Q[x_idx] is nonzero at r, if every other
+    vanishes at r; else None."""
+    kept = []
+    for g, h in zip(basis, special):
+        e = g.leading(LEX)[0]
+        if h.terms.get(e[:idx] + (0,) + e[idx + 1:]):
+            kept.append(h)
+        elif h.terms:
+            return None
+    return kept
 
 
 def rational_points(gens, space, budget=None):
@@ -766,13 +763,15 @@ def rational_points(gens, space, budget=None):
 
     Only the root computes a basis; a branch specializes its parent's.  Let
     G be a lex Groebner basis of I in Q[x_0..x_k], read over Q[x_k], and
-    r in Q.  If every g in G whose leading coefficient vanishes at r reduces
-    at x_k = r to 0 by the others at x_k = r, those others are a lex basis
-    of I at x_k = r (Kalkbrener, J. Symbolic Comput. 24, 1997).  At a root
-    of a nonzero eliminant, which extends to a zero (Gianni, EUROCAL '87,
-    LNCS 378), the check still fails for (y*x0 + x1, y^2, x0^2) at y = 0.
-    There :func:`buchberger` runs again, and at a variable pinned to 0, no
-    root of an eliminant: -z0^2*z1^2 - z0*z1 + 1 keeps nothing at z1 = 0.
+    r in Q, a root of the eliminant or a pinned 0.  If every g in G whose
+    leading coefficient vanishes at r reduces at x_k = r to 0 by the others
+    at x_k = r, those others are a lex basis of I at x_k = r (Kalkbrener,
+    J. Symbolic Comput. 24, 1997).  The walk keeps them when each such g is
+    0 at x_k = r, and else runs :func:`buchberger` again on the whole basis
+    at x_k = r.  A root of a nonzero eliminant, which extends to a zero
+    (Gianni, EUROCAL '87, LNCS 378), is not enough: y*x0 + x1 of
+    (y*x0 + x1, y^2, x0^2) is x1 at y = 0, which the others miss.  Nor is
+    a pinned 0: -z0^2*z1^2 - z0*z1 + 1 is 1 at z1 = 0 and keeps nothing.
     """
     if any(g.space != space for g in gens):
         raise SpaceMismatch(f"the system does not live in {space}")
@@ -799,10 +798,11 @@ def rational_points(gens, space, budget=None):
             if len(u) > len(roots) + 1 and len(upoly_squarefree_part(u)) > len(roots) + 1:
                 exhaustive = False
         for r in sorted(roots):
-            special = None if u is None else _specialize(basis, idx, r, budget)
-            if special is None:
-                special = buchberger([g.substitute({idx: r}) for g in basis], LEX, budget)
-            walk(special, {**assignment, idx: r}, remaining[:-1])
+            special = [g.substitute({idx: r}) for g in basis]
+            kept = _specialize(basis, special, idx)
+            if kept is None:
+                kept = buchberger(special, LEX, budget)
+            walk(kept, {**assignment, idx: r}, remaining[:-1])
 
     if not any(g.terms and g.is_constant() for g in gens):
         walk(buchberger(gens, LEX, budget), {}, list(range(space.nvars)))

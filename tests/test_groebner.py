@@ -270,19 +270,29 @@ def test_rational_points_match_the_rerun_walk():
 def test_a_specialization_that_loses_the_basis_runs_buchberger_again():
     """Two walks where keeping the elements whose leading coefficient does
     not vanish is not enough.  At z1 = 0, which is no root of an eliminant
-    (there is none), -z0^2*z1^2 - z0*z1 + 1 keeps nothing and would give the
-    false point (0, 0).  At the root 0 of y^2 the kept elements of
-    (y*x0 + x1, y^2, x0^2) miss x1, so the check sends the walk back to
-    buchberger."""
+    (there is none), -z0^2*z1^2 - z0*z1 + 1 is 1, keeps nothing and would
+    give the false point (0, 0).  At the root 0 of y^2 the kept elements of
+    (y*x0 + x1, y^2, x0^2) miss x1, which the dropped y*x0 + x1 becomes,
+    so the walk goes back to buchberger."""
     z0, z1 = (MultiPoly.variable(SXY, i) for i in range(2))
     assert rational_points([-z0 ** 2 * z1 ** 2 - z0 * z1 + 1], SXY) == ([], False)
     x0, x1, y = (MultiPoly.variable(SXYZ, i) for i in range(3))
     gens = [y * x0 + x1, y * y, x0 * x0]
     basis = buchberger(gens, LEX, None)
-    assert ideals._specialize(basis, 2, F(0), StepBudget()) is None
+    assert ideals._specialize(basis, [g.substitute({2: F(0)}) for g in basis], 2) is None
     assert rational_points(gens, SXYZ) == ([{2: 0, 1: 0, 0: 0}], True)
     # without x0^2 the kept x1^2 still misses x1; x0 is then free
     assert rational_points(gens[:2], SXYZ) == ([{2: 0, 1: 0, 0: 0}], False)
+
+
+def test_the_next_eliminant_is_the_univariate_element_of_least_degree():
+    """At y = 1 the basis (y^2 - y, x^2*y - y, x^4 - 3*x^2 + 2*x*y - 2*x + 2*y)
+    keeps two elements in x alone: x^2 - 1 and its multiple
+    (x^2 - 1)*(x^2 - 2).  The first generates the eliminant; the second's
+    irrational roots +-sqrt(2) solve nothing, so every point is listed."""
+    gens = [Y * Y - Y, Y * X * X - Y, X ** 4 - 3 * X ** 2 - 2 * X + 2 * X * Y + 2 * Y]
+    points = [{1: F(y), 0: F(x)} for y, x in ((0, -1), (0, 0), (0, 2), (1, -1), (1, 1))]
+    assert rational_points(gens, SXY) == (points, True)
 
 
 def test_rational_points_rejects_a_system_over_another_space():

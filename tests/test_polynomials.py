@@ -631,8 +631,8 @@ def test_operators_are_polynomials():
 
 def test_one_lex_basis_per_walk_and_one_equation_set_per_search():
     """rational_points calls buchberger in two places, at the root and again
-    where a specialized basis is not known to be one (a variable pinned to
-    0, a failed check), and _specialize calls it nowhere; darboux_search
+    where a specialized basis is not known to be one (a dropped element
+    does not vanish), and _specialize calls it nowhere; darboux_search
     takes xi.apply(g) - c*g once, outside every loop, and each branch reads
     its rows off it."""
     modules = dict(_package_modules())
