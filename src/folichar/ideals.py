@@ -2,10 +2,11 @@
 
 The Groebner engine is the signature loop of Gao, Volny and Wang (Math.
 Comp. 85, 2016), the GVW form of Faugere's F5 (ISSAC 2002), under a step
-budget.  It runs over the start-of-run interreduced generators g_1..g_r.
-Each basis element (u, v) carries the signature u of the module element it
-comes from, x^a*e_i, ordered position over term.  The J-pair of two
-elements is the side of larger signature at the lcm of their leads.
+budget.  It runs over the generators g_1..g_r, leads ascending, that a
+worklist interreduced at the start of the run.  Each basis element (u, v)
+carries the signature u of the module element it comes from, x^a*e_i,
+ordered position over term.  The J-pair of two elements is the side of
+larger signature at the lcm of their leads.
 J-pairs pop from a heap in signature order, ties by lcm, and one is skipped
 when
 - the syzygy criterion holds: the signature of a known syzygy divides its
@@ -23,19 +24,18 @@ signature would have covered the J-pair.  On a regular sequence no J-pair
 reduces to 0.  A final pass, leads ascending, drops every element whose lead
 an earlier lead divides and tail-reduces the rest.
 
-Reduction pops terms largest first from a heap of monomials and divides
-each by the first basis lead that divides it, or in the signature loop by
-the regular one of smallest signature.  One run's J-pair reductions share a divisor
-memo, monomial -> (the indices of the leads dividing it, how far the scan
-got), which stays valid because the basis only grows by appending.  The
-start-of-run interreduction keeps each element's lead and marks an element
-that came back unchanged as settled; it is not reduced again until another
-element's new lead divides one of its terms.  A cached basis keeps its lead
-data beside it for :func:`normal_form`.  Bases are fully interreduced and
-monic, so for a fixed monomial order the reduced basis of an ideal is
-canonical regardless of generator order.  Every reduction step and every
-J-pair reduced charges one unit against the step budget; exhausting it
-raises :class:`BudgetExceeded` rather than returning a wrong answer.
+Reduction pops terms largest first from a heap of monomials and divides each
+by the first basis lead that divides it, or in the signature loop by the
+regular one of smallest signature.  One run's J-pair reductions share a
+divisor memo, monomial -> (the indices of the leads dividing it, how far the
+scan got), which stays valid because the basis only grows by appending.  The
+start-of-run worklist sends a kept element back only when a new lead divides
+one of its terms.  A cached basis keeps its lead data beside it for
+:func:`normal_form`.  Bases are fully interreduced and monic, so for a fixed
+monomial order the reduced basis of an ideal is canonical regardless of
+generator order.  Every reduction step and every J-pair reduced charges one
+unit against the step budget; exhausting it raises :class:`BudgetExceeded`
+rather than returning a wrong answer.
 
 Inside the engine a monomial is one int (:class:`_Packing`; Bachmann and
 Schoenemann, ISSAC 1998; Monagan and Pearce, CASC 2007).  Its high bits hold
@@ -67,10 +67,11 @@ monic cached bases of :func:`normal_form` take none, so a step subtracts c*x^s*g
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import count, product
 from operator import itemgetter, mul
 
 from .errors import BudgetExceeded, SpaceMismatch
@@ -328,49 +329,31 @@ def reduce_poly(f, basis, pack, budget, rule=None, memo=None, sig=None):
     return _Packed(tail)
 
 
-def _basis_data(polys, rule):
-    return [(le, rule.lead(g[le]), g) for g in polys for le in [max(g)]]
-
-
 def _interreduce(polys, pack, budget, rule):
     """Make a generating set of primitive packed polynomials fully autoreduced.
 
-    The restart loop: sort by lead, reduce each element by all the others
-    and start over after the first one that changes.  Each entry keeps its
-    lead data and whether it is settled (came back unchanged, so none of its
-    terms is divisible by another lead); a settled element is skipped until
-    another element's new lead divides one of its terms.
+    The worklist of Becker and Weispfenning (Groebner Bases, 1993, ch. 5):
+    pop the smallest lead (the latest pushed on a tie), reduce it by the kept
+    (lead, int lead coefficient, terms) entries, leads ascending, keep the
+    primitive remainder and send back each kept entry its new lead reduces.
     """
-    guard = pack.guard
-    # [lead, (lead, int lead coefficient, terms), settled]
-    entries = [[data[0], data, False] for data in _basis_data(polys, rule)]
-    changed = True
-    while changed:
-        changed = False
-        entries.sort(key=itemgetter(0))
-        for i, entry in enumerate(entries):
-            if entry[2] or len(entries) == 1:
-                continue
-            g = entry[1][2]
-            r = reduce_poly(g, [o[1] for o in entries if o is not entry], pack, budget, rule)
-            if r.terms == g:
-                entry[2] = True
-                continue
-            changed = True
-            if r.is_zero():
-                entries.pop(i)
-                break
-            # r is reduced by the other leads, so it is settled as it stands
-            data, = _basis_data([rule.primitive(r.terms, max(r.terms))], rule)
-            le = data[0]
-            entries[i] = [le, data, True]
-            if le != entry[0]:
-                for other in entries:
-                    if other[2] and other is not entries[i] and any(
-                            not (e - le) & guard for e in other[1][2]):
-                        other[2] = False
-            break
-    return [entry[1][2] for entry in entries]
+    guard, tick, kept = pack.guard, count(0, -1), []
+    todo = sorted((max(g), next(tick), g) for g in polys)  # a sorted list is a heap
+    while todo:
+        r = reduce_poly(heappop(todo)[2], kept, pack, budget, rule)
+        if r.is_zero():
+            continue
+        le = max(r.terms)
+        g = rule.primitive(r.terms, le)
+        i = bisect(kept, le, key=itemgetter(0))
+        stay = [(le, rule.lead(g[le]), g)]
+        for k in kept[i:]:  # a term that le divides is at least le
+            if any(not (e - le) & guard for e in k[2]):
+                heappush(todo, (k[0], next(tick), k[2]))
+            else:
+                stay.append(k)
+        kept[i:] = stay
+    return [k[2] for k in kept]
 
 
 # ---------------------------------------------------------------------------

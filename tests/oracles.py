@@ -11,22 +11,24 @@ the one reference here that does use the library's Groebner engine: it
 takes the radical through univariate eliminants, a route independent of
 the Jacobian determinant that ``singular_scheme`` reads the count from.
 
-:func:`buchberger`, :func:`reduce_poly` and :func:`_interreduce` are the
-engine as it was before monomials were packed into ints and the pair loop
-gave way to the signature loop: exponent tuples, compared through
-``order.key`` and a reverse key (:func:`_rkey`), with the divisor memo and
-the settled flags; its bases are the reference.  :func:`signature_buchberger`
+:func:`buchberger` and :func:`reduce_poly` are the engine as it was before
+monomials were packed into ints and the pair loop gave way to the signature
+loop: exponent tuples, compared through ``order.key`` and a reverse key
+(:func:`_rkey`), with the divisor memo; its bases are the reference.
+:func:`_interreduce`, where both loops start, is the engine's start-of-run
+worklist on the same tuples: it pops the element of smallest lead (the
+latest pushed on a tie), reduces it by the kept ones and sends back every
+kept element with a term the new lead divides, checking all of them where
+the engine checks only those of larger lead.  :func:`signature_buchberger`
 and :func:`signature_reduce` are the engine's signature loop on the same
 tuples, signatures (generator index, exponents) compared position over
-term; its step counts are the reference.  :func:`scan_reduce_poly` and
-:func:`restart_interreduce` write its reduction and start-of-run
-interreduction plainly: every popped term rescans the basis for its first
-divisor, and every restart re-sorts the generators, recomputes every lead
-and reduces every element again.  All of them share the engine's step
-arithmetic: each takes the step, content, primitive form, lead, cleared
-input and restored output of a coefficient rule of ``scalars`` (none for a
-monic basis), so the packed engine must give the same bases and charge the
-same steps.  :func:`rerun_rational_points` is the lex walk of
+term; its step counts are the reference.  :func:`scan_reduce_poly` writes
+its reduction plainly: every popped term rescans the basis for its first
+divisor.  All of them share the engine's step arithmetic: each takes the
+step, content, primitive form, lead, cleared input and restored output of
+a coefficient rule of ``scalars`` (none for a monic basis), so the packed
+engine must give the same bases and charge the same steps.
+:func:`rerun_rational_points` is the lex walk of
 ``rational_points`` that computes a reduced basis with :func:`buchberger`
 at every node, on the basis of the node above with its value substituted,
 where the library specializes the basis of the root.
@@ -53,7 +55,7 @@ integer Horner.
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import count, product
 from math import gcd
 from operator import add, itemgetter, le as _le, sub
 
@@ -298,34 +300,26 @@ def _primitive(g, order, rule):
 
 
 def _interreduce(polys, order, budget, rule):
-    """The start-of-run restart loop with leads kept and settled elements skipped."""
-    key = order.key
-    entries = [[key(data[0]), data, False] for data in _basis_data(polys, order, rule)]
-    changed = True
-    while changed:
-        changed = False
-        entries.sort(key=itemgetter(0))
-        for i, entry in enumerate(entries):
-            if entry[2] or len(entries) == 1:
-                continue
-            g = entry[1][2]
-            r = reduce_poly(g, [o[1] for o in entries if o is not entry], order, budget, rule)
-            if r.terms == g.terms:
-                entry[2] = True
-                continue
-            changed = True
-            if r.is_zero():
-                entries.pop(i)
-                break
-            data, = _basis_data([_primitive(r, order, rule)], order, rule)
-            entries[i] = [key(data[0]), data, True]
-            if data[0] != entry[1][0]:
-                for other in entries:
-                    if other[2] and other is not entries[i] and any(
-                            _divides(data[0], e) for e in other[1][2].terms):
-                        other[2] = False
-            break
-    return [entry[1][2] for entry in entries]
+    """The start-of-run worklist: pop the element of smallest lead, the
+    latest pushed on a tie, reduce it by the kept ones, keep the primitive
+    remainder and send back every kept element with a term its lead divides."""
+    key, tick = order.key, count(0, -1)
+    todo = [(key(g.leading(order)[0]), next(tick), g) for g in polys]
+    heapify(todo)
+    kept = []  # (order key of the lead, (lead, lead coefficient, poly)), keys ascending
+    while todo:
+        r = reduce_poly(heappop(todo)[2], [k[1] for k in kept], order, budget, rule)
+        if r.is_zero():
+            continue
+        data, = _basis_data([_primitive(r, order, rule)], order, rule)
+        stay = [(key(data[0]), data)]
+        for k in kept:
+            if any(_divides(data[0], e) for e in k[1][2].terms):
+                heappush(todo, (k[0], next(tick), k[1][2]))
+            else:
+                stay.append(k)
+        kept = sorted(stay, key=itemgetter(0))
+    return [k[1][2] for k in kept]
 
 
 def _prepared(gens, order):
@@ -366,8 +360,9 @@ def buchberger(gens, order, budget):
     """The reduced Groebner basis by the pair loop on exponent tuples, with
     the coprime and chain criteria: the reference for bases.
 
-    It calls this module's ``_interreduce`` and ``reduce_poly`` by name, so a
-    test may put the plain loops below in their place.
+    It and the worklist :func:`_interreduce` call this module's
+    ``reduce_poly`` by name, so a test may put :func:`scan_reduce_poly` in
+    its place.
     """
     budget = _as_budget(budget)
     gens, rule = _prepared(gens, order)
@@ -491,8 +486,9 @@ def signature_buchberger(gens, order, budget):
     A signature is (generator index, exponent tuple).  J-pairs pop in
     signature order, then by lcm, then by the indices of their sides; one is
     skipped when it repeats the last signature, when a known syzygy's
-    signature divides its own, or when an element covers it.  It calls this
-    module's ``_interreduce`` by name.
+    signature divides its own, or when an element covers it.  It starts from
+    the generators the worklist :func:`_interreduce` returns, leads
+    ascending, the i-th with signature e_i.
     """
     budget = _as_budget(budget)
     gens, rule = _prepared(gens, order)
@@ -559,27 +555,6 @@ def scan_reduce_poly(f, basis, order, budget, rule=None, memo=None):
         c = _factor(c, lc, p, tail, budget, rule)
         _sub_multiple(p, heap, order, g, le, _exp_sub(e, le), c)
     return MultiPoly(f.space, tail)
-
-
-def restart_interreduce(polys, order, budget, rule):
-    """The start-of-run restart loop with nothing cached between restarts."""
-    changed = True
-    while changed:
-        changed = False
-        polys.sort(key=lambda g: order.key(g.leading(order)[0]))
-        for i in range(len(polys)):
-            others = polys[:i] + polys[i + 1:]
-            if not others:
-                continue
-            r = scan_reduce_poly(polys[i], _basis_data(others, order, rule), order, budget, rule)
-            if r.terms != polys[i].terms:
-                changed = True
-                if r.is_zero():
-                    polys.pop(i)
-                else:
-                    polys[i] = _primitive(r, order, rule)
-                break
-    return [_primitive(p, order, rule) for p in polys]
 
 
 def direct_prolongation(xi):

@@ -11,7 +11,7 @@ from pathlib import Path
 import oracles
 import pytest
 from conftest import QA, QI, SQRT2, cyclic, katsura, rand_poly, rng_for
-from oracles import membership_oracle, restart_interreduce, scan_reduce_poly
+from oracles import membership_oracle, scan_reduce_poly
 
 from folichar import ideals
 from folichar.errors import BudgetExceeded, FieldMismatch, SpaceMismatch
@@ -513,9 +513,9 @@ def _seeded_generators(rng, field):
     return gens
 
 
-# The engine keeps each element's lead, skips settled elements in the
-# start-of-run restart loop and shares a divisor memo across one run's
-# J-pair reductions, all on packed monomials; the plain loops of
+# The engine keeps each element's lead, sends back only kept elements of
+# larger lead in the start-of-run worklist and shares a divisor memo across
+# one run's J-pair reductions, all on packed monomials; the plain loops of
 # tests/oracles.py recompute all of it on exponent tuples.  The engine must
 # give the bases of the pair loop and charge the steps of the signature loop.
 @pytest.mark.parametrize("field", [None, SQRT2], ids=["Q", "sqrt2"])
@@ -523,6 +523,7 @@ def _seeded_generators(rng, field):
                          ids=["grevlex", "lex", "block"])
 def test_cached_engine_matches_the_plain_loop(order, field, monkeypatch):
     rng = rng_for(f"plain-loop:{order.name}:{field}")
+    monkeypatch.setattr(oracles, "reduce_poly", scan_reduce_poly)
     pack = ideals._packing(SXYZ, order, 8)
     interreduction_steps = 0
     for _ in range(12):
@@ -534,18 +535,15 @@ def test_cached_engine_matches_the_plain_loop(order, field, monkeypatch):
         start = [pack.decode(g) for g in packed]
         fast, slow = StepBudget(10 ** 6), StepBudget(10 ** 6)
         assert _exact(pack.decode(g) for g in ideals._interreduce(packed, pack, fast, rule)) == \
-            _exact(restart_interreduce(list(start), order, slow, rule))
+            _exact(oracles._interreduce(start, order, slow, rule))
         assert fast.used == slow.used
         interreduction_steps += fast.used
 
         fast, slow = StepBudget(10 ** 6), StepBudget(10 ** 6)
         ideal = Ideal(SXYZ, gens)
         basis = ideal.basis(order, budget=fast)
-        with monkeypatch.context() as m:
-            m.setattr(oracles, "_interreduce", restart_interreduce)
-            m.setattr(oracles, "reduce_poly", scan_reduce_poly)
-            plain = oracles.buchberger(gens, order, None)
-            signed = oracles.signature_buchberger(gens, order, slow)
+        plain = oracles.buchberger(gens, order, None)
+        signed = oracles.signature_buchberger(gens, order, slow)
         assert _exact(basis) == _exact(plain) == _exact(signed) and fast.used == slow.used
 
         probe = gens[0] * gens[-1] + rand_poly(rng, SXYZ, 3)
@@ -555,6 +553,39 @@ def test_cached_engine_matches_the_plain_loop(order, field, monkeypatch):
             [scan_reduce_poly(probe, data, order, slow)])
         assert fast.used == slow.used
     assert interreduction_steps > 0
+
+
+# The start-of-run worklist on its own.  x*y + y and x*y + x share a lead:
+# the later one is kept first and the earlier reduces to x - y, whose lead
+# divides x*y, so the kept x*y + x goes back on the worklist.
+@pytest.mark.parametrize("field", [None, SQRT2], ids=["Q", "sqrt2"])
+def test_interreduce_returns_an_autoreduced_set(field):
+    f, g = X * Y + Y, X * Y + X
+    unit = F(1) if field is None else field.element([1, 1])
+    rule = IntegerRule() if field is None else ZBetaRule(field)
+    pack = ideals._packing(SXY, GREVLEX, 8)
+    systems = [[f, g], [f, g, f], [f, g, F(-3, 2) * g], [f, g, X * f + 2 * g],
+               [f, MultiPoly.constant(SXY, 5)]]
+    for gens in systems:
+        gens = [h * unit for h in gens]
+        packed = [rule.primitive(t, max(t)) for t in
+                  (pack.encode(h, rule.clear(h.terms.values())) for h in gens)]
+        out = [pack.decode(h) for h in ideals._interreduce(packed, pack, StepBudget(), rule)]
+        leads = [h.leading(GREVLEX)[0] for h in out]
+        keys = [GREVLEX.key(e) for e in leads]
+        assert keys == sorted(set(keys))
+        for h, le in zip(out, leads):
+            assert rule.primitive(h.terms, le) == h.terms and rule.lead(h.terms[le]) > 0
+            assert not any(all(a <= b for a, b in zip(ke, e))
+                           for ke in leads if ke != le for e in h.terms)
+        restored = [MultiPoly(SXY, {e: rule.restore(c, 1) for e, c in h.terms.items()})
+                    for h in out]
+        basis = buchberger(gens, GREVLEX, StepBudget())
+        assert buchberger(restored, GREVLEX, StepBudget()) == basis
+        if gens[-1].is_constant():
+            assert leads == [(0, 0)] and basis == [MultiPoly.constant(SXY, 1)]
+        else:
+            assert [str(h) for h in basis] == ["x - y", "y^2 + y"] and len(out) == 2
 
 
 def _overflow_systems():

@@ -464,8 +464,8 @@ def test_the_groebner_kernel_packs_its_monomials():
     or lead, and the exponent-tuple helpers and the reverse key are gone."""
     modules = dict(_package_modules())
     functions = {n.name: n for n in modules["ideals.py"].body if isinstance(n, ast.FunctionDef)}
-    kernel = {"_sub_multiple", "_divisors", "reduce_poly", "_basis_data", "_interreduce",
-              "buchberger", "normal_form", "_standard_monomials", "exact_divide"}
+    kernel = {"_sub_multiple", "_divisors", "reduce_poly", "_interreduce", "buchberger",
+              "normal_form", "_standard_monomials", "exact_divide"}
     assert kernel <= set(functions)
     for name in kernel:
         for node in ast.walk(functions[name]):
