@@ -42,12 +42,12 @@ from .ideals import (
     krull_dim_zero_check,
     normal_form,
     poly_det,
-    poly_gcd_list,
+    poly_gcd,
     radical_membership,
     rational_points,
 )
 from .polynomials import LEX, SCALARS, MultiPoly, VarSpace
-from .scalars import rref
+from .scalars import as_fraction, is_rational_scalar, rref
 
 _ONE = Fraction(1)
 
@@ -249,7 +249,7 @@ def singular_scheme(xi, budget=None):
         reduced = excess == 0
     divisorial = None
     if len(comps) == 1 or not isolated:
-        gcd = poly_gcd_list(comps, budget=budget)
+        gcd = poly_gcd(comps, budget=budget)
         divisorial = None if gcd is None or gcd.is_constant() else gcd
     return SingularScheme(ideal, isolated, vecdim, reduced, distinct, divisorial)
 
@@ -430,7 +430,7 @@ def darboux_search(xi, max_deg, max_cofactor_deg, budget=None):
     coordinates, and every univariate eliminant split over Q
     (:func:`rational_points`' ``exhaustive``).  It then certifies that no
     Darboux polynomial within the degree bounds, rational or not, was
-    missed.  A field with a coefficient outside Q raises
+    missed.  A field with an irrational coefficient raises
     :class:`FieldMismatch`, a negative degree bound :class:`InvalidInput`.
     """
     budget = _as_budget(budget)
@@ -439,10 +439,12 @@ def darboux_search(xi, max_deg, max_cofactor_deg, budget=None):
                            f"{max_deg} and max_cofactor_deg {max_cofactor_deg}")
     for comp in xi.components:
         for c in comp.terms.values():
-            if not isinstance(c, Fraction):
+            if not is_rational_scalar(c):
                 raise FieldMismatch(f"darboux_search solves over Q only; the "
                                     f"field's coefficient {c} is not rational")
     space = xi.space
+    xi = PolyVectorField(space, [MultiPoly(space, {e: as_fraction(c) for e, c in a.terms.items()})
+                                 for a in xi.components])
     nx = space.nvars
     cof_cap = min(max_cofactor_deg, max(xi.degree() - 1, 0))
     g_monos = _monomials_up_to(space, max_deg)

@@ -171,10 +171,6 @@ def wedge(a, b):
     """Exterior product; forms past the direction count collapse to zero."""
     if a.space != b.space:
         raise SpaceMismatch("wedge over mismatched spaces")
-    deg = a.degree + b.degree
-    ndir = a.ndirections
-    if deg > ndir:
-        return PolyForm(a.space, deg)
     out = {}
     for ia, pa in a.terms.items():
         for ib, pb in b.terms.items():
@@ -183,27 +179,16 @@ def wedge(a, b):
                 continue
             term = pa * pb if sign > 0 else -(pa * pb)
             out[merged] = out[merged] + term if merged in out else term
-    return PolyForm(a.space, deg, out)
+    return PolyForm(a.space, a.degree + b.degree, out)
 
 
 def exterior_derivative(w):
-    """Exterior differential d(w)."""
-    out = {}
-    ndir = w.ndirections
-    deg = w.degree + 1
-    if deg > ndir:
-        return PolyForm(w.space, deg)
-    for idx, p in w.terms.items():
-        for j in range(ndir):
-            dp = p.partial(j)
-            if dp.is_zero():
-                continue
-            sign, merged = _merge_signed((j,), idx)
-            if not sign:
-                continue
-            term = dp if sign > 0 else -dp
-            out[merged] = out[merged] + term if merged in out else term
-    return PolyForm(w.space, deg, out)
+    """Exterior differential d(w) = sum over directions j of dv_j ^ (dw/dv_j)."""
+    out = PolyForm(w.space, w.degree + 1)
+    for j in range(w.ndirections):
+        out = out + wedge(PolyForm.basis_form(w.space, j),
+                          w._like({idx: p.partial(j) for idx, p in w.terms.items()}))
+    return out
 
 
 def contract_index(w, j):
@@ -236,8 +221,6 @@ def contract_field(w, xi):
         raise SpaceMismatch(f"expected {ndir} components, got {len(xi.components)}")
     out = PolyForm(w.space, max(w.degree - 1, 0))
     for j, c in enumerate(xi.components):
-        if c.is_zero():
-            continue
         out = out + contract_index(w, j) * c.lift_to(w.space)
     return out
 
@@ -306,10 +289,7 @@ def is_infinitesimal_automorphism(xi, w):
         raise ZeroForm("automorphism test needs a nonzero form")
     if w.degree < 1:
         raise InvalidInput("the automorphism test applies to forms of degree >= 1")
-    lw = lie_derivative(xi, w)
-    if lw.is_zero():
-        return True
-    return proportional_forms(lw, w)
+    return proportional_forms(lie_derivative(xi, w), w)
 
 
 # ---------------------------------------------------------------------------

@@ -657,42 +657,30 @@ def poly_det(rows):
     return -det if sign < 0 else det
 
 
-def poly_lcm(f, g, budget=None):
-    """lcm via (f) cap (g), computed with the standard t-trick."""
-    if f.is_zero() or g.is_zero():
-        return MultiPoly.zero(f.space)
-    space = f.space
-    tname = space.fresh_aux("_t")
-    ext = space.with_aux((tname,))
-    t = MultiPoly.variable(ext, tname)
-    gens = [t * f.lift_to(ext), (MultiPoly.constant(ext, 1) - t) * g.lift_to(ext)]
-    members = eliminate(Ideal(ext, gens), space.all_vars, budget=budget).generators
-    if len(members) != 1:
-        raise RuntimeError("principal intersection did not yield a single generator")
-    return members[0].monic(GREVLEX)
+def poly_gcd(polys, budget=None):
+    """Monic gcd of ``polys``, or None when every one is 0.
 
-
-def poly_gcd(f, g, budget=None):
-    """Monic gcd of two polynomials, via gcd * lcm = f * g."""
-    if f.is_zero():
-        return g.monic(GREVLEX) if not g.is_zero() else g
-    if g.is_zero():
-        return f.monic(GREVLEX)
-    lcm = poly_lcm(f, g, budget=budget)
-    return exact_divide(f * g, lcm).monic(GREVLEX)
-
-
-def poly_gcd_list(polys, budget=None):
+    Pairwise as f*g / lcm(f, g), the lcm generating (f) cap (g), which the
+    t-trick eliminates from (t*f, (1 - t)*g); stops at a constant.
+    """
     acc = None
-    for p in polys:
-        if p.is_zero():
+    for g in polys:
+        if g.is_zero():
             continue
-        acc = p if acc is None else poly_gcd(acc, p, budget=budget)
+        if acc is not None:
+            space = g.space
+            tname = space.fresh_aux("_t")
+            ext = space.with_aux((tname,))
+            t = MultiPoly.variable(ext, tname)
+            gens = [t * acc.lift_to(ext), (MultiPoly.constant(ext, 1) - t) * g.lift_to(ext)]
+            lcm = eliminate(Ideal(ext, gens), space.all_vars, budget=budget).generators
+            if len(lcm) != 1:
+                raise RuntimeError("principal intersection did not yield a single generator")
+            g = exact_divide(acc * g, lcm[0]).monic(GREVLEX)
+        acc = g
         if acc.is_constant():
             break
-    if acc is None:
-        return None
-    return acc.monic(GREVLEX)
+    return None if acc is None else acc.monic(GREVLEX)
 
 
 # ---------------------------------------------------------------------------

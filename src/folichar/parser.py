@@ -34,6 +34,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 
 from .errors import MixedContext, ParseError, UnknownVariable
 from .ideals import Ideal, _univariate_in
@@ -493,50 +494,27 @@ class Session:
             f"several vector fields declared ({', '.join(fields)}); pick one"
         )
 
-    # -- scalars and points ----------------------------------------------------------
-
-    def parse_scalar(self, text):
-        ast = parse_expression(text)
-        return _constant_scalar(self.eval_poly(ast, self.space), (1, 1))
+    # -- points ----------------------------------------------------------
 
     def parse_point(self, text):
-        parts = _split_commas(text)
+        """Constant coordinates split at the commas outside parentheses, after
+        stripping one pair that encloses them all."""
+        tokens = _tokenize(text, 1)
+        depths = list(accumulate((t.text == "(") - (t.text == ")") for t in tokens))
+        if tokens and tokens[0].text == "(" and depths[-1] == 0 and 0 not in depths[:-1]:
+            tokens, depths = tokens[1:-1], [d - 1 for d in depths[1:-1]]
+        parts = [[]]
+        for tok, depth in zip(tokens, depths):
+            if tok.text == "," and depth == 0:
+                parts.append([])
+            else:
+                parts[-1].append(tok)
+        if not all(parts):
+            raise ParseError("point has an empty coordinate", 1, 1)
         if len(parts) != self.space.n:
-            raise ParseError(
-                f"point needs {self.space.n} coordinates, got {len(parts)}", 1, 1
-            )
-        return tuple(self.parse_scalar(p) for p in parts)
-
-
-def _split_commas(text):
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        # strip only a matching outer pair
-        depth = 0
-        for i, ch in enumerate(text):
-            depth += ch == "("
-            depth -= ch == ")"
-            if depth == 0 and i < len(text) - 1:
-                break
-        else:
-            text = text[1:-1]
-    depth = 0
-    parts, cur = [], []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    parts = [s.strip() for s in parts]
-    if not all(parts):
-        raise ParseError("point has an empty coordinate", 1, 1)
-    return parts
+            raise ParseError(f"point needs {self.space.n} coordinates, got {len(parts)}", 1, 1)
+        return tuple(_constant_scalar(self.eval_poly(_ExprParser(p, 1).parse(), self.space),
+                                      (1, 1)) for p in parts)
 
 
 _NOUNS = {"poly": "a polynomial", "form": "a form", "ideal": "an ideal", "op": "an operator",

@@ -51,6 +51,13 @@ the schoolbook product of two univariate coefficient tuples.
 terms or not, by evaluating p at a Fraction (:func:`upoly_eval`), where
 ``upoly_rational_roots`` skips the unreduced ones and tests the rest by
 integer Horner.
+
+:func:`merge_exterior_derivative` is d(w) term by term, each dp/dv_j
+inserted into its index tuple with the sign of moving dv_j past the indices
+below j, where ``exterior_derivative`` sums dv_j ^ (dw/dv_j) through
+``wedge``.  :func:`char_parse_point` splits a point one character at a time
+and parses each coordinate on its own, where ``Session.parse_point`` splits
+the tokens of the session lexer.
 """
 
 from fractions import Fraction
@@ -59,6 +66,7 @@ from itertools import count, product
 from math import gcd
 from operator import add, itemgetter, le as _le, sub
 
+from folichar.errors import ParseError
 from folichar.ideals import (
     _CONTENT_EVERY,
     Ideal,
@@ -69,6 +77,8 @@ from folichar.ideals import (
     krull_dim_zero_check,
 )
 from folichar.foliations import PolyVectorField
+from folichar.forms import PolyForm
+from folichar.parser import _constant_scalar, parse_expression
 from folichar.polynomials import LEX, SCALARS, MultiPoly
 from folichar.scalars import (
     IntegerRule, ZBetaRule, _int_divisors, common_field, upoly_rational_roots,
@@ -699,3 +709,59 @@ def enumerated_rational_roots(p):
                 if cand not in roots and not upoly_eval(p, cand):
                     roots.append(cand)
     return roots
+
+
+def merge_exterior_derivative(w):
+    """d(w) = sum of dp/dv_j dv_j ^ dv_idx over the terms p dv_idx of w."""
+    out = {}
+    for idx, p in w.terms.items():
+        for j in range(w.ndirections):
+            dp = p.partial(j)
+            if dp.is_zero() or j in idx:
+                continue
+            pos = sum(i < j for i in idx)
+            merged = idx[:pos] + (j,) + idx[pos:]
+            term = -dp if pos % 2 else dp
+            out[merged] = out[merged] + term if merged in out else term
+    return PolyForm(w.space, w.degree + 1, out)
+
+
+def _split_commas(text):
+    text = text.strip()
+    if text.startswith("(") and text.endswith(")"):
+        # strip only a matching outer pair
+        depth = 0
+        for i, ch in enumerate(text):
+            depth += ch == "("
+            depth -= ch == ")"
+            if depth == 0 and i < len(text) - 1:
+                break
+        else:
+            text = text[1:-1]
+    depth = 0
+    parts, cur = [], []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    parts.append("".join(cur))
+    parts = [s.strip() for s in parts]
+    if not all(parts):
+        raise ParseError("point has an empty coordinate", 1, 1)
+    return parts
+
+
+def char_parse_point(session, text):
+    """``session``'s point parser before it read tokens: a character-level
+    split, then each coordinate parsed from its own text."""
+    parts = _split_commas(text)
+    if len(parts) != session.space.n:
+        raise ParseError(f"point needs {session.space.n} coordinates, got {len(parts)}", 1, 1)
+    return tuple(_constant_scalar(session.eval_poly(parse_expression(p), session.space), (1, 1))
+                 for p in parts)

@@ -124,6 +124,32 @@ def test_darboux_over_number_field_coefficients_exits_two(run):
     assert json.loads(out)["result"]["error"] == "FieldMismatch"
 
 
+def test_darboux_accepts_rational_number_field_coefficients(run):
+    # r^2 = 2 is rational although it is an element of Q(r)
+    source = "vars: x1 x2\nfield: r where r^2 - 2 = 0\nxi: r^2*x1*d1 + 2*x2*d2\n"
+    code, out = run(source, "darboux", "--max-deg", "1", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["inputs"]["xi"] == "2*x1*d1 + 2*x2*d2"
+    pairs = {(p["g"], p["cofactor"]) for p in payload["result"]["pairs"]}
+    assert pairs == {("x1", "2"), ("x2", "2")}
+
+
+def test_degree_one_field_answers_as_q(run):
+    # Q(r) with r - 2 = 0 is Q: every command answers as with 2 written out
+    def answers(source, *argv):
+        code, out = run(source, *argv, "--json")
+        payload = json.loads(out)
+        payload.pop("timings")
+        return code, payload
+
+    body = "xi: {r}*x2*d1 - x1*d2\nJ: ideal({r}*x1 - x2, x2^2 - {r})\n"
+    deg1 = "vars: x1 x2\nfield: r where r - 2 = 0\n" + body.format(r="r")
+    plain = "vars: x1 x2\n" + body.format(r="2")
+    for argv in (["ch"], ["sing"], ["gb", "J"], ["darboux", "--max-deg", "1"]):
+        assert answers(deg1, *argv) == answers(plain, *argv), argv
+    assert answers(deg1, "ch")[1]["inputs"]["xi"] == "2*x2*d1 - x1*d2"
+
+
 @pytest.mark.parametrize("bounds, message", [
     (("--max-deg", "-1"), "got max_deg -1 and max_cofactor_deg 0"),
     (("--max-deg", "1", "--max-cofactor", "-3"), "got max_deg 1 and max_cofactor_deg -3"),

@@ -305,8 +305,8 @@ def test_isolated_scheme_skips_the_gcd(monkeypatch):
     out of V(I), so an isolated scheme has no divisorial part and no gcd is
     computed; a planted common line and n = 1 still report one."""
     calls = []
-    real = foliations.poly_gcd_list
-    monkeypatch.setattr(foliations, "poly_gcd_list",
+    real = foliations.poly_gcd
+    monkeypatch.setattr(foliations, "poly_gcd",
                         lambda *a, **k: calls.append(a) or real(*a, **k))
     rng = rng_for("isolated-gcd")
     isolated = 0

@@ -24,7 +24,6 @@ from folichar.ideals import (
     krull_dim_zero_check,
     normal_form,
     poly_gcd,
-    poly_lcm,
     radical_membership,
     rational_points,
 )
@@ -458,10 +457,20 @@ def test_radical_membership_over_an_integral_field(content_calls):
     (X * X - 2 * Y * Y, X * X + SQRT2.gen() * X * Y, "x^3 - 2*x*y^2", "x + (r)*y", 5),
 ])
 def test_lcm_and_gcd(f, g, lcm, gcd, steps):
-    for fn, expected in ((poly_lcm, lcm), (poly_gcd, gcd)):
-        budget = StepBudget(10 ** 6)
-        assert str(fn(f, g, budget=budget)) == expected
-        assert budget.used == steps
+    budget = StepBudget(10 ** 6)
+    got = poly_gcd([f, g], budget=budget)
+    assert str(got) == gcd and budget.used == steps
+    assert str(exact_divide(f * g, got).monic()) == lcm
+
+
+def test_gcd_of_a_list():
+    # zeros are skipped, one nonzero input is its own (monic) gcd, all zero is None
+    assert poly_gcd([X - X, MultiPoly.zero(SXY)]) is None
+    budget = StepBudget(10 ** 6)
+    assert str(poly_gcd([MultiPoly.zero(SXY), 2 * X * Y - 4 * Y], budget=budget)) == "x*y - 2*y"
+    assert budget.used == 0
+    assert str(poly_gcd([X * X * Y, X * Y * Y, 3 * X * Y + X, Y])) == "1"
+    assert str(poly_gcd([X * X * Y - X * Y, X * Y * Y - X * Y, 3 * X * X - 3 * X])) == "x"
 
 
 def test_equal_ideals_hash_equal():

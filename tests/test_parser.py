@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import char_parse_point
 
 from folichar.errors import RationalRootFound
 from folichar.parser import (
@@ -185,12 +186,43 @@ def test_session_file_errors_name_the_declaring_line(src, message):
 def test_point_and_scalar_parsing():
     s = parse_input("vars: x1 x2\nfield: r where r^2 - 2 = 0\nf: x1\n")
     assert s.parse_point("1/2, -3") == (F(1, 2), F(-3))
-    assert str(s.parse_scalar("r")) == "r"
-    assert s.parse_scalar("3/4") == F(3, 4)
+    assert [str(c) for c in s.parse_point("r, 3/4")] == ["r", "3/4"]
     # an outer "(" that closes early is no outer pair; inner ones stay
     for text, point in [("(1/2), (3)", "(1/2, 3)"), ("((1/2)*r, 0)", "(1/2*r, 0)"),
                         ("(1/2)*r, (0)", "(1/2*r, 0)"), ("(0, (1))", "(0, 1)")]:
         assert f"({', '.join(map(str, s.parse_point(text)))})" == point, text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # the error class is the answer
+        return type(exc)
+
+
+@pytest.mark.parametrize("text", [
+    "0,0", "(0, 0)", " 1/2 , -3 ", "((1), 2)", "(0), (1)", "r, 0", "0,,0", "0,0,", "()",
+    "(0, 0", "((0, 0))", "(0, 0))", "0, 0, 0", "x1, 0", "0, 1 2", "0, $", "0, y1", "",
+])
+def test_point_split_matches_the_character_split(text):
+    """Splitting the lexer's tokens gives the coordinates, or the error class,
+    of the retired character-level split; the enclosing pair and the empty
+    coordinate check come first, and errors stay at line 1, column 1."""
+    s = parse_input("vars: x1 x2\nfield: r where r^2 - 2 = 0\nf: x1\n")
+    got = _outcome(s.parse_point, text)
+    assert got == _outcome(lambda t: char_parse_point(s, t), text)
+    if text in ("0,,0", "0,0,", "()", "(0, 0"):
+        with pytest.raises(ParseError, match="line 1, column 1$"):
+            s.parse_point(text)
+
+
+def test_point_syntax_errors_report_columns_in_the_whole_argument():
+    s = parse_input("vars: x1 x2\n")
+    for text, message in [("0, 1+", "unexpected end of expression at line 1, column 5"),
+                          ("(0, 1 2)", "unexpected '2' at line 1, column 6"),
+                          ("0, $", "unexpected character '$' at line 1, column 3")]:
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            s.parse_point(text)
 
 
 @pytest.mark.parametrize("text, message", [

@@ -514,7 +514,9 @@ def test_one_implementation_per_primitive():
     number-field screen reuses upoly_rational_roots, and darboux_search reads
     its equations off xi.apply(g) - c*g.  Powers of scalars and of sparse sums
     share one square-and-multiply loop, NFElement prints by the polynomial
-    coefficient rule, and lift_to is restrict_to."""
+    coefficient rule, and lift_to is restrict_to.  The exterior derivative
+    sums wedges, ideals.py has one gcd, and points are split from the
+    session lexer's tokens."""
     modules = dict(_package_modules())
     defined = {n.name for tree in modules.values() for n in ast.walk(tree)
                if isinstance(n, ast.FunctionDef)}
@@ -543,6 +545,13 @@ def test_one_implementation_per_primitive():
     assert [n for n in ast.walk(darboux) if isinstance(n, ast.BinOp)
             and isinstance(n.op, ast.Sub) and isinstance(n.left, ast.Call)
             and getattr(n.left.func, "attr", None) == "apply"]
+    assert "wedge" in calls("forms.py", "exterior_derivative")
+    assert "_merge_signed" not in calls("forms.py", "exterior_derivative")
+    # one module-level gcd in ideals.py (the packed-monomial lcm is a method)
+    in_ideals = {n.name for n in modules["ideals.py"].body if isinstance(n, ast.FunctionDef)}
+    assert {n for n in in_ideals if "gcd" in n or "lcm" in n} == {"poly_gcd"}
+    assert not {"poly_lcm", "poly_gcd_list", "_split_commas"} & defined
+    assert "_tokenize" in calls("parser.py", "parse_point")
 
 
 def test_inverse_grammar_and_atoms_are_folded():
