@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 import time
 from collections import namedtuple
@@ -38,8 +37,6 @@ from .parser import parse_expression, parse_input
 from .polynomials import VarSpace, order_from_name
 from .reports import Report
 from .scalars import upoly_str
-
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 # exceptions that are mathematical "no" answers rather than failures
 _VERDICT_ERRORS = (
@@ -87,13 +84,14 @@ def _resolve(session, kind, text):
         return session.parse_point(text)
     if kind == "field":
         return session.get(text, "field")
-    text = text.strip()
+    name = text.strip()
     if kind == "leaf":
         # an axis may be named ("x1") or given as a 0-based index
-        return int(text) if text.lstrip("-").isdigit() else text
-    if _NAME_RE.match(text) and text in session.decls:
-        return session.get(text, kind)
-    return session.evaluate(parse_expression(text), kind)
+        return int(name) if name.lstrip("-").isdigit() else name
+    if name in session.decls:
+        return session.get(name, kind)
+    # columns count in the raw argument; a whole-value error is at its first token
+    return session.evaluate(parse_expression(text), kind, (1, text.index(name) + 1))
 
 
 def _jsonable(value):

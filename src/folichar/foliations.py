@@ -110,12 +110,6 @@ class PolyVectorField:
     def degree(self):
         return max(c.degree() for c in self.components)
 
-    def scale(self, u):
-        """u * xi for a polynomial or scalar u."""
-        if isinstance(u, SCALARS):
-            u = MultiPoly.constant(self.space, u)
-        return PolyVectorField(self.space, [u * c for c in self.components])
-
     def __eq__(self, other):
         if not isinstance(other, PolyVectorField):
             return NotImplemented

@@ -93,8 +93,8 @@ class StepBudget:
         self.limit = DEFAULT_BUDGET if limit is None else limit
         self.used = 0
 
-    def charge(self, k=1):
-        self.used += k
+    def charge(self):
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExceeded(
                 f"exceeded {self.limit} reduction steps", steps=self.used

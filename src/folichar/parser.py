@@ -45,26 +45,21 @@ from .scalars import make_number_field, scalar_inverse, upoly_monic
 _ATOM_RE = re.compile(r"(d|dx|dy|y)([1-9][0-9]*)")
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^(),=])"
+    r"|(?P<op>[-+*/^(),=:])|(?P<bad>.)"
 )
 
 
 Token = namedtuple("Token", "kind text line column")
 
 
-def _tokenize(text, line, offset=0):
-    # columns are 0-based offsets into the raw session line
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line,
-                             pos + offset)
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        tokens.append(Token(m.lastgroup, m.group(), line, m.start() + offset))
+def _tokenize(text, line):
+    """The tokens of one session line or command-line value ``text``; a
+    column is the 1-based position of a token's first character in it."""
+    tokens = [Token(m.lastgroup, m[0], line, m.start() + 1)
+              for m in _TOKEN_RE.finditer(text) if m.lastgroup != "ws"]
+    for tok in tokens:
+        if tok.kind == "bad":
+            raise ParseError(f"unexpected character {tok.text!r}", line, tok.column)
     return tokens
 
 
@@ -88,6 +83,7 @@ class _ExprParser:
     def __init__(self, tokens, line):
         self.tokens = tokens
         self.line = line
+        self.end = tokens[-1].column + len(tokens[-1].text)  # just past the last token
         self.pos = 0
         self.depth = 0
 
@@ -97,9 +93,7 @@ class _ExprParser:
     def _next(self):
         tok = self._peek()
         if tok is None:
-            raise ParseError("unexpected end of expression", self.line,
-                             self.tokens[-1].column + len(self.tokens[-1].text)
-                             if self.tokens else 0)
+            raise ParseError("unexpected end of expression", self.line, self.end)
         self.pos += 1
         return tok
 
@@ -134,8 +128,8 @@ class _ExprParser:
     def unary(self):
         tok = self._peek()
         if self.depth == _MAX_DEPTH:
-            raise ParseError(f"expression nested more than {_MAX_DEPTH} deep",
-                             self.line, tok.column if tok else None)
+            raise ParseError(f"expression nested more than {_MAX_DEPTH} deep", self.line,
+                             tok.column if tok else self.end)
         self.depth += 1
         if self._op("-"):
             node = ("neg", self.unary(), (tok.line, tok.column))
@@ -169,11 +163,15 @@ class _ExprParser:
         return node
 
 
-def parse_expression(text, line=1, offset=0):
-    tokens = _tokenize(text, line, offset)
+def _parse_tokens(tokens, line, column):
+    """The AST of an expression's tokens, reported empty at ``column``."""
     if not tokens:
-        raise ParseError("empty expression", line, offset)
+        raise ParseError("empty expression", line, column)
     return _ExprParser(tokens, line).parse()
+
+
+def parse_expression(text):
+    return _parse_tokens(_tokenize(text, 1), 1, 1)
 
 
 def _ast_names(ast):
@@ -410,12 +408,15 @@ class Session:
             return "form"
         return "op" if marks & {"d", "op", "field"} else "poly"
 
-    def declare(self, name, source, line, offset=0):
+    def declare(self, tokens):
+        """Declare ``NAME: EXPR``, given as the tokens of its line."""
+        head, colon, *body = tokens
+        name, pos = head.text, (head.line, head.column)
         if name in self.decls or name in self.dspace.all_vars:
-            raise ParseError(f"name {name!r} already in use", line, 0)
+            raise ParseError(f"name {name!r} already in use", *pos)
         if self.field is not None and name == self.field.name:
-            raise ParseError(f"name {name!r} is the field generator", line, 0)
-        ast = parse_expression(source, line, offset)
+            raise ParseError(f"name {name!r} is the field generator", *pos)
+        ast = _parse_tokens(body, head.line, colon.column + 1)
         kind = self._infer_kind(ast)
         if kind == "binform":
             if len(ast[2]) != 1:
@@ -514,7 +515,7 @@ class Session:
         if len(parts) != self.space.n:
             raise ParseError(f"point needs {self.space.n} coordinates, got {len(parts)}", 1, 1)
         return tuple(_constant_scalar(self.eval_poly(_ExprParser(p, 1).parse(), self.space),
-                                      (1, 1)) for p in parts)
+                                      (1, p[0].column)) for p in parts)
 
 
 _NOUNS = {"poly": "a polynomial", "form": "a form", "ideal": "an ideal", "op": "an operator",
@@ -531,69 +532,67 @@ def _prefix(name):
 # session files
 # ---------------------------------------------------------------------------
 
-def _parse_header_vars(rest, line):
-    names = rest.split()
+def _parse_header_vars(tokens):
+    """x1..xn from the tokens of the line ``vars: x1 ... xn``."""
+    head, _, *names = tokens
     if not names:
-        raise ParseError("vars: needs at least one variable", line, 1)
-    for i, nm in enumerate(names):
-        if nm != f"x{i + 1}":
-            raise ParseError(
-                f"variables must be x1..xn in order, found {nm!r}", line, 1
-            )
-    return tuple(names)
+        raise ParseError("vars: needs at least one variable", head.line, head.column)
+    for i, tok in enumerate(names):
+        if tok.text != f"x{i + 1}":
+            raise ParseError(f"variables must be x1..xn in order, found {tok.text!r}",
+                             tok.line, tok.column)
+    return tuple(tok.text for tok in names)
 
 
-def _parse_field_clause(session, rest, line, assume_irreducible):
-    m = re.match(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s+where\s+(.*?)\s*$", rest)
-    if m is None:
-        raise ParseError("expected 'field: NAME where POLY = 0'", line, 1)
-    gen, body = m.group(1), m.group(2)
-    if gen in session.space.all_vars or gen in session.dspace.all_vars:
-        raise ParseError(f"generator {gen!r} collides with a coordinate", line, 1)
-    mm = re.match(r"^(.*?)=\s*0$", body)
-    if mm is None:
-        raise ParseError("the minimal polynomial must be set = 0", line, 1)
-    ast = parse_expression(mm.group(1), line)
-    gspace = VarSpace((gen,))
-    helper = Session(gspace)
-    poly = helper.eval_poly(ast, gspace)
+def _parse_field_clause(session, tokens, assume_irreducible):
+    """Q(NAME) from the tokens of the line ``field: NAME where POLY = 0``."""
+    head, line = tokens[0], tokens[0].line
+    if len(tokens) < 5 or tokens[2].kind != "name" or tokens[3].text != "where":
+        raise ParseError("expected 'field: NAME where POLY = 0'", line, head.column)
+    gen = tokens[2]
+    if gen.text in session.dspace.all_vars:
+        raise ParseError(f"generator {gen.text!r} collides with a coordinate", line, gen.column)
+    if [tok.text for tok in tokens[-2:]] != ["=", "0"]:
+        raise ParseError("the minimal polynomial must be set = 0", line, head.column)
+    body = tokens[4:-2]
+    ast = _parse_tokens(body, line, tokens[3].column + len("where"))
+    gspace = VarSpace((gen.text,))
+    poly = Session(gspace).eval_poly(ast, gspace)
     if poly.degree() < 1:
-        raise ParseError("the minimal polynomial must have degree >= 1", line, 1)
-    return make_number_field(gen, upoly_monic(_univariate_in(poly, 0)),
+        raise ParseError("the minimal polynomial must have degree >= 1", line, body[0].column)
+    return make_number_field(gen.text, upoly_monic(_univariate_in(poly, 0)),
                              assume_irreducible=assume_irreducible)
 
 
 def parse_input(text, assume_irreducible=False):
-    """Parse a whole session file into a :class:`Session`."""
+    """A :class:`Session` from a session file, each line tokenized once."""
     session = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        tokens = _tokenize(raw.split("#", 1)[0], lineno)
+        if not tokens:
             continue
-        if ":" not in line:
-            raise ParseError("expected 'name: expression'", lineno,
-                             len(line) - len(line.lstrip()) + 1)
-        head, rest = line.split(":", 1)
-        head = head.strip()
+        first = tokens[0]
+        colon = next((i for i, tok in enumerate(tokens) if tok.text == ":"), None)
+        if colon is None:
+            raise ParseError("expected 'name: expression'", lineno, first.column)
+        head = first.text if colon == 1 and first.kind == "name" else None
         if session is None:
             if head != "vars":
-                raise ParseError("the first declaration must be vars:", lineno, 1)
-            names = _parse_header_vars(rest, lineno)
-            session = Session(VarSpace(names))
-            continue
-        if head == "vars":
-            raise ParseError("vars: may appear only once", lineno, 1)
-        if head == "field":
+                raise ParseError("the first declaration must be vars:", lineno, first.column)
+            session = Session(VarSpace(_parse_header_vars(tokens)))
+        elif head == "vars":
+            raise ParseError("vars: may appear only once", lineno, first.column)
+        elif head == "field":
             if session.field is not None:
-                raise ParseError("field: may appear only once", lineno, 1)
+                raise ParseError("field: may appear only once", lineno, first.column)
             if session.decls:
-                raise ParseError("field: must precede declarations", lineno, 1)
-            session.field = _parse_field_clause(session, rest, lineno, assume_irreducible)
-            continue
-        if not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", head):
-            raise ParseError(f"bad declaration name {head!r}", lineno, 0)
-        expr_off = line.index(":") + 1 + (len(rest) - len(rest.lstrip()))
-        session.declare(head, rest.strip(), lineno, expr_off)
+                raise ParseError("field: must precede declarations", lineno, first.column)
+            session.field = _parse_field_clause(session, tokens, assume_irreducible)
+        elif head is None:
+            name = raw[first.column - 1:tokens[colon].column - 1].rstrip()
+            raise ParseError(f"bad declaration name {name!r}", lineno, first.column)
+        else:
+            session.declare(tokens)
     if session is None:
         raise ParseError("empty session: missing vars:", 1, 1)
     return session

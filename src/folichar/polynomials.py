@@ -163,9 +163,7 @@ LEX = MonomialOrder("lex")
 
 def block_order_xy(space):
     """x-block over y-block (and aux last): eliminates the x-block."""
-    nx = len(space.x_vars)
-    rest = tuple(range(nx, space.nvars))
-    return MonomialOrder("block", (tuple(range(nx)), rest))
+    return elimination_order(space, space.x_indices)
 
 
 def elimination_order(space, eliminate_indices):

@@ -547,7 +547,7 @@ def test_operator_chain_keeps_the_first_error(run):
     # d1*d2 is an operator but not a form: the error is raised where o399 is
     # read, with no position for a CLI name and the read's own for an inline one
     source = _operator_chain("d1*d2", 400)
-    for arg, where in (("o399", ""), ("o399 ^ dx1", " at line 1, column 0")):
+    for arg, where in (("o399", ""), ("o399 ^ dx1", " at line 1, column 1")):
         code, out = run(source, "form-dist", arg, "--json")
         assert code == 2
         assert json.loads(out)["result"] == {
@@ -570,8 +570,24 @@ def test_zero_form_times_form_is_a_product(run):
     assert code == 2
     assert json.loads(out)["result"] == {
         "error": "MixedContext",
-        "message": "use ^ to multiply forms at line 1, column 3",
+        "message": "use ^ to multiply forms at line 1, column 4",
     }
+
+
+@pytest.mark.parametrize("command, args, token", [
+    ("invariant", ["K"], "K"),
+    ("classify", ["ideal(x1) + J"], "ideal"),
+    ("hamiltonian", ["  x1 + $"], "$"),
+    ("weyl-mul", ["a", "  y1"], "y1"),
+    ("form-dist", ["dx1*dx2"], "*"),
+    ("eigen", ["0, x1"], "x1"),
+    ("disc", ["  x1^2 + x2"], "x1"),
+])
+def test_cli_error_columns_index_the_offending_token_in_the_argument(run, command, args, token):
+    code, out = run(DIAG_SESSION + "a: d1\n", command, *args, "--json")
+    message = json.loads(out)["result"]["message"]
+    line, column = map(int, re.search(r"at line (\d+), column (\d+)$", message).groups())
+    assert (code, line, column) == (2, 1, args[-1].index(token) + 1)
 
 
 def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):

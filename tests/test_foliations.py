@@ -182,7 +182,8 @@ def test_prolong_is_hamiltonian_of_characteristic_polynomial():
     for _ in range(25):
         n = rng.choice([2, 3])
         base = rand_field(rng, n, 3)
-        for xi in (base, base.scale(SQRT2.gen() + 1)):
+        for xi in (base, PolyVectorField(base.space, [(SQRT2.gen() + 1) * c
+                                                      for c in base.components])):
             pr, ref = prolong(xi), direct_prolongation(xi)
             assert pr == ref and _typed_components(pr) == _typed_components(ref)
             assert pr == hamiltonian(characteristic_polynomial(xi))

@@ -33,10 +33,10 @@ def test_rational_coefficient_polynomial():
 
 
 def test_syntax_error_carries_position():
-    # column is the 0-based offset of the bad token in the raw line
+    # column is the 1-based position of the bad token in the raw line
     with pytest.raises(ParseError) as exc:
         parse_input("vars: x1 x2\ng: x1 + * 2\n")
-    assert exc.value.line == 2 and exc.value.column == 8
+    assert exc.value.line == 2 and exc.value.column == 9
 
 
 def test_comments_and_blank_lines_ignored():
@@ -120,7 +120,7 @@ def test_field_clause_degree_five_needs_attestation():
 def test_unknown_variable_has_position():
     with pytest.raises(UnknownVariable) as exc:
         parse_input("vars: x1 x2\nbad: x3 + 1\n")
-    assert (exc.value.line, exc.value.column) == (2, 5)
+    assert (exc.value.line, exc.value.column) == (2, 6)
 
 
 def test_context_resolution_of_differentials():
@@ -161,26 +161,57 @@ def test_header_and_declaration_errors():
 
 
 @pytest.mark.parametrize("src, message", [
-    ("vars: x1\nf: x1 $ 2\n", "unexpected character '$' at line 2, column 6"),
-    ("vars: x1 x2 x3\nq: binform(x3^2)\n", "binform uses only x1 and x2 at line 2, column 3"),
+    ("vars: x1\nf: x1 $ 2\n", "unexpected character '$' at line 2, column 7"),
+    ("vars: x1 x2 x3\nq: binform(x3^2)\n", "binform uses only x1 and x2 at line 2, column 4"),
     ("vars:\n", "vars: needs at least one variable at line 1, column 1"),
     ("vars: x1\nfield: r r^2 - 2 = 0\n",
      "expected 'field: NAME where POLY = 0' at line 2, column 1"),
     ("vars: x1\nfield: x1 where x1^2 - 2 = 0\n",
-     "generator 'x1' collides with a coordinate at line 2, column 1"),
+     "generator 'x1' collides with a coordinate at line 2, column 8"),
     ("vars: x1\nfield: r where r^2 - 2\n",
      "the minimal polynomial must be set = 0 at line 2, column 1"),
     ("vars: x1\nfield: r where 3 = 0\n",
-     "the minimal polynomial must have degree >= 1 at line 2, column 1"),
+     "the minimal polynomial must have degree >= 1 at line 2, column 16"),
     ("vars: x1\nfield: r where r^2 - 2 = 0\nfield: s where s^2 - 3 = 0\n",
      "field: may appear only once at line 3, column 1"),
     ("vars: x1\nf: x1\nfield: r where r^2 - 2 = 0\n",
      "field: must precede declarations at line 3, column 1"),
-    ("vars: x1\n2f: x1\n", "bad declaration name '2f' at line 2, column 0"),
+    ("vars: x1\n2f: x1\n", "bad declaration name '2f' at line 2, column 1"),
+    ("vars: x1\nfield: r where r^2 - $ = 0\n", "unexpected character '$' at line 2, column 22"),
+    ("vars: x1 x3\n", "variables must be x1..xn in order, found 'x3' at line 1, column 10"),
 ])
 def test_session_file_errors_name_the_declaring_line(src, message):
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         parse_input(src)
+
+
+@pytest.mark.parametrize("src, at", [
+    ("vars: x1\nfield: r where r^2 - $ = 0\n", "$"),
+    ("vars: x1 x3\n", "x3"),
+    ("vars: x1, x2\n", ","),
+    ("  f: x1\n", "f"),
+    ("vars: x1\n vars: x1\n", "vars"),
+    ("vars: x1\nf: x1\n\tfield: r where r^2 - 2 = 0\n", "field"),
+    ("vars: x1\nfield: x1 where x1^2 - 2 = 0\n", "x1"),
+    ("vars: x1\nfield: r where 3 = 0\n", "3"),
+    ("vars: x1\nfield: r where r^2 = 2 = 0\n", "="),
+    ("vars: x1\n  2f: x1\n", "2f"),
+    ("vars: x1\nf: x1\n   f: x1 + 1\n", "f"),
+    ("vars: x1\nfield: r where r^2 - 2 = 0\nr: 3\n", "r"),
+    ("vars: x1 x2\ng: x1 + * 2   # a comment\n", "*"),
+    ("vars: x1\n\tf: x1 + y3\n", "y3"),
+    ("vars: x1\nw: dx1 * dx1\n", "*"),
+    ("vars: x1\nf: x1 : 2\n", ": 2"),
+    ("vars: x1 x2\nq: binform(x1 + x2^2)\n", "binform"),
+])
+def test_error_columns_index_the_offending_token_in_the_raw_line(src, at):
+    """A column is the 1-based position, in the raw line, of the first
+    character of the token at fault; ``at`` is the text that starts there,
+    as its first occurrence in the line."""
+    with pytest.raises(ParseError) as exc:
+        parse_input(src)
+    raw = src.splitlines()[exc.value.line - 1]
+    assert exc.value.column == raw.index(at) + 1
 
 
 def test_point_and_scalar_parsing():
@@ -218,19 +249,21 @@ def test_point_split_matches_the_character_split(text):
 
 def test_point_syntax_errors_report_columns_in_the_whole_argument():
     s = parse_input("vars: x1 x2\n")
-    for text, message in [("0, 1+", "unexpected end of expression at line 1, column 5"),
-                          ("(0, 1 2)", "unexpected '2' at line 1, column 6"),
-                          ("0, $", "unexpected character '$' at line 1, column 3")]:
+    for text, message in [("0, 1+", "unexpected end of expression at line 1, column 6"),
+                          ("(0, 1 2)", "unexpected '2' at line 1, column 7"),
+                          ("0, $", "unexpected character '$' at line 1, column 4")]:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             s.parse_point(text)
 
 
 @pytest.mark.parametrize("text, message", [
-    ("(x1", "unexpected end of expression at line 2, column 6"),
-    ("(x1 x2", "expected ')', found 'x2' at line 2, column 7"),
-    ("ideal(x1", "unexpected end of expression at line 2, column 11"),
-    ("ideal(x1 x2)", "expected ',' or ')', found 'x2' at line 2, column 12"),
-    ("ideal(x1, x2 3)", "expected ',' or ')', found '3' at line 2, column 16"),
+    ("(x1", "unexpected end of expression at line 2, column 7"),
+    ("(x1 x2", "expected ')', found 'x2' at line 2, column 8"),
+    ("ideal(x1", "unexpected end of expression at line 2, column 12"),
+    ("ideal(x1 x2)", "expected ',' or ')', found 'x2' at line 2, column 13"),
+    ("ideal(x1, x2 3)", "expected ',' or ')', found '3' at line 2, column 17"),
+    ("(" * 100, "expression nested more than 100 deep at line 2, column 104"),
+    ("-" * 100, "expression nested more than 100 deep at line 2, column 104"),
 ])
 def test_unclosed_parenthesis_is_reported_where_it_ends(text, message):
     with pytest.raises(ParseError) as exc:
@@ -265,7 +298,7 @@ def test_declared_values_convert_between_kinds():
     for kind in ("op", "form"):
         with pytest.raises(MixedContext, match="^p involves y-variables$"):
             s.get("p", kind)
-    with pytest.raises(MixedContext, match="^p involves y-variables at line 3, column 3$"):
+    with pytest.raises(MixedContext, match="^p involves y-variables at line 3, column 4$"):
         parse_input("vars: x1 x2\np: y1*x1\nL: p*d1\n")
     with pytest.raises(MixedContext, match="^J is not a form$"):
         s.get("J", "form")
@@ -276,8 +309,8 @@ def test_declared_values_convert_between_kinds():
     # names come in; an operator of order 2 is neither
     ("a: d1\nw: dx2\n", "w + a", None),
     ("a: d1\nw: dx2\n", "a + w", None),
-    ("o: d1*d2\nw: dx1\n", "w + o", "o is not a form at line 4, column 7"),
-    ("o: d1*d2\nw: dx1\n", "o + w", "o is not a form at line 4, column 3"),
+    ("o: d1*d2\nw: dx1\n", "w + o", "o is not a form at line 4, column 8"),
+    ("o: d1*d2\nw: dx1\n", "o + w", "o is not a form at line 4, column 4"),
 ])
 def test_kind_does_not_depend_on_the_order_of_names(decls, read, message):
     src = f"vars: x1 x2\n{decls}b: {read}\n"
@@ -297,7 +330,7 @@ def test_each_declaration_is_read_in_its_own_kind():
     assert (s.decls["o"].kind, str(s.decls["o"].value)) == ("op", "d1^3")
     with pytest.raises(MixedContext, match="^o is not a form$"):
         s.get("o", "form")
-    with pytest.raises(MixedContext, match="^o is not a form at line 3, column 3$"):
+    with pytest.raises(MixedContext, match="^o is not a form at line 3, column 4$"):
         parse_input("vars: x1 x2\no: d1^3\nw: o ^ dx1\n")
     assert (s.decls["xi"].kind, str(s.decls["xi"].value)) == ("field", "x1*d1")
     assert str(s.get("xi", "op")) == "x1*d1"
@@ -334,7 +367,7 @@ def test_leftmost_error_of_a_long_chain_is_reported():
     prefix = "x1 + " * 2000
     with pytest.raises(UnknownVariable) as exc:
         parse_input(f"vars: x1 x2\nbad: {prefix}x3 * dx1 + x4\n")
-    assert (exc.value.line, exc.value.column) == (2, 5 + len(prefix))
+    assert (exc.value.line, exc.value.column) == (2, 6 + len(prefix))
 
 _HEADERS = ("vars: x1 x2\n", "vars: x1 x2\nfield: r where r^2 - 2 = 0\n", "vars: x1\n",
             "vars: x1 x2 x3\n")

@@ -587,6 +587,32 @@ def test_inverse_grammar_and_atoms_are_folded():
     assert naming == {parser._ATOM_RE.pattern}
 
 
+def test_one_lexer_reads_every_session_line():
+    """parser.py compiles two regexes, the lexer's and the atoms'; the line
+    reader, the header and the field clause call no re function and match
+    no regex; cli.py does not import re."""
+    modules = dict(_package_modules())
+
+    def regex_calls(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute) and isinstance(n.func.value, ast.Name)
+                and (n.func.value.id == "re" or n.func.value.id.endswith("_RE"))]
+
+    tree = modules["parser.py"]
+    compiled = {t.id for n in tree.body if isinstance(n, ast.Assign)
+                for t in n.targets if regex_calls(n.value)}
+    assert compiled == {"_TOKEN_RE", "_ATOM_RE"}
+    assert [n.func.attr for n in regex_calls(tree) if n.func.value.id == "re"] == ["compile"] * 2
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name in ("parse_input", "_parse_header_vars", "_parse_field_clause"):
+        assert not regex_calls(functions[name]), name
+    assert "_tokenize" in {getattr(n.func, "id", None) for n in ast.walk(functions["parse_input"])
+                           if isinstance(n, ast.Call)}
+    imported = {a.name for n in ast.walk(modules["cli.py"])
+                if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    assert "re" not in imported and not regex_calls(modules["cli.py"])
+
+
 def test_each_declaration_is_evaluated_once():
     """A declaration stores its value, not its AST, and a read in another
     kind converts that value: ``Session.get`` evaluates nothing."""

@@ -270,6 +270,23 @@ def test_inverse_round_trip(min_poly):
                 assert a * a.inverse() == field.one()
 
 
+@pytest.mark.parametrize("min_poly", [(-2, 0, 1), (F(-2, 7), F(1, 5), F(-3, 4), 0, 1)],
+                         ids=["sqrt2", "quartic-non-integral"])
+def test_division_by_an_element_and_negative_powers_use_its_inverse(min_poly):
+    """q / r for a Fraction or int q, and r ** -k, are products with r^-1."""
+    K = make_number_field("a", min_poly)
+    rng = random.Random(str(min_poly))
+    elements = [K.gen(), K.gen() + 1] + [
+        K.element([F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(K.degree)])
+        for _ in range(10)]
+    for r in filter(None, elements):
+        inv = r.inverse()
+        assert F(2, 3) / r == inv * F(2, 3) and 3 / r == inv * 3
+        for k in (1, 2, 3):
+            assert r ** -k == inv ** k
+        assert r ** -2 * r ** 2 == K.one()
+
+
 def test_inversion_finds_a_factor_of_the_minimal_polynomial():
     # (t^2 + 1)(t^3 - 2) has no rational root, so it passes the screens
     K = make_number_field("a", (-2, 0, -2, 1, 0, 1), assume_irreducible=True)
