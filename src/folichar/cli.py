@@ -82,9 +82,9 @@ def _resolve(session, kind, text):
         return text
     if kind == "point":
         return session.parse_point(text)
-    if kind == "field":
-        return session.get(text, "field")
     name = text.strip()
+    if kind == "field":
+        return session.get(name, "field")
     if kind == "leaf":
         # an axis may be named ("x1") or given as a 0-based index
         return int(name) if name.lstrip("-").isdigit() else name

@@ -329,6 +329,7 @@ def classify_ch_subvariety(xi, ideal, budget=None):
     y-homogeneity of the generators, invariance under the prolongation,
     then the trichotomy tags ZeroSection / FiberOverSingularPoint /
     WholeCharVariety, falling through to QuasiMinimalityViolation.
+    P, the prolongation (P's Hamiltonian field) and (P) are built once.
     """
     budget = _as_budget(budget)
     P = characteristic_polynomial(xi)
@@ -357,7 +358,7 @@ def classify_ch_subvariety(xi, ideal, budget=None):
     if bad:
         return SubvarietyClassification(TAG_NOT_YHOM, certificate=cert)
 
-    xihat = prolong(xi)
+    xihat = hamiltonian(P)
     inv = is_invariant(xihat, J, budget=budget)
     cert["invariance"] = inv.certificates
     if not inv.invariant:
@@ -385,8 +386,8 @@ def classify_ch_subvariety(xi, ideal, budget=None):
         return SubvarietyClassification(TAG_FIBER, residual=residual, certificate=cert)
 
     # whole characteristic variety: radicals agree
-    if all(radical_membership(g, Ideal(dspace, [P]), budget=budget)
-           for g in J.generators):
+    whole = Ideal(dspace, [P])
+    if all(radical_membership(g, whole, budget=budget) for g in J.generators):
         return SubvarietyClassification(TAG_WHOLE, certificate=cert)
 
     return SubvarietyClassification(TAG_VIOLATION, certificate=cert)

@@ -529,8 +529,9 @@ def normal_form(f, ideal, order=GREVLEX, budget=None):
 def radical_membership(f, ideal, budget=None):
     """Does f vanish on the zero set of the ideal (f in the radical)?
 
-    Decided by adjoining a fresh variable w and testing whether
-    (ideal, 1 - w*f) is the unit ideal.
+    Answered in order: yes if f is in the ideal; no if its cached grevlex
+    basis has degree <= 1 (a prime ideal over Q and every Q(alpha), or zero);
+    else yes when (ideal, 1 - w*f), w a fresh variable, is the unit ideal.
     """
     budget = _as_budget(budget)
     if f.is_zero():
@@ -538,6 +539,10 @@ def radical_membership(f, ideal, budget=None):
     space = ideal.space
     if f.space != space:
         raise SpaceMismatch("radical membership needs matching spaces")
+    if ideal.contains(f, budget=budget):
+        return True
+    if all(g.degree() <= 1 for g in ideal.basis(budget=budget)):
+        return False
     wname = space.fresh_aux("_w")
     ext = space.with_aux((wname,))
     w = MultiPoly.variable(ext, wname)

@@ -360,8 +360,8 @@ class MultiPoly(SparseSum):
         for e, c in self.terms.items():
             k = e[idx]
             if k:
-                ne = e[:idx] + (k - 1,) + e[idx + 1:]
-                out[ne] = out.get(ne, _ZERO) + k * c
+                c = k * c  # e -> e - 1_idx is one-to-one: each term lands once
+                out[e[:idx] + (k - 1,) + e[idx + 1:]] = Fraction(c) if type(c) is int else c
         return MultiPoly(self.space, out)
 
     def substitute(self, mapping):

@@ -1,9 +1,13 @@
-"""Seeded random generators and standard Groebner systems shared across the tests."""
+"""Seeded random generators, standard Groebner systems and a Groebner-call spy
+shared across the tests."""
 
 import random
 from fractions import Fraction
 from math import prod
 
+import pytest
+
+from folichar import ideals
 from folichar.foliations import PolyVectorField
 from folichar.polynomials import MultiPoly, VarSpace
 from folichar.scalars import make_number_field
@@ -90,3 +94,19 @@ def katsura(n):
         gens.append(acc - u(k))
     gens.append(sum((u(l) for l in range(-n, n + 1)), MultiPoly.zero(space)) - 1)
     return gens
+
+
+@pytest.fixture
+def w_bases(monkeypatch):
+    """Rabinowitsch bases: the ``buchberger`` calls over a space with a fresh
+    auxiliary variable."""
+    calls = []
+    real = ideals.buchberger
+
+    def spy(gens, order, budget):
+        if gens and gens[0].space.aux_vars:
+            calls.append(gens[0].space.aux_vars)
+        return real(gens, order, budget)
+
+    monkeypatch.setattr(ideals, "buchberger", spy)
+    return calls

@@ -32,6 +32,9 @@ engine must give the same bases and charge the same steps.
 ``rational_points`` that computes a reduced basis with :func:`buchberger`
 at every node, on the basis of the node above with its value substituted,
 where the library specializes the basis of the root.
+:func:`rabinowitsch_membership` is radical membership by Rabinowitsch's
+trick alone, on the engine above, where ``radical_membership`` first
+answers from the ideal's own basis: f in the ideal, or a linear ideal.
 
 :func:`direct_prolongation` is the first prolongation by its coordinate
 formula, independent of the Hamiltonian of the characteristic polynomial
@@ -79,7 +82,7 @@ from folichar.ideals import (
 from folichar.foliations import PolyVectorField
 from folichar.forms import PolyForm
 from folichar.parser import _constant_scalar, parse_expression
-from folichar.polynomials import LEX, SCALARS, MultiPoly
+from folichar.polynomials import GREVLEX, LEX, SCALARS, MultiPoly
 from folichar.scalars import (
     IntegerRule, ZBetaRule, _int_divisors, common_field, upoly_rational_roots,
     upoly_squarefree_part, upoly_trim,
@@ -446,6 +449,21 @@ def rerun_rational_points(gens, space, budget=None):
 
     walk(gens, {}, list(range(space.nvars)))
     return points, exhaustive
+
+
+def rabinowitsch_membership(f, ideal, budget=None):
+    """Is f in the radical of the ideal?  Only by testing whether
+    (ideal, 1 - w*f), w a fresh variable, is the unit ideal."""
+    if f.is_zero():
+        return True
+    space = ideal.space
+    wname = space.fresh_aux("_w")
+    ext = space.with_aux((wname,))
+    w = MultiPoly.variable(ext, wname)
+    gens = [g.lift_to(ext) for g in ideal.generators]
+    gens.append(MultiPoly.constant(ext, 1) - w * f.lift_to(ext))
+    basis = buchberger(gens, GREVLEX, _as_budget(budget))
+    return bool(basis) and basis[0].is_constant()
 
 
 def _sig_key(order, sig):

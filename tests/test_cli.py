@@ -483,6 +483,16 @@ def test_automorphism_test_of_a_function_exits_two(run):
         "message": "the automorphism test applies to forms of degree >= 1"}
 
 
+def test_padded_field_name_resolves_like_every_other_kind(run):
+    # a field positional is stripped before it is looked up, as a form is
+    source = DIAG_SESSION + "w: x1*dx1\n"
+    for field, form in (("xi", "w"), (" xi", " w"), ("xi ", "w ")):
+        code, out = run(source, "inf-auto", field, form, "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["verdict"] is True
+        assert payload["inputs"] == {"xi": "x1*d1 + 2*x2*d2", "form": "x1*dx1"}
+
+
 @pytest.mark.parametrize("point", ["0,,0", "0,0,"])
 def test_empty_point_coordinate_exits_two(run, point):
     code, out = run(DIAG_SESSION, "eigen", point, "--json")

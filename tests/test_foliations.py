@@ -401,6 +401,26 @@ def test_classify_trichotomy_table():
     assert fiber.point == (F(0), F(0))
 
 
+def test_classify_builds_rabinowitsch_bases_only_for_a_first_no(w_bases):
+    """Members of J and linear J are answered from J's own basis, so the
+    linear shapes build no Rabinowitsch basis; the violation builds one, for
+    x2 against (P), and (P) two, for the first y_i and the first a_i: each
+    the first "no" of its test."""
+
+    def built(xi, gens):
+        before = len(w_bases)
+        tag = classify_ch_subvariety(xi, Ideal(xi.space.doubled(), gens)).tag
+        return tag, len(w_bases) - before
+
+    for xi in (DIAG, ROT):
+        assert built(xi, [DY1, DY2]) == ("ZeroSection", 0)
+        assert built(xi, [DX1, DX2]) == ("FiberOverSingularPoint", 0)
+    assert built(DIAG, [DX2, DY1]) == ("QuasiMinimalityViolation", 1)
+    rng = rng_for("classify-rabinowitsch")
+    for xi in (DIAG, ROT, rand_field(rng, 2, 2), rand_field(rng, 3, 2)):
+        assert built(xi, [characteristic_polynomial(xi)]) == ("WholeCharVariety", 2)
+
+
 def test_classify_fiber_over_a_line_of_zeros_reports_the_residual():
     """x1*d1 + x1*d2 vanishes on the whole line x1 = 0, so V(x1) lies over
     no single point: the fiber tag carries the residual ideal in x instead."""
