@@ -13,8 +13,8 @@ _EXPORTS = {
         "BudgetExceeded", "ConstantFunction", "DegeneratePencil", "EmptyVariety",
         "FieldMismatch", "FolicharError", "InvalidInput", "IrreducibilityUnattested",
         "LeafNotInvariant", "MixedContext",
-        "NotADistribution", "NotASingularPoint", "NotLogarithmic",
-        "NotTorusInvariant", "ParseError", "ReducibleDetected",
+        "NotADistribution", "NotASingularPoint", "NotTorusInvariant",
+        "ParseError", "ReducibleDetected",
         "SizeMismatch", "SpaceMismatch", "UnknownVariable", "UnresolvedFactor",
         "ZeroEigenvalue", "ZeroForm", "ZeroOperator",
     ),

@@ -28,7 +28,6 @@ from .errors import (
     InvalidInput,
     LeafNotInvariant,
     NotADistribution,
-    NotLogarithmic,
     NotTorusInvariant,
     UnresolvedFactor,
 )
@@ -43,7 +42,6 @@ _VERDICT_ERRORS = (
     LeafNotInvariant,
     NotADistribution,
     NotTorusInvariant,
-    NotLogarithmic,
 )
 
 

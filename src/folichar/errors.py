@@ -69,10 +69,6 @@ class NotTorusInvariant(FolicharError):
     """Form is not invariant under coordinate torus scaling."""
 
 
-class NotLogarithmic(FolicharError):
-    """Torus-invariant form lacks a common logarithmic factor."""
-
-
 class DegeneratePencil(FolicharError):
     """Binary form is identically zero (no discriminant)."""
 

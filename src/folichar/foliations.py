@@ -97,16 +97,6 @@ class PolyVectorField:
             out = out + a * f.partial(f.space.index(name))
         return out
 
-    def is_prolongation_shaped(self):
-        """x-components free of y, y-components linear in y."""
-        yidx = set(self.space.y_indices)
-        if any(c.involves(yidx) for c in self.x_components):
-            return False
-        for b in self.y_components:
-            if not b.is_zero() and set(b.homogeneous_parts(yidx)) != {1}:
-                return False
-        return True
-
     def degree(self):
         return max(c.degree() for c in self.components)
 
@@ -199,10 +189,7 @@ def prolong(xi):
     Its x-components are a_i and its y-components -sum_i (da_i/dx_j) y_i,
     i.e. dP/dy_i and -dP/dx_j for P = sum a_i y_i.
     """
-    out = hamiltonian(characteristic_polynomial(xi))
-    if not out.is_prolongation_shaped():
-        raise RuntimeError("prolongation is not linear in the fiber variables")
-    return out
+    return hamiltonian(characteristic_polynomial(xi))
 
 
 # ---------------------------------------------------------------------------

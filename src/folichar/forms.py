@@ -25,7 +25,6 @@ from .errors import (
     DegeneratePencil,
     InvalidInput,
     NotADistribution,
-    NotLogarithmic,
     NotTorusInvariant,
     SpaceMismatch,
     ZeroForm,
@@ -296,36 +295,36 @@ def is_infinitesimal_automorphism(xi, w):
 # torus invariance and logarithmic normal form
 # ---------------------------------------------------------------------------
 
-def _torus_pullback(w, ext, tnames):
-    """Pull w back along x_i -> t_i * x_i in the extended space."""
-    tpolys = [MultiPoly.variable(ext, t) for t in tnames]
-    scaled = {}
-    ndir = w.ndirections
-    for idx, p in w.terms.items():
-        q = p.lift_to(ext).substitute(
-            {i: tpolys[i] * MultiPoly.variable(ext, ext.all_vars[i]) for i in range(ndir)}
-        )
-        for i in idx:
-            q = q * tpolys[i]
-        scaled[idx] = q
-    return PolyForm(ext, w.degree, scaled)
+def _log_factor(w):
+    """(h, {I: lambda_I}) with c_I * x_I = lambda_I * h for every slot I of
+    the nonzero form w, h the smallest I's product made monic; None when the
+    products are not all scalar multiples of one polynomial."""
+    nvars = w.space.nvars
+    products = {idx: c * MultiPoly.monomial(w.space, tuple(int(i in idx) for i in range(nvars)))
+                for idx, c in sorted(w.terms.items())}
+    h = products[min(products)].monic(GREVLEX)
+    le, _ = h.leading(GREVLEX)
+    lambdas = {}
+    for idx, u in products.items():
+        lam = u.terms.get(le)
+        if lam is None or u != h * lam:
+            return None
+        lambdas[idx] = lam
+    return h, lambdas
 
 
 def is_torus_invariant_form(w):
     """Invariance of the kernel distribution under coordinate scalings.
 
-    The pullback along x_i -> t_i x_i (fresh scalar slots t_i) must be
-    proportional to w over the extended ring; equivalently every coefficient
-    scales by one common monomial character.
+    The pullback along x_i -> t_i x_i has I-slot (c_I x_I)(t x) / x_I, so it
+    is proportional to w = sum c_I dx_I exactly when each ratio
+    (c_I x_I) / (c_J x_J) is torus-invariant, hence constant, the orbits
+    being dense: the products c_I x_I are scalar multiples of one
+    polynomial.  Every variable of the space is a torus coordinate.
     """
     if w.is_zero():
         raise ZeroForm("torus test needs a nonzero form")
-    ndir = w.ndirections
-    tnames = tuple(w.space.fresh_aux(f"_t{i + 1}") for i in range(ndir))
-    ext = w.space.with_aux(tnames)
-    pulled = _torus_pullback(w, ext, tnames)
-    lifted = PolyForm(ext, w.degree, {i: p.lift_to(ext) for i, p in w.terms.items()})
-    return proportional_forms(pulled, lifted)
+    return _log_factor(w) is not None
 
 
 # w = h * Sum over I of lambda_I * dx_I / x_I: h is the common polynomial
@@ -345,43 +344,24 @@ LogNormalReport = namedtuple("LogNormalReport", "normal_form support k q hyperpl
 def logarithmic_normal_form(w):
     """Write a torus-invariant q-form as h * Sum(lambda_I dx_I / x_I).
 
-    For each participating I the product c_I * x_I must be a common
-    polynomial up to scalars; the first (smallest I) product, made monic,
-    serves as h.  Returns the pair (LogNormalForm, LogNormalReport).
+    Every product c_I * x_I is lambda_I * h, h the first (smallest I)
+    product made monic.  Returns the pair (LogNormalForm, LogNormalReport).
 
-    Raises :class:`NotTorusInvariant` or :class:`NotLogarithmic`.
+    Raises :class:`NotTorusInvariant`.
     """
     if w.is_zero():
         raise ZeroForm("normal form needs a nonzero form")
     if w.degree < 1:
         raise InvalidInput("normal form applies to forms of degree >= 1")
-    if not is_torus_invariant_form(w):
+    factor = _log_factor(w)
+    if factor is None:
         raise NotTorusInvariant("form is not invariant under coordinate scaling")
-    space = w.space
-    products = {}
-    for idx, c in sorted(w.terms.items()):
-        exp = [0] * space.nvars
-        for i in idx:
-            exp[i] = 1
-        products[idx] = c * MultiPoly.monomial(space, tuple(exp))
-    first = min(products)
-    h = products[first].monic(GREVLEX)
-    lambdas = {}
-    for idx, u in products.items():
-        # u must equal lambda * h for a scalar lambda
-        le, lc = h.leading(GREVLEX)
-        lam = u.terms.get(le)
-        if lam is None or u != h * lam:
-            raise NotLogarithmic(
-                f"coefficient slot {idx} is not a scalar multiple of {h}"
-            )
-        lambdas[idx] = lam
-    nf = LogNormalForm(h, lambdas)
-    support = tuple(sorted({i for idx in lambdas for i in idx}))
+    nf = LogNormalForm(*factor)
+    support = tuple(sorted({i for idx in nf.lambdas for i in idx}))
     k = len(support)
     q = w.degree
     n = w.ndirections
-    names = space.directions
+    names = w.space.directions
     witness = None
     wdim = None
     if k > q and q <= n - 2:

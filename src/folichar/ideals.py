@@ -678,10 +678,8 @@ def poly_gcd(polys, budget=None):
             ext = space.with_aux((tname,))
             t = MultiPoly.variable(ext, tname)
             gens = [t * acc.lift_to(ext), (MultiPoly.constant(ext, 1) - t) * g.lift_to(ext)]
-            lcm = eliminate(Ideal(ext, gens), space.all_vars, budget=budget).generators
-            if len(lcm) != 1:
-                raise RuntimeError("principal intersection did not yield a single generator")
-            g = exact_divide(acc * g, lcm[0]).monic(GREVLEX)
+            (lcm,) = eliminate(Ideal(ext, gens), space.all_vars, budget=budget).generators
+            g = exact_divide(acc * g, lcm).monic(GREVLEX)
         acc = g
         if acc.is_constant():
             break

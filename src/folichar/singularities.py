@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import (
     InvalidInput,
@@ -429,8 +428,8 @@ def coordinate_subspace_decomposition(ideal, budget=None):
     Torus invariance is tested term by term: every multigraded component of
     every generator must already lie in the ideal.  The components are then
     read off the monomial generators as minimal vertex covers of their
-    supports (exhaustive subset enumeration; supports limited to 10
-    variables).
+    supports, grown one support at a time and kept inclusion-minimal
+    (Berge); supports limited to 10 variables.
     """
     space = ideal.space
     monomials = {}
@@ -451,18 +450,14 @@ def coordinate_subspace_decomposition(ideal, budget=None):
             minimal_exps.append(e)
     gens = tuple(monomials[e] for e in minimal_exps)
     supports = {frozenset(i for i, v in enumerate(e) if v) for e in minimal_exps}
-    involved = sorted(set().union(*supports))
-    if len(involved) > 10:
-        raise InvalidInput("subset enumeration limited to supports in 10 variables")
-    covers = []
-    for size in range(len(involved) + 1):
-        for combo in combinations(involved, size):
-            s = set(combo)
-            if any(kept <= s for kept in covers):
-                continue
-            if all(s & sup for sup in supports):
-                covers.append(frozenset(s))
-    covers.sort(key=lambda s: (len(s), sorted(s)))
+    if len(set().union(*supports)) > 10:
+        raise InvalidInput("vertex covers limited to supports in 10 variables")
+    covers = {frozenset()}
+    for sup in supports:
+        grown = {c | {v} for c in covers if not c & sup for v in sup}
+        grown |= {c for c in covers if c & sup}
+        covers = {c for c in grown if not any(o < c for o in grown)}
+    covers = sorted(covers, key=lambda s: (len(s), sorted(s)))
     components = tuple(
         tuple(space.all_vars[i] for i in sorted(s)) for s in covers
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import comb, perm
 
 from .errors import SizeMismatch, ZeroOperator
-from .foliations import PolyVectorField, characteristic_polynomial
+from .foliations import PolyVectorField
 from .ideals import Ideal
 from .polynomials import SCALARS, MultiPoly, VarSpace
 
@@ -169,12 +169,8 @@ def order_one_field(d, space=None):
 def charvariety_of_principal_ideal(d, space=None):
     """Principal ideal of the principal symbol in the doubled space.
 
-    For an order-one operator xi + f this is exactly the ideal of the
-    characteristic polynomial of xi; the identity is checked.
+    For an order-one operator xi + f this is the ideal of the characteristic
+    polynomial of xi: both are sum g_i y_i.
     """
-    m, sym = principal_symbol(d, space)
-    if m == 1:
-        xi = order_one_field(d, sym.space)
-        if sym != characteristic_polynomial(xi).lift_to(sym.space):
-            raise RuntimeError("principal symbol differs from the characteristic polynomial")
+    _, sym = principal_symbol(d, space)
     return Ideal(sym.space, [sym])

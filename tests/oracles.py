@@ -61,11 +61,19 @@ below j, where ``exterior_derivative`` sums dv_j ^ (dw/dv_j) through
 ``wedge``.  :func:`char_parse_point` splits a point one character at a time
 and parses each coordinate on its own, where ``Session.parse_point`` splits
 the tokens of the session lexer.
+
+:func:`pullback_torus_invariant` pulls w back along x_i -> t_i * x_i, one
+fresh auxiliary t_i per direction, and tests every 2x2 minor against w,
+where ``is_torus_invariant_form`` asks whether the products c_I * x_I are
+scalar multiples of one polynomial.  :func:`enumerated_covers` tries every
+subset of the involved variables, smallest first, where
+``coordinate_subspace_decomposition`` grows the minimal covers one support
+at a time.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import count, product
+from itertools import combinations, count, product
 from math import gcd
 from operator import add, itemgetter, le as _le, sub
 
@@ -80,7 +88,7 @@ from folichar.ideals import (
     krull_dim_zero_check,
 )
 from folichar.foliations import PolyVectorField
-from folichar.forms import PolyForm
+from folichar.forms import PolyForm, proportional_forms
 from folichar.parser import _constant_scalar, parse_expression
 from folichar.polynomials import GREVLEX, LEX, SCALARS, MultiPoly
 from folichar.scalars import (
@@ -783,3 +791,37 @@ def char_parse_point(session, text):
         raise ParseError(f"point needs {session.space.n} coordinates, got {len(parts)}", 1, 1)
     return tuple(_constant_scalar(session.eval_poly(parse_expression(p), session.space), (1, 1))
                  for p in parts)
+
+
+def pullback_torus_invariant(w):
+    """Is the pullback of w along x_i -> t_i * x_i proportional to w over
+    the ring extended by the t_i?"""
+    ndir = w.ndirections
+    tnames = tuple(w.space.fresh_aux(f"_t{i + 1}") for i in range(ndir))
+    ext = w.space.with_aux(tnames)
+    ts = [MultiPoly.variable(ext, t) for t in tnames]
+    scaling = {i: ts[i] * MultiPoly.variable(ext, ext.all_vars[i]) for i in range(ndir)}
+    pulled = {}
+    for idx, p in w.terms.items():
+        q = p.lift_to(ext).substitute(scaling)
+        for i in idx:
+            q = q * ts[i]
+        pulled[idx] = q
+    lifted = {idx: p.lift_to(ext) for idx, p in w.terms.items()}
+    return proportional_forms(PolyForm(ext, w.degree, pulled), PolyForm(ext, w.degree, lifted))
+
+
+def enumerated_covers(supports):
+    """Inclusion-minimal sets meeting every support, sorted by size and then
+    members: every subset of the involved variables, smallest first."""
+    involved = sorted(set().union(*supports))
+    covers = []
+    for size in range(len(involved) + 1):
+        for combo in combinations(involved, size):
+            s = set(combo)
+            if any(kept <= s for kept in covers):
+                continue
+            if all(s & sup for sup in supports):
+                covers.append(frozenset(s))
+    covers.sort(key=lambda s: (len(s), sorted(s)))
+    return covers

@@ -473,6 +473,17 @@ def test_torus_fiber_of_an_ideal_with_a_unit_generator(run):
                                  "dimensions": [], "same_dimension": True}
 
 
+def test_torus_fiber_past_ten_variables_is_an_input_error(run):
+    # the minimal covers are built only for supports in at most 10 variables
+    source = "vars: " + " ".join(f"x{i}" for i in range(1, 13)) + "\n"
+    ideal = "ideal(" + ", ".join(f"y{i}*y{i + 1}" for i in range(1, 12)) + ")"
+    code, out = run(source, "torus-fiber", ideal, "--json")
+    assert code == 2
+    assert json.loads(out)["result"] == {
+        "error": "InvalidInput",
+        "message": "vertex covers limited to supports in 10 variables"}
+
+
 def test_automorphism_test_of_a_function_exits_two(run):
     # any two nonzero functions are proportional over the fraction field, so
     # the test says nothing about a 0-form; the distribution tests reject one too

@@ -217,7 +217,6 @@ def test_prolong_zero_section_restriction():
             assert comp.substitute(zero_at).is_zero()
             if not comp.is_zero():
                 assert set(comp.homogeneous_parts(yset)) == {1}
-        assert pr.is_prolongation_shaped()
 
 
 def test_prolong_zero_section_always_invariant():

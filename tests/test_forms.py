@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import SQRT2, rand_coeff, rand_field, rand_poly, rng_for
-from oracles import merge_exterior_derivative
+from oracles import merge_exterior_derivative, pullback_torus_invariant
 
 from folichar.errors import (
     DegeneratePencil,
@@ -193,6 +193,66 @@ def test_torus_invariance():
     # stability under monomial scaling
     w = dx(S3, 0) * U2 + dx(S3, 1) * U1
     assert is_torus_invariant_form(w * (U1 * U3 * U3))
+    # invariant, though its coefficient scales by no monomial character
+    sum_slot = dx(S3, 0) * (U1 + U2)
+    assert is_torus_invariant_form(sum_slot)
+    assert logarithmic_normal_form(sum_slot)[0].h == U1 * U1 + U1 * U2
+
+
+def _x(space, idx):
+    """The monomial x_I of the directions in the index tuple I."""
+    return MultiPoly.monomial(space, tuple(int(i in idx) for i in range(space.nvars)))
+
+
+def _rand_torus_form(rng, space, q, field):
+    """A seeded q-form: h * sum lambda_I dx_I / x_I (invariant), the same
+    with one slot moved by a variable, or random coefficients."""
+    slots = [idx for idx in itertools.combinations(range(len(space.directions)), q)
+             if rng.random() < 0.6] or [tuple(range(q))]
+    kind = rng.choice(["log", "moved", "random"])
+    if kind == "random":
+        return PolyForm(space, q, {idx: rand_poly(rng, space, 2) * rand_coeff(rng, field)
+                                   for idx in slots})
+    union = tuple(sorted({i for idx in slots for i in idx}))
+    h = (rand_poly(rng, space, 2, nonzero=True) * rand_coeff(rng, field)
+         + rand_poly(rng, space, 1) * rand_coeff(rng, field))
+    terms = {idx: h * _x(space, tuple(i for i in union if i not in idx)) * rand_coeff(rng, field)
+             for idx in slots}
+    if kind == "moved":
+        idx = rng.choice(slots)
+        terms[idx] = terms[idx] * MultiPoly.variable(space, rng.randrange(space.nvars))
+    return PolyForm(space, q, terms)
+
+
+def test_torus_rule_matches_the_pullback_criterion():
+    """is_torus_invariant_form agrees with the pullback-and-minors criterion
+    on seeded forms of degree 0-2 over a base and a doubled space, over Q and
+    Q(sqrt 2), 40 draws for each.  For an invariant form of degree >= 1 the normal form gives
+    lambda_I * h = c_I * x_I in every slot; otherwise it raises."""
+    rng = rng_for("torus-rule")
+    answers = []
+    for space in (S3, VarSpace(("x1", "x2")).doubled()):
+        for field in (None, SQRT2):
+            for q in range(3):
+                for _ in range(40):
+                    w = _rand_torus_form(rng, space, q, field)
+                    if w.is_zero():
+                        continue
+                    invariant = is_torus_invariant_form(w)
+                    assert invariant == pullback_torus_invariant(w), w
+                    answers.append((invariant, len(w.terms) > 1))
+                    if q == 0:
+                        continue
+                    if not invariant:
+                        with pytest.raises(NotTorusInvariant):
+                            logarithmic_normal_form(w)
+                        continue
+                    nf, _ = logarithmic_normal_form(w)
+                    assert set(nf.lambdas) == set(w.terms)
+                    for idx, c in w.terms.items():
+                        assert nf.h * nf.lambdas[idx] == c * _x(space, idx)
+    # both answers occur, and invariance with two or more slots is not rare
+    assert answers.count((True, True)) >= 30 and answers.count((False, True)) >= 30
 
 
 def test_log_normal_form_examples():

@@ -554,6 +554,23 @@ def test_one_implementation_per_primitive():
     assert "_tokenize" in calls("parser.py", "parse_point")
 
 
+def test_no_second_decision_of_a_constructed_identity():
+    """Torus invariance is read off the products c_I * x_I, with no pullback
+    into a space of fresh t's; lognf has no second verdict; prolong and the
+    Weyl principal ideal trust what their construction gives."""
+    modules = dict(_package_modules())
+    defined = {n.name for tree in modules.values() for n in ast.walk(tree)
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert not {"NotLogarithmic", "is_prolongation_shaped", "_torus_pullback"} & defined
+
+    def called(module):
+        return {getattr(n.func, "attr", getattr(n.func, "id", None))
+                for n in ast.walk(modules[module]) if isinstance(n, ast.Call)}
+
+    assert not {"with_aux", "fresh_aux", "substitute"} & called("forms.py")
+    assert "characteristic_polynomial" not in called("weyl.py")
+
+
 def test_inverse_grammar_and_atoms_are_folded():
     """A number-field inverse is an rref solve, the extended Euclid and its
     coefficient helpers are gone, the grammar's binary levels share one

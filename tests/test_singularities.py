@@ -7,6 +7,8 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from conftest import rng_for
+from oracles import enumerated_covers
 
 from folichar.errors import (
     FieldMismatch,
@@ -260,6 +262,32 @@ def test_decomposition_mixed_generators():
     # redundant generator dropped by minimality
     rep3 = coordinate_subspace_decomposition(Ideal(Y3, [y1, y1 * y2]))
     assert rep3.components == (("y1",),) and rep3.dimensions == (2,)
+
+
+def test_decomposition_matches_the_subset_enumeration():
+    """Covers grown one support at a time are the minimal covers that trying
+    every subset finds, in the same order, on seeded monomial ideals in up
+    to 8 variables; an ideal with a unit generator has no components."""
+    rng = rng_for("cover-growth")
+    sizes = set()
+    for trial in range(300):
+        n = rng.randint(1, 8)
+        space = VarSpace(tuple(f"x{i + 1}" for i in range(n)))
+        exps = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+                for _ in range(rng.randint(1, 6))]
+        if trial % 50 == 0:
+            exps.append((0,) * n)
+        rep = coordinate_subspace_decomposition(
+            Ideal(space, [MultiPoly.monomial(space, e) for e in exps]))
+        covers = enumerated_covers({frozenset(i for i, v in enumerate(e) if v) for e in exps})
+        assert rep.torus_invariant
+        assert rep.components == tuple(tuple(space.all_vars[i] for i in sorted(c))
+                                       for c in covers), exps
+        assert rep.dimensions == tuple(n - len(c) for c in covers)
+        if trial % 50 == 0:
+            assert rep.components == ()
+        sizes.add(len(covers))
+    assert {0, 1} < sizes and max(sizes) >= 5
 
 
 # ---------------------------------------------------------------------------
