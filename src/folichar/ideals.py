@@ -529,9 +529,17 @@ def normal_form(f, ideal, order=GREVLEX, budget=None):
 def radical_membership(f, ideal, budget=None):
     """Does f vanish on the zero set of the ideal (f in the radical)?
 
-    Answered in order: yes if f is in the ideal; no if its cached grevlex
-    basis has degree <= 1 (a prime ideal over Q and every Q(alpha), or zero);
-    else yes when (ideal, 1 - w*f), w a fresh variable, is the unit ideal.
+    Answered in order from the cached grevlex basis:
+    1. yes if f is in the ideal;
+    2. no if the basis has degree <= 1 (a prime ideal over Q and every
+       Q(alpha), or zero);
+    3. for a basis (P) of one polynomial: no if P involves a variable that f
+       does not, else yes exactly when P divides f^N, N the largest exponent
+       of one variable in P.  By unique factorization f is in the radical of
+       (P) iff each prime factor p of P divides f, so f involves every
+       variable of P; and p^m | P with p in v gives m <= deg_v P <= N (Cox,
+       Little and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 4 s. 2);
+    4. else yes when (ideal, 1 - w*f), w a fresh variable, is the unit ideal.
     """
     budget = _as_budget(budget)
     if f.is_zero():
@@ -539,9 +547,22 @@ def radical_membership(f, ideal, budget=None):
     space = ideal.space
     if f.space != space:
         raise SpaceMismatch("radical membership needs matching spaces")
-    if ideal.contains(f, budget=budget):
+    r = normal_form(f, ideal, budget=budget)
+    if r.is_zero():
         return True
-    if all(g.degree() <= 1 for g in ideal.basis(budget=budget)):
+    basis = ideal.basis(budget=budget)
+    if all(g.degree() <= 1 for g in basis):
+        return False
+    if len(basis) == 1:
+        tops = [max(col) for col in zip(*basis[0].terms)]
+        uses = [any(col) for col in zip(*f.terms)]
+        if any(t and not u for t, u in zip(tops, uses)):
+            return False
+        power = r
+        for _ in range(max(tops) - 1):  # f^k mod P for k = 2..N
+            power = normal_form(power * r, ideal, budget=budget)
+            if power.is_zero():
+                return True
         return False
     wname = space.fresh_aux("_w")
     ext = space.with_aux((wname,))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from .errors import SpaceMismatch
@@ -258,6 +259,16 @@ class SparseSum:
         return power(self, k, one)
 
 
+def _over_z(terms):
+    """The terms as (exponent, integer) pairs over one common denominator d,
+    and d; None when a coefficient is not an int or a Fraction."""
+    cs = terms.values()
+    if not all(type(c) is Fraction or type(c) is int for c in cs):
+        return None
+    d = lcm(*[c.denominator for c in cs])
+    return [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()], d
+
+
 class MultiPoly(SparseSum):
     """Immutable sparse polynomial over a :class:`VarSpace`."""
 
@@ -335,16 +346,22 @@ class MultiPoly(SparseSum):
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
+        a, b = _over_z(self.terms), _over_z(other.terms)
+        over_q = a and b  # then sum integer products and divide once per term
+        ta, tb = (a[0], b[0]) if over_q else (self.terms.items(), other.terms.items())
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
+        for e1, c1 in ta:
+            for e2, c2 in tb:
+                e = tuple(map(add, e1, e2))
                 if e in out:
-                    out[e] += c
+                    out[e] += c1 * c2
                 else:
-                    out[e] = Fraction(c) if type(c) is int else c
-        return MultiPoly(self.space, out)
+                    out[e] = c1 * c2
+        if over_q:
+            d = a[1] * b[1]
+            return MultiPoly(self.space, {e: Fraction(n, d) for e, n in out.items() if n})
+        return MultiPoly(self.space, {e: Fraction(c) if type(c) is int else c
+                                      for e, c in out.items()})
 
     __rmul__ = __mul__
 

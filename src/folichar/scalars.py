@@ -357,11 +357,14 @@ class NFElement:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Solve self*x = 1 by :func:`rref` on the matrix of multiplication by
-        self, whose columns are self*alpha^j (Cohen 1993, ch. 4)."""
+        """Invert a rational element as a Fraction; else solve self*x = 1 by
+        :func:`rref` on the matrix of multiplication by self, whose columns
+        are self*alpha^j (Cohen 1993, ch. 4)."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         field, d = self.field, self.field.degree
+        if self.is_rational():
+            return field.from_rational(Fraction(1, self.coords[0]))
         cols = [self]
         while len(cols) < d:
             cols.append(cols[-1] * field.gen())

@@ -34,7 +34,8 @@ at every node, on the basis of the node above with its value substituted,
 where the library specializes the basis of the root.
 :func:`rabinowitsch_membership` is radical membership by Rabinowitsch's
 trick alone, on the engine above, where ``radical_membership`` first
-answers from the ideal's own basis: f in the ideal, or a linear ideal.
+answers from the ideal's own basis: f in the ideal, a linear ideal, or a
+principal ideal (P) by whether P divides a power of f.
 
 :func:`direct_prolongation` is the first prolongation by its coordinate
 formula, independent of the Hamiltonian of the characteristic polynomial
@@ -61,6 +62,10 @@ below j, where ``exterior_derivative`` sums dv_j ^ (dw/dv_j) through
 ``wedge``.  :func:`char_parse_point` splits a point one character at a time
 and parses each coordinate on its own, where ``Session.parse_point`` splits
 the tokens of the session lexer.
+
+:func:`termwise_product` multiplies two polynomials one coefficient product
+at a time, where ``MultiPoly.__mul__`` multiplies the integer numerators of
+two rational polynomials and divides once per term.
 
 :func:`pullback_torus_invariant` pulls w back along x_i -> t_i * x_i, one
 fresh auxiliary t_i per direction, and tests every 2x2 minor against w,
@@ -644,6 +649,18 @@ def two_path_substitute(p, mapping):
                 rest[i] = k
         out = out + term * MultiPoly.monomial(space, tuple(rest))
     return out
+
+
+def termwise_product(f, g):
+    """f * g summed one scalar product at a time, in the order the terms
+    meet; int coefficients become Fractions."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            out[e] = out[e] + c if e in out else (Fraction(c) if type(c) is int else c)
+    return MultiPoly(f.space, out)
 
 
 def expanded_darboux_equations(xi, lead, unknowns, c_monos, uspace):

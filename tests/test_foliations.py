@@ -401,10 +401,11 @@ def test_classify_trichotomy_table():
 
 
 def test_classify_builds_rabinowitsch_bases_only_for_a_first_no(w_bases):
-    """Members of J and linear J are answered from J's own basis, so the
-    linear shapes build no Rabinowitsch basis; the violation builds one, for
-    x2 against (P), and (P) two, for the first y_i and the first a_i: each
-    the first "no" of its test."""
+    """Members of J, linear J and principal J are answered from J's own
+    basis, so the linear shapes, the violation (x2 against (P)) and (P)
+    build no Rabinowitsch basis.  The nonlinear, non-principal
+    (x1, x2)*(y1, y2) builds one for the first y_i and one for the first
+    a_i: each the first "no" of its test."""
 
     def built(xi, gens):
         before = len(w_bases)
@@ -414,10 +415,13 @@ def test_classify_builds_rabinowitsch_bases_only_for_a_first_no(w_bases):
     for xi in (DIAG, ROT):
         assert built(xi, [DY1, DY2]) == ("ZeroSection", 0)
         assert built(xi, [DX1, DX2]) == ("FiberOverSingularPoint", 0)
-    assert built(DIAG, [DX2, DY1]) == ("QuasiMinimalityViolation", 1)
+    assert built(DIAG, [DX2, DY1]) == ("QuasiMinimalityViolation", 0)
     rng = rng_for("classify-rabinowitsch")
     for xi in (DIAG, ROT, rand_field(rng, 2, 2), rand_field(rng, 3, 2)):
-        assert built(xi, [characteristic_polynomial(xi)]) == ("WholeCharVariety", 2)
+        assert built(xi, [characteristic_polynomial(xi)]) == ("WholeCharVariety", 0)
+    xi = PolyVectorField(S2, [X1, X1 * X1 - 3 * X2])
+    crossed = [DX1 * DY1, DX1 * DY2, DX2 * DY1, DX2 * DY2]
+    assert built(xi, crossed) == ("QuasiMinimalityViolation", 2)
 
 
 def test_classify_fiber_over_a_line_of_zeros_reports_the_residual():

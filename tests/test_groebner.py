@@ -169,8 +169,36 @@ def test_radical_membership_of_the_zero_and_unit_ideals(w_bases):
     assert not w_bases
 
 
+@pytest.mark.parametrize("r", [1, SQRT2.gen()], ids=["Q", "Q(sqrt2)"])
+def test_radical_membership_of_a_principal_ideal_is_division(w_bases, r):
+    """(P) with repeated factors: f is in the radical iff P divides f^N, N the
+    largest exponent of one variable in P, and an f that misses a variable
+    of P is not.  Each answer matches Rabinowitsch's, and none builds a
+    basis over (P, 1 - w*f)."""
+    x, y, z = (MultiPoly.variable(SXYZ, v) for v in SXYZ.all_vars)
+    d2 = VarSpace(("x1", "x2")).doubled()
+    x1, x2, y1, y2 = (MultiPoly.variable(d2, v) for v in d2.all_vars)
+    ptilde = x1 * y1 + r * x2 * y2  # P = sum a_i*y_i = c*ptilde, c = x1^2
+    cases = [
+        (x * x * (y - r), [x * (y - r), x * (y - r) * (x + 1), x + y - r, x * x, y - r],
+         [True, True, False, False, False]),
+        ((x + r * y) ** 3 * z, [(x + r * y) * z, x * y * z, (x + r * y) ** 2],
+         [True, False, False]),
+        (x1 * x1 * ptilde, [x1 * ptilde, ptilde, x1 * x1, y1],
+         [True, False, False, False]),
+    ]
+    for P, fs, expected in cases:
+        J = Ideal(P.space, [P])
+        got = [radical_membership(f, J) for f in fs]
+        assert got == expected == [oracles.rabinowitsch_membership(f, J) for f in fs], P
+        # the "yes" answers need N > 1: f alone is not in (P)
+        assert not any(J.contains(f) for f in fs)
+    assert not w_bases
+
+
 def test_radical_membership_still_reaches_rabinowitsch(w_bases):
-    J = Ideal(SXY, [X * X])
+    # neither linear nor principal
+    J = Ideal(SXY, [X * X, X * Y])
     assert radical_membership(X, J) and w_bases == [("_w",)]
     assert not radical_membership(Y, J) and len(w_bases) == 2
     assert oracles.rabinowitsch_membership(X, J) and not oracles.rabinowitsch_membership(Y, J)

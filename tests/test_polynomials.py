@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 from conftest import SQRT2, rand_coeff, rand_poly, rng_for
-from oracles import two_path_substitute
+from oracles import termwise_product, two_path_substitute
 
 import folichar
 from folichar import parser
@@ -70,6 +70,33 @@ def test_ring_axioms_random():
         assert (f + g) * h == f * h + g * h
         assert (f * g) * h == f * (g * h)
         assert f * g == g * f
+
+
+@pytest.mark.parametrize("field", [None, SQRT2], ids=["Q", "sqrt2"])
+def test_product_matches_the_termwise_reference(field):
+    """Over Q the product multiplies integer numerators and divides once per
+    term; with Q(sqrt 2) coefficients it multiplies scalars.  Both agree with
+    one scalar product at a time in value, coefficient type and term order,
+    and keep no zero term.  (p + q)*(p - q) cancels every cross term."""
+    rng = rng_for(f"product-termwise:{field}")
+
+    def draw():
+        p = MultiPoly(S3, {tuple(rng.randint(0, 2) for _ in range(3)):
+                           rng.choice([F(rng.randint(-6, 6), rng.randint(1, 7)),
+                                       rng.randint(-3, 3)])
+                           for _ in range(rng.randint(0, 6))})
+        return p * rand_coeff(rng, field) if field is not None else p
+
+    cancelled = 0
+    for _ in range(60):
+        p, q = draw(), draw()
+        for f, g in ((p, q), (p + q, p - q)):
+            got, ref = f * g, termwise_product(f, g)
+            assert got == ref and list(got.terms) == list(ref.terms)
+            assert _typed(got) == _typed(ref) and all(got.terms.values())
+            cancelled += len(got.terms) < len({tuple(map(add, a, b))
+                                                for a in f.terms for b in g.terms})
+    assert cancelled
 
 
 def test_product_rule_random():

@@ -259,7 +259,8 @@ def test_nf_field_axioms_random(sqrt2):
 ], ids=["sqrt2", "i", "cubic", "quartic-non-integral"])
 def test_inverse_round_trip(min_poly):
     """a * a^-1 = 1, for Fraction coordinates and for the int coordinates of
-    Z[beta] that ZBetaRule.primitive inverts."""
+    Z[beta] that ZBetaRule.primitive inverts; a rational element's inverse
+    has Fraction coordinates either way."""
     K = make_number_field("a", min_poly)
     rng = random.Random(str(min_poly))
     for field, draw in ((K, lambda: F(rng.randint(-6, 6), rng.randint(1, 4))),
@@ -268,6 +269,10 @@ def test_inverse_round_trip(min_poly):
             a = NFElement(field, tuple(draw() for _ in range(field.degree)))
             if a:
                 assert a * a.inverse() == field.one()
+        for q in (3, -2, F(-5, 4)):  # a rational element inverts as a Fraction
+            inv = NFElement(field, (q,) + (0,) * (field.degree - 1)).inverse()
+            assert inv == field.from_rational(1 / F(q))
+            assert all(type(c) is F for c in inv.coords)
 
 
 @pytest.mark.parametrize("min_poly", [(-2, 0, 1), (F(-2, 7), F(1, 5), F(-3, 4), 0, 1)],
