@@ -94,8 +94,9 @@ class NotASingularPoint(FolicharError):
 
 
 class UnresolvedFactor(FolicharError):
-    """Characteristic polynomial has an irreducible factor of degree >= 2
-    that the working field does not split."""
+    """Characteristic polynomial keeps a factor of degree >= 2 with no root
+    in the working field; the factor is irreducible when its degree is 2 or 3,
+    and may split into factors without roots when it is higher."""
 
     def __init__(self, msg, residual=None):
         super().__init__(msg)

@@ -137,9 +137,9 @@ def upoly_rational_roots(p):
     ints = IntegerRule.clear(p)
     g = gcd(*ints)
     ints = [c // g for c in ints]
-    a0, an = ints[0], ints[-1]
+    a0, dens = ints[0], _int_divisors(ints[-1])
     for num in _int_divisors(a0):
-        for dd in _int_divisors(an):
+        for dd in dens:
             if gcd(num, dd) != 1:  # its lowest terms came earlier
                 continue
             for x in (num, -num):

@@ -1,12 +1,17 @@
 """Local analysis of a vector field at a singular point.
 
-Eigendata of the linear part is computed exactly: the characteristic
-polynomial as the determinant det(tI - D) (:func:`folichar.ideals.poly_det`,
-the package's one determinant), eigenvalues as roots in the
-working field (rational roots over Q, a coordinate ansatz solved with
-``rational_points`` over Q(alpha)), eigenvectors as exact kernel bases.
-Irreducible factors of degree >= 2 with no declared extension are reported
-through :class:`~folichar.errors.UnresolvedFactor`, never approximated.
+Eigendata of the linear part is computed exactly.  The characteristic
+polynomial is the determinant det(tI - D) (:func:`folichar.ideals.poly_det`,
+the package's one determinant), taken over Q whenever every entry of D is
+rational, also in a declared extension Q(alpha).  Its roots in the working
+field are found in three steps: the rational roots of a rational polynomial
+first; over a quadratic field, a rational quadratic remainder by the
+quadratic formula; any other remainder by a coordinate ansatz solved with
+``rational_points``.  Eigenvectors are exact kernel bases, computed only by
+:func:`jacobian_eigendata`: non-resonance and holonomy need the eigenvalues
+alone.  A factor of degree >= 2 with no root in the working field is
+reported through :class:`~folichar.errors.UnresolvedFactor`, never
+approximated.
 
 Non-resonance of an isolated singularity means the linear part is invertible
 and its eigenvalues span a rank-n subgroup of the additive group of the field
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import isqrt
 
 from .errors import (
     InvalidInput,
@@ -47,7 +53,6 @@ from .scalars import (
     upoly_divmod,
     upoly_rational_roots,
     upoly_str,
-    upoly_trim,
     zrank,
 )
 
@@ -79,31 +84,29 @@ class EigenData(namedtuple("EigenData", "point char_poly eigenvalues eigenvector
 
 
 def _jacobian_matrix(xi, point, field):
-    """D(xi) at the point: row j, column k holds da_j/dx_k evaluated."""
+    """D(xi) at the point: row j, column k holds da_j/dx_k evaluated.  The
+    entries are coerced into ``field`` only when one of them is a field
+    element; a rational matrix stays over Q."""
     n = len(xi.components)
     at = {i: point[i] for i in range(n)}
-    mat = []
-    for a in xi.components:
-        row = [a.partial(k).evaluate(at) for k in range(n)]
-        if field is not None:
-            row = [field.coerce(v) for v in row]
-        mat.append(row)
+    mat = [[a.partial(k).evaluate(at) for k in range(n)] for a in xi.components]
+    if common_field([v for row in mat for v in row]) is not None:
+        mat = [[field.coerce(v) for v in row] for row in mat]
     return mat
 
 
-def _char_upoly(mat, field):
-    """det(tI - mat), low-degree first, by :func:`poly_det` over Q[t]."""
+def _char_upoly(mat):
+    """det(tI - mat), low-degree first, by :func:`poly_det` over Q[t] or Q(alpha)[t]."""
     n = len(mat)
     space = VarSpace(("t",))
     rows = [[MultiPoly.constant(space, -v) for v in row] for row in mat]
     for i in range(n):
         rows[i][i] = rows[i][i] + MultiPoly.variable(space, 0)
     det = poly_det(rows)
-    coerce = Fraction if field is None else field.coerce
-    return tuple(coerce(det.terms.get((k,), 0)) for k in range(n + 1))
+    return tuple(det.terms.get((k,), _ZERO) for k in range(n + 1))
 
 
-def _field_roots(char, field, budget=None):
+def _ansatz_roots(char, field, budget=None):
     """All roots of ``char`` that lie in Q(alpha), by coordinate ansatz.
 
     A candidate root z = sum c_k alpha^k is a polynomial in the c_k over
@@ -124,6 +127,69 @@ def _field_roots(char, field, budget=None):
            for i in range(d)]
     points, _ = rational_points([g for g in eqs if not g.is_zero()], space, budget=budget)
     return [field.element([p.get(k, _ZERO) for k in range(d)]) for p in points]
+
+
+def _quadratic_roots(quad, field):
+    """Roots in a quadratic field Q(alpha) of a rational t^2 + b*t + c with no
+    rational root, by the quadratic formula.
+
+    With alpha^2 + a1*alpha + a0 = 0, (2*alpha + a1)^2 = a1^2 - 4*a0, and the
+    only irrational elements of Q(alpha) with a rational square are the
+    rational multiples of 2*alpha + a1.  So the discriminant D has a square
+    root in Q(alpha) exactly when D/(a1^2 - 4*a0) = s^2 for a rational s,
+    and then sqrt(D) = s*(2*alpha + a1).
+    """
+    c, b, _ = quad
+    a0, a1, _ = field.min_poly
+    q = (b * b - 4 * c) / (a1 * a1 - 4 * a0)
+    if q < 0:
+        return []
+    s = Fraction(isqrt(q.numerator), isqrt(q.denominator))
+    if s * s != q:
+        return []
+    return [field.element([(-b + sign * s * a1) / 2, sign * s]) for sign in (1, -1)]
+
+
+def _deflate(poly, roots, one):
+    """Divide each root out of ``poly`` as often as it divides: the roots
+    repeated by multiplicity, and the cofactor."""
+    found = []
+    for lam in roots:
+        while upoly_degree(poly) >= 1:
+            quo, rem = upoly_divmod(poly, (-lam, one))
+            if rem:
+                break
+            poly = quo
+            found.append(lam)
+    return found, poly
+
+
+def _field_roots(char, field, budget=None):
+    """The roots of ``char`` in the working field (Q when ``field`` is None),
+    repeated by multiplicity, and the cofactor with no root there.
+
+    A rational ``char`` first loses its rational roots
+    (:func:`upoly_rational_roots`).  Over a quadratic field a quadratic
+    remainder is solved by :func:`_quadratic_roots`; any other remainder,
+    and a ``char`` with irrational coefficients, goes to the coordinate
+    ansatz :func:`_ansatz_roots`.
+    """
+    if not all(map(is_rational_scalar, char)):
+        return _deflate(char, _ansatz_roots(char, field, budget), field.one())
+    char = tuple(map(as_fraction, char))
+    found, rest = _deflate(char, upoly_rational_roots(char), _ONE)
+    if field is None:
+        return found, rest
+    found = [field.from_rational(r) for r in found]
+    if upoly_degree(rest) == 2 and field.degree == 2:
+        roots = _quadratic_roots(rest, field)
+        if roots:  # two simple roots: nothing is left
+            return found + roots, (_ONE,)
+    elif upoly_degree(rest) >= 1:
+        roots = _ansatz_roots(rest, field, budget)
+        more, rest = _deflate(tuple(map(field.coerce, rest)), roots, field.one())
+        return found + more, rest
+    return found, tuple(map(field.coerce, rest))
 
 
 def _eig_sort_key(value):
@@ -151,13 +217,11 @@ def point_str(point):
     return "(" + ", ".join(str(v) for v in point) + ")"
 
 
-def jacobian_eigendata(xi, point, field=None, budget=None):
-    """Spectral data of D(xi) at a singular point, exact over the field.
+def _spectrum(xi, point, field, budget):
+    """D(xi) at a singular point and its :class:`EigenData` without eigenvectors.
 
-    ``field`` lifts a rational problem into a declared extension Q(alpha) so
-    that irrational eigenvalues (e.g. of a rotation) become visible.  If the
-    characteristic polynomial keeps a factor of degree >= 2 with no root in
-    the working field, :class:`UnresolvedFactor` carries that factor.
+    When every entry of D is rational, det(tI - D) is taken over Q and its
+    coefficients are coerced into the working field afterwards.
     """
     n = len(xi.components)
     point = tuple(point)
@@ -170,43 +234,51 @@ def jacobian_eigendata(xi, point, field=None, budget=None):
     if field is None:
         field = common_field([c for a in xi.components for c in a.terms.values()] + list(point))
     mat = _jacobian_matrix(xi, point, field)
-    char = _char_upoly(mat, field)
-    if field is None:
-        roots = upoly_rational_roots(char)
-    else:
-        roots = _field_roots(char, field, budget=budget)
-    eigenvalues = []
+    rational = all(is_rational_scalar(v) for row in mat for v in row)
+    if rational:
+        mat = [[as_fraction(v) for v in row] for row in mat]
+    char = tuple(map(Fraction if rational else field.coerce, _char_upoly(mat)))
+    eigenvalues, rest = _field_roots(char, field, budget)
+    if upoly_degree(rest) >= 1:
+        # with no root in the field, a factor of degree 2 or 3 is irreducible
+        kind = "irreducible factor" if upoly_degree(rest) <= 3 else "factor"
+        raise UnresolvedFactor(
+            f"{kind} {upoly_str(rest)} has no root in the working field; "
+            "declare an extension to resolve it",
+            rest,
+        )
+    if field is not None:
+        char = tuple(map(field.coerce, char))
+    return mat, EigenData(
+        point=point,
+        char_poly=char,
+        eigenvalues=tuple(sorted(eigenvalues, key=_eig_sort_key)),
+        eigenvectors=(),
+        invertible=bool(char[0]),
+        field=field,
+    )
+
+
+def jacobian_eigendata(xi, point, field=None, budget=None):
+    """Spectral data of D(xi) at a singular point, exact over the field.
+
+    ``field`` lifts a rational problem into a declared extension Q(alpha) so
+    that irrational eigenvalues (e.g. of a rotation) become visible.  If the
+    characteristic polynomial keeps a factor of degree >= 2 with no root in
+    the working field, :class:`UnresolvedFactor` carries that factor.
+    """
+    mat, data = _spectrum(xi, point, field, budget)
+    n, field = len(mat), data.field
+    if field is not None:
+        mat = [[field.coerce(v) for v in row] for row in mat]
     vectors = []
-    remaining = char
-    one = _ONE if field is None else field.one()
-    for lam in sorted(roots, key=_eig_sort_key):
-        count = 0
-        while upoly_degree(remaining) >= 1:
-            quo, rem = upoly_divmod(remaining, (-lam, one))
-            if upoly_trim(rem):
-                break
-            remaining = quo
-            count += 1
-        eigenvalues.extend([lam] * count)
+    for lam in dict.fromkeys(data.eigenvalues):
         shifted = [
             [mat[i][j] - (lam if i == j else 0) for j in range(n)]
             for i in range(n)
         ]
         vectors.append((lam, tuple(_kernel_basis(shifted))))
-    if upoly_degree(remaining) >= 1:
-        raise UnresolvedFactor(
-            f"irreducible factor {upoly_str(upoly_trim(remaining))} has no root "
-            "in the working field; declare an extension to resolve it",
-            upoly_trim(remaining),
-        )
-    return EigenData(
-        point=point,
-        char_poly=char,
-        eigenvalues=tuple(eigenvalues),
-        eigenvectors=tuple(vectors),
-        invertible=bool(char[0]),
-        field=field,
-    )
+    return data._replace(eigenvectors=tuple(vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +300,7 @@ class ResonanceReport(namedtuple("ResonanceReport",
 
 def is_nonresonant(xi, point, field=None, budget=None):
     """Invertible linear part whose eigenvalues span a rank-n Z-module."""
-    data = jacobian_eigendata(xi, point, field=field, budget=budget)
+    _, data = _spectrum(xi, point, field, budget)
     rank = zrank(data.eigenvalues)
     n = len(xi.components)
     return ResonanceReport(

@@ -511,6 +511,22 @@ def test_empty_point_coordinate_exits_two(run, point):
     assert json.loads(out)["result"]["error"] == "ParseError"
 
 
+def test_negative_point_reads_as_an_option_unless_quoted(run, capsys):
+    """A point starting with a minus sign is an option to argparse, so the
+    point is missing; parentheses or a preceding -- pass it through."""
+    source = "vars: x1 x2\nxi: (x1^2 - 1)*d1 + x2*d2\n"
+    with pytest.raises(SystemExit) as exc:
+        run(source, "eigen", "-1,0")
+    assert exc.value.code == 2
+    assert "the following arguments are required: point" in capsys.readouterr().err
+    for argv in (("(-1,0)", "--json"), ("--json", "--", "-1,0")):
+        code, out = run(source, "eigen", *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["inputs"]["point"] == "(-1, 0)"
+        assert payload["result"]["eigenvalues"] == ["-2", "1"]
+
+
 # ---------------------------------------------------------------------------
 # declared names in every context
 

@@ -20,8 +20,11 @@ from folichar.errors import (
 from folichar.foliations import PolyVectorField, _matrix_inverse
 from folichar.ideals import Ideal, StepBudget
 from folichar.polynomials import MultiPoly, VarSpace
-from folichar.scalars import make_number_field
+from folichar import singularities
+from folichar.scalars import make_number_field, zrank
 from folichar.singularities import (
+    _ansatz_roots,
+    _field_roots,
     _kernel_basis,
     bott_connection,
     coordinate_subspace_decomposition,
@@ -87,7 +90,8 @@ Y1, Y2, Y3 = (MultiPoly.variable(S3, v) for v in S3.all_vars)
     (PolyVectorField(S3, [Y2, Y3, -Y1 + 3 * Y2]), (0, 0, 0), [1, -3, 0, 1],
      ["-2 + a^2", "a", "2 - a - a^2"], 321),
     # [[0, 1/2], [1, 0]] over Q(a), a^2 = 1/2, a minimal polynomial that is not integral
-    (PolyVectorField(S, [F(1, 2) * X2, X1]), (0, 0), [F(-1, 2), 0, 1], ["-a", "a"], 1),
+    # (the quadratic formula charges no step)
+    (PolyVectorField(S, [F(1, 2) * X2, X1]), (0, 0), [F(-1, 2), 0, 1], ["-a", "a"], 0),
 ], ids=["cubic", "half"])
 def test_eigendata_in_a_declared_field(xi, origin, min_poly, eigenvalues, steps):
     K = make_number_field("a", min_poly)
@@ -97,6 +101,99 @@ def test_eigendata_in_a_declared_field(xi, origin, min_poly, eigenvalues, steps)
     assert [str(v) for v in d.eigenvalues] == eigenvalues
     assert budget.used == steps
     assert all(type(x) is F for v in d.eigenvalues for x in v.coords)
+
+
+S4 = VarSpace(("x1", "x2", "x3", "x4"))
+Z1, Z2, Z3, Z4 = (MultiPoly.variable(S4, v) for v in S4.all_vars)
+# two rotations: det(tI - D) = (t^2 + 1)(t^2 + 4), with no rational root
+TWO_ROT = PolyVectorField(S4, [Z2, -Z1, 2 * Z4, -2 * Z3])
+
+
+def test_unresolved_factor_is_called_irreducible_only_when_it_is():
+    """A factor with no root in the working field is irreducible when its
+    degree is 2 or 3; a quartic such as (t^2 + 1)(t^2 + 4) is only a factor."""
+    tail = " has no root in the working field; declare an extension to resolve it"
+    for field in (None, make_number_field("r", [-2, 0, 1])):
+        with pytest.raises(UnresolvedFactor) as exc:
+            jacobian_eigendata(TWO_ROT, (0, 0, 0, 0), field=field)
+        assert str(exc.value) == "factor t^4 + 5*t^2 + 4" + tail
+        assert exc.value.residual == (4, 0, 5, 0, 1)
+    with pytest.raises(UnresolvedFactor) as exc:
+        jacobian_eigendata(ROT, (0, 0))
+    assert str(exc.value) == "irreducible factor t^2 + 1" + tail
+    d = jacobian_eigendata(TWO_ROT, (0, 0, 0, 0), field=make_number_field("i", [1, 0, 1]))
+    assert [str(v) for v in d.eigenvalues] == ["-2*i", "-i", "i", "2*i"]
+
+
+# the last, g^2 = g + 1, has a1 != 0 in alpha^2 + a1*alpha + a0 = 0
+QUADRATIC_FIELDS = [("r", [-2, 0, 1]), ("r", [-3, 0, 1]), ("r", [-5, 0, 1]),
+                    ("i", [1, 0, 1]), ("a", [F(-1, 2), 0, 1]), ("g", [-1, -1, 1])]
+CUBIC = ("a", [1, -3, 0, 1])
+
+
+def _upoly_mul(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _check_roots(char, field):
+    """``_field_roots`` finds the roots the ansatz finds on all of ``char``, with
+    char = prod(t - root) * cofactor and no root left in the cofactor; returns
+    its steps and the cofactor's degree."""
+    budget = StepBudget(10 ** 6)
+    roots, rest = _field_roots(char, field, budget=budget)
+    key = singularities._eig_sort_key
+    assert sorted(set(roots), key=key) == sorted(_ansatz_roots(char, field), key=key), char
+    prod = rest
+    for lam in roots:
+        prod = _upoly_mul(prod, (-lam, field.one()))
+    assert prod == tuple(field.coerce(c) for c in char), char
+    assert len(rest) < 2 or not _ansatz_roots(rest, field)
+    return budget.used, len(rest) - 1
+
+
+def test_closed_form_roots_agree_with_the_ansatz():
+    """On seeded rational quadratics over Q(sqrt2), Q(sqrt3), Q(sqrt5), Q(i),
+    Q(a), a^2 = 1/2, and Q(g), g^2 = g + 1, some times a rational linear
+    factor, the quadratic formula
+    finds what the coordinate ansatz finds, whether the discriminant has a
+    square root in the field or not, and charges no step.  Over the cubic
+    field, rational roots leave no remainder and charge nothing; the
+    companion matrix's irreducible cubic still goes to the ansatz."""
+    rng = rng_for("closed-form-roots")
+
+    def rational():
+        return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+    for name, min_poly in QUADRATIC_FIELDS:
+        K = make_number_field(name, min_poly)
+        a0, a1 = K.min_poly[0], K.min_poly[1]
+        delta = a1 * a1 - 4 * a0
+        cofactor_degrees = set()
+        for trial in range(12):
+            if trial % 2:  # roots u -+ v*(2a + a1), whose discriminant is 4*v^2*delta
+                u, v = rational(), rational() or F(1)
+                quad = (u * u - v * v * delta, -2 * u, F(1))
+            else:
+                quad = (rational(), rational(), F(1))
+            # a rational root at most: the ansatz runs for seconds on some quartics
+            char = _upoly_mul(quad, (rational(), F(1))) if trial % 3 else quad
+            steps, degree = _check_roots(char, K)
+            assert steps == 0
+            cofactor_degrees.add(degree)
+        assert cofactor_degrees == {0, 2}, name
+
+    K = make_number_field(*CUBIC)
+    for _ in range(6):
+        r = rational()
+        char = (-r, F(1))
+        for _ in range(rng.randint(0, 2)):
+            char = _upoly_mul(char, (rng.choice((-r, rational())), F(1)))
+        assert _check_roots(char, K) == (0, 0)
+    assert _check_roots((F(1), F(-3), F(0), F(1)), K) == (321, 0)
 
 
 def test_field_is_detected_from_components_and_point():
@@ -167,6 +264,51 @@ def test_holonomy_half_ratio_has_order_two():
     h = holonomy_spectrum(half, (0, 0), 2)
     entry = h.entries[0]
     assert entry.ratio == F(1, 2) and entry.order == 2
+
+
+def test_nonres_and_holonomy_build_no_eigenvectors(monkeypatch):
+    """is_nonresonant and holonomy_spectrum read the eigenvalues alone: on
+    seeded planar fields over quadratic fields and the cubic field they call
+    no kernel, and their reports agree with the eigendata."""
+    calls = []
+    kernel = singularities._kernel_basis
+    monkeypatch.setattr(singularities, "_kernel_basis",
+                        lambda mat: calls.append(mat) or kernel(mat))
+    rng = rng_for("spectra-without-kernels")
+    for name, min_poly in QUADRATIC_FIELDS[:4] + [CUBIC]:
+        K = make_number_field(name, min_poly)
+        for trial in range(4):
+            p, q = F(rng.choice((0, 1, -2))), F(rng.choice((1, -1, 2)))
+            if K.degree == 2:  # eigenvalues p -+ q*sqrt(d), d = a1^2 - 4*a0
+                d = K.min_poly[1] ** 2 - 4 * K.min_poly[0]
+                lin, want = [[p, q * d], [q, p]], [K.element([p + q * K.min_poly[1], 2 * q]),
+                                                   K.element([p - q * K.min_poly[1], -2 * q])]
+            else:  # a rational spectrum in the cubic field
+                lin, want = [[q, F(trial)], [F(0), 3 * q]], [K.from_rational(q),
+                                                              K.from_rational(3 * q)]
+            k = rng.randint(-2, 2)  # conjugate by [[1, k], [0, 1]]
+            lin = [[lin[0][0] + k * lin[1][0], lin[0][1] + k * (lin[1][1] - lin[0][0])
+                    - k * k * lin[1][0]],
+                   [lin[1][0], lin[1][1] - k * lin[1][0]]]
+            xi = PolyVectorField(S, [
+                row[0] * X1 + row[1] * X2
+                + sum((rng.randint(-2, 2) * m for m in (X1 * X1, X1 * X2, X2 * X2)),
+                      MultiPoly.zero(S))
+                for row in lin])
+            data = jacobian_eigendata(xi, (0, 0), field=K)
+            assert sorted(e.coords for e in data.eigenvalues) == sorted(e.coords for e in want)
+            assert len(calls) == len(set(data.eigenvalues))
+            calls.clear()
+            rep = is_nonresonant(xi, (0, 0), field=K)
+            hol = holonomy_spectrum(xi, (0, 0), 1, field=K)
+            assert not calls
+            rank = zrank(data.eigenvalues)
+            assert rep == (data.invertible and rank == 2, data.invertible, rank,
+                           data.eigenvalues)
+            lam = data.eigenvalues[0]
+            assert hol.eigenvalues == data.eigenvalues and hol.separatrix_eigenvalue == lam
+            assert [e.ratio for e in hol.entries] == [data.eigenvalues[1] / lam]
+            assert hol.maximal_torus == rep.nonresonant
 
 
 # ---------------------------------------------------------------------------
