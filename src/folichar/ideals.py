@@ -689,6 +689,7 @@ def poly_gcd(polys, budget=None):
     Pairwise as f*g / lcm(f, g), the lcm generating (f) cap (g), which the
     t-trick eliminates from (t*f, (1 - t)*g); stops at a constant.
     """
+    budget = _as_budget(budget)
     acc = None
     for g in polys:
         if g.is_zero():

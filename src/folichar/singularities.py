@@ -1,17 +1,19 @@
 """Local analysis of a vector field at a singular point.
 
-Eigendata of the linear part is computed exactly.  The characteristic
-polynomial is the determinant det(tI - D) (:func:`folichar.ideals.poly_det`,
-the package's one determinant), taken over Q whenever every entry of D is
-rational, also in a declared extension Q(alpha).  Its roots in the working
-field are found in three steps: the rational roots of a rational polynomial
-first; over a quadratic field, a rational quadratic remainder by the
-quadratic formula; any other remainder by a coordinate ansatz solved with
-``rational_points``.  Eigenvectors are exact kernel bases, computed only by
-:func:`jacobian_eigendata`: non-resonance and holonomy need the eigenvalues
-alone.  A factor of degree >= 2 with no root in the working field is
-reported through :class:`~folichar.errors.UnresolvedFactor`, never
-approximated.
+Eigendata of the linear part is computed exactly.  D is read once, in one
+ring: over Q when every entry is rational and none belongs to a number field
+other than the working one, else coerced into the working field, where an
+entry from another field raises :class:`~folichar.errors.FieldMismatch`.
+The characteristic polynomial det(tI - D) is taken by
+:func:`folichar.ideals.poly_det`, the package's one determinant.  Its roots
+in the working field are found in three steps: the rational roots of a
+rational polynomial first; over a quadratic field, a rational quadratic
+remainder by the quadratic formula; any other remainder by a coordinate
+ansatz solved with ``rational_points``.  Eigenvectors are exact kernel
+bases, computed only by :func:`jacobian_eigendata`: non-resonance and
+holonomy need the eigenvalues alone.  A factor of degree >= 2 with no root
+in the working field is reported through
+:class:`~folichar.errors.UnresolvedFactor`, never approximated.
 
 Non-resonance of an isolated singularity means the linear part is invertible
 and its eigenvalues span a rank-n subgroup of the additive group of the field
@@ -42,7 +44,7 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .foliations import prolong
-from .ideals import poly_det, rational_points
+from .ideals import _as_budget, poly_det, rational_points
 from .polynomials import MultiPoly, VarSpace, multigrade_decompose
 from .scalars import (
     as_fraction,
@@ -81,18 +83,6 @@ class EigenData(namedtuple("EigenData", "point char_poly eigenvalues eigenvector
     def __str__(self):
         vals = ", ".join(str(v) for v in self.eigenvalues)
         return f"char {upoly_str(self.char_poly)}; eigenvalues {{{vals}}}"
-
-
-def _jacobian_matrix(xi, point, field):
-    """D(xi) at the point: row j, column k holds da_j/dx_k evaluated.  The
-    entries are coerced into ``field`` only when one of them is a field
-    element; a rational matrix stays over Q."""
-    n = len(xi.components)
-    at = {i: point[i] for i in range(n)}
-    mat = [[a.partial(k).evaluate(at) for k in range(n)] for a in xi.components]
-    if common_field([v for row in mat for v in row]) is not None:
-        mat = [[field.coerce(v) for v in row] for row in mat]
-    return mat
 
 
 def _char_upoly(mat):
@@ -174,22 +164,22 @@ def _field_roots(char, field, budget=None):
     and a ``char`` with irrational coefficients, goes to the coordinate
     ansatz :func:`_ansatz_roots`.
     """
-    if not all(map(is_rational_scalar, char)):
-        return _deflate(char, _ansatz_roots(char, field, budget), field.one())
-    char = tuple(map(as_fraction, char))
-    found, rest = _deflate(char, upoly_rational_roots(char), _ONE)
-    if field is None:
-        return found, rest
-    found = [field.from_rational(r) for r in found]
-    if upoly_degree(rest) == 2 and field.degree == 2:
-        roots = _quadratic_roots(rest, field)
-        if roots:  # two simple roots: nothing is left
-            return found + roots, (_ONE,)
-    elif upoly_degree(rest) >= 1:
-        roots = _ansatz_roots(rest, field, budget)
-        more, rest = _deflate(tuple(map(field.coerce, rest)), roots, field.one())
-        return found + more, rest
-    return found, tuple(map(field.coerce, rest))
+    found = []
+    if all(map(is_rational_scalar, char)):
+        char = tuple(map(as_fraction, char))
+        found, char = _deflate(char, upoly_rational_roots(char), _ONE)
+        if field is None:
+            return found, char
+        found = [field.from_rational(r) for r in found]
+        if upoly_degree(char) == 2 and field.degree == 2:
+            roots = _quadratic_roots(char, field)
+            # two simple roots leave nothing
+            return found + roots, (_ONE,) if roots else tuple(map(field.coerce, char))
+    char = tuple(map(field.coerce, char))
+    if upoly_degree(char) < 1:
+        return found, char
+    more, rest = _deflate(char, _ansatz_roots(char, field, budget), field.one())
+    return found + more, rest
 
 
 def _eig_sort_key(value):
@@ -218,26 +208,23 @@ def point_str(point):
 
 
 def _spectrum(xi, point, field, budget):
-    """D(xi) at a singular point and its :class:`EigenData` without eigenvectors.
-
-    When every entry of D is rational, det(tI - D) is taken over Q and its
-    coefficients are coerced into the working field afterwards.
-    """
+    """D(xi) at a singular point (row j the gradient of a_j there, over Q
+    when rational) and its :class:`EigenData` without eigenvectors."""
     n = len(xi.components)
     point = tuple(point)
     if len(point) != n:
         raise ValueError(f"point needs {n} coordinates, got {len(point)}")
-    at = {i: point[i] for i in range(n)}
+    at = dict(enumerate(point))
     for a in xi.components:
         if a.evaluate(at):
             raise NotASingularPoint(f"{xi} does not vanish at {point_str(point)}")
     if field is None:
         field = common_field([c for a in xi.components for c in a.terms.values()] + list(point))
-    mat = _jacobian_matrix(xi, point, field)
-    rational = all(is_rational_scalar(v) for row in mat for v in row)
-    if rational:
-        mat = [[as_fraction(v) for v in row] for row in mat]
-    char = tuple(map(Fraction if rational else field.coerce, _char_upoly(mat)))
+    mat = [[a.partial(k).evaluate(at) for k in range(n)] for a in xi.components]
+    entries = [v for row in mat for v in row]
+    rational = all(map(is_rational_scalar, entries)) and common_field(entries) in (None, field)
+    mat = [[(as_fraction if rational else field.coerce)(v) for v in row] for row in mat]
+    char = _char_upoly(mat)
     eigenvalues, rest = _field_roots(char, field, budget)
     if upoly_degree(rest) >= 1:
         # with no root in the field, a factor of degree 2 or 3 is irreducible
@@ -247,11 +234,9 @@ def _spectrum(xi, point, field, budget):
             "declare an extension to resolve it",
             rest,
         )
-    if field is not None:
-        char = tuple(map(field.coerce, char))
     return mat, EigenData(
         point=point,
-        char_poly=char,
+        char_poly=tuple(map(Fraction if field is None else field.coerce, char)),
         eigenvalues=tuple(sorted(eigenvalues, key=_eig_sort_key)),
         eigenvectors=(),
         invertible=bool(char[0]),
@@ -395,19 +380,6 @@ def _axis_index(space, axis):
     return idx
 
 
-def _check_axis_invariant(xi, ax):
-    space = xi.space
-    transverse = [k for k in range(len(xi.components)) if k != ax]
-    wipe = {k: 0 for k in transverse}
-    for j in transverse:
-        if not xi.components[j].substitute(wipe).is_zero():
-            raise LeafNotInvariant(
-                f"component d/d{space.x_vars[j]} does not vanish on the "
-                f"{space.x_vars[ax]}-axis"
-            )
-    return transverse, wipe
-
-
 def bott_connection(xi, axis=0):
     """Connection matrix A(t) of the normal bundle along an invariant axis.
 
@@ -416,15 +388,23 @@ def bott_connection(xi, axis=0):
     along a curved leaf should first be straightened with
     :meth:`PolyVectorField.affine_shift` / :meth:`PolyVectorField.linear_change`.
     """
-    ax = _axis_index(xi.space, axis)
-    transverse, wipe = _check_axis_invariant(xi, ax)
+    space = xi.space
+    ax = _axis_index(space, axis)
+    transverse = [k for k in range(len(xi.components)) if k != ax]
+    wipe = dict.fromkeys(transverse, 0)
+    for j in transverse:
+        if not xi.components[j].substitute(wipe).is_zero():
+            raise LeafNotInvariant(
+                f"component d/d{space.x_vars[j]} does not vanish on the "
+                f"{space.x_vars[ax]}-axis"
+            )
     entries = tuple(
         tuple(xi.components[j].partial(i).substitute(wipe) for j in transverse)
         for i in transverse
     )
     return ConnectionMatrix(
         axis=ax,
-        variable=xi.space.x_vars[ax],
+        variable=space.x_vars[ax],
         indices=tuple(transverse),
         entries=entries,
     )
@@ -446,25 +426,15 @@ def verify_prolongation_duality(xi, axis=0):
     matrix A along the axis.
     """
     conn = bott_connection(xi, axis)
-    ax = conn.axis
     hat = prolong(xi)
-    dspace = hat.space
     n = len(xi.components)
-    wipe = {k: 0 for k in conn.indices}
-    wipe[n + ax] = 0
-    rows = []
-    for i in conn.indices:
-        row = []
-        for j in conn.indices:
-            comp = hat.y_components[j].substitute(wipe)
-            row.append(comp.partial(n + i).restrict_to(xi.space))
-        rows.append(tuple(row))
-    restricted = ConnectionMatrix(
-        axis=ax,
-        variable=conn.variable,
-        indices=conn.indices,
-        entries=tuple(rows),
-    )
+    wipe = dict.fromkeys(conn.indices, 0)
+    wipe[n + conn.axis] = 0
+    comps = [hat.y_components[j].substitute(wipe) for j in conn.indices]
+    restricted = conn._replace(entries=tuple(
+        tuple(comp.partial(n + i).restrict_to(xi.space) for comp in comps)
+        for i in conn.indices
+    ))
     size = len(conn.indices)
     holds = all(
         restricted.entries[r][c] == -conn.entries[c][r]
@@ -504,7 +474,8 @@ def coordinate_subspace_decomposition(ideal, budget=None):
     (Berge); supports limited to 10 variables.
     """
     space = ideal.space
-    monomials = {}
+    budget = _as_budget(budget)
+    exps = {}  # insertion-ordered: the sort below keeps it among degree ties
     for g in ideal.generators:
         if g.is_zero():
             continue
@@ -512,15 +483,13 @@ def coordinate_subspace_decomposition(ideal, budget=None):
         for part in parts:
             if len(parts) > 1 and not ideal.contains(part, budget=budget):
                 return TorusFiberReport(torus_invariant=False, offending=part)
-            exp = next(iter(part.terms))
-            monomials[exp] = MultiPoly.monomial(space, exp)
+            exps[next(iter(part.terms))] = None
     # keep only divisibility-minimal monomials
-    exps = sorted(monomials, key=sum)
     minimal_exps = []
-    for e in exps:
+    for e in sorted(exps, key=sum):
         if not any(all(a <= b for a, b in zip(m, e)) for m in minimal_exps):
             minimal_exps.append(e)
-    gens = tuple(monomials[e] for e in minimal_exps)
+    gens = tuple(MultiPoly.monomial(space, e) for e in minimal_exps)
     supports = {frozenset(i for i, v in enumerate(e) if v) for e in minimal_exps}
     if len(set().union(*supports)) > 10:
         raise InvalidInput("vertex covers limited to supports in 10 variables")

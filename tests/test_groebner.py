@@ -553,6 +553,18 @@ def test_gcd_of_a_list():
     assert str(poly_gcd([X * X * Y - X * Y, X * Y * Y - X * Y, 3 * X * X - 3 * X])) == "x"
 
 
+def test_gcd_without_a_budget_bounds_the_whole_computation(monkeypatch):
+    """With no budget given, one default budget is shared by every
+    elimination of the pairwise gcds, not renewed for each."""
+    polys = [(X * X + Y) * (X - Y) * (X + 1), (X * X + Y) * (X + Y) * (Y + 2),
+             (X * X + Y) * (X * Y + 3)]
+    budget = StepBudget(10 ** 6)
+    assert str(poly_gcd(polys, budget=budget)) == "x^2 + y" and budget.used == 17
+    monkeypatch.setattr(ideals, "DEFAULT_BUDGET", 13)
+    with pytest.raises(BudgetExceeded, match="exceeded 13 reduction steps"):
+        poly_gcd(polys)
+
+
 def test_equal_ideals_hash_equal():
     a, b = Ideal(SXY, [X, Y]), Ideal(SXY, [X + Y, Y])
     assert a == b and hash(a) == hash(b)

@@ -598,6 +598,27 @@ def test_no_second_decision_of_a_constructed_identity():
     assert "characteristic_polynomial" not in called("weyl.py")
 
 
+def test_singularities_read_each_value_once():
+    """D is read inside _spectrum and the axis check made inside
+    bott_connection, with no helper for either; _field_roots reaches the
+    coordinate ansatz from one place; the duality check substitutes each
+    prolonged component once and copies the connection record."""
+    modules = dict(_package_modules())
+    defined = {n.name for tree in modules.values() for n in ast.walk(tree)
+               if isinstance(n, ast.FunctionDef)}
+    assert not {"_jacobian_matrix", "_check_axis_invariant"} & defined
+    functions = {n.name: n for n in modules["singularities.py"].body
+                 if isinstance(n, ast.FunctionDef)}
+
+    def called(function):
+        return [getattr(n.func, "attr", getattr(n.func, "id", None))
+                for n in ast.walk(functions[function]) if isinstance(n, ast.Call)]
+
+    assert called("_field_roots").count("_ansatz_roots") == 1
+    duality = called("verify_prolongation_duality")
+    assert duality.count("substitute") == 1 and "ConnectionMatrix" not in duality
+
+
 def test_inverse_grammar_and_atoms_are_folded():
     """A number-field inverse is an rref solve, the extended Euclid and its
     coefficient helpers are gone, the grammar's binary levels share one

@@ -11,6 +11,7 @@ from conftest import rng_for
 from oracles import enumerated_covers
 
 from folichar.errors import (
+    BudgetExceeded,
     FieldMismatch,
     LeafNotInvariant,
     NotASingularPoint,
@@ -20,7 +21,7 @@ from folichar.errors import (
 from folichar.foliations import PolyVectorField, _matrix_inverse
 from folichar.ideals import Ideal, StepBudget
 from folichar.polynomials import MultiPoly, VarSpace
-from folichar import singularities
+from folichar import ideals, singularities
 from folichar.scalars import make_number_field, zrank
 from folichar.singularities import (
     _ansatz_roots,
@@ -155,14 +156,24 @@ def _check_roots(char, field):
     return budget.used, len(rest) - 1
 
 
-def test_closed_form_roots_agree_with_the_ansatz():
+def test_closed_form_roots_agree_with_the_ansatz(monkeypatch):
     """On seeded rational quadratics over Q(sqrt2), Q(sqrt3), Q(sqrt5), Q(i),
     Q(a), a^2 = 1/2, and Q(g), g^2 = g + 1, some times a rational linear
     factor, the quadratic formula
     finds what the coordinate ansatz finds, whether the discriminant has a
     square root in the field or not, and charges no step.  Over the cubic
     field, rational roots leave no remainder and charge nothing; the
-    companion matrix's irreducible cubic still goes to the ansatz."""
+    companion matrix's irreducible cubic still goes to the ansatz.  Spies on
+    ``_field_roots``: the quadratic formula's roots skip the ansatz and a
+    second deflation, rational roots skip the ansatz, and the companion
+    cubic and an irrational char each make one ansatz call."""
+    calls = []
+
+    def spy(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("_ansatz_roots", "_deflate"):
+        monkeypatch.setattr(singularities, name, spy(name, getattr(singularities, name)))
     rng = rng_for("closed-form-roots")
 
     def rational():
@@ -181,8 +192,9 @@ def test_closed_form_roots_agree_with_the_ansatz():
                 quad = (rational(), rational(), F(1))
             # a rational root at most: the ansatz runs for seconds on some quartics
             char = _upoly_mul(quad, (rational(), F(1))) if trial % 3 else quad
+            calls.clear()
             steps, degree = _check_roots(char, K)
-            assert steps == 0
+            assert steps == 0 and calls == ["_deflate"], char
             cofactor_degrees.add(degree)
         assert cofactor_degrees == {0, 2}, name
 
@@ -192,13 +204,22 @@ def test_closed_form_roots_agree_with_the_ansatz():
         char = (-r, F(1))
         for _ in range(rng.randint(0, 2)):
             char = _upoly_mul(char, (rng.choice((-r, rational())), F(1)))
-        assert _check_roots(char, K) == (0, 0)
+        calls.clear()
+        assert _check_roots(char, K) == (0, 0) and "_ansatz_roots" not in calls
+    calls.clear()
     assert _check_roots((F(1), F(-3), F(0), F(1)), K) == (321, 0)
+    assert calls.count("_ansatz_roots") == 1
+    K = make_number_field(*QUADRATIC_FIELDS[0])
+    r = K.gen()
+    calls.clear()
+    assert _check_roots((-2 * r, 2 - r, K.one()), K)[1] == 0  # (t - r)(t + 2)
+    assert calls.count("_ansatz_roots") == 1
 
 
 def test_field_is_detected_from_components_and_point():
-    r = make_number_field("r", [-2, 0, 1]).gen()
-    s = make_number_field("s", [-3, 0, 1]).gen()
+    K = make_number_field("r", [-2, 0, 1])
+    L = make_number_field("s", [-3, 0, 1])
+    r, s = K.gen(), L.gen()
     cases = [
         (PolyVectorField(S, [r * X1, X2 * X2 - 3]), (0, s)),  # point over another field
         (PolyVectorField(S, [r * X1, s * X2]), (0, 0)),       # components over two fields
@@ -206,6 +227,12 @@ def test_field_is_detected_from_components_and_point():
     for xi, point in cases:
         with pytest.raises(FieldMismatch, match=r"^cannot mix Q\(r\) and Q\(s\)$"):
             jacobian_eigendata(xi, point)
+    # D over L in a problem declared over K, from a rational entry or not
+    for entry in (L.from_rational(2), s):
+        xi = PolyVectorField(S, [entry * X1, X2])
+        for query in (jacobian_eigendata, is_nonresonant):
+            with pytest.raises(FieldMismatch, match=r"^element of Q\(s\) used in Q\(r\)$"):
+                query(xi, (0, 0), field=K)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +431,19 @@ def test_decomposition_mixed_generators():
     # redundant generator dropped by minimality
     rep3 = coordinate_subspace_decomposition(Ideal(Y3, [y1, y1 * y2]))
     assert rep3.components == (("y1",),) and rep3.dimensions == (2,)
+
+
+def test_decomposition_without_a_budget_bounds_the_whole_computation(monkeypatch):
+    """With no budget given, the membership tests of the multigraded parts
+    share one default budget instead of a fresh one each."""
+    y1, y2, y3, y4 = _vars(VarSpace(("y1", "y2", "y3", "y4")))
+    gens = [y1 * y2 + y3 * y4, y1 * y2 - y3 * y4, y1 * y3 + y2 * y4, y1 * y3 - 2 * y2 * y4]
+    budget = StepBudget(10 ** 6)
+    rep = coordinate_subspace_decomposition(Ideal(y1.space, gens), budget=budget)
+    assert rep.components == (("y1", "y4"), ("y2", "y3")) and budget.used == 16
+    monkeypatch.setattr(ideals, "DEFAULT_BUDGET", 10)
+    with pytest.raises(BudgetExceeded, match="exceeded 10 reduction steps"):
+        coordinate_subspace_decomposition(Ideal(y1.space, gens))
 
 
 def test_decomposition_matches_the_subset_enumeration():
