@@ -291,7 +291,7 @@ def _cmd_duality(session, args, budget, xi, leaf):
 def _cmd_torus_fiber(session, args, budget, ideal):
     from .singularities import coordinate_subspace_decomposition
     yspace = VarSpace(session.dspace.y_vars)
-    gens = [g.restrict_to(yspace) for g in ideal.generators if not g.is_zero()]
+    gens = [g.restrict_to(yspace) for g in ideal.generators]
     rep = coordinate_subspace_decomposition(Ideal(yspace, gens), budget=budget)
     return {"ideal": ideal}, {
         "offending": rep.offending,

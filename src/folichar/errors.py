@@ -48,10 +48,6 @@ class SpaceMismatch(FolicharError):
 class BudgetExceeded(FolicharError):
     """A Groebner computation ran past its reduction-step budget."""
 
-    def __init__(self, msg="reduction budget exhausted", steps=None):
-        super().__init__(msg)
-        self.steps = steps
-
 
 # ---------------------------------------------------------------------------
 # exterior algebra

@@ -85,10 +85,6 @@ class PolyForm(SparseSum):
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, space, degree=0):
-        return cls(space, degree)
-
-    @classmethod
     def from_poly(cls, poly):
         return cls(poly.space, 0, {(): poly})
 
@@ -107,10 +103,6 @@ class PolyForm(SparseSum):
             and self.degree == other.degree
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.space, self.degree, frozenset(
-            (i, hash(p)) for i, p in self.terms.items())))
 
     @property
     def ndirections(self):

@@ -96,9 +96,7 @@ class StepBudget:
     def charge(self):
         self.used += 1
         if self.used > self.limit:
-            raise BudgetExceeded(
-                f"exceeded {self.limit} reduction steps", steps=self.used
-            )
+            raise BudgetExceeded(f"exceeded {self.limit} reduction steps")
 
 
 def _as_budget(budget):
@@ -480,15 +478,12 @@ class Ideal:
     def has_cached_basis(self, order=GREVLEX):
         return order in self._bases
 
-    def is_zero(self, budget=None):
-        return not self.basis(budget=budget)
-
     def is_unit(self, budget=None):
         b = self.basis(budget=budget)
         return bool(b) and b[0].is_constant()
 
-    def contains(self, f, order=GREVLEX, budget=None):
-        return normal_form(f, self, order=order, budget=budget).is_zero()
+    def contains(self, f, budget=None):
+        return normal_form(f, self, budget=budget).is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
@@ -508,12 +503,10 @@ class Ideal:
 
 
 def normal_form(f, ideal, order=GREVLEX, budget=None):
-    """Canonical remainder of f modulo the ideal for the given order."""
+    """Canonical remainder of f modulo the ideal for the given order; f over
+    another space raises :class:`SpaceMismatch` (from the packing)."""
     budget = _as_budget(budget)
-    if f.space != ideal.space:
-        raise SpaceMismatch(f"{f.space} vs {ideal.space}")
-    if not ideal.basis(order=order, budget=budget):
-        return f
+    ideal.basis(order=order, budget=budget)  # cached for _lead_data
 
     def run(width):
         pack, data = ideal._lead_data(order, width)
@@ -544,9 +537,6 @@ def radical_membership(f, ideal, budget=None):
     budget = _as_budget(budget)
     if f.is_zero():
         return True
-    space = ideal.space
-    if f.space != space:
-        raise SpaceMismatch("radical membership needs matching spaces")
     r = normal_form(f, ideal, budget=budget)
     if r.is_zero():
         return True
@@ -564,8 +554,8 @@ def radical_membership(f, ideal, budget=None):
             if power.is_zero():
                 return True
         return False
-    wname = space.fresh_aux("_w")
-    ext = space.with_aux((wname,))
+    wname = ideal.space.fresh_aux("_w")
+    ext = ideal.space.with_aux((wname,))
     w = MultiPoly.variable(ext, wname)
     gens = [g.lift_to(ext) for g in ideal.generators]
     gens.append(MultiPoly.constant(ext, 1) - w * f.lift_to(ext))
@@ -597,7 +587,7 @@ def eliminate(ideal, keep, budget=None):
 
 def _standard_monomials(ideal, order, budget):
     """Unsorted standard monomials if dim V(I) = 0, else None."""
-    ideal.basis(order=order, budget=budget)
+    ideal.basis(order=order, budget=budget)  # cached for _lead_data
     pack, data = _widening(lambda width: ideal._lead_data(order, width))
     # the exponent fields alone: a standard monomial's degree may not fit the order fields
     leads = [le & pack.raw for le, _, _ in data]
@@ -719,8 +709,6 @@ def _univariate_in(g, idx):
         if any(v and i != idx for i, v in enumerate(e)):
             return None
         coeffs[e[idx]] = c
-    if not coeffs:
-        return None
     out = [Fraction(0)] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c

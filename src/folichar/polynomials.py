@@ -128,14 +128,11 @@ def _grevlex_key(exp):
     return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
-class MonomialOrder:
-    """Total order on exponent tuples; larger key means larger monomial."""
+class MonomialOrder(namedtuple("MonomialOrder", "name blocks", defaults=(None,))):
+    """Total order on exponent tuples; larger key means larger monomial.
+    ``blocks``, of a block order only: index tuples compared left to right."""
 
-    __slots__ = ("name", "blocks")
-
-    def __init__(self, name, blocks=None):
-        self.name = name
-        self.blocks = blocks  # tuple of index tuples, compared left to right
+    __slots__ = ()
 
     def key(self, exp):
         if self.name == "lex":
@@ -143,19 +140,6 @@ class MonomialOrder:
         if self.name == "grevlex":
             return _grevlex_key(exp)
         return tuple(_grevlex_key(tuple(exp[i] for i in blk)) for blk in self.blocks)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and self.name == other.name
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.name, self.blocks))
-
-    def __repr__(self):
-        return f"MonomialOrder({self.name})"
 
 
 GREVLEX = MonomialOrder("grevlex")

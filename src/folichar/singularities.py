@@ -477,8 +477,6 @@ def coordinate_subspace_decomposition(ideal, budget=None):
     budget = _as_budget(budget)
     exps = {}  # insertion-ordered: the sort below keeps it among degree ties
     for g in ideal.generators:
-        if g.is_zero():
-            continue
         parts = multigrade_decompose(g)
         for part in parts:
             if len(parts) > 1 and not ideal.contains(part, budget=budget):

@@ -73,8 +73,6 @@ class WeylOperator(MultiPoly):
         """Largest number of d's in a term; -1 for the zero operator."""
         return self.degree(self.space.y_indices)
 
-    total_degree = MultiPoly.degree
-
     # -- arithmetic ------------------------------------------------------------
 
     def _check(self, other):

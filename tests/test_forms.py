@@ -91,7 +91,7 @@ def test_exterior_derivative_matches_the_merge_loop():
 def test_d_squared_zero_random():
     rng = rng_for("ddzero")
     for _ in range(20):
-        w = PolyForm.zero(S3, 1)
+        w = PolyForm(S3, 1)
         for i in range(3):
             w = w + dx(S3, i) * rand_poly(rng, S3, 3)
         assert exterior_derivative(exterior_derivative(w)).is_zero()
@@ -105,7 +105,7 @@ def test_lie_derivative_examples():
     d1 = PolyVectorField(S3, [MultiPoly.constant(S3, 1),
                               MultiPoly.zero(S3), MultiPoly.zero(S3)])
     assert lie_derivative(d1, dx(S3, 1) * U1) == dx(S3, 1)
-    assert lie_derivative(xi, PolyForm.zero(S3, 1)).is_zero()
+    assert lie_derivative(xi, PolyForm(S3, 1)).is_zero()
 
 
 def test_lie_derivative_leibniz_random():
@@ -149,7 +149,7 @@ def test_distribution_examples():
     assert not is_distribution(bad)
     assert is_distribution(wedge(dx(s, 0), dx(s, 1)))
     with pytest.raises(ZeroForm):
-        is_distribution(PolyForm.zero(S3, 1))
+        is_distribution(PolyForm(S3, 1))
 
 
 def test_integrability_examples():
@@ -172,7 +172,7 @@ def test_proportional_forms():
     b = dx(S3, 0) * (U1 * U2) + dx(S3, 1) * (U1 * U1)
     assert proportional_forms(a, b)
     with pytest.raises(ZeroForm):
-        proportional_forms(a, PolyForm.zero(S3, 1))
+        proportional_forms(a, PolyForm(S3, 1))
 
 
 def test_infinitesimal_automorphism():

@@ -1,6 +1,7 @@
 """Groebner bases, membership, elimination, and the linear-algebra oracle."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -100,7 +101,7 @@ def test_normal_form_membership():
 def test_unit_and_zero_ideals():
     assert Ideal(SXY, [X, X + 1]).is_unit()
     assert [str(g) for g in Ideal(SXY, [X, X + 1]).basis()] == ["1"]
-    assert Ideal(SXY, []).is_zero()
+    assert not Ideal(SXY, []).basis()
     assert Ideal(SXY, []).contains(MultiPoly.zero(SXY))
     assert not Ideal(SXY, []).contains(X)
     # scalar generators may come from a number field
@@ -229,7 +230,7 @@ def test_elimination_keep_x_block():
     elim = eliminate(Ideal(d, [x2, y1]), {"x1", "x2"})
     assert [str(g) for g in elim.generators] == ["x2"]
     consistent = eliminate(Ideal(SXY, [X - 1]), set())
-    assert consistent.is_zero()
+    assert not consistent.basis()
 
 
 def test_krull_dim_zero():
@@ -746,6 +747,28 @@ def test_generators_over_two_spaces_raise():
     for order in (elimination_order(s3, [0]), MonomialOrder("block", ((0,),))):
         with pytest.raises(SpaceMismatch, match="do not split the variables of"):
             buchberger([x1 ** 2 + x2], order, StepBudget())
+
+
+def test_normal_form_and_radical_membership_over_another_space_raise():
+    """The packing's encode is the one space check of both: the zero ideal
+    raises too, and a zero f is in every radical before any check."""
+    s3 = VarSpace(("x", "y", "z"))
+    f = MultiPoly.variable(s3, "z") + 1
+    mismatch = "^" + re.escape(f"{s3} vs {SXY}") + "$"
+    for I in (Ideal(SXY, []), Ideal(SXY, [X * X, X * Y])):
+        with pytest.raises(SpaceMismatch, match=mismatch):
+            normal_form(f, I)
+        with pytest.raises(SpaceMismatch, match=mismatch):
+            radical_membership(f, I)
+        assert radical_membership(MultiPoly.zero(s3), I)
+
+
+def test_equal_orders_hash_as_their_fields_and_share_one_packing():
+    order = elimination_order(SXYZ, [0])
+    assert hash(order) == hash(("block", ((0,), (1, 2))))
+    again = elimination_order(SXYZ, [0])
+    assert again == order and again is not order
+    assert ideals._packing(SXYZ, again, 8) is ideals._packing(SXYZ, order, 8)
 
 
 def test_normal_form_division_and_standard_monomials_past_8_bits():

@@ -382,9 +382,9 @@ def test_only_the_shared_base_defines_sparse_arithmetic():
     names = {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
              "__pow__", "__bool__", "is_zero"}
     owners = {"SparseSum", "NFElement"}
-    # the same names with other meanings: an ideal's zero test, verdicts
-    other_meanings = {("Ideal", "is_zero"), ("ResonanceReport", "__bool__"),
-                      ("DualityReport", "__bool__"), ("TorusFiberReport", "__bool__")}
+    # the same name with another meaning: a verdict's truth value
+    other_meanings = {("ResonanceReport", "__bool__"), ("DualityReport", "__bool__"),
+                      ("TorusFiberReport", "__bool__")}
     found = set()
     for _, tree in _package_modules():
         for node in ast.walk(tree):
@@ -756,3 +756,38 @@ def test_one_lex_basis_per_walk_and_one_equation_set_per_search():
                                 ast.GeneratorExp))
               for m in ast.walk(n)}
     assert len(equations) == 1 and id(equations[0]) not in looped
+
+
+def test_no_member_only_the_tests_reach():
+    """Members no caller in the package reaches are gone; MonomialOrder is a
+    named tuple that adds only its key; normal_form and radical_membership
+    leave the space check to the packing's encode.  The verdict records keep
+    their truth value: without it ``if is_nonresonant(...)`` would read every
+    point as non-resonant."""
+    modules = dict(_package_modules())
+    classes = {n.name: n for tree in modules.values() for n in ast.walk(tree)
+               if isinstance(n, ast.ClassDef)}
+
+    def own(name):
+        out = set()
+        for item in classes[name].body:
+            if isinstance(item, ast.FunctionDef):
+                out.add(item.name)
+            elif isinstance(item, ast.Assign):
+                out.update(t.id for t in item.targets if isinstance(t, ast.Name))
+        return out
+
+    assert "is_zero" not in own("Ideal")
+    assert not {"zero", "__hash__"} & own("PolyForm")
+    assert "total_degree" not in own("WeylOperator")
+    assert "__init__" not in own("BudgetExceeded")
+    assert own("MonomialOrder") == {"__slots__", "key"}
+    assert [getattr(b.func, "id", None) for b in classes["MonomialOrder"].bases
+            if isinstance(b, ast.Call)] == ["namedtuple"]
+    for name in ("normal_form", "radical_membership"):
+        fn = next(n for n in ast.walk(modules["ideals.py"])
+                  if isinstance(n, ast.FunctionDef) and n.name == name)
+        assert not [n for n in ast.walk(fn) if isinstance(n, ast.Raise)
+                    and getattr(getattr(n.exc, "func", n.exc), "id", None) == "SpaceMismatch"]
+    for name in ("ResonanceReport", "DualityReport", "TorusFiberReport"):
+        assert "__bool__" in own(name)

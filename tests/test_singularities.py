@@ -413,6 +413,18 @@ def test_decomposition_rejects_non_monomial_variety():
     assert str(rep.offending) in ("y1", "y2")
 
 
+def test_decomposition_ignores_zero_generators_and_reads_as_its_verdict():
+    """A zero generator has no multigraded parts, so it changes nothing; a
+    report is true exactly when the ideal is torus-invariant."""
+    w1, w2 = _vars(Y2)
+    zero = MultiPoly.zero(Y2)
+    rep = coordinate_subspace_decomposition(Ideal(Y2, [zero, w1 * w2, zero]))
+    assert rep == coordinate_subspace_decomposition(Ideal(Y2, [w1 * w2])) and rep
+    whole = coordinate_subspace_decomposition(Ideal(Y2, [zero]))
+    assert whole.components == ((),) and whole.dimensions == (2,)
+    assert not coordinate_subspace_decomposition(Ideal(Y2, [w1 + w2, zero]))
+
+
 def test_decomposition_unit_ideal_is_empty():
     rep = coordinate_subspace_decomposition(
         Ideal(Y2, [MultiPoly.constant(Y2, 1)])

@@ -14,9 +14,9 @@ y``) or of a short-circuit ``and``/``or`` is invisible to it.  Prints one
 ``path:line: source`` entry per statement that never ran, then their count.
 Tracing starts before ``folichar`` is imported, so module-level statements
 are seen too; code run in child processes is not.  The hypothesis tests
-draw new examples on each run, so a few error branches come and go between
-runs.  Run it from the root of a checkout; it takes a few times as long as
-the suite alone.
+run with seed ``HYPOTHESIS_SEED``, so two runs print the same list.  Run it
+from the root of a checkout; it takes a few times as long as the suite
+alone.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "folichar"
 SEEDS = (0, 1, 2)
+HYPOTHESIS_SEED = 0
 
 
 def _code_lines(code):
@@ -85,7 +86,8 @@ def main():
     threading.settrace(global_)
     try:
         import pytest
-        code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", f"--hypothesis-seed={HYPOTHESIS_SEED}",
+                            str(ROOT / "tests")])
         sys.path.insert(0, str(ROOT / "tools"))
         import answer_digest
         for seed in SEEDS:
